@@ -14,6 +14,7 @@ from .canonical import (
     LndVerdict,
     MembershipVerdict,
     NilpotencyWitness,
+    TruncatedSearch,
     derived_chain_witness,
     generators,
     lnd_check,

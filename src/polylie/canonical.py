@@ -292,19 +292,32 @@ class DerivedChainWitness:
         }
 
 
+@dataclass(frozen=True)
+class TruncatedSearch:
+    """A derived-chain search that found nothing after the beam cut a level.
+
+    Unlike a None result this proves nothing: brackets the beam dropped at
+    level cut_at might still reach a nonzero element of the requested term.
+    """
+
+    cut_at: int
+
+
 def derived_chain_witness(n: int, *,
                           term: int | None = None,
                           degree_cap: int | None = None,
-                          beam: int = 10_000) -> DerivedChainWitness | None:
+                          beam: int = 10_000
+                          ) -> DerivedChainWitness | TruncatedSearch | None:
     """Search for a nonzero element of the requested derived term of sn.
 
     Defaults chase the derived-length lower bound: term 2n - 1 over sn
     generators of degree at most 2n.  The level-synchronous search keeps,
-    per depth, expressions whose values extend the rational span of that
-    depth's values; pruning linearly dependent values loses no reachable
-    span at later depths, so an empty level proves the truncated search
-    space has a zero derived term there.  Returns None when no nonzero
-    value exists within the caps.
+    per depth, at most beam expressions whose values extend the rational span
+    of that depth's values; pruning linearly dependent values loses no
+    reachable span at later depths.  So when no level was cut by the beam, an
+    empty level proves the truncated search space has a zero derived term
+    there, and the result is None.  An empty level after a cut gives a
+    TruncatedSearch instead.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -312,6 +325,8 @@ def derived_chain_witness(n: int, *,
         term = 2 * n - 1
     if term < 0:
         raise ValueError(f"term must be >= 0, got {term}")
+    if beam < 1:
+        raise ValueError(f"beam must be >= 1, got {beam}")
     if degree_cap is None:
         degree_cap = 2 * n
     gens = generators("sn", n, degree_cap)
@@ -327,22 +342,19 @@ def derived_chain_witness(n: int, *,
         expr, value = level[0]
         return DerivedChainWitness(0, expr, value, pool)
 
+    cut_at = None
     for depth in range(1, term + 1):
         kept: list[tuple[BracketExpr, Derivation]] = []
         seen = SpanBasis(n, [])
-        for a in range(len(level)):
-            for b in range(a + 1, len(level)):
-                value = level[a][1].bracket(level[b][1])
-                if value.is_zero() or seen.contains(value):
-                    continue
-                kept.append((Bracket(level[a][0], level[b][0]), value))
-                seen = SpanBasis(n, [v for _, v in kept])
-                if len(kept) >= beam:
-                    break
+        for (expr_a, a), (expr_b, b) in itertools.combinations(level, 2):
             if len(kept) >= beam:
+                cut_at = cut_at or depth
                 break
+            value = a.bracket(b)
+            if seen.add(value):
+                kept.append((Bracket(expr_a, expr_b), value))
         if not kept:
-            return None
+            return None if cut_at is None else TruncatedSearch(cut_at)
         level = kept
 
     expr, value = level[0]

@@ -19,7 +19,11 @@ import sys
 from . import canonical, reductions, span
 from .derivation import Derivation
 from .grammar import ParseError, parse_derivation, parse_polynomial
-from .verify import SCHEMA_VERSION, verify_paper
+from .verify import verify_paper
+
+# version of the JSON document the single-operation commands print;
+# verify-paper prints a Report, versioned by verify.SCHEMA_VERSION
+SCHEMA_VERSION = 1
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -49,10 +53,6 @@ def _emit(args, command: str, inputs: dict, outputs: dict, lines: list[str]) -> 
     else:
         for line in lines:
             print(line)
-
-
-def _series_dict(report: span.SeriesReport) -> dict:
-    return report.to_dict()
 
 
 def _matrix_strings(rows) -> list[list[str]]:
@@ -128,15 +128,17 @@ def cmd_closure(args) -> int:
     gens = _parse_generators(args.gens, args.n)
     result = span.lie_closure(gens, degree_cap=args.degree_cap,
                               dim_cap=args.dim_cap, n=args.n)
+    offending = result.offending_bracket
     outputs = {
         "status": result.status,
         "dim": result.basis.dim,
         "basis": [str(b) for b in result.basis],
-        "offending_bracket": list(result.offending_bracket)
-        if result.offending_bracket else None,
+        "offending_bracket": [str(d) for d in offending] if offending else None,
     }
     lines = [f"status: {result.status}", f"dim: {result.basis.dim}"]
     lines += [f"  {b}" for b in result.basis]
+    if offending:
+        lines.append(f"offending bracket: [{offending[0]}, {offending[1]}]")
     _emit(args, "closure",
           {"gens": [str(g) for g in gens], "degree_cap": args.degree_cap,
            "dim_cap": args.dim_cap},
@@ -162,7 +164,7 @@ def cmd_derived_series(args) -> int:
         report = span.derived_series(closure.basis, args.max_iter)
     outputs = {"closure_status": "closed", "dim": closure.basis.dim,
                "basis": [str(b) for b in closure.basis],
-               "series": _series_dict(report)}
+               "series": report.to_dict()}
     lines = [f"dims: {list(report.dims)}", f"verdict: {report.verdict}"]
     if report.length is not None:
         lines.append(f"length: {report.length}")
@@ -242,7 +244,13 @@ def cmd_witness(args) -> int:
         args.n, term=args.term, degree_cap=args.degree_cap, beam=args.beam)
     inputs = {"term": args.term, "degree_cap": args.degree_cap, "beam": args.beam}
     if witness is None:
-        _emit(args, "witness", inputs, {"found": False}, ["not found"])
+        _emit(args, "witness", inputs, {"found": False, "status": "absent"},
+              ["not found: absent"])
+        return EXIT_CHECK_FAILED
+    if isinstance(witness, canonical.TruncatedSearch):
+        _emit(args, "witness", inputs,
+              {"found": False, "status": "truncated", "cut_at": witness.cut_at},
+              [f"not found: truncated (the beam cut level {witness.cut_at})"])
         return EXIT_CHECK_FAILED
     outputs = {"found": True, **witness.to_dict()}
     lines = [f"term: {witness.term}",
@@ -254,8 +262,7 @@ def cmd_witness(args) -> int:
 
 
 def cmd_verify_paper(args) -> int:
-    report = verify_paper(args.n, args.seed, degree_cap=args.degree_cap,
-                          dim_cap=args.dim_cap, max_iter=args.max_iter,
+    report = verify_paper(args.n, args.seed, max_iter=args.max_iter,
                           bound=args.bound)
     if args.format == "json":
         print(json.dumps(report.to_dict(include_timing=args.timing),
@@ -320,7 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree-cap", type=int, default=span.DEFAULT_DEGREE_CAP)
     p.add_argument("--dim-cap", type=int, default=span.DEFAULT_DIM_CAP)
     p.add_argument("--max-iter", type=int, default=None,
-                   help="series iteration cap (default: 2n + 4)")
+                   help="series iteration cap (default: the closure's "
+                        "dimension, enough for a definite verdict)")
     p.add_argument("--lower", action="store_true",
                    help="compute the lower central series instead")
     _add_common(p)
@@ -383,8 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=2, dest="n",
                    help="largest ambient dimension to sample (default: 2)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--degree-cap", type=int, default=span.DEFAULT_DEGREE_CAP)
-    p.add_argument("--dim-cap", type=int, default=span.DEFAULT_DIM_CAP)
     p.add_argument("--max-iter", type=int, default=None)
     p.add_argument("--bound", type=int, default=32)
     p.add_argument("--timing", action="store_true",

@@ -2,10 +2,15 @@
 
 Derivations are coordinatized against the monomial support of their
 coefficients: a coordinate is a pair (slot, monomial) meaning the given
-monomial inside the coefficient of d_slot.  All rank and membership
-computations use exact rational Gaussian elimination; the stored basis is
-the reduced row echelon form of the generators, which is unique for a given
-row space and column order, so equal spans produce identical bases.
+monomial inside the coefficient of d_slot.  Columns are ordered by slot
+ascending, then graded-lex descending within a slot.
+
+`SpanBasis` is the one span kernel.  It keeps sparse rows keyed by their
+pivot coordinate, in reduced row echelon form at all times: `add` reduces a
+derivation once against the stored rows and inserts the residual only if it
+is nonzero.  Pivots are normalized to 1 and all arithmetic is exact.  The
+reduced row echelon form is unique for a given row space and column order,
+so equal spans produce identical bases whatever order the generators come in.
 
 Series computations (derived, lower central) and the adjoint-nilpotency test
 operate on bracket-closed spans only; closure itself is produced by
@@ -14,159 +19,122 @@ operate on bracket-closed spans only; closure itself is produced by
 
 from __future__ import annotations
 
+import itertools
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .derivation import Derivation
-from .polyring import Monomial, Polynomial, monomial_sort_key
+from .polyring import Monomial, Polynomial
 
 DEFAULT_DEGREE_CAP = 12
 DEFAULT_DIM_CAP = 512
 
 Coordinate = tuple[int, Monomial]
+Row = dict[Coordinate, Fraction]
 
 
-def _collect_coordinates(gens: Iterable[Derivation]) -> list[Coordinate]:
-    seen: set[Coordinate] = set()
-    for d in gens:
-        for pos, f in enumerate(d.coeffs):
-            for mono, _ in f:
-                seen.add((pos + 1, mono))
-    coords = list(seen)
-    # slots ascending, monomials graded-lex descending within each slot
-    coords.sort(key=lambda c: monomial_sort_key(c[1]), reverse=True)
-    coords.sort(key=lambda c: c[0])
-    return coords
-
-
-def _vector(d: Derivation, coords: Sequence[Coordinate],
-            positions: dict[Coordinate, int]) -> list[Fraction] | None:
-    """Coordinate vector of d, or None if d has support outside coords."""
-    vec = [Fraction(0)] * len(coords)
-    for pos, f in enumerate(d.coeffs):
-        for mono, c in f:
-            key = (pos + 1, mono)
-            at = positions.get(key)
-            if at is None:
-                return None
-            vec[at] = c
-    return vec
-
-
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """In-place reduced row echelon form; returns (nonzero rows, pivot cols)."""
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                factor = rows[i][c]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
-
-
-def _derivation_from_vector(n: int, vec: Sequence[Fraction],
-                            coords: Sequence[Coordinate]) -> Derivation:
-    per_slot: list[dict[Monomial, Fraction]] = [dict() for _ in range(n)]
-    for (slot, mono), c in zip(coords, vec):
-        if c != 0:
-            per_slot[slot - 1][mono] = c
-    return Derivation(n, [Polynomial(n, t) for t in per_slot])
+def _column_key(c: Coordinate) -> tuple:
+    """Column order: slots ascending, monomials graded-lex descending within."""
+    slot, mono = c
+    return (slot, -sum(mono), tuple(-e for e in mono))
 
 
 class SpanBasis:
     """Reduced basis of the rational span of a finite set of derivations."""
 
-    __slots__ = ("n", "basis", "coordinate_index", "_matrix", "_pivots", "_positions")
+    __slots__ = ("n", "_rows", "_pivots", "_basis")
 
     def __init__(self, n: int, gens: Iterable[Derivation]):
-        gens = list(gens)
+        self.n = n
+        self._rows: dict[Coordinate, Row] = {}  # pivot -> row, 1 at the pivot
+        self._pivots: list[Coordinate] = []  # in column order
+        self._basis: tuple[Derivation, ...] | None = ()
         for d in gens:
-            if d.n != n:
-                raise ValueError(f"ambient dimension mismatch: {d.n} vs {n}")
-        coords = _collect_coordinates(gens)
-        positions = {c: i for i, c in enumerate(coords)}
-        rows = []
-        for d in gens:
-            v = _vector(d, coords, positions)
-            assert v is not None
-            rows.append(v)
-        matrix, pivots = _rref(rows)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "coordinate_index", tuple(coords))
-        object.__setattr__(self, "_matrix", tuple(tuple(r) for r in matrix))
-        object.__setattr__(self, "_pivots", tuple(pivots))
-        object.__setattr__(self, "_positions", positions)
-        object.__setattr__(
-            self, "basis",
-            tuple(_derivation_from_vector(n, row, coords) for row in matrix))
+            self.add(d)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("SpanBasis is immutable")
+    @property
+    def basis(self) -> tuple[Derivation, ...]:
+        """The reduced rows as derivations, in order of their pivot columns."""
+        if self._basis is None:
+            self._basis = tuple(self._derivation(self._rows[p]) for p in self._pivots)
+        return self._basis
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self._pivots)
 
     def __len__(self) -> int:
-        return len(self.basis)
+        return len(self._pivots)
 
     def __iter__(self):
         return iter(self.basis)
 
-    def _reduce(self, d: Derivation) -> tuple[list[Fraction], list[Fraction]] | None:
-        """(combination coefficients, residual vector), or None off-support."""
-        vec = _vector(d, self.coordinate_index, self._positions)
-        if vec is None:
-            return None
-        combo = []
-        for row, pivot in zip(self._matrix, self._pivots):
-            c = vec[pivot]
-            combo.append(c)
-            if c != 0:
-                vec = [a - c * b for a, b in zip(vec, row)]
-        return combo, vec
+    def _derivation(self, row: Row) -> Derivation:
+        per_slot: list[dict[Monomial, Fraction]] = [dict() for _ in range(self.n)]
+        for (slot, mono), c in row.items():
+            per_slot[slot - 1][mono] = c
+        return Derivation(self.n, [Polynomial(self.n, t) for t in per_slot])
 
-    def contains(self, d: Derivation) -> bool:
+    def _reduce(self, d: Derivation) -> tuple[Row, Row]:
+        """(coefficient of each stored row, residual) for d.
+
+        Every stored row vanishes in the pivot columns of the others, so the
+        coefficient of a row is d's own entry in that row's pivot column.
+        """
         if d.n != self.n:
             raise ValueError(f"ambient dimension mismatch: {d.n} vs {self.n}")
-        reduced = self._reduce(d)
-        return reduced is not None and all(x == 0 for x in reduced[1])
+        residual = {(pos + 1, mono): c
+                    for pos, f in enumerate(d.coeffs) for mono, c in f}
+        combo = {p: c for p, c in residual.items() if p in self._rows}
+        for p, c in combo.items():
+            for col, x in self._rows[p].items():
+                value = residual.get(col, 0) - c * x
+                if value:
+                    residual[col] = value
+                else:
+                    del residual[col]
+        return combo, residual
+
+    def add(self, d: Derivation) -> bool:
+        """Adjoin d to the span; False, with nothing changed, if d is inside."""
+        _, residual = self._reduce(d)
+        if not residual:
+            return False
+        pivot = min(residual, key=_column_key)
+        inv = 1 / residual[pivot]
+        row = {col: x * inv for col, x in residual.items()}
+        for other in self._rows.values():
+            c = other.get(pivot)
+            if c:
+                for col, x in row.items():
+                    value = other.get(col, 0) - c * x
+                    if value:
+                        other[col] = value
+                    else:
+                        del other[col]
+        self._rows[pivot] = row
+        insort(self._pivots, pivot, key=_column_key)
+        self._basis = None
+        return True
+
+    def contains(self, d: Derivation) -> bool:
+        return not self._reduce(d)[1]
 
     def coordinates_of(self, d: Derivation) -> tuple[Fraction, ...] | None:
         """Coefficients expressing d in this basis; None if d is outside."""
-        reduced = self._reduce(d)
-        if reduced is None or any(x != 0 for x in reduced[1]):
+        combo, residual = self._reduce(d)
+        if residual:
             return None
-        return tuple(reduced[0])
+        return tuple(combo.get(p, Fraction(0)) for p in self._pivots)
 
     def same_span(self, other: SpanBasis) -> bool:
-        """Exact span equality (mutual containment of reduced bases)."""
-        if self.n != other.n or self.dim != other.dim:
-            return False
-        return (all(self.contains(d) for d in other.basis)
-                and all(other.contains(d) for d in self.basis))
+        """Exact span equality: the reduced bases are equal."""
+        return self.n == other.n and self._rows == other._rows
 
     def pairwise_brackets(self) -> list[Derivation]:
-        out = []
-        for i in range(len(self.basis)):
-            for j in range(i + 1, len(self.basis)):
-                out.append(self.basis[i].bracket(self.basis[j]))
-        return out
+        return [a.bracket(b) for a, b in itertools.combinations(self.basis, 2)]
 
     def is_bracket_closed(self) -> bool:
         return all(self.contains(b) for b in self.pairwise_brackets())
@@ -187,11 +155,17 @@ def coordinatize(gens: Iterable[Derivation], n: int | None = None) -> SpanBasis:
 
 @dataclass(frozen=True)
 class LieClosureResult:
-    """Outcome of saturating a span under brackets, subject to caps."""
+    """Outcome of saturating a span under brackets, subject to caps.
+
+    basis spans everything adjoined before the stop.  On
+    "degree_cap_exceeded", offending_bracket is the pair (a, b) of span
+    elements whose bracket [a, b] has a coefficient of total degree above the
+    cap.
+    """
 
     status: str  # "closed" | "degree_cap_exceeded" | "dim_cap_exceeded"
     basis: SpanBasis
-    offending_bracket: tuple[int, int] | None = None
+    offending_bracket: tuple[Derivation, Derivation] | None = None
 
     @property
     def closed(self) -> bool:
@@ -202,33 +176,34 @@ def lie_closure(gens: Iterable[Derivation], *,
                 degree_cap: int = DEFAULT_DEGREE_CAP,
                 dim_cap: int = DEFAULT_DIM_CAP,
                 n: int | None = None) -> LieClosureResult:
-    """Adjoin pairwise brackets and re-reduce until the span is stable.
+    """Saturate the span of gens under brackets.
 
-    Every produced bracket is degree-checked before being adjoined; a
-    coefficient of total degree above degree_cap aborts with
-    "degree_cap_exceeded" and the offending pair of basis indices.  Exceeding
-    dim_cap aborts likewise.  On "closed" the resulting span is bracket-closed.
+    A worklist holds spanning elements: first the generators that extend the
+    span, then every bracket that does.  Each element is bracketed once with
+    each element before it, so when the list is exhausted every bracket of
+    two spanning elements lies in the span and the span is bracket-closed
+    ("closed").  A bracket with a coefficient of total degree above
+    degree_cap stops with "degree_cap_exceeded" and that pair; the span
+    growing past dim_cap stops with "dim_cap_exceeded" at once.
     """
     if degree_cap < 1 or dim_cap < 1:
         raise ValueError("caps must be >= 1")
-    basis = coordinatize(gens, n)
+    gens = list(gens)
+    basis = coordinatize([], gens[0].n if gens else n)
+    elems = [g for g in gens if basis.add(g)]
     if basis.dim > dim_cap:
         return LieClosureResult("dim_cap_exceeded", basis)
-    while True:
-        new_elems = []
-        for i in range(basis.dim):
-            for j in range(i + 1, basis.dim):
-                br = basis.basis[i].bracket(basis.basis[j])
-                deg = br.max_coeff_degree()
-                if deg is not None and deg > degree_cap:
-                    return LieClosureResult("degree_cap_exceeded", basis, (i, j))
-                if not basis.contains(br):
-                    new_elems.append(br)
-        if not new_elems:
-            return LieClosureResult("closed", basis)
-        basis = SpanBasis(basis.n, list(basis.basis) + new_elems)
-        if basis.dim > dim_cap:
-            return LieClosureResult("dim_cap_exceeded", basis)
+    for j, b in enumerate(elems):  # the loop also visits elements appended below
+        for a in elems[:j]:
+            br = a.bracket(b)
+            deg = br.max_coeff_degree()
+            if deg is not None and deg > degree_cap:
+                return LieClosureResult("degree_cap_exceeded", basis, (a, b))
+            if basis.add(br):
+                elems.append(br)
+                if basis.dim > dim_cap:
+                    return LieClosureResult("dim_cap_exceeded", basis)
+    return LieClosureResult("closed", basis)
 
 
 @dataclass(frozen=True)
@@ -238,7 +213,8 @@ class SeriesReport:
     verdict is "solvable" (derived series reached zero; length = derived
     length), "nilpotent" (lower central series reached zero; length =
     nilpotency class), "stabilized_nonzero" (two consecutive terms span the
-    same nonzero space; stabilized_at = first repeated step), or "cap_hit".
+    same nonzero space; stabilized_at = first repeated step), or "cap_hit"
+    (an explicit max_iter ran out first).
     """
 
     dims: tuple[int, ...]
@@ -255,32 +231,32 @@ class SeriesReport:
         }
 
 
-def default_max_iter(n: int) -> int:
-    """Margin above the 2n derived-length ceiling for solvable spans."""
-    return 2 * n + 4
-
-
 def _series(start: SpanBasis, max_iter: int | None, *, lower_central: bool) -> SeriesReport:
-    if not start.is_bracket_closed():
+    brackets = start.pairwise_brackets()
+    if not all(start.contains(b) for b in brackets):
         raise ValueError("span is not bracket-closed; run lie_closure first")
     if max_iter is None:
-        max_iter = default_max_iter(start.n)
+        # each term is an ideal inside the one before, so every step that
+        # does not stabilize lowers the dimension: dim(L) steps decide
+        max_iter = start.dim
     zero_verdict = "nilpotent" if lower_central else "solvable"
-    whole = start
     current = start
     dims = [current.dim]
     if current.dim == 0:
         return SeriesReport((0,), zero_verdict, length=0)
     for step in range(1, max_iter + 1):
-        if lower_central:
-            gens = [a.bracket(b) for a in whole.basis for b in current.basis]
+        if step == 1:
+            gens = brackets  # [L, L] starts both series
+        elif lower_central:
+            gens = [a.bracket(b) for a in start.basis for b in current.basis]
         else:
             gens = current.pairwise_brackets()
         nxt = SpanBasis(start.n, gens)
         dims.append(nxt.dim)
         if nxt.dim == 0:
             return SeriesReport(tuple(dims), zero_verdict, length=step)
-        if nxt.dim == current.dim and nxt.same_span(current):
+        # nxt lies inside current, so equal dimensions mean equal spans
+        if nxt.dim == current.dim:
             return SeriesReport(tuple(dims), "stabilized_nonzero", stabilized_at=step)
         current = nxt
     return SeriesReport(tuple(dims), "cap_hit")

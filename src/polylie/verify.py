@@ -27,7 +27,7 @@ from .sampling import (
     random_subalgebra_element,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 REPORT_SCHEMA = {
     "$schema": "http://json-schema.org/draft-07/schema#",
@@ -46,10 +46,8 @@ REPORT_SCHEMA = {
         },
         "caps": {
             "type": "object",
-            "required": ["degree_cap", "dim_cap", "max_iter", "bound"],
+            "required": ["max_iter", "bound"],
             "properties": {
-                "degree_cap": {"type": "integer"},
-                "dim_cap": {"type": "integer"},
                 "max_iter": {"type": ["integer", "null"]},
                 "bound": {"type": "integer"},
             },
@@ -279,8 +277,9 @@ def check_derived_chain_witness(n: int) -> CheckResult:
     target = 2 * n - 1
     witness = canonical.derived_chain_witness(n)
     details: dict = {"n": n, "term": target}
-    ok = witness is not None and not witness.value.is_zero()
-    if witness is not None:
+    found = isinstance(witness, canonical.DerivedChainWitness)
+    ok = found and not witness.value.is_zero()
+    if found:
         details["expression"] = witness.expression.to_sexpr()
         details["value"] = str(witness.value)
         ok = ok and canonical.membership(witness.value).in_sn
@@ -382,8 +381,6 @@ def check_grammar_roundtrip(rng: random.Random, n_max: int,
 
 
 def verify_paper(n_max: int = 2, seed: int = 0, *,
-                 degree_cap: int = span.DEFAULT_DEGREE_CAP,
-                 dim_cap: int = span.DEFAULT_DIM_CAP,
                  max_iter: int | None = None,
                  bound: int = 32,
                  samples: int = 200) -> Report:
@@ -413,8 +410,7 @@ def verify_paper(n_max: int = 2, seed: int = 0, *,
     return Report(
         command="verify-paper",
         inputs={"n_max": n_max, "seed": seed},
-        caps={"degree_cap": degree_cap, "dim_cap": dim_cap,
-              "max_iter": max_iter, "bound": bound},
+        caps={"max_iter": max_iter, "bound": bound},
         checks=checks,
         timing_ms=elapsed_ms,
     )

@@ -212,7 +212,7 @@ def test_criterion_8_membership():
     _report(8, "generator membership, strictness fixtures, 100 bracket samples")
 
 
-def test_criterion_9_cli_roundtrip_and_harness():
+def test_criterion_9_cli_roundtrip_and_harness(module_env):
     rng = random.Random(1009)
     for _ in range(50):
         n = rng.randint(1, 3)
@@ -223,7 +223,7 @@ def test_criterion_9_cli_roundtrip_and_harness():
     proc = subprocess.run(
         [sys.executable, "-m", "polylie", "verify-paper", "--n", "2",
          "--seed", "42", "--format", "json"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=module_env)
     elapsed = time.monotonic() - started
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)

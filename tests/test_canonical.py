@@ -4,7 +4,9 @@ import pytest
 
 from polylie.canonical import (
     Bracket,
+    DerivedChainWitness,
     Leaf,
+    TruncatedSearch,
     derived_chain_witness,
     generators,
     lnd_check,
@@ -166,6 +168,19 @@ class TestDerivedChainWitness:
         assert text.startswith("[") and "," in text
         legend = w.legend()
         assert all(name.startswith("g") for name in legend)
+
+    def test_golden_n3_term2(self):
+        w = derived_chain_witness(3, term=2, degree_cap=4)
+        assert w.expression.to_sexpr() == "[[g1,g4],[g1,g11]]"
+        assert str(w.value) == "(2) d2"
+
+    def test_beam_cut_is_not_absence(self):
+        for beam in (1, 2, 3):
+            result = derived_chain_witness(2, beam=beam)
+            assert isinstance(result, TruncatedSearch) and result.cut_at == 1
+        assert isinstance(derived_chain_witness(2, beam=5), DerivedChainWitness)
+        with pytest.raises(ValueError):
+            derived_chain_witness(2, beam=0)
 
     def test_term_zero(self):
         w = derived_chain_witness(1, term=0)

@@ -126,8 +126,29 @@ class TestCommands:
         assert code == 0
         doc = json.loads(out)
         assert doc["outputs"]["found"] and doc["outputs"]["term"] == 1
-        code, _, _ = run_cli(capsys, "witness", "--n", "1", "--term", "2")
+        code, out, _ = run_cli(capsys, "witness", "--n", "1", "--term", "2")
         assert code == 1
+        assert out == "not found: absent\n"
+
+    def test_witness_beam_cut_is_truncated(self, capsys):
+        code, out, _ = run_cli(capsys, "witness", "--n", "2", "--beam", "1",
+                               "--format", "json")
+        assert code == 1
+        outputs = json.loads(out)["outputs"]
+        assert outputs == {"found": False, "status": "truncated", "cut_at": 1}
+        code, out, _ = run_cli(capsys, "witness", "--n", "2", "--beam", "1")
+        assert code == 1
+        assert out.startswith("not found: truncated")
+
+    def test_closure_prints_offending_bracket(self, capsys):
+        from polylie.grammar import parse_derivation
+        code, out, _ = run_cli(capsys, "closure", "(x1^2) d2", "(x2^2) d1", "--n", "2",
+                               "--degree-cap", "3", "--format", "json")
+        assert code == 0
+        outputs = json.loads(out)["outputs"]
+        assert outputs["status"] == "degree_cap_exceeded"
+        a, b = (parse_derivation(t, 2) for t in outputs["offending_bracket"])
+        assert a.bracket(b).max_coeff_degree() > 3
 
     def test_report_values_reparse(self, capsys):
         from polylie.grammar import parse_derivation
@@ -158,11 +179,21 @@ class TestVerifyPaper:
         assert code == 0
         doc = json.loads(out)
         assert doc["passed"] is True
-        assert doc["schema"] == 1
+        assert doc["schema"] == 2
         names = [c["name"] for c in doc["checks"]]
         assert "derived_chain_witness_n1" in names
         jsonschema = pytest.importorskip("jsonschema")
         jsonschema.validate(doc, REPORT_SCHEMA)
+
+    def test_records_only_applied_caps(self, capsys):
+        code, out, _ = run_cli(capsys, "verify-paper", "--n", "1", "--seed", "0",
+                               "--max-iter", "5", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["caps"] == {"max_iter": 5, "bound": 32}
+        for flag in ("--degree-cap", "--dim-cap"):
+            with pytest.raises(SystemExit) as exc:
+                main(["verify-paper", "--n", "1", flag, "1"])
+            assert exc.value.code == 2
 
     def test_text_output_lists_checks(self, capsys):
         code, out, _ = run_cli(capsys, "verify-paper", "--n", "1", "--seed", "1")
@@ -178,15 +209,15 @@ class TestVerifyPaper:
 
 
 class TestEntryPoint:
-    def test_module_invocation(self):
+    def test_module_invocation(self, module_env):
         proc = subprocess.run(
             [sys.executable, "-m", "polylie", "bracket", "d1", "(x1) d1", "--n", "1"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=module_env)
         assert proc.returncode == 0
         assert proc.stdout.strip() == "d1"
 
-    def test_usage_error_exits_two(self):
+    def test_usage_error_exits_two(self, module_env):
         proc = subprocess.run(
             [sys.executable, "-m", "polylie", "--bogus"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=module_env)
         assert proc.returncode == 2

@@ -1,9 +1,12 @@
+import itertools
 import random
 
 import pytest
 
+from polylie.canonical import generators
 from polylie.derivation import Derivation
 from polylie.grammar import parse_derivation
+from polylie.polyring import monomial_sort_key
 from polylie.span import (
     SpanBasis,
     ad_nilpotency_step,
@@ -61,6 +64,44 @@ class TestCoordinatize:
         assert a.basis == b.basis  # RREF is canonical for a fixed column order
 
 
+class TestEchelonKernel:
+    @staticmethod
+    def _pivot(d):
+        """Leading coordinate: first nonzero slot, then its graded-lex top monomial."""
+        slot = next(i for i in range(1, d.n + 1) if not d.coeff(i).is_zero())
+        return slot, d.coeff(slot).leading_monomial()
+
+    def test_rref_characterization_under_every_shuffle(self):
+        rng = random.Random(41)
+        for _ in range(8):
+            n = rng.randint(1, 3)
+            gens = [random_derivation(rng, n, 2, max_terms=3) for _ in range(3)]
+            gens.append(gens[0] - rng.randint(1, 3) * gens[1])  # a dependent one
+            span = SpanBasis(n, gens)
+            assert all(span.contains(g) for g in gens)
+            reference = span.basis
+            pivots = [self._pivot(b) for b in reference]
+            for (s1, m1), (s2, m2) in zip(pivots, pivots[1:]):
+                assert s1 < s2 or (s1 == s2 and monomial_sort_key(m1) > monomial_sort_key(m2))
+            for b, (slot, mono) in zip(reference, pivots):
+                assert b.coeff(slot).coefficient(mono) == 1
+                for other in reference:
+                    if other is not b:
+                        assert other.coeff(slot).coefficient(mono) == 0
+            for perm in itertools.permutations(gens):
+                assert SpanBasis(n, list(perm)).basis == reference
+
+    def test_add_reports_new_elements_only(self):
+        n = 2
+        basis = SpanBasis(n, [])
+        assert basis.add(pd("(x1) d1 + (x2) d2", n))
+        assert basis.add(pd("(x2) d2", n))
+        assert not basis.add(pd("(3 x1) d1 - (x2) d2", n))
+        assert not basis.add(Derivation.zero(n))
+        assert basis.dim == 2
+        assert basis.basis == coordinatize([pd("(x1) d1", n), pd("(x2) d2", n)]).basis
+
+
 class TestLieClosure:
     def test_sl2_triple_already_closed(self):
         n = 1
@@ -79,6 +120,9 @@ class TestLieClosure:
         result = lie_closure([pd("(x1^2) d2", n), pd("(x2^2) d1", n)], degree_cap=3)
         assert result.status == "degree_cap_exceeded"
         assert result.offending_bracket is not None
+        a, b = result.offending_bracket
+        assert a.bracket(b).max_coeff_degree() > 3
+        assert result.basis.contains(a) and result.basis.contains(b)
 
     def test_dim_cap(self):
         n = 2
@@ -158,6 +202,17 @@ class TestLowerCentralSeries:
         n = 2
         report = lower_central_series(coordinatize([pd("d2", n), pd("(x1) d2", n)]))
         assert report.verdict == "nilpotent" and report.length == 1
+
+    def test_default_cap_decides_nilpotent_closure(self):
+        # un(3, 3) is nilpotent (Engel); its class 13 exceeds the 2n + 4 = 10
+        # steps an n-based cap would allow
+        closure = lie_closure(generators("un", 3, 3))
+        assert closure.status == "closed"
+        report = lower_central_series(closure.basis)
+        assert report.verdict == "nilpotent" and report.length == 13
+        assert report.dims[0] == 27 and report.dims[-2:] == (1, 0)
+        assert all(a > b for a, b in zip(report.dims, report.dims[1:]))
+        assert lower_central_series(closure.basis, 10).verdict == "cap_hit"
 
     def test_derived_term_inside_lower_central_term(self):
         n = 2

@@ -19,6 +19,7 @@ from .canonical import (
     generators,
     lnd_check,
     membership,
+    strip_canonical_part,
     triangular_chain_bound,
 )
 from .derivation import Derivation, LinearDerivation, iterated_bracket
@@ -40,13 +41,11 @@ from .reductions import (
     flatten_in_variable,
     linear_extraction,
     sl2_check,
-    strip_canonical_part,
 )
 from .span import (
     LieClosureResult,
     SeriesReport,
     SpanBasis,
-    ad_nilpotency_step,
     coordinatize,
     derived_series,
     lie_closure,

@@ -9,8 +9,8 @@ names "un" and "sn":
       p, q depending only on x_1 ... x_{i-1}.  Solvable, with derived
       length exactly 2n.
 
-Membership is decided monomial by monomial, so the same criterion also
-drives the term-splitting in `reductions.strip_canonical_part`.  The
+Membership is decided monomial by monomial, and the same per-monomial rule
+drives the term split in `strip_canonical_part`.  The
 derived-chain search produces explicit nested-bracket expressions over
 truncated generator sets witnessing the derived-length lower bound.
 """
@@ -19,14 +19,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Literal, Sequence, Union
+from fractions import Fraction
+from typing import Iterator, Literal, Sequence, Union
 
 from .derivation import Derivation, LinearDerivation
 from .polyring import Monomial, Polynomial
+from .reductions import EigenvectorCertificate, eigenvector_certificate
 from .span import SpanBasis
-
-if TYPE_CHECKING:
-    from .reductions import EigenvectorCertificate
 
 Which = Literal["un", "sn"]
 
@@ -34,19 +33,24 @@ UN_REASON_DEPENDS_HIGHER = "depends_on_xj_with_j_gt_i"
 SN_REASON_DEGREE = "xi_degree_exceeds_1"
 UN_REASON_DEGREE = "xi_degree_exceeds_0_for_un"
 
+# the slot violations (see _slot_violation) each subalgebra admits
+_ADMITTED = {"un": (None,), "sn": (None, UN_REASON_DEGREE)}
+
 
 def _check_which(which: str) -> None:
-    if which not in ("un", "sn"):
+    if which not in _ADMITTED:
         raise ValueError(f"subalgebra name must be 'un' or 'sn', got {which!r}")
 
 
-def monomial_in_slot(which: Which, i: int, mono: Monomial) -> bool:
-    """Whether monomial * d_i satisfies the slot-i coefficient condition."""
-    _check_which(which)
+def _slot_violation(i: int, mono: Monomial) -> str | None:
+    """Why monomial * d_i lies outside un, or None if it lies inside."""
     if any(mono[pos] > 0 for pos in range(i, len(mono))):
-        return False
-    xi = mono[i - 1]
-    return xi == 0 if which == "un" else xi <= 1
+        return UN_REASON_DEPENDS_HIGHER
+    if mono[i - 1] >= 2:
+        return SN_REASON_DEGREE
+    if mono[i - 1] == 1:
+        return UN_REASON_DEGREE
+    return None
 
 
 @dataclass(frozen=True)
@@ -69,20 +73,40 @@ def membership(d: Derivation) -> MembershipVerdict:
     in_un = True
     in_sn = True
     for i in range(1, d.n + 1):
-        reasons = []
-        for mono, _ in d.coeff(i):
-            if any(mono[pos] > 0 for pos in range(i, d.n)):
-                reasons.append(UN_REASON_DEPENDS_HIGHER)
-            elif mono[i - 1] >= 2:
-                reasons.append(SN_REASON_DEGREE)
-            elif mono[i - 1] == 1:
-                reasons.append(UN_REASON_DEGREE)
-        for r in dict.fromkeys(reasons):  # dedupe, keep first-seen order
+        reasons = [_slot_violation(i, mono) for mono, _ in d.coeff(i)]
+        for r in dict.fromkeys(filter(None, reasons)):  # dedupe, keep first-seen order
             violations.append((i, r))
-            if r in (UN_REASON_DEPENDS_HIGHER, SN_REASON_DEGREE):
+            if r not in _ADMITTED["sn"]:
                 in_sn = False
             in_un = False
     return MembershipVerdict(in_un, in_sn, tuple(violations))
+
+
+def strip_canonical_part(d: Derivation, which: Which) -> tuple[Derivation, Derivation]:
+    """Split d = remainder + stripped with stripped in the chosen subalgebra.
+
+    The split is term-by-term: a monomial of the i-th coefficient goes to
+    the stripped part exactly when it satisfies the slot-i condition, so the
+    remainder keeps only irreducibly violating terms and re-stripping it
+    removes nothing.
+    """
+    _check_which(which)
+    admitted = _ADMITTED[which]
+    remainder_coeffs: list[Polynomial] = []
+    stripped_coeffs: list[Polynomial] = []
+    for i in range(1, d.n + 1):
+        allowed: dict[Monomial, Fraction] = {}
+        violating: dict[Monomial, Fraction] = {}
+        for mono, c in d.coeff(i):
+            inside = _slot_violation(i, mono) in admitted
+            (allowed if inside else violating)[mono] = c
+        remainder_coeffs.append(Polynomial(d.n, violating))
+        stripped_coeffs.append(Polynomial(d.n, allowed))
+    remainder = Derivation(d.n, remainder_coeffs)
+    stripped = Derivation(d.n, stripped_coeffs)
+    verdict = membership(stripped)
+    assert verdict.in_un if which == "un" else verdict.in_sn
+    return remainder, stripped
 
 
 def _monomials_in_prefix(n: int, prefix_len: int, max_degree: int) -> Iterator[Monomial]:
@@ -224,8 +248,6 @@ def lnd_check(d: Derivation, bound: int) -> LndVerdict:
 
     linear = d.as_linear()
     if linear is not None and not linear.is_nilpotent():
-        from .reductions import eigenvector_certificate
-
         cert = None
         for e in _eigen_candidates(d.n):
             cert = eigenvector_certificate(d, e)

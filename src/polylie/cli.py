@@ -202,7 +202,7 @@ def cmd_flatten(args) -> int:
 
 def cmd_strip(args) -> int:
     d = parse_derivation(args.deriv, args.n)
-    remainder, stripped = reductions.strip_canonical_part(d, args.which)
+    remainder, stripped = canonical.strip_canonical_part(d, args.which)
     outputs = {"remainder": str(remainder), "stripped": str(stripped)}
     _emit(args, "strip", {"deriv": str(d), "which": args.which}, outputs,
           [f"remainder: {remainder}", f"stripped: {stripped}"])
@@ -262,8 +262,7 @@ def cmd_witness(args) -> int:
 
 
 def cmd_verify_paper(args) -> int:
-    report = verify_paper(args.n, args.seed, max_iter=args.max_iter,
-                          bound=args.bound)
+    report = verify_paper(args.n, args.seed)
     if args.format == "json":
         print(json.dumps(report.to_dict(include_timing=args.timing),
                          indent=2, sort_keys=True))
@@ -391,8 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=2, dest="n",
                    help="largest ambient dimension to sample (default: 2)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-iter", type=int, default=None)
-    p.add_argument("--bound", type=int, default=32)
     p.add_argument("--timing", action="store_true",
                    help="include wall-clock timing in JSON output "
                         "(off by default to keep reports byte-reproducible)")

@@ -203,27 +203,6 @@ class LinearDerivation:
     n: int
     rows: tuple[tuple[Fraction, ...], ...]
 
-    @property
-    def is_upper_triangular(self) -> bool:
-        """No entry below the diagonal."""
-        return all(self.rows[i][j] == 0
-                   for i in range(self.n) for j in range(i))
-
-    @property
-    def is_diagonal(self) -> bool:
-        return all(self.rows[i][j] == 0
-                   for i in range(self.n) for j in range(self.n) if i != j)
-
-    @property
-    def euler_multiple(self) -> Fraction | None:
-        """The scalar mu when the matrix is mu * identity, else None."""
-        mu = self.rows[0][0]
-        for i in range(self.n):
-            for j in range(self.n):
-                if self.rows[i][j] != (mu if i == j else 0):
-                    return None
-        return mu
-
     def matmul(self, other: LinearDerivation) -> LinearDerivation:
         if self.n != other.n:
             raise ValueError(f"ambient dimension mismatch: {self.n} vs {other.n}")

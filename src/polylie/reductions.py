@@ -4,8 +4,7 @@ Each operation here turns one of the classical manipulation steps for
 polynomial vector fields into an executable, exactly-verified procedure:
 differentiating a polynomial down to a nonzero constant or to a clean
 lambda*x_i + g shape, flattening a coefficient to a prescribed degree by
-bracketing with a coordinate derivation, splitting off the part of a
-derivation lying in the un/sn subalgebras, exhibiting exact ad-eigenvector
+bracketing with a coordinate derivation, exhibiting exact ad-eigenvector
 relations, and certifying that a triple of derivations projects onto the
 standard sl2 triple d_k, x_k d_k, x_k^2 d_k on one variable.
 
@@ -19,7 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .canonical import Which, membership, monomial_in_slot
 from .derivation import Derivation, iterated_bracket
 from .polyring import Monomial, Polynomial, multi_factorial
 from .span import SeriesReport, SpanBasis, derived_series
@@ -89,30 +87,6 @@ def flatten_in_variable(d: Derivation, s: int, target_deg: int) -> Derivation:
     if steps == 0:
         return d
     return iterated_bracket(Derivation.partial(d.n, s), steps, d)
-
-
-def strip_canonical_part(d: Derivation, which: Which) -> tuple[Derivation, Derivation]:
-    """Split d = remainder + stripped with stripped in the chosen subalgebra.
-
-    The split is term-by-term: a monomial of the i-th coefficient goes to
-    the stripped part exactly when it satisfies the slot-i condition, so the
-    remainder keeps only irreducibly violating terms and re-stripping it
-    removes nothing.
-    """
-    remainder_coeffs: list[Polynomial] = []
-    stripped_coeffs: list[Polynomial] = []
-    for i in range(1, d.n + 1):
-        allowed: dict[Monomial, Fraction] = {}
-        violating: dict[Monomial, Fraction] = {}
-        for mono, c in d.coeff(i):
-            (allowed if monomial_in_slot(which, i, mono) else violating)[mono] = c
-        remainder_coeffs.append(Polynomial(d.n, violating))
-        stripped_coeffs.append(Polynomial(d.n, allowed))
-    remainder = Derivation(d.n, remainder_coeffs)
-    stripped = Derivation(d.n, stripped_coeffs)
-    verdict = membership(stripped)
-    assert verdict.in_un if which == "un" else verdict.in_sn
-    return remainder, stripped
 
 
 @dataclass(frozen=True)

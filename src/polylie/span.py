@@ -12,9 +12,9 @@ is nonzero.  Pivots are normalized to 1 and all arithmetic is exact.  The
 reduced row echelon form is unique for a given row space and column order,
 so equal spans produce identical bases whatever order the generators come in.
 
-Series computations (derived, lower central) and the adjoint-nilpotency test
-operate on bracket-closed spans only; closure itself is produced by
-`lie_closure` under explicit degree and dimension caps.
+Series computations (derived, lower central) operate on bracket-closed
+spans only; closure itself is produced by `lie_closure` under explicit
+degree and dimension caps.
 """
 
 from __future__ import annotations
@@ -77,11 +77,11 @@ class SpanBasis:
             per_slot[slot - 1][mono] = c
         return Derivation(self.n, [Polynomial(self.n, t) for t in per_slot])
 
-    def _reduce(self, d: Derivation) -> tuple[Row, Row]:
-        """(coefficient of each stored row, residual) for d.
+    def _reduce(self, d: Derivation) -> Row:
+        """The residual of d after subtracting its part in the span.
 
         Every stored row vanishes in the pivot columns of the others, so the
-        coefficient of a row is d's own entry in that row's pivot column.
+        multiple of a row to subtract is d's own entry in its pivot column.
         """
         if d.n != self.n:
             raise ValueError(f"ambient dimension mismatch: {d.n} vs {self.n}")
@@ -95,11 +95,11 @@ class SpanBasis:
                     residual[col] = value
                 else:
                     del residual[col]
-        return combo, residual
+        return residual
 
     def add(self, d: Derivation) -> bool:
         """Adjoin d to the span; False, with nothing changed, if d is inside."""
-        _, residual = self._reduce(d)
+        residual = self._reduce(d)
         if not residual:
             return False
         pivot = min(residual, key=_column_key)
@@ -120,14 +120,7 @@ class SpanBasis:
         return True
 
     def contains(self, d: Derivation) -> bool:
-        return not self._reduce(d)[1]
-
-    def coordinates_of(self, d: Derivation) -> tuple[Fraction, ...] | None:
-        """Coefficients expressing d in this basis; None if d is outside."""
-        combo, residual = self._reduce(d)
-        if residual:
-            return None
-        return tuple(combo.get(p, Fraction(0)) for p in self._pivots)
+        return not self._reduce(d)
 
     def same_span(self, other: SpanBasis) -> bool:
         """Exact span equality: the reduced bases are equal."""
@@ -184,11 +177,18 @@ def lie_closure(gens: Iterable[Derivation], *,
     two spanning elements lies in the span and the span is bracket-closed
     ("closed").  A bracket with a coefficient of total degree above
     degree_cap stops with "degree_cap_exceeded" and that pair; the span
-    growing past dim_cap stops with "dim_cap_exceeded" at once.
+    growing past dim_cap stops with "dim_cap_exceeded" at once.  A generator
+    already above degree_cap is a ValueError, so every element of a
+    returned basis has coefficient degree at most degree_cap.
     """
     if degree_cap < 1 or dim_cap < 1:
         raise ValueError("caps must be >= 1")
     gens = list(gens)
+    for g in gens:
+        deg = g.max_coeff_degree()
+        if deg is not None and deg > degree_cap:
+            raise ValueError(f"generator {g} has coefficient degree {deg}, "
+                             f"above degree_cap {degree_cap}")
     basis = coordinatize([], gens[0].n if gens else n)
     elems = [g for g in gens if basis.add(g)]
     if basis.dim > dim_cap:
@@ -232,6 +232,8 @@ class SeriesReport:
 
 
 def _series(start: SpanBasis, max_iter: int | None, *, lower_central: bool) -> SeriesReport:
+    if max_iter is not None and max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     brackets = start.pairwise_brackets()
     if not all(start.contains(b) for b in brackets):
         raise ValueError("span is not bracket-closed; run lie_closure first")
@@ -270,31 +272,3 @@ def derived_series(basis: SpanBasis, max_iter: int | None = None) -> SeriesRepor
 def lower_central_series(basis: SpanBasis, max_iter: int | None = None) -> SeriesReport:
     """L, [L,L], [L,[L,L]], ... on a bracket-closed span."""
     return _series(basis, max_iter, lower_central=True)
-
-
-def ad_nilpotency_step(d: Derivation, basis: SpanBasis, bound: int) -> int | None:
-    """Smallest k <= bound with (ad d)^k = 0 on the span, else None.
-
-    The adjoint map e -> [d, e] must keep the span invariant; a basis
-    element whose bracket leaves the span raises ValueError.
-    """
-    if bound < 1:
-        raise ValueError(f"bound must be >= 1, got {bound}")
-    if basis.dim == 0:
-        return 1
-    columns = []
-    for e in basis.basis:
-        coords = basis.coordinates_of(d.bracket(e))
-        if coords is None:
-            raise ValueError("derivation does not normalize the span")
-        columns.append(coords)
-    m = basis.dim
-    # matrix[i][j] = coefficient of basis[i] in [d, basis[j]]
-    mat = [[columns[j][i] for j in range(m)] for i in range(m)]
-    power = mat
-    for k in range(1, bound + 1):
-        if all(x == 0 for row in power for x in row):
-            return k
-        power = [[sum((power[i][t] * mat[t][j] for t in range(m)), Fraction(0))
-                  for j in range(m)] for i in range(m)]
-    return None

@@ -171,6 +171,19 @@ class TestCommands:
         assert code == 2
         assert "below target" in err
 
+    def test_series_cap_below_one_exits_two(self, capsys):
+        for cap in ("0", "-1"):
+            code, out, err = run_cli(capsys, "derived-series", "d1", "(x1) d1",
+                                     "--n", "1", "--max-iter", cap)
+            assert code == 2 and out == ""
+            assert "max_iter must be >= 1" in err
+
+    def test_closure_generator_above_degree_cap_exits_two(self, capsys):
+        code, out, err = run_cli(capsys, "closure", "(x1^20) d1", "--n", "1",
+                                 "--degree-cap", "3")
+        assert code == 2 and out == ""
+        assert "(x1^20) d1" in err and "degree_cap 3" in err
+
 
 class TestVerifyPaper:
     def test_small_run_passes(self, capsys):
@@ -179,18 +192,17 @@ class TestVerifyPaper:
         assert code == 0
         doc = json.loads(out)
         assert doc["passed"] is True
-        assert doc["schema"] == 2
+        assert doc["schema"] == 3
+        assert "caps" not in doc
         names = [c["name"] for c in doc["checks"]]
         assert "derived_chain_witness_n1" in names
         jsonschema = pytest.importorskip("jsonschema")
         jsonschema.validate(doc, REPORT_SCHEMA)
 
     def test_records_only_applied_caps(self, capsys):
-        code, out, _ = run_cli(capsys, "verify-paper", "--n", "1", "--seed", "0",
-                               "--max-iter", "5", "--format", "json")
-        assert code == 0
-        assert json.loads(out)["caps"] == {"max_iter": 5, "bound": 32}
-        for flag in ("--degree-cap", "--dim-cap"):
+        # verify-paper applies no user cap, so it takes none and records none
+        assert "caps" not in REPORT_SCHEMA["properties"]
+        for flag in ("--degree-cap", "--dim-cap", "--max-iter", "--bound"):
             with pytest.raises(SystemExit) as exc:
                 main(["verify-paper", "--n", "1", flag, "1"])
             assert exc.value.code == 2

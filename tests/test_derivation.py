@@ -156,15 +156,12 @@ class TestLinearClassification:
         n = 2
         lin = pd("(x2) d1", n).as_linear()
         assert lin is not None
-        assert lin.is_upper_triangular
-        assert not lin.is_diagonal
-        assert lin.euler_multiple is None
+        assert lin.rows == ((0, 1), (0, 0))
 
     def test_euler_is_identity_multiple(self):
         lin = Derivation.euler(2).as_linear()
         assert lin is not None
-        assert lin.is_diagonal
-        assert lin.euler_multiple == 1
+        assert lin.rows == ((1, 0), (0, 1))
 
     def test_affine_rejected(self):
         n = 1

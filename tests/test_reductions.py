@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from polylie.canonical import membership
+from polylie.canonical import membership, strip_canonical_part
 from polylie.derivation import Derivation
 from polylie.grammar import parse_derivation, parse_polynomial
 from polylie.polyring import Polynomial
@@ -16,7 +16,6 @@ from polylie.reductions import (
     flatten_in_variable,
     linear_extraction,
     sl2_check,
-    strip_canonical_part,
 )
 from polylie.sampling import random_nonconstant_polynomial, random_derivation
 from polylie.span import derived_series, lie_closure

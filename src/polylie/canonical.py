@@ -189,21 +189,15 @@ class LndVerdict:
 
 
 def _eigen_candidates(n: int) -> Iterator[Derivation]:
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
+    xs = [Polynomial.variable(n, i) for i in range(1, n + 1)]
+    ds = [Derivation.partial(n, j) for j in range(1, n + 1)]
+    for i, x in enumerate(xs):
+        for j, d in enumerate(ds):
             if i != j:
-                yield Derivation.monomial_term(n, _unit(n, i), j)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            exps = [0] * n
-            exps[i - 1] = 2
-            yield Derivation.monomial_term(n, tuple(exps), j)
-
-
-def _unit(n: int, i: int) -> Monomial:
-    exps = [0] * n
-    exps[i - 1] = 1
-    return tuple(exps)
+                yield x * d
+    for x in xs:
+        for d in ds:
+            yield x * x * d
 
 
 def triangular_chain_bound(n: int, degree_cap: int) -> int:
@@ -355,15 +349,7 @@ def derived_chain_witness(n: int, *,
     gens.sort(key=lambda g: (g.max_coeff_degree() or 0))
     pool = tuple(gens)
 
-    level: list[tuple[BracketExpr, Derivation]] = [
-        (Leaf(i), g) for i, g in enumerate(pool) if not g.is_zero()
-    ]
-    if term == 0:
-        if not level:
-            return None
-        expr, value = level[0]
-        return DerivedChainWitness(0, expr, value, pool)
-
+    level: list[tuple[BracketExpr, Derivation]] = [(Leaf(i), g) for i, g in enumerate(pool)]
     cut_at = None
     for depth in range(1, term + 1):
         kept: list[tuple[BracketExpr, Derivation]] = []

@@ -17,7 +17,6 @@ import json
 import sys
 
 from . import canonical, reductions, span
-from .derivation import Derivation
 from .grammar import ParseError, parse_derivation, parse_polynomial
 from .verify import verify_paper
 
@@ -120,14 +119,18 @@ def cmd_lnd(args) -> int:
     return EXIT_OK
 
 
-def _parse_generators(texts, n: int) -> list[Derivation]:
-    return [parse_derivation(t, n) for t in texts]
+def _closure(args) -> tuple[span.LieClosureResult, dict]:
+    """The closure of the command's generators under its caps, and its inputs echo."""
+    gens = [parse_derivation(t, args.n) for t in args.gens]
+    result = span.lie_closure(gens, degree_cap=args.degree_cap,
+                              dim_cap=args.dim_cap, n=args.n)
+    inputs = {"gens": [str(g) for g in gens], "degree_cap": args.degree_cap,
+              "dim_cap": args.dim_cap}
+    return result, inputs
 
 
 def cmd_closure(args) -> int:
-    gens = _parse_generators(args.gens, args.n)
-    result = span.lie_closure(gens, degree_cap=args.degree_cap,
-                              dim_cap=args.dim_cap, n=args.n)
+    result, inputs = _closure(args)
     offending = result.offending_bracket
     outputs = {
         "status": result.status,
@@ -139,29 +142,20 @@ def cmd_closure(args) -> int:
     lines += [f"  {b}" for b in result.basis]
     if offending:
         lines.append(f"offending bracket: [{offending[0]}, {offending[1]}]")
-    _emit(args, "closure",
-          {"gens": [str(g) for g in gens], "degree_cap": args.degree_cap,
-           "dim_cap": args.dim_cap},
-          outputs, lines)
+    _emit(args, "closure", inputs, outputs, lines)
     return EXIT_OK
 
 
 def cmd_derived_series(args) -> int:
-    gens = _parse_generators(args.gens, args.n)
-    closure = span.lie_closure(gens, degree_cap=args.degree_cap,
-                               dim_cap=args.dim_cap, n=args.n)
-    inputs = {"gens": [str(g) for g in gens], "degree_cap": args.degree_cap,
-              "dim_cap": args.dim_cap, "max_iter": args.max_iter,
-              "lower": args.lower}
+    closure, inputs = _closure(args)
+    inputs["lower"] = args.lower
     if not closure.closed:
         outputs = {"closure_status": closure.status, "series": None}
         _emit(args, "derived-series", inputs, outputs,
               [f"closure failed: {closure.status}"])
         return EXIT_CHECK_FAILED
-    if args.lower:
-        report = span.lower_central_series(closure.basis, args.max_iter)
-    else:
-        report = span.derived_series(closure.basis, args.max_iter)
+    series = span.lower_central_series if args.lower else span.derived_series
+    report = series(closure.basis)
     outputs = {"closure_status": "closed", "dim": closure.basis.dim,
                "basis": [str(b) for b in closure.basis],
                "series": report.to_dict()}
@@ -325,9 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("gens", nargs="+")
     p.add_argument("--degree-cap", type=int, default=span.DEFAULT_DEGREE_CAP)
     p.add_argument("--dim-cap", type=int, default=span.DEFAULT_DIM_CAP)
-    p.add_argument("--max-iter", type=int, default=None,
-                   help="series iteration cap (default: the closure's "
-                        "dimension, enough for a definite verdict)")
     p.add_argument("--lower", action="store_true",
                    help="compute the lower central series instead")
     _add_common(p)

@@ -125,23 +125,27 @@ class _Parser:
             raise self.fail(f"expected {op!r}")
         self.advance()
 
-    # polynomial grammar: sum of products of exponentiated atoms
-
-    def parse_sum(self) -> Polynomial:
+    def parse_signed_sum(self, parse_term):
+        """[+-] term ([+-] term)*, each term read by parse_term."""
         sign = 1
         tok = self.peek()
         if tok.kind == _OP and tok.value in "+-":
             self.advance()
             sign = -1 if tok.value == "-" else 1
-        result = self.parse_product() * sign
+        result = parse_term() * sign
         while True:
             tok = self.peek()
             if tok.kind == _OP and tok.value in "+-":
                 self.advance()
-                nxt = self.parse_product()
-                result = result - nxt if tok.value == "-" else result + nxt
+                term = parse_term()
+                result = result - term if tok.value == "-" else result + term
             else:
                 return result
+
+    # polynomial grammar: sum of products of exponentiated atoms
+
+    def parse_sum(self) -> Polynomial:
+        return self.parse_signed_sum(self.parse_product)
 
     def _at_atom_start(self) -> bool:
         tok = self.peek()
@@ -202,23 +206,6 @@ class _Parser:
 
     # derivation grammar: signed sum of coefficient-times-d<i> terms
 
-    def parse_derivation_terms(self) -> Derivation:
-        result = Derivation.zero(self.n)
-        sign = 1
-        tok = self.peek()
-        if tok.kind == _OP and tok.value in "+-":
-            self.advance()
-            sign = -1 if tok.value == "-" else 1
-        result = result + self.parse_dterm() * sign
-        while True:
-            tok = self.peek()
-            if tok.kind == _OP and tok.value in "+-":
-                self.advance()
-                term = self.parse_dterm()
-                result = result - term if tok.value == "-" else result + term
-            else:
-                return result
-
     def parse_dterm(self) -> Derivation:
         tok = self.peek()
         if tok.kind == _DERIV:
@@ -254,6 +241,6 @@ def parse_polynomial(text: str, n: int) -> Polynomial:
 
 def parse_derivation(text: str, n: int) -> Derivation:
     parser = _Parser(text, n)
-    result = parser.parse_derivation_terms()
+    result = parser.parse_signed_sum(parser.parse_dterm)
     parser.expect_eof()
     return result

@@ -183,44 +183,44 @@ class Sl2Certificate:
 class Sl2Mismatch:
     reason: str
 
-    def to_dict(self) -> dict:
-        return {"reason": self.reason}
+
+def _check_slot(n: int, k: int) -> None:
+    if not 1 <= k <= n:
+        raise ValueError(f"slot {k} out of range 1..{n}")
 
 
-def sl2_triple_span(n: int, k: int) -> SpanBasis:
-    """span{d_k, x_k d_k, x_k^2 d_k}: the one-variable sl2 copy at slot k."""
-    unit = [0] * n
-    unit[k - 1] = 1
-    square = [0] * n
-    square[k - 1] = 2
-    return SpanBasis(n, [
-        Derivation.partial(n, k),
-        Derivation.monomial_term(n, tuple(unit), k),
-        Derivation.monomial_term(n, tuple(square), k),
-    ])
+def _sl2_shape_violation(t: Derivation, k: int, want: Polynomial) -> int | None:
+    """The first slot where t leaves the sl2 shape at slot k, or None.
+
+    The shape: every slot above k vanishes and the slot-k coefficient is want.
+    """
+    for j in range(k + 1, t.n + 1):
+        if not t.coeff(j).is_zero():
+            return j
+    return None if t.coeff(k) == want else k
 
 
 def sl2_check(t1: Derivation, t2: Derivation, t3: Derivation,
               k: int) -> Sl2Certificate | Sl2Mismatch:
-    """Verify the sl2 shape and bracket table at slot k; certify or explain."""
+    """Verify the sl2 shape and bracket table at slot k; certify or explain.
+
+    A triple over different rings or a slot outside 1..n is a ValueError.
+    """
     n = t1.n
-    if t2.n != n or t3.n != n:
-        return Sl2Mismatch("ambient dimensions differ")
-    if not 1 <= k <= n:
-        return Sl2Mismatch(f"slot {k} out of range 1..{n}")
+    for t in (t2, t3):
+        if t.n != n:
+            raise ValueError(f"ambient dimension mismatch: {n} vs {t.n}")
+    _check_slot(n, k)
 
     x_k = Polynomial.variable(n, k)
-    expected_k = {
-        "t1": (t1, Polynomial.one(n)),
-        "t2": (t2, -(x_k * x_k)),
-        "t3": (t3, -2 * x_k),
-    }
-    for name, (t, want) in expected_k.items():
-        for j in range(k + 1, n + 1):
-            if not t.coeff(j).is_zero():
-                return Sl2Mismatch(f"{name} has a nonzero coefficient at slot {j} > {k}")
-        if t.coeff(k) != want:
+    for name, t, want in (("t1", t1, Polynomial.one(n)),
+                          ("t2", t2, -(x_k * x_k)),
+                          ("t3", t3, -2 * x_k)):
+        j = _sl2_shape_violation(t, k, want)
+        if j == k:
             return Sl2Mismatch(f"{name} slot-{k} coefficient is {t.coeff(k)}, expected {want}")
+        if j is not None:
+            return Sl2Mismatch(f"{name} has a nonzero coefficient at slot {j} > {k}")
 
     projections = (
         t1.bracket(t2).coeff(k),
@@ -233,7 +233,9 @@ def sl2_check(t1: Derivation, t2: Derivation, t3: Derivation,
         if got != want:
             return Sl2Mismatch(f"slot-{k} component of {name} is {got}, expected {want}")
 
-    report = derived_series(sl2_triple_span(n, k))
+    # the one-variable sl2 copy span{d_k, x_k d_k, x_k^2 d_k}
+    d_k = Derivation.partial(n, k)
+    report = derived_series(SpanBasis(n, [d_k, x_k * d_k, x_k * x_k * d_k]))
     if report.verdict != "stabilized_nonzero":
         return Sl2Mismatch(f"sl2 span derived series verdict was {report.verdict}")
     return Sl2Certificate(t1, t2, t3, k, projections, report)
@@ -246,16 +248,13 @@ def case2_witness(d2: Derivation, k: int) -> tuple[Derivation, Derivation, Deriv
     every higher slot vanishes; divide by the leading scalar first.
     """
     n = d2.n
-    if not 1 <= k <= n:
-        raise ValueError(f"slot {k} out of range 1..{n}")
+    _check_slot(n, k)
     x_k = Polynomial.variable(n, k)
-    if d2.coeff(k) != x_k * x_k:
+    j = _sl2_shape_violation(d2, k, x_k * x_k)
+    if j == k:
         raise ValueError(
             f"slot-{k} coefficient is {d2.coeff(k)}, expected x{k}^2 (normalize first)")
-    for j in range(k + 1, n + 1):
-        if not d2.coeff(j).is_zero():
-            raise ValueError(f"slot {j} > {k} must vanish, got {d2.coeff(j)}")
-    unit = [0] * n
-    unit[k - 1] = 1
-    t3 = Derivation.monomial_term(n, tuple(unit), k, -2)
-    return Derivation.partial(n, k), -d2, t3
+    if j is not None:
+        raise ValueError(f"slot {j} > {k} must vanish, got {d2.coeff(j)}")
+    d_k = Derivation.partial(n, k)
+    return d_k, -d2, -2 * x_k * d_k

@@ -212,9 +212,11 @@ class SeriesReport:
 
     verdict is "solvable" (derived series reached zero; length = derived
     length), "nilpotent" (lower central series reached zero; length =
-    nilpotency class), "stabilized_nonzero" (two consecutive terms span the
-    same nonzero space; stabilized_at = first repeated step), or "cap_hit"
-    (an explicit max_iter ran out first).
+    nilpotency class), or "stabilized_nonzero" (two consecutive terms span
+    the same nonzero space; stabilized_at = first repeated step).  One of
+    the three is always reached: each term is an ideal inside the one
+    before, so every step that does not stabilize lowers the dimension, and
+    at most dim(L) steps decide.
     """
 
     dims: tuple[int, ...]
@@ -231,22 +233,16 @@ class SeriesReport:
         }
 
 
-def _series(start: SpanBasis, max_iter: int | None, *, lower_central: bool) -> SeriesReport:
-    if max_iter is not None and max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+def _series(start: SpanBasis, *, lower_central: bool) -> SeriesReport:
     brackets = start.pairwise_brackets()
     if not all(start.contains(b) for b in brackets):
         raise ValueError("span is not bracket-closed; run lie_closure first")
-    if max_iter is None:
-        # each term is an ideal inside the one before, so every step that
-        # does not stabilize lowers the dimension: dim(L) steps decide
-        max_iter = start.dim
     zero_verdict = "nilpotent" if lower_central else "solvable"
     current = start
     dims = [current.dim]
-    if current.dim == 0:
-        return SeriesReport((0,), zero_verdict, length=0)
-    for step in range(1, max_iter + 1):
+    step = 0
+    while current.dim:
+        step += 1
         if step == 1:
             gens = brackets  # [L, L] starts both series
         elif lower_central:
@@ -255,20 +251,18 @@ def _series(start: SpanBasis, max_iter: int | None, *, lower_central: bool) -> S
             gens = current.pairwise_brackets()
         nxt = SpanBasis(start.n, gens)
         dims.append(nxt.dim)
-        if nxt.dim == 0:
-            return SeriesReport(tuple(dims), zero_verdict, length=step)
         # nxt lies inside current, so equal dimensions mean equal spans
         if nxt.dim == current.dim:
             return SeriesReport(tuple(dims), "stabilized_nonzero", stabilized_at=step)
         current = nxt
-    return SeriesReport(tuple(dims), "cap_hit")
+    return SeriesReport(tuple(dims), zero_verdict, length=step)
 
 
-def derived_series(basis: SpanBasis, max_iter: int | None = None) -> SeriesReport:
+def derived_series(basis: SpanBasis) -> SeriesReport:
     """L, [L,L], [[L,L],[L,L]], ... on a bracket-closed span."""
-    return _series(basis, max_iter, lower_central=False)
+    return _series(basis, lower_central=False)
 
 
-def lower_central_series(basis: SpanBasis, max_iter: int | None = None) -> SeriesReport:
+def lower_central_series(basis: SpanBasis) -> SeriesReport:
     """L, [L,L], [L,[L,L]], ... on a bracket-closed span."""
-    return _series(basis, max_iter, lower_central=True)
+    return _series(basis, lower_central=True)

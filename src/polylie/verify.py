@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
+from typing import Callable, Iterable
 
 from . import canonical, reductions, span
 from .derivation import Derivation
@@ -93,34 +94,46 @@ class Report:
         }
 
 
-def _rand_n(rng: random.Random, n_max: int) -> int:
-    return rng.randint(1, n_max)
+Trial = Callable[[random.Random, int], Iterable[bool]]
+
+
+def _sample(rng: random.Random, n_max: int, samples: int,
+            trial: Trial) -> tuple[int, int]:
+    """(instances, failures) over samples trials, each on a fresh n in 1..n_max.
+
+    trial(rng, n) draws its inputs from rng and returns one pass/fail outcome
+    per instance it checked.
+    """
+    outcomes = [ok for _ in range(samples) for ok in trial(rng, rng.randint(1, n_max))]
+    return len(outcomes), outcomes.count(False)
+
+
+def _sampled_check(name: str, rng: random.Random, n_max: int, samples: int,
+                   trial: Trial) -> CheckResult:
+    """A check that is its trial alone, failing on any failed sample."""
+    _, failures = _sample(rng, n_max, samples, trial)
+    return CheckResult(name, failures == 0, {"samples": samples, "failures": failures})
 
 
 def check_scaled_bracket_identity(rng: random.Random, n_max: int,
                                   samples: int) -> CheckResult:
     """[aD1, bD2] = ab[D1,D2] + a D1(b) D2 - b D2(a) D1, exactly."""
-    failures = 0
-    for _ in range(samples):
-        n = _rand_n(rng, n_max)
+    def trial(rng, n):
         a = random_polynomial(rng, n, 4)
         b = random_polynomial(rng, n, 4)
         d1 = random_derivation(rng, n, 4)
         d2 = random_derivation(rng, n, 4)
         lhs = (a * d1).bracket(b * d2)
         rhs = (a * b) * d1.bracket(d2) + (a * d1.apply(b)) * d2 - (b * d2.apply(a)) * d1
-        if lhs != rhs:
-            failures += 1
-    return CheckResult("scaled_bracket_identity", failures == 0,
-                       {"samples": samples, "failures": failures})
+        return [lhs == rhs]
+
+    return _sampled_check("scaled_bracket_identity", rng, n_max, samples, trial)
 
 
 def check_scaled_bracket_commuting_case(rng: random.Random, n_max: int,
                                         samples: int) -> CheckResult:
     """Commuting coordinate fields: [a d_i, b d_j] = a d_i(b) d_j - b d_j(a) d_i."""
-    failures = 0
-    for _ in range(samples):
-        n = _rand_n(rng, n_max)
+    def trial(rng, n):
         i = rng.randint(1, n)
         j = rng.randint(1, n)
         a = random_polynomial(rng, n, 4)
@@ -129,81 +142,63 @@ def check_scaled_bracket_commuting_case(rng: random.Random, n_max: int,
         d2 = Derivation.partial(n, j)
         lhs = (a * d1).bracket(b * d2)
         rhs = (a * d1.apply(b)) * d2 - (b * d2.apply(a)) * d1
-        if lhs != rhs:
-            failures += 1
-    return CheckResult("scaled_bracket_commuting_case", failures == 0,
-                       {"samples": samples, "failures": failures})
+        return [lhs == rhs]
+
+    return _sampled_check("scaled_bracket_commuting_case", rng, n_max, samples, trial)
 
 
 def check_bracket_composition_oracle(rng: random.Random, n_max: int,
                                      samples: int) -> CheckResult:
     """apply([D,E], x_i) = D(E(x_i)) - E(D(x_i)) for every variable."""
-    failures = 0
-    for _ in range(samples):
-        n = _rand_n(rng, n_max)
+    def trial(rng, n):
         d = random_derivation(rng, n, 3)
         e = random_derivation(rng, n, 3)
         br = d.bracket(e)
-        for i in range(1, n + 1):
-            x = Polynomial.variable(n, i)
-            if br.apply(x) != d.apply(e.apply(x)) - e.apply(d.apply(x)):
-                failures += 1
-                break
-    return CheckResult("bracket_composition_oracle", failures == 0,
-                       {"samples": samples, "failures": failures})
+        xs = (Polynomial.variable(n, i) for i in range(1, n + 1))
+        return [all(br.apply(x) == d.apply(e.apply(x)) - e.apply(d.apply(x)) for x in xs)]
+
+    return _sampled_check("bracket_composition_oracle", rng, n_max, samples, trial)
 
 
 def check_bracket_antisymmetry_jacobi(rng: random.Random, n_max: int,
                                       samples: int) -> CheckResult:
-    failures = 0
-    for _ in range(samples):
-        n = _rand_n(rng, n_max)
+    def trial(rng, n):
         d = random_derivation(rng, n, 3)
         e = random_derivation(rng, n, 3)
         f = random_derivation(rng, n, 3)
         if d.bracket(e) != -(e.bracket(d)):
-            failures += 1
-            continue
+            return [False]
         cyclic = (d.bracket(e.bracket(f)) + e.bracket(f.bracket(d))
                   + f.bracket(d.bracket(e)))
-        if not cyclic.is_zero():
-            failures += 1
-    return CheckResult("bracket_antisymmetry_jacobi", failures == 0,
-                       {"samples": samples, "failures": failures})
+        return [cyclic.is_zero()]
+
+    return _sampled_check("bracket_antisymmetry_jacobi", rng, n_max, samples, trial)
 
 
 def check_constant_extraction(rng: random.Random, n_max: int,
                               samples: int) -> CheckResult:
-    failures = 0
-    for _ in range(samples):
-        n = _rand_n(rng, n_max)
+    def trial(rng, n):
         f = random_nonconstant_polynomial(rng, n, 5)
         alpha, gamma = reductions.constant_extraction(f)
-        redone = f.diff_multi(alpha)
-        if gamma == 0 or redone != Polynomial.constant(n, gamma):
-            failures += 1
-    return CheckResult("constant_extraction_random", failures == 0,
-                       {"samples": samples, "failures": failures})
+        return [gamma != 0 and f.diff_multi(alpha) == Polynomial.constant(n, gamma)]
+
+    return _sampled_check("constant_extraction_random", rng, n_max, samples, trial)
 
 
 def check_linear_extraction(rng: random.Random, n_max: int,
                             samples: int) -> CheckResult:
-    failures = 0
-    checked = 0
-    for _ in range(samples):
-        n = _rand_n(rng, n_max)
+    """One instance per sample f and variable x_i that f depends on."""
+    def trial(rng, n):
         f = random_nonconstant_polynomial(rng, n, 5)
         for i in range(1, n + 1):
-            deg = f.degree_in(i)
-            if deg is None or deg < 1:
+            if (f.degree_in(i) or 0) < 1:
                 continue
-            checked += 1
             beta, lam, g = reductions.linear_extraction(f, i)
-            ok = (lam != 0
-                  and g.degree_in(i) in (None, 0)
-                  and f.diff_multi(beta) == lam * Polynomial.variable(n, i) + g)
-            if not ok:
-                failures += 1
+            yield (lam != 0
+                   and g.degree_in(i) in (None, 0)
+                   and f.diff_multi(beta) == lam * Polynomial.variable(n, i) + g)
+
+    checked, failures = _sample(rng, n_max, samples, trial)
     return CheckResult("linear_extraction_random", failures == 0,
                        {"samples": samples, "instances": checked, "failures": failures})
 
@@ -227,7 +222,6 @@ def check_bracket_fixtures() -> CheckResult:
          deriv(zero, -3 * x1)),
     ]
     results = []
-    ok = True
     for d, e, expected in cases:
         got = d.bracket(e)
         results.append({
@@ -236,8 +230,8 @@ def check_bracket_fixtures() -> CheckResult:
             "expected": str(expected),
             "ok": got == expected,
         })
-        ok = ok and got == expected
-    return CheckResult("bracket_fixtures", ok, {"cases": results})
+    return CheckResult("bracket_fixtures", all(r["ok"] for r in results),
+                       {"cases": results})
 
 
 def check_solvability_fixtures() -> CheckResult:
@@ -289,37 +283,33 @@ def check_derived_chain_witness(n: int) -> CheckResult:
 
 
 def check_lnd(rng: random.Random, n_max: int, samples: int) -> CheckResult:
-    failures = 0
     degree_cap = 3
-    for _ in range(samples):
-        n = _rand_n(rng, n_max)
+
+    def trial(rng, n):
         d = random_subalgebra_element(rng, "un", n, degree_cap)
         bound = canonical.triangular_chain_bound(n, degree_cap)
-        verdict = canonical.lnd_check(d, bound)
-        if verdict.status != "witness":
-            failures += 1
-    euler_ok = True
-    euler_certified = True
-    for n in range(1, n_max + 1):
-        # Euler chains never die, so the verdict comes from the linear part
-        # whatever the bound; 32 is the `lnd` command's default
-        verdict = canonical.lnd_check(Derivation.euler(n), 32)
-        euler_ok = euler_ok and verdict.status == "not_nilpotent"
-        euler_certified = euler_certified and verdict.certificate is not None \
-            and verdict.certificate.verify()
+        return [canonical.lnd_check(d, bound).status == "witness"]
+
+    _, failures = _sample(rng, n_max, samples, trial)
+    # Euler chains never die, so the verdict comes from the linear part
+    # whatever the bound; 32 is the `lnd` command's default
+    euler = [canonical.lnd_check(Derivation.euler(n), 32) for n in range(1, n_max + 1)]
+    euler_ok = all(v.status == "not_nilpotent" for v in euler)
+    euler_certified = all(v.certificate is not None and v.certificate.verify()
+                          for v in euler)
     return CheckResult("local_nilpotency", failures == 0 and euler_ok and euler_certified,
                        {"samples": samples, "failures": failures,
                         "euler_refuted": euler_ok, "euler_certified": euler_certified})
 
 
+def _inside(which: str, d: Derivation) -> bool:
+    verdict = canonical.membership(d)
+    return verdict.in_un if which == "un" else verdict.in_sn
+
+
 def check_membership(rng: random.Random, n_max: int, samples: int) -> CheckResult:
-    gen_ok = True
-    for n in range(1, n_max + 1):
-        for which in ("un", "sn"):
-            for g in canonical.generators(which, n, 3):
-                verdict = canonical.membership(g)
-                inside = verdict.in_un if which == "un" else verdict.in_sn
-                gen_ok = gen_ok and inside
+    gen_ok = all(_inside(which, g) for n in range(1, n_max + 1) for which in ("un", "sn")
+                 for g in canonical.generators(which, n, 3))
 
     n = 2
     x2d1 = parse_derivation("(x2) d1", n)
@@ -333,16 +323,12 @@ def check_membership(rng: random.Random, n_max: int, samples: int) -> CheckResul
         and not canonical.membership(x1d1).in_un
     )
 
-    closure_failures = 0
-    for _ in range(samples):
-        n = _rand_n(rng, n_max)
+    def trial(rng, n):
         which = rng.choice(("un", "sn"))
         gens = canonical.generators(which, n, 3)
-        bracket = rng.choice(gens).bracket(rng.choice(gens))
-        verdict = canonical.membership(bracket)
-        inside = verdict.in_un if which == "un" else verdict.in_sn
-        if not inside:
-            closure_failures += 1
+        return [_inside(which, rng.choice(gens).bracket(rng.choice(gens)))]
+
+    _, closure_failures = _sample(rng, n_max, samples, trial)
     ok = gen_ok and fixtures_ok and closure_failures == 0
     return CheckResult("membership", ok,
                        {"generators_ok": gen_ok, "fixtures_ok": fixtures_ok,
@@ -352,12 +338,11 @@ def check_membership(rng: random.Random, n_max: int, samples: int) -> CheckResul
 
 def check_grammar_roundtrip(rng: random.Random, n_max: int,
                             corpus_size: int) -> CheckResult:
-    failures = 0
-    for _ in range(corpus_size):
-        n = _rand_n(rng, n_max)
-        d = random_derivation(rng, n, 4)
-        if parse_derivation(format_derivation(d), n) != d:
-            failures += 1
+    def roundtrips(d: Derivation) -> bool:
+        return parse_derivation(format_derivation(d), d.n) == d
+
+    _, failures = _sample(rng, n_max, corpus_size,
+                          lambda rng, n: [roundtrips(random_derivation(rng, n, 4))])
     fixed = [
         ("(x1^2) d2 + (x1+1) d1", 2),
         ("(1/2 x1 - x2^3) d1", 2),
@@ -365,10 +350,7 @@ def check_grammar_roundtrip(rng: random.Random, n_max: int,
         ("0", 2),
         ("(-2 x1 x2) d2 + (x1^2) d1", 2),
     ]
-    for text, n in fixed:
-        d = parse_derivation(text, n)
-        if parse_derivation(format_derivation(d), n) != d:
-            failures += 1
+    failures += sum(not roundtrips(parse_derivation(text, n)) for text, n in fixed)
     return CheckResult("grammar_roundtrip", failures == 0,
                        {"corpus": corpus_size + len(fixed), "failures": failures})
 

@@ -171,12 +171,20 @@ class TestCommands:
         assert code == 2
         assert "below target" in err
 
-    def test_series_cap_below_one_exits_two(self, capsys):
-        for cap in ("0", "-1"):
-            code, out, err = run_cli(capsys, "derived-series", "d1", "(x1) d1",
-                                     "--n", "1", "--max-iter", cap)
-            assert code == 2 and out == ""
-            assert "max_iter must be >= 1" in err
+    def test_series_takes_no_iteration_cap(self, capsys):
+        # the series always reach a verdict, so there is no cap to set
+        with pytest.raises(SystemExit) as exc:
+            main(["derived-series", "d1", "(x1) d1", "--n", "1", "--max-iter", "3"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--max-iter" in captured.err
+
+    @pytest.mark.parametrize("k", ["0", "2"])
+    def test_sl2_bad_slot_exits_two(self, capsys, k):
+        code, out, err = run_cli(capsys, "sl2", "d1", "(-1 x1^2) d1", "(-2 x1) d1",
+                                 "--k", k, "--n", "1")
+        assert code == 2 and out == ""
+        assert f"slot {k} out of range 1..1" in err
 
     def test_closure_generator_above_degree_cap_exits_two(self, capsys):
         code, out, err = run_cli(capsys, "closure", "(x1^20) d1", "--n", "1",

@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -249,6 +248,20 @@ class TestSl2Check:
         result = sl2_check(pd("d1 + (x1) d2", n), pd("(-1 x1^2) d1", n),
                            pd("(-2 x1) d1", n), 1)
         assert isinstance(result, Sl2Mismatch)
+
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_slot_out_of_range_is_a_precondition_error(self, k):
+        n = 1
+        triple = (pd("d1", n), pd("(-1 x1^2) d1", n), pd("(-2 x1) d1", n))
+        with pytest.raises(ValueError, match=rf"^slot {k} out of range 1\.\.1$"):
+            sl2_check(*triple, k)
+        # the same message case2_witness gives for the same slot
+        with pytest.raises(ValueError, match=rf"^slot {k} out of range 1\.\.1$"):
+            case2_witness(pd("(x1^2) d1", n), k)
+
+    def test_mixed_rings_are_a_precondition_error(self):
+        with pytest.raises(ValueError, match="ambient dimension mismatch: 1 vs 2"):
+            sl2_check(pd("d1", 1), pd("(-1 x1^2) d1", 2), pd("(-2 x1) d1", 1), 1)
 
     def test_certificate_implies_nonsolvable_closure(self):
         n = 1

@@ -162,15 +162,6 @@ class TestDerivedSeries:
         assert report.dims == (3, 3)
         assert report.verdict == "stabilized_nonzero"
 
-    @pytest.mark.parametrize("max_iter", [0, -1])
-    @pytest.mark.parametrize("series", [derived_series, lower_central_series])
-    def test_nonpositive_max_iter_rejected(self, series, max_iter):
-        n = 1
-        basis = coordinatize([pd("d1", n), pd("(x1) d1", n)])
-        with pytest.raises(ValueError, match="max_iter must be >= 1"):
-            series(basis, max_iter)
-        assert series(basis, 1).dims == (2, 1)
-
     def test_zero_span(self):
         report = derived_series(coordinatize([], n=2))
         assert report.dims == (0,)
@@ -221,7 +212,6 @@ class TestLowerCentralSeries:
         assert report.verdict == "nilpotent" and report.length == 13
         assert report.dims[0] == 27 and report.dims[-2:] == (1, 0)
         assert all(a > b for a, b in zip(report.dims, report.dims[1:]))
-        assert lower_central_series(closure.basis, 10).verdict == "cap_hit"
 
     def test_derived_term_inside_lower_central_term(self):
         n = 2

@@ -100,8 +100,8 @@ def strip_canonical_part(d: Derivation, which: Which) -> tuple[Derivation, Deriv
         for mono, c in d.coeff(i):
             inside = _slot_violation(i, mono) in admitted
             (allowed if inside else violating)[mono] = c
-        remainder_coeffs.append(Polynomial(d.n, violating))
-        stripped_coeffs.append(Polynomial(d.n, allowed))
+        remainder_coeffs.append(Polynomial._from_terms(d.n, violating))
+        stripped_coeffs.append(Polynomial._from_terms(d.n, allowed))
     remainder = Derivation(d.n, remainder_coeffs)
     stripped = Derivation(d.n, stripped_coeffs)
     verdict = membership(stripped)

@@ -9,15 +9,44 @@ Leibniz rule.  The Lie bracket is computed coefficient-wise,
 never as an operator composition, which keeps every value inside the
 polynomial ring and leaves the composition identity available as an
 independent correctness check.
+
+`apply` and `bracket` share one kernel, `_apply_into`, which adds
+sign * sum_j c_j * df/dx_j straight into a term map: D(f) is one call, and
+each coefficient of [D, E] is two calls, D(g_i) then -E(f_i), into one map,
+with no intermediate polynomials.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Sequence
 
-from .polyring import Polynomial, Scalar
+from .polyring import Monomial, Polynomial, Scalar
+
+
+def _apply_into(out: dict[Monomial, Fraction],
+                coeff_terms: Sequence[dict[Monomial, Fraction]],
+                f_terms: dict[Monomial, Fraction], sign: int) -> None:
+    """Add sign * sum_j c_j * df/dx_j into the term map out.
+
+    coeff_terms[j] is the term map of c_j, the coefficient of d_{j+1}.
+    Coefficients that cancel stay in out as zeros, for the caller's
+    Polynomial._from_terms to drop.
+    """
+    for pos, c_terms in enumerate(coeff_terms):
+        if not c_terms:
+            continue
+        # d(f)/dx_{pos+1} is spelled out here, not taken from Polynomial.partial,
+        # so that partial stays an independent reference for this kernel
+        df = [(m[:pos] + (m[pos] - 1,) + m[pos + 1:], c * (sign * m[pos]))
+              for m, c in f_terms.items() if m[pos]]
+        for m1, c1 in c_terms.items():
+            for m2, c2 in df:
+                m = tuple(map(add, m1, m2))
+                v = out.get(m)
+                out[m] = c1 * c2 if v is None else v + c1 * c2
 
 
 class Derivation:
@@ -110,19 +139,26 @@ class Derivation:
         """D(f) = sum f_i * df/dx_i."""
         if f.n != self.n:
             raise ValueError(f"ambient dimension mismatch: {self.n} vs {f.n}")
-        out = Polynomial.zero(self.n)
-        for pos, g in enumerate(self._coeffs):
-            if not g.is_zero():
-                out = out + g * f.partial(pos + 1)
-        return out
+        out: dict[Monomial, Fraction] = {}
+        _apply_into(out, [g._terms for g in self._coeffs], f._terms, 1)
+        return Polynomial._from_terms(self.n, out)
 
     def __call__(self, f: Polynomial) -> Polynomial:
         return self.apply(f)
 
     def bracket(self, other: Derivation) -> Derivation:
+        """[D, E](x_i) = D(g_i) - E(f_i), each coefficient one term map."""
         self._check_same_ring(other)
-        coeffs = [self.apply(g) - other.apply(f)
-                  for f, g in zip(self._coeffs, other._coeffs)]
+        d_terms = [f._terms for f in self._coeffs]
+        e_terms = [g._terms for g in other._coeffs]
+        coeffs = []
+        for f, g in zip(d_terms, e_terms):
+            out: dict[Monomial, Fraction] = {}
+            if g:
+                _apply_into(out, d_terms, g, 1)
+            if f:
+                _apply_into(out, e_terms, f, -1)
+            coeffs.append(Polynomial._from_terms(self.n, out))
         return Derivation(self.n, coeffs)
 
     # -- linear structure ----------------------------------------------------

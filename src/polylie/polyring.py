@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
+from operator import add
 from typing import Iterable, Iterator, Mapping, Union
 
 Monomial = tuple[int, ...]
@@ -46,17 +47,35 @@ class Polynomial:
     __slots__ = ("n", "_terms", "_hash")
 
     def __init__(self, n: int, terms: Mapping[Monomial, Scalar] | None = None):
+        """Validate outside input: n >= 1, exponent tuples of length n, and
+        int or Fraction coefficients (anything else, floats included, is a
+        TypeError)."""
         if n < 1:
             raise ValueError(f"variable count must be >= 1, got {n}")
         canonical: dict[Monomial, Fraction] = {}
         if terms:
             for mono, coeff in terms.items():
-                c = Fraction(coeff)
-                if c != 0:
-                    canonical[_check_monomial(mono, n)] = c
+                if not isinstance(coeff, (int, Fraction)):
+                    raise TypeError(f"coefficient {coeff!r} is not an int or Fraction")
+                if coeff != 0:
+                    canonical[_check_monomial(mono, n)] = Fraction(coeff)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_terms", canonical)
         object.__setattr__(self, "_hash", None)
+
+    @classmethod
+    def _from_terms(cls, n: int, terms: dict[Monomial, Fraction]) -> Polynomial:
+        """Trusted constructor for term maps the library built itself.
+
+        The monomials must already be valid n-tuples and the coefficients
+        Fractions; nothing is checked or converted, only zero entries are
+        dropped.
+        """
+        p = object.__new__(cls)
+        object.__setattr__(p, "n", n)
+        object.__setattr__(p, "_terms", {m: c for m, c in terms.items() if c})
+        object.__setattr__(p, "_hash", None)
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -73,7 +92,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, n: int, c: Scalar) -> Polynomial:
-        return cls(n, {(0,) * n: Fraction(c)})
+        return cls(n, {(0,) * n: c})
 
     @classmethod
     def variable(cls, n: int, i: int) -> Polynomial:
@@ -86,7 +105,7 @@ class Polynomial:
 
     @classmethod
     def monomial(cls, n: int, exponents: Iterable[int], coeff: Scalar = 1) -> Polynomial:
-        return cls(n, {tuple(exponents): Fraction(coeff)})
+        return cls(n, {tuple(exponents): coeff})
 
     # -- basic queries -----------------------------------------------------
 
@@ -160,13 +179,14 @@ class Polynomial:
         self._check_same_ring(other)
         out = dict(self._terms)
         for m, c in other._terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
-        return Polynomial(self.n, out)
+            v = out.get(m)
+            out[m] = c if v is None else v + c
+        return Polynomial._from_terms(self.n, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> Polynomial:
-        return Polynomial(self.n, {m: -c for m, c in self._terms.items()})
+        return Polynomial._from_terms(self.n, {m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other: Polynomial | Scalar) -> Polynomial:
         if isinstance(other, (int, Fraction)):
@@ -180,17 +200,18 @@ class Polynomial:
 
     def __mul__(self, other: Polynomial | Scalar) -> Polynomial:
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return Polynomial(self.n, {m: co * c for m, co in self._terms.items()})
+            return Polynomial._from_terms(
+                self.n, {m: co * other for m, co in self._terms.items()})
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_same_ring(other)
         out: dict[Monomial, Fraction] = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                out[m] = out.get(m, Fraction(0)) + c1 * c2
-        return Polynomial(self.n, out)
+                m = tuple(map(add, m1, m2))
+                v = out.get(m)
+                out[m] = c1 * c2 if v is None else v + c1 * c2
+        return Polynomial._from_terms(self.n, out)
 
     __rmul__ = __mul__
 
@@ -198,8 +219,13 @@ class Polynomial:
         if not isinstance(k, int) or k < 0:
             raise ValueError(f"exponent must be a nonnegative integer, got {k!r}")
         result = Polynomial.one(self.n)
-        for _ in range(k):
-            result = result * self
+        base = self
+        while k:  # repeated squaring: O(log k) products
+            if k & 1:
+                result = result * base
+            k >>= 1
+            if k:
+                base = base * base
         return result
 
     def __eq__(self, other: object) -> bool:
@@ -228,14 +254,10 @@ class Polynomial:
         """Formal partial derivative with respect to x_i (1-based)."""
         self._check_index(i)
         pos = i - 1
-        out: dict[Monomial, Fraction] = {}
-        for m, c in self._terms.items():
-            e = m[pos]
-            if e == 0:
-                continue
-            dm = m[:pos] + (e - 1,) + m[pos + 1:]
-            out[dm] = out.get(dm, Fraction(0)) + c * e
-        return Polynomial(self.n, out)
+        # m -> m - e_i is injective on the kept monomials: nothing to collect
+        return Polynomial._from_terms(self.n, {
+            m[:pos] + (m[pos] - 1,) + m[pos + 1:]: c * m[pos]
+            for m, c in self._terms.items() if m[pos]})
 
     def diff_multi(self, alpha: Iterable[int]) -> Polynomial:
         """Iterated derivative: apply d/dx_i alpha[i-1] times, for every i.
@@ -275,14 +297,15 @@ class Polynomial:
             k = m[pos]
             stripped = m[:pos] + (0,) + m[pos + 1:]
             buckets[k][stripped] = c
-        return tuple(Polynomial(self.n, b) for b in buckets)
+        return tuple(Polynomial._from_terms(self.n, b) for b in buckets)
 
     def top_component(self) -> Polynomial:
         """The homogeneous component of maximal total degree (zero stays zero)."""
         d = self.total_degree()
         if d is None:
             return self
-        return Polynomial(self.n, {m: c for m, c in self._terms.items() if sum(m) == d})
+        return Polynomial._from_terms(
+            self.n, {m: c for m, c in self._terms.items() if sum(m) == d})
 
     def leading_monomial(self) -> Monomial:
         """Graded-lex greatest monomial; raises on the zero polynomial."""

@@ -75,7 +75,7 @@ class SpanBasis:
         per_slot: list[dict[Monomial, Fraction]] = [dict() for _ in range(self.n)]
         for (slot, mono), c in row.items():
             per_slot[slot - 1][mono] = c
-        return Derivation(self.n, [Polynomial(self.n, t) for t in per_slot])
+        return Derivation(self.n, [Polynomial._from_terms(self.n, t) for t in per_slot])
 
     def _reduce(self, d: Derivation) -> Row:
         """The residual of d after subtracting its part in the span.

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -173,6 +174,18 @@ class TestDerivedChainWitness:
         w = derived_chain_witness(3, term=2, degree_cap=4)
         assert w.expression.to_sexpr() == "[[g1,g4],[g1,g11]]"
         assert str(w.value) == "(2) d2"
+
+    @pytest.mark.slow
+    def test_paper_target_n3_term5(self):
+        # the derived-length lower bound 2n for n = 3: sn^(5) is nonzero
+        start = time.perf_counter()
+        w = derived_chain_witness(3)
+        elapsed = time.perf_counter() - start
+        assert isinstance(w, DerivedChainWitness) and w.term == 5
+        assert str(w.value) == "(1024) d3"
+        assert w.expression.evaluate(w.generators) == w.value
+        assert membership(w.value).in_sn
+        assert elapsed < 300, f"took {elapsed:.0f} s"
 
     def test_beam_cut_is_not_absence(self):
         for beam in (1, 2, 3):

@@ -119,6 +119,78 @@ class TestBracket:
         assert e.bracket(d).bracket(e) == 2 * e
 
 
+def ref_apply(d, f):
+    """sum_j f_j * df/dx_j from public Polynomial partial, * and + only."""
+    out = Polynomial.zero(d.n)
+    for j, c in enumerate(d.coeffs, start=1):
+        out = out + c * f.partial(j)
+    return out
+
+
+def ref_bracket(d, e):
+    """[D, E]_i = D(g_i) - E(f_i), coefficient by coefficient."""
+    return [ref_apply(d, g) + ref_apply(e, f) * -1
+            for f, g in zip(d.coeffs, e.coeffs)]
+
+
+def assert_canonical(p):
+    """No stored zero, Fraction coefficients, same value and hash as rebuilt."""
+    assert all(type(c) is Fraction and c != 0 for _, c in p)
+    rebuilt = Polynomial(p.n, p.terms)
+    assert rebuilt == p and hash(rebuilt) == hash(p)
+
+
+class TestKernelAgainstReference:
+    """bracket and apply against a rebuild from public polynomial arithmetic."""
+
+    @staticmethod
+    def cases(seed):
+        rng = random.Random(seed)
+        for _ in range(60):
+            n = rng.randint(1, 4)
+            d = random_derivation(rng, n, 3)
+            e = random_derivation(rng, n, 3)
+            if rng.random() < 0.3:  # force zero slots
+                zeroed = rng.randrange(n)
+                d = Derivation(n, [Polynomial.zero(n) if i == zeroed else c
+                                   for i, c in enumerate(d.coeffs)])
+            yield d, e, random_polynomial(rng, n, 4)
+
+    def test_apply_random(self):
+        for d, _, f in self.cases(51):
+            got = d.apply(f)
+            assert got == ref_apply(d, f)
+            assert_canonical(got)
+
+    def test_bracket_random(self):
+        for d, e, _ in self.cases(52):
+            got = d.bracket(e)
+            assert list(got.coeffs) == ref_bracket(d, e)
+            for c in got.coeffs:
+                assert_canonical(c)
+
+    def test_brackets_that_cancel(self):
+        rng = random.Random(53)
+        for _ in range(40):
+            n = rng.randint(1, 4)
+            d = random_derivation(rng, n, 3)
+            pairs = [(d, d), (d, d * Fraction(-7, 3)),
+                     (Derivation.partial(n, 1), Derivation.partial(n, n))]
+            for a, b in pairs:
+                got = a.bracket(b)
+                assert got.is_zero()
+                assert list(got.coeffs) == ref_bracket(a, b)
+
+    def test_cancellation_between_the_two_halves(self):
+        # [x1 d1 + x2 d2 + d1, x1 d2]: in slot 2, D(g_2) = x1 + 1 and
+        # E(f_2) = x1, so the x1 terms cancel and only 1 survives
+        n = 2
+        got = pd("(x1 + 1) d1 + (x2) d2", n).bracket(pd("(x1) d2", n))
+        assert got == Derivation.partial(n, 2)
+        for c in got.coeffs:
+            assert_canonical(c)
+
+
 class TestIteratedBracket:
     def test_two_steps(self):
         n = 2

@@ -44,6 +44,51 @@ class TestArithmetic:
         assert a == b and hash(a) == hash(b)
 
 
+class TestCoefficientTypes:
+    """Only int and Fraction coefficients come in through the public API."""
+
+    BAD = [0.5, 0.1, "1/3", None, 1j]
+
+    @pytest.mark.parametrize("coeff", BAD)
+    def test_constructor_rejects(self, coeff):
+        with pytest.raises(TypeError):
+            Polynomial(1, {(1,): coeff})
+
+    @pytest.mark.parametrize("coeff", BAD)
+    def test_constant_rejects(self, coeff):
+        with pytest.raises(TypeError):
+            Polynomial.constant(1, coeff)
+
+    @pytest.mark.parametrize("coeff", BAD)
+    def test_monomial_rejects(self, coeff):
+        with pytest.raises(TypeError):
+            Polynomial.monomial(2, (1, 0), coeff)
+
+    def test_int_and_fraction_accepted(self):
+        f = Polynomial(2, {(1, 0): 3, (0, 1): Fraction(1, 3), (0, 0): 0})
+        assert f.terms == {(1, 0): Fraction(3), (0, 1): Fraction(1, 3)}
+        assert all(type(c) is Fraction for _, c in f)
+        assert Polynomial.constant(1, Fraction(1, 2)).constant_value() == Fraction(1, 2)
+        assert Polynomial.monomial(2, (1, 0), -2) == -2 * var(2, 1)
+
+
+class TestPower:
+    def test_matches_repeated_multiplication(self):
+        n = 2
+        f = Fraction(2, 3) * var(n, 1) - var(n, 2) ** 2 + Fraction(-1, 5)
+        expected = Polynomial.one(n)
+        for k in range(13):
+            assert f ** k == expected, k
+            expected = expected * f
+
+    def test_huge_exponent_of_a_variable(self):
+        assert var(1, 1) ** 100_000 == Polynomial.monomial(1, (100_000,))
+
+    def test_negative_exponent_rejected(self):
+        with pytest.raises(ValueError):
+            var(1, 1) ** -1
+
+
 class TestDifferentiation:
     def test_power_rule(self):
         n = 2

@@ -22,7 +22,7 @@ from .canonical import (
     strip_canonical_part,
     triangular_chain_bound,
 )
-from .derivation import Derivation, LinearDerivation, iterated_bracket
+from .derivation import Derivation, iterated_bracket
 from .grammar import (
     ParseError,
     format_derivation,

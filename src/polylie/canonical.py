@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Literal, Sequence, Union
 
-from .derivation import Derivation, LinearDerivation
+from .derivation import Derivation
 from .polyring import Monomial, Polynomial
 from .reductions import EigenvectorCertificate, eigenvector_certificate
 from .span import SpanBasis
@@ -173,8 +173,9 @@ class LndVerdict:
     nilpotent because the variables generate the whole ring and the
     locally-annihilated elements form a subalgebra.
 
-    status "not_nilpotent": D is homogeneous linear and its matrix is not
-    nilpotent (exact n-th power test), so some variable chain never dies.
+    status "not_nilpotent": D is homogeneous linear and D^n leaves some x_i
+    nonzero, so that variable's chain never dies; linear_part holds D's
+    matrix rows (see Derivation.as_linear).
     When a small search finds an exact ad-eigenvector relation [D,E] = cE
     (or the double-bracket variant) it is attached as `certificate`.
 
@@ -185,7 +186,7 @@ class LndVerdict:
     bound: int
     witness: NilpotencyWitness | None = None
     certificate: EigenvectorCertificate | None = None
-    linear_part: LinearDerivation | None = None
+    linear_part: tuple[tuple[Fraction, ...], ...] | None = None
 
 
 def _eigen_candidates(n: int) -> Iterator[Derivation]:
@@ -211,6 +212,13 @@ def triangular_chain_bound(n: int, degree_cap: int) -> int:
     for _ in range(n - 1):
         w = degree_cap * w + 1
     return w + 2
+
+
+def _power(d: Derivation, k: int, f: Polynomial) -> Polynomial:
+    """D^k(f), by k applications of d."""
+    for _ in range(k):
+        f = d.apply(f)
+    return f
 
 
 def lnd_check(d: Derivation, bound: int) -> LndVerdict:
@@ -240,14 +248,18 @@ def lnd_check(d: Derivation, bound: int) -> LndVerdict:
     if all_dead:
         return LndVerdict("witness", bound, witness=NilpotencyWitness(tuple(chains)))
 
-    linear = d.as_linear()
-    if linear is not None and not linear.is_nilpotent():
+    # A homogeneous linear D maps span{x_1..x_n} into itself by its matrix,
+    # so it is locally nilpotent exactly when that matrix is nilpotent, which
+    # holds exactly when D^n kills every x_i.
+    rows = d.as_linear()
+    if rows is not None and any(not _power(d, d.n, Polynomial.variable(d.n, i)).is_zero()
+                                for i in range(1, d.n + 1)):
         cert = None
         for e in _eigen_candidates(d.n):
             cert = eigenvector_certificate(d, e)
             if cert is not None:
                 break
-        return LndVerdict("not_nilpotent", bound, certificate=cert, linear_part=linear)
+        return LndVerdict("not_nilpotent", bound, certificate=cert, linear_part=rows)
     return LndVerdict("inconclusive", bound)
 
 

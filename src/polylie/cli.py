@@ -29,10 +29,9 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
 
-def _add_common(parser: argparse.ArgumentParser, *, needs_n: bool = True) -> None:
-    if needs_n:
-        parser.add_argument("--n", type=int, required=True,
-                            help="ambient number of variables")
+def _add_common(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--n", type=int, required=True,
+                        help="ambient number of variables")
     parser.add_argument("--format", choices=("text", "json"), default="text",
                         help="output format (default: text)")
 
@@ -44,18 +43,12 @@ def _emit(args, command: str, inputs: dict, outputs: dict, lines: list[str]) -> 
     consumer can re-parse exactly what the command computed on.
     """
     if args.format == "json":
-        doc = {"schema": SCHEMA_VERSION, "command": command,
+        doc = {"schema": SCHEMA_VERSION, "command": command, "n": args.n,
                "inputs": inputs, "outputs": outputs}
-        if hasattr(args, "n") and args.n is not None:
-            doc["n"] = args.n
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
         for line in lines:
             print(line)
-
-
-def _matrix_strings(rows) -> list[list[str]]:
-    return [[str(c) for c in row] for row in rows]
 
 
 def cmd_bracket(args) -> int:
@@ -114,7 +107,7 @@ def cmd_lnd(args) -> int:
         lines.append(f"ad-eigenvector: relation={cert.relation}, "
                      f"e={cert.e}, scalar={cert.scalar}")
     if verdict.linear_part is not None:
-        outputs["linear_matrix"] = _matrix_strings(verdict.linear_part.rows)
+        outputs["linear_matrix"] = [[str(c) for c in row] for row in verdict.linear_part]
     _emit(args, "lnd", {"deriv": str(d), "bound": args.bound}, outputs, lines)
     return EXIT_OK
 
@@ -122,8 +115,7 @@ def cmd_lnd(args) -> int:
 def _closure(args) -> tuple[span.LieClosureResult, dict]:
     """The closure of the command's generators under its caps, and its inputs echo."""
     gens = [parse_derivation(t, args.n) for t in args.gens]
-    result = span.lie_closure(gens, degree_cap=args.degree_cap,
-                              dim_cap=args.dim_cap, n=args.n)
+    result = span.lie_closure(gens, degree_cap=args.degree_cap, dim_cap=args.dim_cap)
     inputs = {"gens": [str(g) for g in gens], "degree_cap": args.degree_cap,
               "dim_cap": args.dim_cap}
     return result, inputs
@@ -225,11 +217,8 @@ def cmd_sl2(args) -> int:
         _emit(args, "sl2", inputs, {"certificate": None, "mismatch": result.reason},
               [f"mismatch: {result.reason}"])
         return EXIT_CHECK_FAILED
-    lines = ["certificate: ok",
-             f"projections: {[str(p) for p in result.projection_brackets]}",
-             f"series dims: {list(result.series_report.dims)}"]
     _emit(args, "sl2", inputs,
-          {"certificate": result.to_dict(), "mismatch": None}, lines)
+          {"certificate": result.to_dict(), "mismatch": None}, ["certificate: ok"])
     return EXIT_OK
 
 
@@ -263,8 +252,9 @@ def cmd_verify_paper(args) -> int:
     else:
         for check in report.checks:
             print(f"{'PASS' if check.passed else 'FAIL'}  {check.name}")
+        timing = f", {report.timing_ms:.0f} ms" if args.timing else ""
         print(f"{'all checks passed' if report.passed else 'SOME CHECKS FAILED'} "
-              f"({len(report.checks)} checks, {report.timing_ms:.0f} ms)")
+              f"({len(report.checks)} checks{timing})")
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
@@ -382,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="largest ambient dimension to sample (default: 2)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--timing", action="store_true",
-                   help="include wall-clock timing in JSON output "
+                   help="include wall-clock timing in the output, text or JSON "
                         "(off by default to keep reports byte-reproducible)")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_verify_paper)

@@ -18,7 +18,6 @@ with no intermediate polynomials.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 from typing import Iterable, Sequence
@@ -202,8 +201,8 @@ class Derivation:
 
     # -- classification ------------------------------------------------------
 
-    def as_linear(self) -> LinearDerivation | None:
-        """The matrix form when every coefficient is homogeneous linear.
+    def as_linear(self) -> tuple[tuple[Fraction, ...], ...] | None:
+        """The matrix rows when every coefficient is homogeneous linear.
 
         Row i holds the coefficients of f_i, so D(x_i) = sum_j rows[i][j] x_j.
         Affine or higher-degree coefficients yield None; the zero derivation
@@ -217,7 +216,7 @@ class Derivation:
                     return None
                 row[mono.index(1)] = c
             rows.append(tuple(row))
-        return LinearDerivation(self.n, tuple(rows))
+        return tuple(rows)
 
     # -- printing ------------------------------------------------------------
 
@@ -226,46 +225,6 @@ class Derivation:
 
     def __repr__(self) -> str:
         return f"Derivation({self.n}, {format_derivation(self)!r})"
-
-
-@dataclass(frozen=True)
-class LinearDerivation:
-    """A derivation with homogeneous linear coefficients, as an n x n matrix.
-
-    Entry rows[i][j] is the coefficient of x_{j+1} in f_{i+1}, so the matrix
-    acts on the span of x1 ... xn exactly as the derivation does.
-    """
-
-    n: int
-    rows: tuple[tuple[Fraction, ...], ...]
-
-    def matmul(self, other: LinearDerivation) -> LinearDerivation:
-        if self.n != other.n:
-            raise ValueError(f"ambient dimension mismatch: {self.n} vs {other.n}")
-        rows = tuple(
-            tuple(sum((self.rows[i][k] * other.rows[k][j] for k in range(self.n)),
-                      Fraction(0))
-                  for j in range(self.n))
-            for i in range(self.n)
-        )
-        return LinearDerivation(self.n, rows)
-
-    def is_nilpotent(self) -> bool:
-        """Exact check: an n x n matrix is nilpotent iff its n-th power is 0."""
-        power = self
-        for _ in range(self.n - 1):
-            power = power.matmul(self)
-        return all(c == 0 for row in power.rows for c in row)
-
-    def to_derivation(self) -> Derivation:
-        coeffs = []
-        for i in range(self.n):
-            f = Polynomial.zero(self.n)
-            for j in range(self.n):
-                if self.rows[i][j] != 0:
-                    f = f + self.rows[i][j] * Polynomial.variable(self.n, j + 1)
-            coeffs.append(f)
-        return Derivation(self.n, coeffs)
 
 
 def iterated_bracket(d1: Derivation, k: int, d2: Derivation) -> Derivation:

@@ -332,10 +332,6 @@ def format_monomial(m: Monomial) -> str:
     return " ".join(parts)
 
 
-def _format_coeff(c: Fraction) -> str:
-    return str(c)  # Fraction prints p/q, integers without the /q
-
-
 def format_polynomial(f: Polynomial) -> str:
     """Canonical text: terms in descending graded-lex order, x1 > x2 > ...
 
@@ -348,11 +344,11 @@ def format_polynomial(f: Polynomial) -> str:
         mono_txt = format_monomial(mono)
         mag = abs(coeff)
         if not mono_txt:
-            body = _format_coeff(mag)
+            body = str(mag)  # Fraction prints p/q, integers without the /q
         elif mag == 1:
             body = mono_txt
         else:
-            body = f"{_format_coeff(mag)} {mono_txt}"
+            body = f"{mag} {mono_txt}"
         if not pieces:
             pieces.append(body if coeff > 0 else f"-{body}")
         else:

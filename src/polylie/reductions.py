@@ -8,8 +8,8 @@ bracketing with a coordinate derivation, exhibiting exact ad-eigenvector
 relations, and certifying that a triple of derivations projects onto the
 standard sl2 triple d_k, x_k d_k, x_k^2 d_k on one variable.
 
-Certificates carry the inputs and the computed values, so every claimed
-relation can be re-evaluated exactly from the certificate alone.
+Certificates carry their inputs and any computed values, so every claimed
+relation can be re-checked exactly from the certificate alone.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from math import factorial
 
 from .derivation import Derivation, iterated_bracket
 from .polyring import Monomial, Polynomial, multi_factorial
-from .span import SeriesReport, SpanBasis, derived_series
 
 
 def constant_extraction(f: Polynomial) -> tuple[Monomial, Fraction]:
@@ -155,28 +154,21 @@ class Sl2Certificate:
     """Witness that T1, T2, T3 generate a non-solvable subalgebra.
 
     Shape: modulo terms in slots below k, the triple is d_k, -x_k^2 d_k,
-    -2 x_k d_k, with nothing above slot k.  Projecting brackets onto their
-    d_k-components reproduces the bracket table of that standard triple,
-    so projection extends to a homomorphism onto the span of d_k, x_k d_k,
-    x_k^2 d_k -- a copy of sl2, whose derived series never reaches zero.
+    -2 x_k d_k, with nothing above slot k.  The shape alone certifies.  On
+    fields whose slots above k vanish and whose slot-k coefficient lies in
+    K[x_k], every bracket keeps that form, with [A,B]_k = a_k b_k' - b_k a_k'.
+    So projecting onto slot k is a homomorphism, and it maps the triple onto
+    the span of d_k, x_k d_k, x_k^2 d_k -- a copy of sl2, whose derived
+    series never reaches zero, so neither does the triple's.
     """
 
     t1: Derivation
     t2: Derivation
     t3: Derivation
     k: int
-    projection_brackets: tuple[Polynomial, Polynomial, Polynomial]
-    series_report: SeriesReport
 
     def to_dict(self) -> dict:
-        return {
-            "t1": str(self.t1),
-            "t2": str(self.t2),
-            "t3": str(self.t3),
-            "k": self.k,
-            "projection_brackets": [str(p) for p in self.projection_brackets],
-            "series_report": self.series_report.to_dict(),
-        }
+        return {"t1": str(self.t1), "t2": str(self.t2), "t3": str(self.t3), "k": self.k}
 
 
 @dataclass(frozen=True)
@@ -202,7 +194,7 @@ def _sl2_shape_violation(t: Derivation, k: int, want: Polynomial) -> int | None:
 
 def sl2_check(t1: Derivation, t2: Derivation, t3: Derivation,
               k: int) -> Sl2Certificate | Sl2Mismatch:
-    """Verify the sl2 shape and bracket table at slot k; certify or explain.
+    """Verify the sl2 shape at slot k; certify or explain.
 
     A triple over different rings or a slot outside 1..n is a ValueError.
     """
@@ -221,24 +213,7 @@ def sl2_check(t1: Derivation, t2: Derivation, t3: Derivation,
             return Sl2Mismatch(f"{name} slot-{k} coefficient is {t.coeff(k)}, expected {want}")
         if j is not None:
             return Sl2Mismatch(f"{name} has a nonzero coefficient at slot {j} > {k}")
-
-    projections = (
-        t1.bracket(t2).coeff(k),
-        t3.bracket(t1).coeff(k),
-        t3.bracket(t2).coeff(k),
-    )
-    table = (-2 * x_k, Polynomial.constant(n, 2), 2 * x_k * x_k)
-    names = ("[t1,t2]", "[t3,t1]", "[t3,t2]")
-    for name, got, want in zip(names, projections, table):
-        if got != want:
-            return Sl2Mismatch(f"slot-{k} component of {name} is {got}, expected {want}")
-
-    # the one-variable sl2 copy span{d_k, x_k d_k, x_k^2 d_k}
-    d_k = Derivation.partial(n, k)
-    report = derived_series(SpanBasis(n, [d_k, x_k * d_k, x_k * x_k * d_k]))
-    if report.verdict != "stabilized_nonzero":
-        return Sl2Mismatch(f"sl2 span derived series verdict was {report.verdict}")
-    return Sl2Certificate(t1, t2, t3, k, projections, report)
+    return Sl2Certificate(t1, t2, t3, k)
 
 
 def case2_witness(d2: Derivation, k: int) -> tuple[Derivation, Derivation, Derivation]:

@@ -167,8 +167,7 @@ class LieClosureResult:
 
 def lie_closure(gens: Iterable[Derivation], *,
                 degree_cap: int = DEFAULT_DEGREE_CAP,
-                dim_cap: int = DEFAULT_DIM_CAP,
-                n: int | None = None) -> LieClosureResult:
+                dim_cap: int = DEFAULT_DIM_CAP) -> LieClosureResult:
     """Saturate the span of gens under brackets.
 
     A worklist holds spanning elements: first the generators that extend the
@@ -179,17 +178,20 @@ def lie_closure(gens: Iterable[Derivation], *,
     degree_cap stops with "degree_cap_exceeded" and that pair; the span
     growing past dim_cap stops with "dim_cap_exceeded" at once.  A generator
     already above degree_cap is a ValueError, so every element of a
-    returned basis has coefficient degree at most degree_cap.
+    returned basis has coefficient degree at most degree_cap.  An empty gens
+    is a ValueError too.
     """
     if degree_cap < 1 or dim_cap < 1:
         raise ValueError("caps must be >= 1")
     gens = list(gens)
+    if not gens:
+        raise ValueError("need at least one generator")
     for g in gens:
         deg = g.max_coeff_degree()
         if deg is not None and deg > degree_cap:
             raise ValueError(f"generator {g} has coefficient degree {deg}, "
                              f"above degree_cap {degree_cap}")
-    basis = coordinatize([], gens[0].n if gens else n)
+    basis = SpanBasis(gens[0].n, [])
     elems = [g for g in gens if basis.add(g)]
     if basis.dim > dim_cap:
         return LieClosureResult("dim_cap_exceeded", basis)

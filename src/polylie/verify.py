@@ -237,8 +237,9 @@ def check_bracket_fixtures() -> CheckResult:
 def check_solvability_fixtures() -> CheckResult:
     """span{d1, x1 d1} is solvable of length 2; span{d1, x1 d1, x1^2 d1} is sl2.
 
-    The sl2 triple is the paper's case-2 triple built from x1^2 d1, and its
-    certificate carries the derived series of span{d1, x1 d1, x1^2 d1}.
+    The sl2 triple is the paper's case-2 triple built from x1^2 d1; its
+    certificate is its shape, and the derived series of span{d1, x1 d1,
+    x1^2 d1} shows that copy of sl2 never reaches zero.
     """
     n = 1
     d1 = Derivation.partial(n, 1)
@@ -246,16 +247,17 @@ def check_solvability_fixtures() -> CheckResult:
     x1sq = parse_derivation("(x1^2) d1", n)
 
     solvable = span.derived_series(span.coordinatize([d1, x1d1]))
+    sl2 = span.derived_series(span.coordinatize([d1, x1d1, x1sq]))
     cert = reductions.sl2_check(*reductions.case2_witness(x1sq, 1), 1)
     certified = isinstance(cert, reductions.Sl2Certificate)
 
     details = {
         "affine_span": solvable.to_dict(),
-        "sl2_span": cert.series_report.to_dict() if certified else None,
+        "sl2_span": sl2.to_dict(),
         "sl2_certificate": cert.to_dict() if certified else None,
     }
     ok = (solvable.verdict == "solvable" and solvable.length == 2
-          and certified and cert.series_report.dims[0] == 3)
+          and certified and sl2.verdict == "stabilized_nonzero" and sl2.dims[0] == 3)
     return CheckResult("solvability_fixtures", ok, details)
 
 

@@ -181,8 +181,8 @@ def test_criterion_7_local_nilpotency():
     for n in (1, 2, 3):
         verdict = lnd_check(Derivation.euler(n), 8)
         assert verdict.status == "not_nilpotent"
-        assert verdict.linear_part is not None
-        assert not verdict.linear_part.is_nilpotent()
+        assert verdict.linear_part == tuple(
+            tuple(int(i == j) for j in range(n)) for i in range(n))
         assert verdict.certificate is not None and verdict.certificate.verify()
     _report(7, "50 triangular samples witnessed; Euler refuted via linear part")
 

@@ -19,6 +19,8 @@ from polylie.grammar import parse_derivation
 from polylie.span import coordinatize, derived_series
 from polylie.sampling import random_subalgebra_element
 
+from matrices import from_rows, is_zero, power
+
 
 def pd(text, n):
     return parse_derivation(text, n)
@@ -105,8 +107,8 @@ class TestLndCheck:
         for n in (1, 2, 3):
             verdict = lnd_check(Derivation.euler(n), 6)
             assert verdict.status == "not_nilpotent"
-            assert verdict.linear_part is not None
-            assert not verdict.linear_part.is_nilpotent()
+            assert verdict.linear_part == tuple(
+                tuple(int(i == j) for j in range(n)) for i in range(n))
             assert verdict.certificate is not None and verdict.certificate.verify()
 
     def test_triangular_samples(self):
@@ -127,6 +129,67 @@ class TestLndCheck:
         n = 1
         verdict = lnd_check(pd("(x1^2) d1", n), 4)
         assert verdict.status == "inconclusive"
+
+
+class TestLndCheckLinearOracle:
+    """lnd_check on linear fields against matrix powers computed in the test.
+
+    Chains x_i, D(x_i), ... are rows of A, A^2, ..., so every chain dies
+    within `bound` steps iff A^bound = 0, and D is locally nilpotent iff A
+    is nilpotent, i.e. A^n = 0.
+    """
+
+    @staticmethod
+    def conjugate(rng, a):
+        """P a P^-1 for P a product of elementary matrices E_ij(c)."""
+        n = len(a)
+        a = [list(row) for row in a]
+        for _ in range(2 * n):
+            i, j = rng.sample(range(n), 2)
+            c = rng.choice((-2, -1, 1, 2))
+            for col in range(n):  # row_i += c row_j
+                a[i][col] += c * a[j][col]
+            for row in range(n):  # col_j -= c col_i
+                a[row][j] -= c * a[row][i]
+        return tuple(tuple(row) for row in a)
+
+    def matrices(self):
+        rng = random.Random(61)
+        for _ in range(40):
+            n = rng.randint(2, 4)
+            dense = tuple(tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(n))
+            strict = tuple(tuple(rng.randint(-2, 2) if j > i else 0 for j in range(n))
+                           for i in range(n))
+            yield dense
+            yield strict
+            yield self.conjugate(rng, strict)
+            yield self.conjugate(rng, tuple(zip(*strict)))  # strictly lower
+        yield ((0,),)
+        yield ((1,),)
+
+    def test_statuses_match_matrix_powers(self):
+        seen = set()
+        untriangular_nilpotent = 0
+        for a in self.matrices():
+            n = len(a)
+            untriangular_nilpotent += (is_zero(power(a, n))
+                                       and any(a[i][j] for i in range(n) for j in range(i))
+                                       and any(a[i][j] for j in range(n) for i in range(j)))
+            d = from_rows(a)
+            assert d.as_linear() == a
+            for bound in (1, 2, n, 32):
+                if not is_zero(power(a, n)):
+                    want = "not_nilpotent"
+                elif is_zero(power(a, bound)):
+                    want = "witness"
+                else:
+                    want = "inconclusive"
+                verdict = lnd_check(d, bound)
+                assert verdict.status == want, (a, bound)
+                assert verdict.linear_part == (a if want == "not_nilpotent" else None)
+                seen.add(want)
+        assert seen == {"not_nilpotent", "witness", "inconclusive"}
+        assert untriangular_nilpotent >= 40
 
 
 class TestDerivedChainWitness:

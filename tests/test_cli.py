@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -219,6 +220,16 @@ class TestVerifyPaper:
         code, out, _ = run_cli(capsys, "verify-paper", "--n", "1", "--seed", "1")
         assert code == 0
         assert "PASS" in out and "all checks passed" in out
+
+    def test_deterministic_text(self, capsys):
+        _, out1, _ = run_cli(capsys, "verify-paper", "--n", "1", "--seed", "3")
+        _, out2, _ = run_cli(capsys, "verify-paper", "--n", "1", "--seed", "3")
+        assert out1 == out2
+        assert out1.splitlines()[-1] == "all checks passed (12 checks)"
+
+    def test_timing_is_opt_in_for_text(self, capsys):
+        _, out, _ = run_cli(capsys, "verify-paper", "--n", "1", "--seed", "3", "--timing")
+        assert re.fullmatch(r"all checks passed \(12 checks, \d+ ms\)", out.splitlines()[-1])
 
     def test_deterministic_json(self, capsys):
         _, out1, _ = run_cli(capsys, "verify-paper", "--n", "1", "--seed", "3",

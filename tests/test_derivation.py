@@ -3,10 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from polylie.derivation import Derivation, LinearDerivation, iterated_bracket
+from polylie.canonical import lnd_check
+from polylie.derivation import Derivation, iterated_bracket
 from polylie.grammar import parse_derivation
 from polylie.polyring import Polynomial
 from polylie.sampling import random_derivation, random_polynomial
+
+from matrices import from_rows, is_zero, matmul, power
 
 
 def pd(text, n):
@@ -226,14 +229,10 @@ class TestIndex:
 class TestLinearClassification:
     def test_single_superdiagonal_entry(self):
         n = 2
-        lin = pd("(x2) d1", n).as_linear()
-        assert lin is not None
-        assert lin.rows == ((0, 1), (0, 0))
+        assert pd("(x2) d1", n).as_linear() == ((0, 1), (0, 0))
 
     def test_euler_is_identity_multiple(self):
-        lin = Derivation.euler(2).as_linear()
-        assert lin is not None
-        assert lin.rows == ((1, 0), (0, 1))
+        assert Derivation.euler(2).as_linear() == ((1, 0), (0, 1))
 
     def test_affine_rejected(self):
         n = 1
@@ -245,8 +244,8 @@ class TestLinearClassification:
     def test_round_trip(self):
         n = 3
         d = pd("(x2 + 2 x3) d1 + (1/2 x2) d2", n)
-        lin = d.as_linear()
-        assert lin is not None and lin.to_derivation() == d
+        rows = d.as_linear()
+        assert rows is not None and from_rows(rows) == d
 
     def test_matrix_bracket_convention(self):
         # documents the sign forced by the composition oracle: with row i
@@ -254,26 +253,25 @@ class TestLinearClassification:
         rng = random.Random(27)
         for _ in range(50):
             n = rng.randint(2, 3)
-            rows_a = tuple(tuple(Fraction(rng.randint(-3, 3)) for _ in range(n))
-                           for _ in range(n))
-            rows_b = tuple(tuple(Fraction(rng.randint(-3, 3)) for _ in range(n))
-                           for _ in range(n))
-            a = LinearDerivation(n, rows_a)
-            b = LinearDerivation(n, rows_b)
-            br = a.to_derivation().bracket(b.to_derivation())
-            lin = br.as_linear()
-            assert lin is not None
-            expected = [
-                [b.matmul(a).rows[i][j] - a.matmul(b).rows[i][j] for j in range(n)]
-                for i in range(n)
-            ]
-            assert [list(r) for r in lin.rows] == expected
+            a = tuple(tuple(Fraction(rng.randint(-3, 3)) for _ in range(n))
+                      for _ in range(n))
+            b = tuple(tuple(Fraction(rng.randint(-3, 3)) for _ in range(n))
+                      for _ in range(n))
+            rows = from_rows(a).bracket(from_rows(b)).as_linear()
+            assert rows is not None
+            ba, ab = matmul(b, a), matmul(a, b)
+            assert rows == tuple(tuple(ba[i][j] - ab[i][j] for j in range(n))
+                                 for i in range(n))
 
     def test_nilpotency_exact(self):
+        # the matrix of (x2) d1 squares to zero, Euler's is the identity
         n = 2
-        strictly_upper = pd("(x2) d1", n).as_linear()
-        assert strictly_upper.is_nilpotent()
-        assert not Derivation.euler(n).as_linear().is_nilpotent()
+        strictly_upper = pd("(x2) d1", n)
+        assert is_zero(power(strictly_upper.as_linear(), 2))
+        assert lnd_check(strictly_upper, 2).status == "witness"
+        # one chain step is too few to prove it, and a nilpotent matrix refutes nothing
+        assert lnd_check(strictly_upper, 1).status == "inconclusive"
+        assert lnd_check(Derivation.euler(n), 32).status == "not_nilpotent"
 
 
 class TestScaling:

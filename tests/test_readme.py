@@ -1,9 +1,13 @@
-"""Every `polylie ...` line in README's CLI section still parses and runs.
+"""README's examples still run and say what they show.
 
-A line that ends in a usage error (exit code 2, or argparse's SystemExit)
-names a flag, command or operand form the CLI no longer accepts.
+Every `polylie ...` line in the CLI section still parses and runs: a line
+that ends in a usage error (exit code 2, or argparse's SystemExit) names a
+flag, command or operand form the CLI no longer accepts.  The Python block
+of the library example runs and prints what its comments state.
 """
 
+import contextlib
+import io
 import shlex
 from pathlib import Path
 
@@ -45,3 +49,33 @@ def test_readme_line_runs(line, capsys):
         code = exc.code
     err = capsys.readouterr().err
     assert code != EXIT_USAGE, f"{line!r} ended in a usage error: {err}"
+
+
+def python_example() -> tuple[str, list[str]]:
+    """The library example's python block, and the output its comments state.
+
+    A print's expected output is its trailing comment, or the comment line
+    right after it when the print has none.
+    """
+    text = README.read_text()
+    code = text.split("## Library example\n\n```python\n", 1)[1].split("```", 1)[0]
+    expected = []
+    pending = False
+    for line in code.splitlines():
+        if line.startswith("print("):
+            pending = "  # " not in line
+            if not pending:
+                expected.append(line.split("  # ", 1)[1].strip())
+        elif pending and line.startswith("# "):
+            expected.append(line[2:].strip())
+            pending = False
+    return code, expected
+
+
+def test_python_example_prints_its_comments():
+    code, expected = python_example()
+    assert len(expected) == 3
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, str(README), "exec"), {})
+    assert out.getvalue().splitlines() == expected

@@ -17,7 +17,7 @@ from polylie.reductions import (
     sl2_check,
 )
 from polylie.sampling import random_nonconstant_polynomial, random_derivation
-from polylie.span import derived_series, lie_closure
+from polylie.span import coordinatize, derived_series, lie_closure
 
 
 def pp(text, n):
@@ -224,10 +224,32 @@ class TestSl2Check:
         n = 1
         result = sl2_check(pd("d1", n), pd("(-1 x1^2) d1", n), pd("(-2 x1) d1", n), 1)
         assert isinstance(result, Sl2Certificate)
+        assert result.to_dict() == {"t1": "d1", "t2": "(-x1^2) d1", "t3": "(-2 x1) d1",
+                                    "k": 1}
+        t1, t2, t3 = result.t1, result.t2, result.t3
         x1 = Polynomial.variable(n, 1)
-        assert result.projection_brackets == (-2 * x1, Polynomial.constant(n, 2),
-                                              2 * x1 * x1)
-        assert result.series_report.verdict == "stabilized_nonzero"
+        assert (t1.bracket(t2).coeff(1), t3.bracket(t1).coeff(1), t3.bracket(t2).coeff(1)) \
+            == (-2 * x1, Polynomial.constant(n, 2), 2 * x1 * x1)
+        report = derived_series(coordinatize([t1, t2, t3]))
+        assert report.verdict == "stabilized_nonzero" and report.dims == (3, 3)
+
+    def test_lower_slot_terms_keep_the_bracket_table(self):
+        # why the shape alone certifies: with nothing above slot k and slot-k
+        # coefficients in K[x_k], slot k of a bracket ignores the lower slots
+        rng = random.Random(71)
+        for _ in range(40):
+            n = rng.randint(2, 3)
+            k = rng.randint(2, n)
+            x_k = Polynomial.variable(n, k)
+            d_k = Derivation.partial(n, k)
+            lower = [random_derivation(rng, n, 3) for _ in range(3)]
+            t1, t2, t3 = (Derivation(n, [*low.coeffs[:k - 1], *top.coeffs[k - 1:]])
+                          for low, top in zip(lower, (d_k, -x_k * x_k * d_k, -2 * x_k * d_k)))
+            assert isinstance(sl2_check(t1, t2, t3, k), Sl2Certificate)
+            brackets = (t1.bracket(t2), t3.bracket(t1), t3.bracket(t2))
+            assert all(b.coeff(j).is_zero() for b in brackets for j in range(k + 1, n + 1))
+            assert tuple(b.coeff(k) for b in brackets) \
+                == (-2 * x_k, Polynomial.constant(n, 2), 2 * x_k * x_k)
 
     def test_lower_terms_ignored(self):
         n = 2

@@ -129,6 +129,11 @@ class TestLieClosure:
         # a generator at the cap is accepted
         assert lie_closure([pd("(x1^3) d1", n)], degree_cap=3).status == "closed"
 
+    def test_empty_generators_rejected(self):
+        # with no generator there is no ring to close in
+        with pytest.raises(ValueError, match="at least one generator"):
+            lie_closure([])
+
     def test_order_independent(self):
         rng = random.Random(31)
         n = 1
@@ -236,7 +241,8 @@ class TestRandomSpans:
             result = lie_closure(gens, degree_cap=6, dim_cap=64)
             if result.status != "closed":
                 continue
-            again = lie_closure(list(result.basis.basis), degree_cap=6, dim_cap=64,
-                                n=n)
+            if not result.basis.dim:  # zero gens: nothing to re-close
+                continue
+            again = lie_closure(list(result.basis.basis), degree_cap=6, dim_cap=64)
             assert again.status == "closed"
             assert again.basis.same_span(result.basis)

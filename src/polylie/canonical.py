@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Literal, Sequence, Union
 
-from .derivation import Derivation
+from .derivation import Derivation, Partials, Row, bracket_rows, row_partials
 from .polyring import Monomial, Polynomial
 from .reductions import EigenvectorCertificate, eigenvector_certificate
 from .span import SpanBasis
@@ -345,7 +345,8 @@ def derived_chain_witness(n: int, *,
     reachable span at later depths.  So when no level was cut by the beam, an
     empty level proves the truncated search space has a zero derived term
     there, and the result is None.  An empty level after a cut gives a
-    TruncatedSearch instead.
+    TruncatedSearch instead.  The last depth stops at its first nonzero
+    value, which is the witness returned.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -361,21 +362,28 @@ def derived_chain_witness(n: int, *,
     gens.sort(key=lambda g: (g.max_coeff_degree() or 0))
     pool = tuple(gens)
 
-    level: list[tuple[BracketExpr, Derivation]] = [(Leaf(i), g) for i, g in enumerate(pool)]
+    # sn generators have coefficient 1, so their integer rows, and the
+    # brackets of those rows, are the values themselves
+    level: list[tuple[BracketExpr, Row, Partials]] = []
+    for i, g in enumerate(pool):
+        row = g._row()[0]
+        level.append((Leaf(i), row, row_partials(n, row)))
     cut_at = None
     for depth in range(1, term + 1):
-        kept: list[tuple[BracketExpr, Derivation]] = []
+        kept: list[tuple[BracketExpr, Row, Partials]] = []
         seen = SpanBasis(n, [])
-        for (expr_a, a), (expr_b, b) in itertools.combinations(level, 2):
+        for (expr_a, a, pa), (expr_b, b, pb) in itertools.combinations(level, 2):
             if len(kept) >= beam:
                 cut_at = cut_at or depth
                 break
-            value = a.bracket(b)
-            if seen.add(value):
-                kept.append((Bracket(expr_a, expr_b), value))
+            value = bracket_rows(a, pa, b, pb)
+            if seen._add_row(value):
+                kept.append((Bracket(expr_a, expr_b), value, row_partials(n, value)))
+                if depth == term:
+                    break  # the last level needs only its first nonzero value
         if not kept:
             return None if cut_at is None else TruncatedSearch(cut_at)
         level = kept
 
-    expr, value = level[0]
-    return DerivedChainWitness(term, expr, value, pool)
+    expr, value, _ = level[0]
+    return DerivedChainWitness(term, expr, Derivation._from_row(n, value, Fraction(1)), pool)

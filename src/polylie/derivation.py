@@ -10,42 +10,70 @@ never as an operator composition, which keeps every value inside the
 polynomial ring and leaves the composition identity available as an
 independent correctness check.
 
-`apply` and `bracket` share one kernel, `_apply_into`, which adds
-sign * sum_j c_j * df/dx_j straight into a term map: D(f) is one call, and
-each coefficient of [D, E] is two calls, D(g_i) then -E(f_i), into one map,
-with no intermediate polynomials.
+Brackets run on integer rows.  A row is a flat map {(slot, monomial): int},
+slots 1-based, holding the term c * x^monomial of the coefficient of d_slot;
+brackets of integer rows stay integral.  `bracket_rows` is the one bracket
+kernel: slot i of [D, E] is D(g_i) - E(f_i), and each half is one call of
+`_apply_into`, which multiplies every term c x^m d_j of one operand into the
+x_j-partials of the other's coefficients, listed once per row by
+`row_partials`.  Callers that bracket a row many times (`span.lie_closure`,
+the series, the derived-chain search) list its partials once and bracket
+their stored rows directly.  `Derivation.bracket` clears each operand's
+denominators once (D = row_D / den_D), brackets the two rows and divides each
+output term once by den_D * den_E.  `apply` runs the same `_apply_into` on
+D's rational terms, with f as the one coefficient of a row.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from operator import add
 from typing import Iterable, Sequence
 
 from .polyring import Monomial, Polynomial, Scalar
 
+Row = dict[tuple[int, Monomial], int]
+Partials = list[list[tuple[int, Monomial, int]]]
 
-def _apply_into(out: dict[Monomial, Fraction],
-                coeff_terms: Sequence[dict[Monomial, Fraction]],
-                f_terms: dict[Monomial, Fraction], sign: int) -> None:
-    """Add sign * sum_j c_j * df/dx_j into the term map out.
 
-    coeff_terms[j] is the term map of c_j, the coefficient of d_{j+1}.
-    Coefficients that cancel stay in out as zeros, for the caller's
-    Polynomial._from_terms to drop.
+def row_partials(n: int, row: Row) -> Partials:
+    """Entry j-1 lists the terms (slot, m - e_j, c * m_j) of the x_j-partials
+    of row's coefficients."""
+    # spelled out here, not taken from Polynomial.partial, so that partial
+    # stays an independent reference for the kernel
+    out: Partials = [[] for _ in range(n)]
+    for (slot, m), c in row.items():
+        for pos, e in enumerate(m):
+            if e:
+                out[pos].append((slot, m[:pos] + (e - 1,) + m[pos + 1:], c * e))
+    return out
+
+
+def _apply_into(out: dict, d_terms: Iterable[tuple[tuple[int, Monomial], Scalar]],
+                e_partials: Partials, sign: int) -> None:
+    """Add sign * D(e) into out: for each term c x^m d_j of D, c x^m times
+    the x_j-partials of e's coefficients, each kept in its own slot.
+
+    Coefficients that cancel stay in out as zeros, for the caller to drop.
     """
-    for pos, c_terms in enumerate(coeff_terms):
-        if not c_terms:
-            continue
-        # d(f)/dx_{pos+1} is spelled out here, not taken from Polynomial.partial,
-        # so that partial stays an independent reference for this kernel
-        df = [(m[:pos] + (m[pos] - 1,) + m[pos + 1:], c * (sign * m[pos]))
-              for m, c in f_terms.items() if m[pos]]
-        for m1, c1 in c_terms.items():
-            for m2, c2 in df:
-                m = tuple(map(add, m1, m2))
-                v = out.get(m)
-                out[m] = c1 * c2 if v is None else v + c1 * c2
+    for (j, m1), c1 in d_terms:
+        df = e_partials[j - 1]
+        if df:
+            c1 *= sign
+            for slot, m2, k in df:
+                key = (slot, tuple(map(add, m1, m2)))
+                v = out.get(key)
+                out[key] = c1 * k if v is None else v + c1 * k
+
+
+def bracket_rows(d: Row, d_partials: Partials, e: Row, e_partials: Partials) -> Row:
+    """The row of [D, E] from the rows of D and E and their row_partials:
+    slot i holds D(g_i) - E(f_i)."""
+    out: Row = {}
+    _apply_into(out, d.items(), e_partials, 1)
+    _apply_into(out, e.items(), d_partials, -1)
+    return {key: c for key, c in out.items() if c}
 
 
 class Derivation:
@@ -67,6 +95,34 @@ class Derivation:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_coeffs", cs)
         object.__setattr__(self, "_hash", None)
+
+    @classmethod
+    def _from_terms(cls, n: int, coeffs: Sequence[Polynomial]) -> Derivation:
+        """Trusted constructor for n coefficients the library built itself.
+
+        Each must already be a Polynomial in n variables; nothing is checked.
+        """
+        d = object.__new__(cls)
+        object.__setattr__(d, "n", n)
+        object.__setattr__(d, "_coeffs", tuple(coeffs))
+        object.__setattr__(d, "_hash", None)
+        return d
+
+    @classmethod
+    def _from_row(cls, n: int, row: Row, scale: Fraction) -> Derivation:
+        """The derivation scale * row."""
+        num, den = scale.numerator, scale.denominator
+        per_slot: list[dict[Monomial, Fraction]] = [{} for _ in range(n)]
+        for (slot, mono), c in row.items():
+            per_slot[slot - 1][mono] = Fraction(c * num, den)
+        return cls._from_terms(n, [Polynomial._from_terms(n, t) for t in per_slot])
+
+    def _row(self) -> tuple[Row, int]:
+        """The integer row and the positive den with self = row / den."""
+        den = lcm(*(c.denominator for f in self._coeffs for c in f._terms.values()))
+        return {(slot, m): c.numerator * (den // c.denominator)
+                for slot, f in enumerate(self._coeffs, start=1)
+                for m, c in f._terms.items()}, den
 
     def __setattr__(self, name, value):
         raise AttributeError("Derivation is immutable")
@@ -138,27 +194,25 @@ class Derivation:
         """D(f) = sum f_i * df/dx_i."""
         if f.n != self.n:
             raise ValueError(f"ambient dimension mismatch: {self.n} vs {f.n}")
-        out: dict[Monomial, Fraction] = {}
-        _apply_into(out, [g._terms for g in self._coeffs], f._terms, 1)
-        return Polynomial._from_terms(self.n, out)
+        # f is the one coefficient of a row, in slot 0
+        f_partials = row_partials(self.n, {(0, m): c for m, c in f._terms.items()})
+        out: dict = {}
+        d_terms = [((slot, m), c) for slot, g in enumerate(self._coeffs, start=1)
+                   for m, c in g._terms.items()]
+        _apply_into(out, d_terms, f_partials, 1)
+        return Polynomial._from_terms(self.n, {m: c for (_, m), c in out.items()})
 
     def __call__(self, f: Polynomial) -> Polynomial:
         return self.apply(f)
 
     def bracket(self, other: Derivation) -> Derivation:
-        """[D, E](x_i) = D(g_i) - E(f_i), each coefficient one term map."""
+        """[D, E] = [row_D, row_E] / (den_D * den_E), on integer rows."""
         self._check_same_ring(other)
-        d_terms = [f._terms for f in self._coeffs]
-        e_terms = [g._terms for g in other._coeffs]
-        coeffs = []
-        for f, g in zip(d_terms, e_terms):
-            out: dict[Monomial, Fraction] = {}
-            if g:
-                _apply_into(out, d_terms, g, 1)
-            if f:
-                _apply_into(out, e_terms, f, -1)
-            coeffs.append(Polynomial._from_terms(self.n, out))
-        return Derivation(self.n, coeffs)
+        n = self.n
+        d, den_d = self._row()
+        e, den_e = other._row()
+        br = bracket_rows(d, row_partials(n, d), e, row_partials(n, e))
+        return Derivation._from_row(n, br, Fraction(1, den_d * den_e))
 
     # -- linear structure ----------------------------------------------------
 

@@ -5,16 +5,23 @@ coefficients: a coordinate is a pair (slot, monomial) meaning the given
 monomial inside the coefficient of d_slot.  Columns are ordered by slot
 ascending, then graded-lex descending within a slot.
 
-`SpanBasis` is the one span kernel.  It keeps sparse rows keyed by their
-pivot coordinate, in reduced row echelon form at all times: `add` reduces a
-derivation once against the stored rows and inserts the residual only if it
-is nonzero.  Pivots are normalized to 1 and all arithmetic is exact.  The
-reduced row echelon form is unique for a given row space and column order,
-so equal spans produce identical bases whatever order the generators come in.
+`SpanBasis` is the one span kernel.  It keeps sparse integer rows (see
+`derivation.Row`) keyed by their pivot coordinate: each row is primitive
+(content 1) with a positive pivot entry and a zero in every other row's
+pivot column.  `add` clears a derivation's denominators, reduces the row
+once against the stored rows without fractions (scaling it by the lcm of the
+pivot entries it meets, then subtracting integer multiples) and inserts the
+residual only if it is nonzero.  Dividing each row by its pivot entry gives
+the reduced row echelon form, which is unique for a given row space and
+column order; `basis` does that division, and only there, so equal spans
+produce identical bases whatever order the generators come in.  Rational
+numbers appear only at the edges: clearing a generator's denominators, that
+division, and the scales `lie_closure` keeps for its elements.
 
 Series computations (derived, lower central) operate on bracket-closed
 spans only; closure itself is produced by `lie_closure` under explicit
-degree and dimension caps.
+degree and dimension caps.  Both bracket stored rows with
+`derivation.bracket_rows` and build no Derivation per bracket.
 """
 
 from __future__ import annotations
@@ -23,16 +30,16 @@ import itertools
 from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable
 
-from .derivation import Derivation
-from .polyring import Monomial, Polynomial
+from .derivation import Derivation, Partials, Row, bracket_rows, row_partials
+from .polyring import Monomial
 
 DEFAULT_DEGREE_CAP = 12
 DEFAULT_DIM_CAP = 512
 
 Coordinate = tuple[int, Monomial]
-Row = dict[Coordinate, Fraction]
 
 
 def _column_key(c: Coordinate) -> tuple:
@@ -48,7 +55,7 @@ class SpanBasis:
 
     def __init__(self, n: int, gens: Iterable[Derivation]):
         self.n = n
-        self._rows: dict[Coordinate, Row] = {}  # pivot -> row, 1 at the pivot
+        self._rows: dict[Coordinate, Row] = {}  # pivot -> primitive row
         self._pivots: list[Coordinate] = []  # in column order
         self._basis: tuple[Derivation, ...] | None = ()
         for d in gens:
@@ -56,9 +63,12 @@ class SpanBasis:
 
     @property
     def basis(self) -> tuple[Derivation, ...]:
-        """The reduced rows as derivations, in order of their pivot columns."""
+        """The reduced rows as derivations, in order of their pivot columns,
+        each divided by its pivot entry."""
         if self._basis is None:
-            self._basis = tuple(self._derivation(self._rows[p]) for p in self._pivots)
+            self._basis = tuple(
+                Derivation._from_row(self.n, self._rows[p], Fraction(1, self._rows[p][p]))
+                for p in self._pivots)
         return self._basis
 
     @property
@@ -71,26 +81,35 @@ class SpanBasis:
     def __iter__(self):
         return iter(self.basis)
 
-    def _derivation(self, row: Row) -> Derivation:
-        per_slot: list[dict[Monomial, Fraction]] = [dict() for _ in range(self.n)]
-        for (slot, mono), c in row.items():
-            per_slot[slot - 1][mono] = c
-        return Derivation(self.n, [Polynomial._from_terms(self.n, t) for t in per_slot])
-
-    def _reduce(self, d: Derivation) -> Row:
-        """The residual of d after subtracting its part in the span.
-
-        Every stored row vanishes in the pivot columns of the others, so the
-        multiple of a row to subtract is d's own entry in its pivot column.
-        """
+    def _row_of(self, d: Derivation) -> tuple[Row, int]:
+        """d's integer row and den, with d = row / den."""
         if d.n != self.n:
             raise ValueError(f"ambient dimension mismatch: {d.n} vs {self.n}")
-        residual = {(pos + 1, mono): c
-                    for pos, f in enumerate(d.coeffs) for mono, c in f}
-        combo = {p: c for p, c in residual.items() if p in self._rows}
-        for p, c in combo.items():
-            for col, x in self._rows[p].items():
-                value = residual.get(col, 0) - c * x
+        return d._row()
+
+    def _rows_with_partials(self) -> list[tuple[Row, Partials]]:
+        """The stored rows in pivot order, each with its row_partials."""
+        return [(self._rows[p], row_partials(self.n, self._rows[p])) for p in self._pivots]
+
+    def _reduce(self, row: Row) -> Row:
+        """A positive multiple of the residual of row after subtracting its
+        part in the span; row itself is never modified.
+
+        Every stored row vanishes in the pivot columns of the others, so the
+        multiple of a row to subtract is fixed by row's own entry in its
+        pivot column.  Scaling row by the lcm of those pivot entries first
+        makes every multiple an integer.
+        """
+        combo = [(p, c) for p, c in row.items() if p in self._rows]
+        if not combo:
+            return row
+        scale = lcm(*(self._rows[p][p] for p, _ in combo))
+        residual = {col: x * scale for col, x in row.items()}
+        for p, c in combo:
+            stored = self._rows[p]
+            k = c * (scale // stored[p])
+            for col, x in stored.items():
+                value = residual.get(col, 0) - k * x
                 if value:
                     residual[col] = value
                 else:
@@ -99,31 +118,48 @@ class SpanBasis:
 
     def add(self, d: Derivation) -> bool:
         """Adjoin d to the span; False, with nothing changed, if d is inside."""
-        residual = self._reduce(d)
+        return self._add_row(self._row_of(d)[0])
+
+    def _add_row(self, row: Row) -> bool:
+        """add for an integer row, which stands for any nonzero multiple of
+        itself; row itself is never modified."""
+        residual = self._reduce(row)
         if not residual:
             return False
         pivot = min(residual, key=_column_key)
-        inv = 1 / residual[pivot]
-        row = {col: x * inv for col, x in residual.items()}
+        g = gcd(*residual.values())
+        if residual[pivot] < 0:
+            g = -g
+        new = {col: x // g for col, x in residual.items()}
+        piv = new[pivot]
         for other in self._rows.values():
             c = other.get(pivot)
             if c:
-                for col, x in row.items():
+                # piv * other - c * new keeps other's pivot entry positive,
+                # since new vanishes in other's pivot column
+                if piv != 1:
+                    for col in other:
+                        other[col] *= piv
+                for col, x in new.items():
                     value = other.get(col, 0) - c * x
                     if value:
                         other[col] = value
                     else:
                         del other[col]
-        self._rows[pivot] = row
+                content = gcd(*other.values())
+                if content != 1:
+                    for col in other:
+                        other[col] //= content
+        self._rows[pivot] = new
         insort(self._pivots, pivot, key=_column_key)
         self._basis = None
         return True
 
     def contains(self, d: Derivation) -> bool:
-        return not self._reduce(d)
+        return not self._reduce(self._row_of(d)[0])
 
     def same_span(self, other: SpanBasis) -> bool:
-        """Exact span equality: the reduced bases are equal."""
+        """Exact span equality: the stored rows, unique for a span, are equal."""
         return self.n == other.n and self._rows == other._rows
 
     def pairwise_brackets(self) -> list[Derivation]:
@@ -136,14 +172,13 @@ class SpanBasis:
         return f"SpanBasis(n={self.n}, dim={self.dim})"
 
 
-def coordinatize(gens: Iterable[Derivation], n: int | None = None) -> SpanBasis:
-    """Reduced basis of the span of gens; n is required when gens is empty."""
+def coordinatize(gens: Iterable[Derivation]) -> SpanBasis:
+    """Reduced basis of the span of gens, which must not be empty (an empty
+    span is SpanBasis(n, []))."""
     gens = list(gens)
-    if gens:
-        n = gens[0].n
-    elif n is None:
+    if not gens:
         raise ValueError("ambient dimension required for an empty generating set")
-    return SpanBasis(n, gens)
+    return SpanBasis(gens[0].n, gens)
 
 
 @dataclass(frozen=True)
@@ -191,18 +226,27 @@ def lie_closure(gens: Iterable[Derivation], *,
         if deg is not None and deg > degree_cap:
             raise ValueError(f"generator {g} has coefficient degree {deg}, "
                              f"above degree_cap {degree_cap}")
-    basis = SpanBasis(gens[0].n, [])
-    elems = [g for g in gens if basis.add(g)]
+    n = gens[0].n
+    basis = SpanBasis(n, [])
+    # each element is scale * row, so the offending pair is rebuilt exactly
+    elems: list[tuple[Row, Partials, Fraction]] = []
+    for g in gens:
+        row, den = basis._row_of(g)
+        if basis._add_row(row):
+            elems.append((row, row_partials(n, row), Fraction(1, den)))
     if basis.dim > dim_cap:
         return LieClosureResult("dim_cap_exceeded", basis)
-    for j, b in enumerate(elems):  # the loop also visits elements appended below
-        for a in elems[:j]:
-            br = a.bracket(b)
-            deg = br.max_coeff_degree()
-            if deg is not None and deg > degree_cap:
-                return LieClosureResult("degree_cap_exceeded", basis, (a, b))
-            if basis.add(br):
-                elems.append(br)
+    for j, (b, pb, scale_b) in enumerate(elems):  # also visits elements appended below
+        for a, pa, scale_a in elems[:j]:
+            br = bracket_rows(a, pa, b, pb)
+            if br and max(sum(m) for _, m in br) > degree_cap:
+                return LieClosureResult("degree_cap_exceeded", basis,
+                                        (Derivation._from_row(n, a, scale_a),
+                                         Derivation._from_row(n, b, scale_b)))
+            if basis._add_row(br):
+                content = gcd(*br.values())
+                row = {col: x // content for col, x in br.items()}
+                elems.append((row, row_partials(n, row), scale_a * scale_b * content))
                 if basis.dim > dim_cap:
                     return LieClosureResult("dim_cap_exceeded", basis)
     return LieClosureResult("closed", basis)
@@ -235,10 +279,23 @@ class SeriesReport:
         }
 
 
+def _bracket_span(n: int, pairs: Iterable[tuple[tuple[Row, Partials], ...]]) -> SpanBasis:
+    """The span of the brackets of pairs of (row, row_partials)."""
+    out = SpanBasis(n, [])
+    for (a, pa), (b, pb) in pairs:
+        out._add_row(bracket_rows(a, pa, b, pb))
+    return out
+
+
 def _series(start: SpanBasis, *, lower_central: bool) -> SeriesReport:
-    brackets = start.pairwise_brackets()
-    if not all(start.contains(b) for b in brackets):
-        raise ValueError("span is not bracket-closed; run lie_closure first")
+    n = start.n
+    rows = start._rows_with_partials()
+    derived = SpanBasis(n, [])  # [L, L], which starts both series
+    for (a, pa), (b, pb) in itertools.combinations(rows, 2):
+        br = bracket_rows(a, pa, b, pb)
+        if start._reduce(br):
+            raise ValueError("span is not bracket-closed; run lie_closure first")
+        derived._add_row(br)
     zero_verdict = "nilpotent" if lower_central else "solvable"
     current = start
     dims = [current.dim]
@@ -246,12 +303,11 @@ def _series(start: SpanBasis, *, lower_central: bool) -> SeriesReport:
     while current.dim:
         step += 1
         if step == 1:
-            gens = brackets  # [L, L] starts both series
+            nxt = derived
         elif lower_central:
-            gens = [a.bracket(b) for a in start.basis for b in current.basis]
+            nxt = _bracket_span(n, itertools.product(rows, current._rows_with_partials()))
         else:
-            gens = current.pairwise_brackets()
-        nxt = SpanBasis(start.n, gens)
+            nxt = _bracket_span(n, itertools.combinations(current._rows_with_partials(), 2))
         dims.append(nxt.dim)
         # nxt lies inside current, so equal dimensions mean equal spans
         if nxt.dim == current.dim:

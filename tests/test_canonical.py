@@ -248,7 +248,7 @@ class TestDerivedChainWitness:
         assert str(w.value) == "(1024) d3"
         assert w.expression.evaluate(w.generators) == w.value
         assert membership(w.value).in_sn
-        assert elapsed < 300, f"took {elapsed:.0f} s"
+        assert elapsed < 6, f"took {elapsed:.1f} s"
 
     def test_beam_cut_is_not_absence(self):
         for beam in (1, 2, 3):

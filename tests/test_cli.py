@@ -151,6 +151,49 @@ class TestCommands:
         a, b = (parse_derivation(t, 2) for t in outputs["offending_bracket"])
         assert a.bracket(b).max_coeff_degree() > 3
 
+    def test_closure_rational_generators_exact_output(self, capsys):
+        # the offending pair is the two worklist elements exactly, rational
+        # scales included, not the integer rows the closure brackets
+        code, out, _ = run_cli(capsys, "closure", "(1/2 x2) d1", "(3/4 x1^2) d2",
+                               "--n", "2", "--degree-cap", "2")
+        assert code == 0
+        assert out == ("status: degree_cap_exceeded\n"
+                       "dim: 4\n"
+                       "  (x1^2) d1 + (-2 x1 x2) d2\n"
+                       "  (x1 x2) d1 + (-1/2 x2^2) d2\n"
+                       "  (x2) d1\n"
+                       "  (x1^2) d2\n"
+                       "offending bracket: [(3/4 x1^2) d2, "
+                       "(-3/8 x1^2) d1 + (3/4 x1 x2) d2]\n")
+
+    def test_witness_n3_term2_exact_json(self, capsys):
+        code, out, _ = run_cli(capsys, "witness", "--n", "3", "--term", "2",
+                               "--degree-cap", "4", "--format", "json")
+        assert code == 0
+        legend = [
+            "d1", "d2", "d3", "(x1) d1", "(x2) d2", "(x1) d2", "(x3) d3", "(x1) d3",
+            "(x2) d3", "(x1 x2) d2", "(x1^2) d2", "(x1 x3) d3", "(x2 x3) d3",
+            "(x1^2) d3", "(x1 x2) d3", "(x2^2) d3", "(x1^2 x2) d2", "(x1^3) d2",
+            "(x1^2 x3) d3", "(x1 x2 x3) d3", "(x2^2 x3) d3", "(x1^3) d3",
+            "(x1^2 x2) d3", "(x1 x2^2) d3", "(x2^3) d3", "(x1^3 x2) d2", "(x1^4) d2",
+            "(x1^3 x3) d3", "(x1^2 x2 x3) d3", "(x1 x2^2 x3) d3", "(x2^3 x3) d3",
+            "(x1^4) d3", "(x1^3 x2) d3", "(x1^2 x2^2) d3", "(x1 x2^3) d3", "(x2^4) d3",
+        ]
+        expected = {
+            "command": "witness",
+            "inputs": {"beam": 10000, "degree_cap": 4, "term": 2},
+            "n": 3,
+            "outputs": {
+                "expression": "[[g1,g4],[g1,g11]]",
+                "found": True,
+                "legend": {f"g{i}": text for i, text in enumerate(legend, start=1)},
+                "term": 2,
+                "value": "(2) d2",
+            },
+            "schema": 1,
+        }
+        assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
     def test_report_values_reparse(self, capsys):
         from polylie.grammar import parse_derivation
         code, out, _ = run_cli(capsys, "bracket", "(x1^2) d2", "(x2) d1", "--n", "2",

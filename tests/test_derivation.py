@@ -9,6 +9,7 @@ from polylie.grammar import parse_derivation
 from polylie.polyring import Polynomial
 from polylie.sampling import random_derivation, random_polynomial
 
+from large_coefficients import big_derivation, big_polynomial
 from matrices import from_rows, is_zero, matmul, power
 
 
@@ -171,6 +172,25 @@ class TestKernelAgainstReference:
             assert list(got.coeffs) == ref_bracket(d, e)
             for c in got.coeffs:
                 assert_canonical(c)
+
+    def test_large_denominators(self):
+        # operands whose coefficients have numerators and denominators up to
+        # 10^6, so the kernel divides by large products of cleared denominators
+        rng = random.Random(54)
+        for _ in range(60):
+            n = rng.randint(1, 4)
+            d, e = big_derivation(rng, n, 3), big_derivation(rng, n, 3)
+            f = big_polynomial(rng, n, 4)
+            got = d.apply(f)
+            assert got == ref_apply(d, f)
+            assert_canonical(got)
+            got = d.bracket(e)
+            assert list(got.coeffs) == ref_bracket(d, e)
+            for c in got.coeffs:
+                assert_canonical(c)
+            # a large rational multiple of one operand scales the bracket by it
+            c = Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6))
+            assert (d * c).bracket(e) == got * c
 
     def test_brackets_that_cancel(self):
         rng = random.Random(53)

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -14,7 +15,10 @@ from polylie.span import (
     lie_closure,
     lower_central_series,
 )
+from polylie.polyring import Polynomial
 from polylie.sampling import random_derivation
+
+from large_coefficients import big_derivation, big_rational
 
 
 def pd(text, n):
@@ -38,7 +42,7 @@ class TestCoordinatize:
         assert coordinatize(gens).dim == 2
 
     def test_empty_needs_dimension(self):
-        assert coordinatize([], n=2).dim == 0
+        assert SpanBasis(2, []).dim == 0
         with pytest.raises(ValueError):
             coordinatize([])
 
@@ -93,6 +97,76 @@ class TestEchelonKernel:
         assert not basis.add(Derivation.zero(n))
         assert basis.dim == 2
         assert basis.basis == coordinatize([pd("(x1) d1", n), pd("(x2) d2", n)]).basis
+
+
+def reference_rref(n, gens):
+    """Fraction Gauss-Jordan elimination on a dense matrix: the nonzero rows
+    of the reduced row echelon form, pivots 1, as derivations in pivot order.
+    Columns run slot ascending, then graded-lex descending within a slot."""
+    vecs = [{(i, m): c for i, f in enumerate(g.coeffs, start=1) for m, c in f}
+            for g in gens]
+    cols = sorted({col for v in vecs for col in v},
+                  key=lambda col: (col[0], -sum(col[1]), tuple(-e for e in col[1])))
+    rows = [[v.get(col, Fraction(0)) for col in cols] for v in vecs]
+    rank = 0
+    for j in range(len(cols)):
+        at = next((i for i in range(rank, len(rows)) if rows[i][j] != 0), None)
+        if at is None:
+            continue
+        rows[rank], rows[at] = rows[at], rows[rank]
+        pivot = rows[rank][j]
+        rows[rank] = [x / pivot for x in rows[rank]]
+        for i, row in enumerate(rows):
+            if i != rank and row[j] != 0:
+                factor = row[j]
+                rows[i] = [a - factor * b for a, b in zip(row, rows[rank])]
+        rank += 1
+    return [Derivation(n, [Polynomial(n, {m: x for (slot, m), x in zip(cols, row)
+                                          if slot == i and x})
+                           for i in range(1, n + 1)])
+            for row in rows[:rank]]
+
+
+class TestIntegerKernel:
+    """SpanBasis against Fraction elimination, on coefficients up to 10^6."""
+
+    @staticmethod
+    def cases(seed, count=40):
+        rng = random.Random(seed)
+        for _ in range(count):
+            n = rng.randint(1, 4)
+            gens = [big_derivation(rng, n, 2) for _ in range(rng.randint(1, 5))]
+            for _ in range(rng.randint(0, 2)):  # large rational combinations
+                a, b = rng.sample(gens, 2) if len(gens) > 1 else (gens[0], gens[0])
+                gens.insert(rng.randrange(len(gens) + 1),
+                            big_rational(rng) * a + big_rational(rng) * b)
+            yield rng, n, gens
+
+    def test_basis_is_fraction_rref(self):
+        for _, n, gens in self.cases(61):
+            assert SpanBasis(n, gens).basis == tuple(reference_rref(n, gens))
+
+    def test_contains_and_add_agree_with_rank(self):
+        for rng, n, gens in self.cases(62):
+            span = SpanBasis(n, gens)
+            rank = len(reference_rref(n, gens))
+            assert span.dim == rank
+            inside = Derivation.zero(n)
+            for g in gens:
+                inside = inside + big_rational(rng) * g
+            for probe in (inside, big_derivation(rng, n, 2), big_derivation(rng, n, 1)):
+                new = len(reference_rref(n, gens + [probe])) > rank
+                assert span.contains(probe) is not new
+                copy = SpanBasis(n, gens)
+                assert copy.add(probe) is new
+                assert copy.basis == tuple(reference_rref(n, gens + [probe]))
+
+    def test_scaling_generators_leaves_basis(self):
+        for rng, n, gens in self.cases(63):
+            scaled = [big_rational(rng) * g for g in gens]
+            a, b = SpanBasis(n, gens), SpanBasis(n, scaled)
+            assert a.basis == b.basis
+            assert a.same_span(b)
 
 
 class TestLieClosure:
@@ -168,7 +242,7 @@ class TestDerivedSeries:
         assert report.verdict == "stabilized_nonzero"
 
     def test_zero_span(self):
-        report = derived_series(coordinatize([], n=2))
+        report = derived_series(SpanBasis(2, []))
         assert report.dims == (0,)
         assert report.verdict == "solvable" and report.length == 0
 

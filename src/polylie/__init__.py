@@ -46,7 +46,6 @@ from .span import (
     LieClosureResult,
     SeriesReport,
     SpanBasis,
-    coordinatize,
     derived_series,
     lie_closure,
     lower_central_series,

@@ -123,30 +123,26 @@ def _monomials_in_prefix(n: int, prefix_len: int, max_degree: int) -> Iterator[M
 
 
 def generators(which: Which, n: int, degree_cap: int) -> list[Derivation]:
-    """All monomial derivations m * d_i allowed in the chosen subalgebra.
+    """All monomial derivations m * d_i of total degree at most degree_cap
+    that the chosen subalgebra admits.
 
-    For un, m ranges over monomials in x_1 ... x_{i-1}; for sn additionally
-    m times x_i to the first power.  Total degree of m (including the x_i
-    factor) stays within degree_cap.  Order is deterministic: slot-major,
-    then by degree, then by enumeration order of the exponent tuple.
+    For each slot i and each monomial m in x_1 ... x_{i-1}, the terms
+    m * x_i^e * d_i for e = 0, 1, ... are kept while `_slot_violation`
+    admits them.  Order is deterministic: slot-major, then by the degree of
+    m and the enumeration order of its exponent tuple, then by e.
     """
     _check_which(which)
     if n < 1 or degree_cap < 0:
         raise ValueError("need n >= 1 and degree_cap >= 0")
+    admitted = _ADMITTED[which]
     out: list[Derivation] = []
     for i in range(1, n + 1):
-        monos = list(_monomials_in_prefix(n, i - 1, degree_cap))
-        if which == "sn":
-            extended = []
-            for m in monos:
-                extended.append(m)
-                if sum(m) + 1 <= degree_cap:
-                    lifted = list(m)
-                    lifted[i - 1] = 1
-                    extended.append(tuple(lifted))
-            monos = extended
-        for m in monos:
-            out.append(Derivation.monomial_term(n, m, i))
+        for m in _monomials_in_prefix(n, i - 1, degree_cap):
+            for e in range(degree_cap - sum(m) + 1):
+                term = m[:i - 1] + (e,) + m[i:]
+                if _slot_violation(i, term) not in admitted:
+                    break
+                out.append(Derivation.monomial_term(n, term, i))
     return out
 
 

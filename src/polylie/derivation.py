@@ -79,7 +79,7 @@ def bracket_rows(d: Row, d_partials: Partials, e: Row, e_partials: Partials) -> 
 class Derivation:
     """Immutable polynomial vector field on Q[x1, ..., xn]."""
 
-    __slots__ = ("n", "_coeffs", "_hash")
+    __slots__ = ("n", "_coeffs")
 
     def __init__(self, n: int, coeffs: Sequence[Polynomial]):
         if n < 1:
@@ -94,28 +94,20 @@ class Derivation:
                 raise ValueError(f"coefficient lives in {f.n} variables, expected {n}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_coeffs", cs)
-        object.__setattr__(self, "_hash", None)
-
-    @classmethod
-    def _from_terms(cls, n: int, coeffs: Sequence[Polynomial]) -> Derivation:
-        """Trusted constructor for n coefficients the library built itself.
-
-        Each must already be a Polynomial in n variables; nothing is checked.
-        """
-        d = object.__new__(cls)
-        object.__setattr__(d, "n", n)
-        object.__setattr__(d, "_coeffs", tuple(coeffs))
-        object.__setattr__(d, "_hash", None)
-        return d
 
     @classmethod
     def _from_row(cls, n: int, row: Row, scale: Fraction) -> Derivation:
-        """The derivation scale * row."""
+        """The derivation scale * row: the trusted constructor for rows the
+        library built itself, whose keys are valid (slot, monomial) pairs;
+        nothing is checked."""
         num, den = scale.numerator, scale.denominator
         per_slot: list[dict[Monomial, Fraction]] = [{} for _ in range(n)]
         for (slot, mono), c in row.items():
             per_slot[slot - 1][mono] = Fraction(c * num, den)
-        return cls._from_terms(n, [Polynomial._from_terms(n, t) for t in per_slot])
+        d = object.__new__(cls)
+        object.__setattr__(d, "n", n)
+        object.__setattr__(d, "_coeffs", tuple(Polynomial._from_terms(n, t) for t in per_slot))
+        return d
 
     def _row(self) -> tuple[Row, int]:
         """The integer row and the positive den with self = row / den."""
@@ -202,9 +194,6 @@ class Derivation:
         _apply_into(out, d_terms, f_partials, 1)
         return Polynomial._from_terms(self.n, {m: c for (_, m), c in out.items()})
 
-    def __call__(self, f: Polynomial) -> Polynomial:
-        return self.apply(f)
-
     def bracket(self, other: Derivation) -> Derivation:
         """[D, E] = [row_D, row_E] / (den_D * den_E), on integer rows."""
         self._check_same_ring(other)
@@ -244,11 +233,7 @@ class Derivation:
         return self.n == other.n and self._coeffs == other._coeffs
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.n, self._coeffs))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash((self.n, self._coeffs))
 
     def __bool__(self) -> bool:
         return not self.is_zero()

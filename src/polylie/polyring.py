@@ -44,7 +44,7 @@ def _check_monomial(m: tuple, n: int) -> Monomial:
 class Polynomial:
     """Immutable element of Q[x1, ..., xn] in canonical form (no zero terms)."""
 
-    __slots__ = ("n", "_terms", "_hash")
+    __slots__ = ("n", "_terms")
 
     def __init__(self, n: int, terms: Mapping[Monomial, Scalar] | None = None):
         """Validate outside input: n >= 1, exponent tuples of length n, and
@@ -61,7 +61,6 @@ class Polynomial:
                     canonical[_check_monomial(mono, n)] = Fraction(coeff)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_terms", canonical)
-        object.__setattr__(self, "_hash", None)
 
     @classmethod
     def _from_terms(cls, n: int, terms: dict[Monomial, Fraction]) -> Polynomial:
@@ -74,7 +73,6 @@ class Polynomial:
         p = object.__new__(cls)
         object.__setattr__(p, "n", n)
         object.__setattr__(p, "_terms", {m: c for m, c in terms.items() if c})
-        object.__setattr__(p, "_hash", None)
         return p
 
     def __setattr__(self, name, value):
@@ -236,11 +234,7 @@ class Polynomial:
         return self.n == other.n and self._terms == other._terms
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.n, frozenset(self._terms.items())))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash((self.n, frozenset(self._terms.items())))
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -298,14 +292,6 @@ class Polynomial:
             stripped = m[:pos] + (0,) + m[pos + 1:]
             buckets[k][stripped] = c
         return tuple(Polynomial._from_terms(self.n, b) for b in buckets)
-
-    def top_component(self) -> Polynomial:
-        """The homogeneous component of maximal total degree (zero stays zero)."""
-        d = self.total_degree()
-        if d is None:
-            return self
-        return Polynomial._from_terms(
-            self.n, {m: c for m, c in self._terms.items() if sum(m) == d})
 
     def leading_monomial(self) -> Monomial:
         """Graded-lex greatest monomial; raises on the zero polynomial."""

@@ -25,15 +25,16 @@ from .polyring import Monomial, Polynomial, multi_factorial
 def constant_extraction(f: Polynomial) -> tuple[Monomial, Fraction]:
     """Exponent vector alpha with d^alpha f a nonzero constant, and its value.
 
-    alpha is the graded-lex greatest monomial of the top homogeneous
-    component, a deterministic choice: the operator annihilates every other
-    top monomial (they differ from alpha somewhere) and kills all lower
-    components by degree count, leaving coeff(alpha) times alpha-factorial.
+    alpha is f's graded-lex greatest monomial, a deterministic choice that
+    lies in the top homogeneous component, since graded-lex compares total
+    degree first: the operator annihilates every other top monomial (they
+    differ from alpha somewhere) and kills all lower components by degree
+    count, leaving coeff(alpha) times alpha-factorial.
     """
     deg = f.total_degree()
     if deg is None or deg < 1:
         raise ValueError("constant extraction needs total degree >= 1")
-    alpha = f.top_component().leading_monomial()
+    alpha = f.leading_monomial()
     gamma = f.coefficient(alpha) * multi_factorial(alpha)
     return alpha, gamma
 

@@ -5,18 +5,20 @@ coefficients: a coordinate is a pair (slot, monomial) meaning the given
 monomial inside the coefficient of d_slot.  Columns are ordered by slot
 ascending, then graded-lex descending within a slot.
 
-`SpanBasis` is the one span kernel.  It keeps sparse integer rows (see
-`derivation.Row`) keyed by their pivot coordinate: each row is primitive
-(content 1) with a positive pivot entry and a zero in every other row's
-pivot column.  `add` clears a derivation's denominators, reduces the row
-once against the stored rows without fractions (scaling it by the lcm of the
-pivot entries it meets, then subtracting integer multiples) and inserts the
-residual only if it is nonzero.  Dividing each row by its pivot entry gives
-the reduced row echelon form, which is unique for a given row space and
-column order; `basis` does that division, and only there, so equal spans
-produce identical bases whatever order the generators come in.  Rational
-numbers appear only at the edges: clearing a generator's denominators, that
-division, and the scales `lie_closure` keeps for its elements.
+`SpanBasis` is the one span kernel, and `SpanBasis(n, gens)` the only way
+to build a span.  It keeps sparse integer rows (see `derivation.Row`) keyed
+by their pivot coordinate: each row is primitive (content 1) with a positive
+pivot entry and a zero in every other row's pivot column.  `add` clears a
+derivation's denominators, reduces the row once against the stored rows
+without fractions (scaling it by the lcm of the pivot entries it meets, then
+subtracting integer multiples) and inserts the residual only if it is
+nonzero.  Dividing each row by its pivot entry gives the reduced row echelon
+form, which is unique for a given row space and column order; `basis` does
+that division, and only there, so equal spans produce identical bases
+whatever order the generators come in: two spans are equal exactly when
+their `basis` tuples are.  Rational numbers appear only at the edges:
+clearing a generator's denominators, that division, and the scales
+`lie_closure` keeps for its elements.
 
 Series computations (derived, lower central) operate on bracket-closed
 spans only; closure itself is produced by `lie_closure` under explicit
@@ -27,7 +29,6 @@ degree and dimension caps.  Both bracket stored rows with
 from __future__ import annotations
 
 import itertools
-from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -51,12 +52,11 @@ def _column_key(c: Coordinate) -> tuple:
 class SpanBasis:
     """Reduced basis of the rational span of a finite set of derivations."""
 
-    __slots__ = ("n", "_rows", "_pivots", "_basis")
+    __slots__ = ("n", "_rows", "_basis")
 
     def __init__(self, n: int, gens: Iterable[Derivation]):
         self.n = n
         self._rows: dict[Coordinate, Row] = {}  # pivot -> primitive row
-        self._pivots: list[Coordinate] = []  # in column order
         self._basis: tuple[Derivation, ...] | None = ()
         for d in gens:
             self.add(d)
@@ -68,15 +68,12 @@ class SpanBasis:
         if self._basis is None:
             self._basis = tuple(
                 Derivation._from_row(self.n, self._rows[p], Fraction(1, self._rows[p][p]))
-                for p in self._pivots)
+                for p in sorted(self._rows, key=_column_key))
         return self._basis
 
     @property
     def dim(self) -> int:
-        return len(self._pivots)
-
-    def __len__(self) -> int:
-        return len(self._pivots)
+        return len(self._rows)
 
     def __iter__(self):
         return iter(self.basis)
@@ -89,7 +86,8 @@ class SpanBasis:
 
     def _rows_with_partials(self) -> list[tuple[Row, Partials]]:
         """The stored rows in pivot order, each with its row_partials."""
-        return [(self._rows[p], row_partials(self.n, self._rows[p])) for p in self._pivots]
+        return [(self._rows[p], row_partials(self.n, self._rows[p]))
+                for p in sorted(self._rows, key=_column_key)]
 
     def _reduce(self, row: Row) -> Row:
         """A positive multiple of the residual of row after subtracting its
@@ -151,34 +149,14 @@ class SpanBasis:
                     for col in other:
                         other[col] //= content
         self._rows[pivot] = new
-        insort(self._pivots, pivot, key=_column_key)
         self._basis = None
         return True
 
     def contains(self, d: Derivation) -> bool:
         return not self._reduce(self._row_of(d)[0])
 
-    def same_span(self, other: SpanBasis) -> bool:
-        """Exact span equality: the stored rows, unique for a span, are equal."""
-        return self.n == other.n and self._rows == other._rows
-
-    def pairwise_brackets(self) -> list[Derivation]:
-        return [a.bracket(b) for a, b in itertools.combinations(self.basis, 2)]
-
-    def is_bracket_closed(self) -> bool:
-        return all(self.contains(b) for b in self.pairwise_brackets())
-
     def __repr__(self) -> str:
         return f"SpanBasis(n={self.n}, dim={self.dim})"
-
-
-def coordinatize(gens: Iterable[Derivation]) -> SpanBasis:
-    """Reduced basis of the span of gens, which must not be empty (an empty
-    span is SpanBasis(n, []))."""
-    gens = list(gens)
-    if not gens:
-        raise ValueError("ambient dimension required for an empty generating set")
-    return SpanBasis(gens[0].n, gens)
 
 
 @dataclass(frozen=True)

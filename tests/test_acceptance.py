@@ -35,7 +35,7 @@ from polylie.sampling import (
     random_polynomial,
     random_subalgebra_element,
 )
-from polylie.span import coordinatize, derived_series
+from polylie.span import SpanBasis, derived_series
 from polylie.verify import REPORT_SCHEMA
 
 
@@ -136,12 +136,12 @@ def test_criterion_5_solvability_fixtures():
     x1sq = parse_derivation("(x1^2) d1", n)
 
     started = time.monotonic()
-    report = derived_series(coordinatize([d1, x1d1]))
+    report = derived_series(SpanBasis(n, [d1, x1d1]))
     assert time.monotonic() - started < 1.0
     assert report.verdict == "solvable" and report.length == 2
 
     started = time.monotonic()
-    report = derived_series(coordinatize([d1, x1d1, x1sq]))
+    report = derived_series(SpanBasis(n, [d1, x1d1, x1sq]))
     assert time.monotonic() - started < 1.0
     assert report.verdict == "stabilized_nonzero" and report.dims[0] == 3
 
@@ -158,7 +158,7 @@ def test_criterion_6_derived_chain_witnesses():
     assert w1 is not None and w1.term == 1
     assert not w1.value.is_zero()
     assert w1.expression.evaluate(w1.generators) == w1.value
-    series = derived_series(coordinatize(generators("sn", 1, 2)))
+    series = derived_series(SpanBasis(1, generators("sn", 1, 2)))
     assert series.verdict == "solvable" and series.length == 2
 
     w2 = derived_chain_witness(2)

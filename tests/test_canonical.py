@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 
@@ -16,7 +17,7 @@ from polylie.canonical import (
 )
 from polylie.derivation import Derivation
 from polylie.grammar import parse_derivation
-from polylie.span import coordinatize, derived_series
+from polylie.span import SpanBasis, derived_series
 from polylie.sampling import random_subalgebra_element
 
 from matrices import from_rows, is_zero, power
@@ -86,6 +87,46 @@ class TestGenerators:
             br = rng.choice(gens).bracket(rng.choice(gens))
             verdict = membership(br)
             assert verdict.in_un if which == "un" else verdict.in_sn
+
+    @staticmethod
+    def _paper_oracle(which, n, cap):
+        """The (slot, monomial) pairs of the paper's definitions, by brute
+        force: in un the coefficient of d_i is free of x_i .. x_n; in sn it
+        is free of x_{i+1} .. x_n and at most linear in x_i."""
+        out = set()
+        for i in range(1, n + 1):
+            for mono in itertools.product(range(cap + 1), repeat=n):
+                if sum(mono) > cap:
+                    continue
+                if which == "un":
+                    ok = not any(mono[i - 1:])
+                else:
+                    ok = not any(mono[i:]) and mono[i - 1] <= 1
+                if ok:
+                    out.add((i, mono))
+        return out
+
+    def test_matches_paper_definitions(self):
+        for which in ("un", "sn"):
+            for n in range(1, 5):
+                for cap in range(5):
+                    gens = generators(which, n, cap)
+                    got = []
+                    for g in gens:
+                        (slot,) = [i for i in range(1, n + 1) if not g.coeff(i).is_zero()]
+                        ((mono, c),) = g.coeff(slot)
+                        assert c == 1
+                        got.append((slot, mono))
+                    assert len(got) == len(set(got)), (which, n, cap)
+                    assert set(got) == self._paper_oracle(which, n, cap), (which, n, cap)
+
+    def test_sn_order_pinned(self):
+        # witness legends number the generators in this order
+        assert [str(g) for g in generators("sn", 3, 2)] == [
+            "d1", "(x1) d1",
+            "d2", "(x2) d2", "(x1) d2", "(x1 x2) d2", "(x1^2) d2",
+            "d3", "(x3) d3", "(x1) d3", "(x1 x3) d3", "(x2) d3", "(x2 x3) d3",
+            "(x1^2) d3", "(x1 x2) d3", "(x2^2) d3"]
 
     def test_bad_name_rejected(self):
         with pytest.raises(ValueError):
@@ -199,7 +240,7 @@ class TestDerivedChainWitness:
         assert not w.value.is_zero()
         assert w.expression.evaluate(w.generators) == w.value
         # the whole subalgebra is two-dimensional; its derived length is 2
-        basis = coordinatize(generators("sn", 1, 2))
+        basis = SpanBasis(1, generators("sn", 1, 2))
         report = derived_series(basis)
         assert report.verdict == "solvable" and report.length == 2
 

@@ -73,7 +73,7 @@ def membership(d: Derivation) -> MembershipVerdict:
     in_un = True
     in_sn = True
     for i in range(1, d.n + 1):
-        reasons = [_slot_violation(i, mono) for mono, _ in d.coeff(i)]
+        reasons = [_slot_violation(i, mono) for mono in d.coeff(i)._terms]
         for r in dict.fromkeys(filter(None, reasons)):  # dedupe, keep first-seen order
             violations.append((i, r))
             if r not in _ADMITTED["sn"]:
@@ -94,14 +94,15 @@ def strip_canonical_part(d: Derivation, which: Which) -> tuple[Derivation, Deriv
     admitted = _ADMITTED[which]
     remainder_coeffs: list[Polynomial] = []
     stripped_coeffs: list[Polynomial] = []
-    for i in range(1, d.n + 1):
-        allowed: dict[Monomial, Fraction] = {}
-        violating: dict[Monomial, Fraction] = {}
-        for mono, c in d.coeff(i):
+    for i, f in enumerate(d.coeffs, start=1):
+        allowed: dict[Monomial, int] = {}
+        violating: dict[Monomial, int] = {}
+        for mono, c in f._terms.items():
             inside = _slot_violation(i, mono) in admitted
             (allowed if inside else violating)[mono] = c
-        remainder_coeffs.append(Polynomial._from_terms(d.n, violating))
-        stripped_coeffs.append(Polynomial._from_terms(d.n, allowed))
+        # both halves keep f's denominator; _from_terms reduces each
+        remainder_coeffs.append(Polynomial._from_terms(d.n, violating, f._den))
+        stripped_coeffs.append(Polynomial._from_terms(d.n, allowed, f._den))
     remainder = Derivation(d.n, remainder_coeffs)
     stripped = Derivation(d.n, stripped_coeffs)
     verdict = membership(stripped)
@@ -226,27 +227,10 @@ def lnd_check(d: Derivation, bound: int) -> LndVerdict:
     """
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
-    chains: list[tuple[Polynomial, ...]] = []
-    all_dead = True
-    for i in range(1, d.n + 1):
-        chain = [Polynomial.variable(d.n, i)]
-        terminated = False
-        for _ in range(bound):
-            nxt = d.apply(chain[-1])
-            chain.append(nxt)
-            if nxt.is_zero():
-                terminated = True
-                break
-        if not terminated:
-            all_dead = False
-            break
-        chains.append(tuple(chain))
-    if all_dead:
-        return LndVerdict("witness", bound, witness=NilpotencyWitness(tuple(chains)))
-
     # A homogeneous linear D maps span{x_1..x_n} into itself by its matrix,
     # so it is locally nilpotent exactly when that matrix is nilpotent, which
-    # holds exactly when D^n kills every x_i.
+    # holds exactly when D^n kills every x_i.  Otherwise some chain never
+    # dies, so this refutation is tried before iterating the chains.
     rows = d.as_linear()
     if rows is not None and any(not _power(d, d.n, Polynomial.variable(d.n, i)).is_zero()
                                 for i in range(1, d.n + 1)):
@@ -256,7 +240,18 @@ def lnd_check(d: Derivation, bound: int) -> LndVerdict:
             if cert is not None:
                 break
         return LndVerdict("not_nilpotent", bound, certificate=cert, linear_part=rows)
-    return LndVerdict("inconclusive", bound)
+
+    chains: list[tuple[Polynomial, ...]] = []
+    for i in range(1, d.n + 1):
+        chain = [Polynomial.variable(d.n, i)]
+        for _ in range(bound):
+            chain.append(d.apply(chain[-1]))
+            if chain[-1].is_zero():
+                break
+        else:
+            return LndVerdict("inconclusive", bound)
+        chains.append(tuple(chain))
+    return LndVerdict("witness", bound, witness=NilpotencyWitness(tuple(chains)))
 
 
 # -- derived-chain witnesses -------------------------------------------------

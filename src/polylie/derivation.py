@@ -18,10 +18,17 @@ kernel: slot i of [D, E] is D(g_i) - E(f_i), and each half is one call of
 x_j-partials of the other's coefficients, listed once per row by
 `row_partials`.  Callers that bracket a row many times (`span.lie_closure`,
 the series, the derived-chain search) list its partials once and bracket
-their stored rows directly.  `Derivation.bracket` clears each operand's
-denominators once (D = row_D / den_D), brackets the two rows and divides each
-output term once by den_D * den_E.  `apply` runs the same `_apply_into` on
-D's rational terms, with f as the one coefficient of a row.
+their stored rows directly.
+
+A Polynomial already holds integer numerators over one denominator (see
+`polyring`), so clearing a derivation's denominators builds no Fraction:
+`_row` takes den_D as the lcm of the n coefficient denominators and scales
+each coefficient's numerators by den_D / den_f_i, giving D = row_D / den_D.
+`Derivation.bracket` brackets the two rows and hands each slot of the result
+to `Polynomial._from_terms` over den_D * den_E, which divides out one gcd
+per slot.  `apply` runs the same `_apply_into` on D's row, with f's
+numerators as the one coefficient of a row, and reduces once over
+den_D * den_f.
 """
 
 from __future__ import annotations
@@ -50,7 +57,7 @@ def row_partials(n: int, row: Row) -> Partials:
     return out
 
 
-def _apply_into(out: dict, d_terms: Iterable[tuple[tuple[int, Monomial], Scalar]],
+def _apply_into(out: dict, d_terms: Iterable[tuple[tuple[int, Monomial], int]],
                 e_partials: Partials, sign: int) -> None:
     """Add sign * D(e) into out: for each term c x^m d_j of D, c x^m times
     the x_j-partials of e's coefficients, each kept in its own slot.
@@ -100,21 +107,25 @@ class Derivation:
         """The derivation scale * row: the trusted constructor for rows the
         library built itself, whose keys are valid (slot, monomial) pairs;
         nothing is checked."""
-        num, den = scale.numerator, scale.denominator
-        per_slot: list[dict[Monomial, Fraction]] = [{} for _ in range(n)]
+        num = scale.numerator
+        per_slot: list[dict[Monomial, int]] = [{} for _ in range(n)]
         for (slot, mono), c in row.items():
-            per_slot[slot - 1][mono] = Fraction(c * num, den)
+            per_slot[slot - 1][mono] = c * num
         d = object.__new__(cls)
         object.__setattr__(d, "n", n)
-        object.__setattr__(d, "_coeffs", tuple(Polynomial._from_terms(n, t) for t in per_slot))
+        object.__setattr__(d, "_coeffs", tuple(Polynomial._from_terms(n, t, scale.denominator)
+                                               for t in per_slot))
         return d
 
     def _row(self) -> tuple[Row, int]:
         """The integer row and the positive den with self = row / den."""
-        den = lcm(*(c.denominator for f in self._coeffs for c in f._terms.values()))
-        return {(slot, m): c.numerator * (den // c.denominator)
-                for slot, f in enumerate(self._coeffs, start=1)
-                for m, c in f._terms.items()}, den
+        den = lcm(*(f._den for f in self._coeffs))
+        row: Row = {}
+        for slot, f in enumerate(self._coeffs, start=1):
+            k = den // f._den
+            for m, c in f._terms.items():
+                row[(slot, m)] = c * k
+        return row, den
 
     def __setattr__(self, name, value):
         raise AttributeError("Derivation is immutable")
@@ -186,13 +197,13 @@ class Derivation:
         """D(f) = sum f_i * df/dx_i."""
         if f.n != self.n:
             raise ValueError(f"ambient dimension mismatch: {self.n} vs {f.n}")
-        # f is the one coefficient of a row, in slot 0
+        # f's numerators are the one coefficient of a row, in slot 0
         f_partials = row_partials(self.n, {(0, m): c for m, c in f._terms.items()})
+        d, den_d = self._row()
         out: dict = {}
-        d_terms = [((slot, m), c) for slot, g in enumerate(self._coeffs, start=1)
-                   for m, c in g._terms.items()]
-        _apply_into(out, d_terms, f_partials, 1)
-        return Polynomial._from_terms(self.n, {m: c for (_, m), c in out.items()})
+        _apply_into(out, d.items(), f_partials, 1)
+        return Polynomial._from_terms(self.n, {m: c for (_, m), c in out.items()},
+                                      den_d * f._den)
 
     def bracket(self, other: Derivation) -> Derivation:
         """[D, E] = [row_D, row_E] / (den_D * den_E), on integer rows."""

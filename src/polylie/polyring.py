@@ -1,9 +1,16 @@
 """Exact sparse multivariate polynomials over the rationals.
 
-A polynomial in Q[x1, ..., xn] is stored as a map from monomials to nonzero
-Fraction coefficients.  A monomial is a plain tuple of n nonnegative integer
-exponents, entry i-1 holding the exponent of x_i.  The zero polynomial has an
-empty term map, so equality of term maps is equality of polynomials.
+A polynomial in Q[x1, ..., xn] is stored as integer numerators over one
+positive common denominator: a map from monomials to nonzero ints, `_terms`,
+and an int `_den`, the value being sum(c * x^m) / _den.  A monomial is a
+plain tuple of n nonnegative integer exponents, entry i-1 holding the
+exponent of x_i.  The pair is kept in lowest terms, gcd(_den, *numerators)
+== 1, and the zero polynomial is the empty map over _den == 1, so equal
+polynomials have equal term maps and equal denominators.  Products, sums,
+partials and the bracket kernel in `derivation` work on these integers and
+divide out one gcd per result; a Fraction is made only where a coefficient
+leaves the class (`terms`, `sorted_terms`, iteration, `coefficient`,
+`constant_value`).
 
 Variable indices in the public API are 1-based (x1 ... xn), matching the
 printed syntax; exponent tuples are indexed 0-based internally.
@@ -16,7 +23,7 @@ the index computations downstream are sensitive to silent dimension shifts.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
 from operator import add
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -42,9 +49,10 @@ def _check_monomial(m: tuple, n: int) -> Monomial:
 
 
 class Polynomial:
-    """Immutable element of Q[x1, ..., xn] in canonical form (no zero terms)."""
+    """Immutable element of Q[x1, ..., xn]: nonzero integer numerators over
+    one positive denominator, in lowest terms."""
 
-    __slots__ = ("n", "_terms")
+    __slots__ = ("n", "_terms", "_den")
 
     def __init__(self, n: int, terms: Mapping[Monomial, Scalar] | None = None):
         """Validate outside input: n >= 1, exponent tuples of length n, and
@@ -52,27 +60,44 @@ class Polynomial:
         TypeError)."""
         if n < 1:
             raise ValueError(f"variable count must be >= 1, got {n}")
-        canonical: dict[Monomial, Fraction] = {}
+        nums: dict[Monomial, int] = {}
+        den = 1
         if terms:
+            checked: dict[Monomial, Scalar] = {}
             for mono, coeff in terms.items():
                 if not isinstance(coeff, (int, Fraction)):
                     raise TypeError(f"coefficient {coeff!r} is not an int or Fraction")
-                if coeff != 0:
-                    canonical[_check_monomial(mono, n)] = Fraction(coeff)
+                if coeff:
+                    checked[_check_monomial(mono, n)] = coeff
+                    den = lcm(den, coeff.denominator)
+            # the lcm of the reduced denominators leaves no common factor
+            # with the scaled numerators: lowest terms without a gcd
+            nums = {m: c.numerator * (den // c.denominator) for m, c in checked.items()}
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_terms", canonical)
+        object.__setattr__(self, "_terms", nums)
+        object.__setattr__(self, "_den", den)
 
     @classmethod
-    def _from_terms(cls, n: int, terms: dict[Monomial, Fraction]) -> Polynomial:
-        """Trusted constructor for term maps the library built itself.
+    def _from_terms(cls, n: int, terms: dict[Monomial, int], den: int) -> Polynomial:
+        """Trusted constructor: the polynomial terms / den, for term maps the
+        library built itself.
 
-        The monomials must already be valid n-tuples and the coefficients
-        Fractions; nothing is checked or converted, only zero entries are
-        dropped.
+        The monomials must already be valid n-tuples, the values ints and den
+        positive; nothing is checked.  The polynomial takes ownership of
+        terms, a dict the caller built for it.  Zero entries are dropped and
+        gcd(den, *values) is divided out once.
         """
+        if 0 in terms.values():
+            terms = {m: c for m, c in terms.items() if c}
+        if den != 1:
+            g = gcd(den, *terms.values())
+            if g != 1:
+                terms = {m: c // g for m, c in terms.items()}
+                den //= g
         p = object.__new__(cls)
         object.__setattr__(p, "n", n)
-        object.__setattr__(p, "_terms", {m: c for m, c in terms.items() if c})
+        object.__setattr__(p, "_terms", terms)
+        object.__setattr__(p, "_den", den)
         return p
 
     def __setattr__(self, name, value):
@@ -109,12 +134,12 @@ class Polynomial:
 
     @property
     def terms(self) -> dict[Monomial, Fraction]:
-        """Copy of the term map; mutating it does not affect the polynomial."""
-        return dict(self._terms)
+        """The term map with Fraction coefficients, as a new dict."""
+        return dict(self)
 
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         """Terms in descending graded-lex order (canonical printing order)."""
-        return sorted(self._terms.items(), key=lambda t: monomial_sort_key(t[0]), reverse=True)
+        return sorted(self, key=lambda t: monomial_sort_key(t[0]), reverse=True)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -125,10 +150,10 @@ class Polynomial:
 
     def constant_value(self) -> Fraction:
         """The coefficient of the constant term (0 if absent)."""
-        return self._terms.get((0,) * self.n, Fraction(0))
+        return self.coefficient((0,) * self.n)
 
     def coefficient(self, exponents: Iterable[int]) -> Fraction:
-        return self._terms.get(tuple(exponents), Fraction(0))
+        return Fraction(self._terms.get(tuple(exponents), 0), self._den)
 
     def total_degree(self) -> int | None:
         """Max total degree over terms; None for the zero polynomial."""
@@ -169,47 +194,52 @@ class Polynomial:
 
     # -- ring arithmetic ---------------------------------------------------
 
-    def __add__(self, other: Polynomial | Scalar) -> Polynomial:
+    def _add_scaled(self, other: Polynomial | Scalar, sign: int) -> Polynomial:
+        """self + sign * other, both over the lcm of the two denominators."""
         if isinstance(other, (int, Fraction)):
             other = Polynomial.constant(self.n, other)
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_same_ring(other)
-        out = dict(self._terms)
+        den = lcm(self._den, other._den)
+        k1 = den // self._den
+        k2 = sign * (den // other._den)
+        out = dict(self._terms) if k1 == 1 else {m: c * k1 for m, c in self._terms.items()}
         for m, c in other._terms.items():
             v = out.get(m)
-            out[m] = c if v is None else v + c
-        return Polynomial._from_terms(self.n, out)
+            out[m] = c * k2 if v is None else v + c * k2
+        return Polynomial._from_terms(self.n, out, den)
+
+    def __add__(self, other: Polynomial | Scalar) -> Polynomial:
+        return self._add_scaled(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> Polynomial:
-        return Polynomial._from_terms(self.n, {m: -c for m, c in self._terms.items()})
+        return Polynomial._from_terms(self.n, {m: -c for m, c in self._terms.items()},
+                                      self._den)
 
     def __sub__(self, other: Polynomial | Scalar) -> Polynomial:
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(self.n, other)
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self + (-other)
+        return self._add_scaled(other, -1)
 
     def __rsub__(self, other: Scalar) -> Polynomial:
         return (-self) + other
 
     def __mul__(self, other: Polynomial | Scalar) -> Polynomial:
         if isinstance(other, (int, Fraction)):
-            return Polynomial._from_terms(
-                self.n, {m: co * other for m, co in self._terms.items()})
+            num = other.numerator
+            return Polynomial._from_terms(self.n, {m: c * num for m, c in self._terms.items()},
+                                          self._den * other.denominator)
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_same_ring(other)
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, int] = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
                 m = tuple(map(add, m1, m2))
                 v = out.get(m)
                 out[m] = c1 * c2 if v is None else v + c1 * c2
-        return Polynomial._from_terms(self.n, out)
+        return Polynomial._from_terms(self.n, out, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -231,16 +261,17 @@ class Polynomial:
             other = Polynomial.constant(self.n, other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.n == other.n and self._terms == other._terms
+        return self.n == other.n and self._den == other._den and self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash((self.n, frozenset(self._terms.items())))
+        return hash((self.n, self._den, frozenset(self._terms.items())))
 
     def __bool__(self) -> bool:
         return bool(self._terms)
 
     def __iter__(self) -> Iterator[tuple[Monomial, Fraction]]:
-        return iter(self._terms.items())
+        den = self._den
+        return ((m, Fraction(c, den)) for m, c in self._terms.items())
 
     # -- differentiation ---------------------------------------------------
 
@@ -251,7 +282,7 @@ class Polynomial:
         # m -> m - e_i is injective on the kept monomials: nothing to collect
         return Polynomial._from_terms(self.n, {
             m[:pos] + (m[pos] - 1,) + m[pos + 1:]: c * m[pos]
-            for m, c in self._terms.items() if m[pos]})
+            for m, c in self._terms.items() if m[pos]}, self._den)
 
     def diff_multi(self, alpha: Iterable[int]) -> Polynomial:
         """Iterated derivative: apply d/dx_i alpha[i-1] times, for every i.
@@ -286,12 +317,12 @@ class Polynomial:
             return ()
         pos = j - 1
         t = max(m[pos] for m in self._terms)
-        buckets: list[dict[Monomial, Fraction]] = [{} for _ in range(t + 1)]
+        buckets: list[dict[Monomial, int]] = [{} for _ in range(t + 1)]
         for m, c in self._terms.items():
             k = m[pos]
             stripped = m[:pos] + (0,) + m[pos + 1:]
             buckets[k][stripped] = c
-        return tuple(Polynomial._from_terms(self.n, b) for b in buckets)
+        return tuple(Polynomial._from_terms(self.n, b, self._den) for b in buckets)
 
     def leading_monomial(self) -> Monomial:
         """Graded-lex greatest monomial; raises on the zero polynomial."""

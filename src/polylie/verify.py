@@ -166,10 +166,10 @@ def check_bracket_antisymmetry_jacobi(rng: random.Random, n_max: int,
         d = random_derivation(rng, n, 3)
         e = random_derivation(rng, n, 3)
         f = random_derivation(rng, n, 3)
-        if d.bracket(e) != -(e.bracket(d)):
+        de = d.bracket(e)
+        if de != -(e.bracket(d)):
             return [False]
-        cyclic = (d.bracket(e.bracket(f)) + e.bracket(f.bracket(d))
-                  + f.bracket(d.bracket(e)))
+        cyclic = d.bracket(e.bracket(f)) + e.bracket(f.bracket(d)) + f.bracket(de)
         return [cyclic.is_zero()]
 
     return _sampled_check("bracket_antisymmetry_jacobi", rng, n_max, samples, trial)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import time
@@ -151,6 +152,15 @@ class TestLndCheck:
             assert verdict.linear_part == tuple(
                 tuple(int(i == j) for j in range(n)) for i in range(n))
             assert verdict.certificate is not None and verdict.certificate.verify()
+
+    def test_linear_refutation_comes_before_the_chains(self):
+        # a non-nilpotent matrix keeps some chain alive for ever, so a huge
+        # bound gives the small bound's verdict without being iterated
+        d = Derivation.euler(2)
+        started = time.perf_counter()
+        verdict = lnd_check(d, 10**6)
+        assert time.perf_counter() - started < 1.0
+        assert dataclasses.replace(verdict, bound=32) == lnd_check(d, 32)
 
     def test_triangular_samples(self):
         rng = random.Random(43)

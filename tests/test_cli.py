@@ -2,11 +2,17 @@ import json
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from polylie.cli import main
 from polylie.verify import REPORT_SCHEMA
+
+
+# `verify-paper --n 3 --seed 42 --format json`, byte for byte.  A change that
+# alters any printed value must regenerate this file and say why.
+GOLDEN_REPORT = Path(__file__).parent / "data" / "verify_paper_n3_seed42.json"
 
 
 def run_cli(capsys, *argv):
@@ -280,6 +286,12 @@ class TestVerifyPaper:
         _, out2, _ = run_cli(capsys, "verify-paper", "--n", "1", "--seed", "3",
                              "--format", "json")
         assert out1 == out2
+
+    def test_json_matches_golden_report(self, capsys):
+        code, out, _ = run_cli(capsys, "verify-paper", "--n", "3", "--seed", "42",
+                               "--format", "json")
+        assert code == 0
+        assert out == GOLDEN_REPORT.read_text()
 
 
 class TestEntryPoint:

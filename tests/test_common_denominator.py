@@ -1,0 +1,162 @@
+"""Polynomial arithmetic on integer numerators over one denominator, against
+plain Fraction arithmetic on term maps written here.
+
+Every operation below is recomputed on dict[Monomial, Fraction] maps, with
+numerators and denominators up to 10^6 (see large_coefficients.py), n 1 to 4,
+and each result's stored form is checked to be in lowest terms.  Equality and
+hashing compare the stored numerators and denominator, so values reached along
+different paths compare and hash equal only if every result is reduced; the
+second class checks that.
+"""
+
+import random
+from fractions import Fraction
+from math import gcd
+from operator import add
+
+from polylie.derivation import Derivation
+from polylie.polyring import Polynomial
+
+from large_coefficients import BOUND, big_derivation, big_polynomial, big_rational
+
+
+def nonzero(t):
+    return {m: c for m, c in t.items() if c}
+
+
+def ref_add(a, b, sign=1):
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, 0) + sign * c
+    return nonzero(out)
+
+
+def ref_scale(a, k):
+    return nonzero({m: c * k for m, c in a.items()})
+
+
+def ref_mul(a, b):
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = tuple(map(add, m1, m2))
+            out[m] = out.get(m, 0) + c1 * c2
+    return nonzero(out)
+
+
+def ref_partial(a, pos):
+    return {m[:pos] + (m[pos] - 1,) + m[pos + 1:]: c * m[pos]
+            for m, c in a.items() if m[pos]}
+
+
+def ref_expand(a, pos):
+    if not a:
+        return []
+    out = [{} for _ in range(max(m[pos] for m in a) + 1)]
+    for m, c in a.items():
+        out[m[pos]][m[:pos] + (0,) + m[pos + 1:]] = c
+    return out
+
+
+def ref_apply(d, f):
+    """D(f) = sum_j f_j * df/dx_j, D given by its coefficients' term maps."""
+    out = {}
+    for pos, g in enumerate(d):
+        out = ref_add(out, ref_mul(g, ref_partial(f, pos)))
+    return out
+
+
+def ref_bracket(d, e):
+    """Slot i of [D, E] is D(g_i) - E(f_i)."""
+    return [ref_add(ref_apply(d, g), ref_apply(e, f), -1) for f, g in zip(d, e)]
+
+
+def assert_lowest_terms(p):
+    assert p._den > 0
+    assert all(type(c) is int and c for c in p._terms.values())
+    # also makes the zero polynomial's denominator 1
+    assert gcd(p._den, *p._terms.values()) == 1
+
+
+def check(p, want):
+    assert p.terms == want
+    assert_lowest_terms(p)
+
+
+def cases(seed, count=60):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 4)
+        a = big_polynomial(rng, n, 3)
+        b = big_polynomial(rng, n, 3)
+        if rng.random() < 0.3:  # shared terms, some cancelling
+            b = b + a * rng.choice((-1, big_rational(rng)))
+        yield rng, n, a, b
+
+
+class TestAgainstFractionMaps:
+    def test_sums_and_negation(self):
+        for _, _, a, b in cases(71):
+            ta, tb = a.terms, b.terms
+            check(a + b, ref_add(ta, tb))
+            check(a - b, ref_add(ta, tb, -1))
+            check(-a, ref_scale(ta, -1))
+
+    def test_products(self):
+        for rng, _, a, b in cases(72):
+            ta = a.terms
+            check(a * b, ref_mul(ta, b.terms))
+            k = big_rational(rng)
+            check(a * k, ref_scale(ta, k))
+            m = rng.randint(-BOUND, BOUND)
+            check(a * m, ref_scale(ta, m))
+            q = Fraction(1, rng.randint(1, BOUND))
+            check(a * q, ref_scale(ta, q))
+
+    def test_partial_and_expand_in(self):
+        for _, n, a, _ in cases(73):
+            ta = a.terms
+            for i in range(1, n + 1):
+                check(a.partial(i), ref_partial(ta, i - 1))
+                parts = a.expand_in(i)
+                assert [h.terms for h in parts] == ref_expand(ta, i - 1)
+                for h in parts:
+                    assert_lowest_terms(h)
+
+    def test_apply_and_bracket(self):
+        rng = random.Random(74)
+        for _ in range(40):
+            n = rng.randint(1, 4)
+            d, e = big_derivation(rng, n, 3), big_derivation(rng, n, 3)
+            f = big_polynomial(rng, n, 3)
+            td = [g.terms for g in d.coeffs]
+            te = [g.terms for g in e.coeffs]
+            check(d.apply(f), ref_apply(td, f.terms))
+            for got, want in zip(d.bracket(e).coeffs, ref_bracket(td, te)):
+                check(got, want)
+
+
+class TestEqualValuesHashEqual:
+    def test_scaling_round_trip(self):
+        for rng, _, a, _ in cases(75):
+            q = rng.randint(1, BOUND)
+            back = (a * Fraction(1, q)) * q
+            assert back == a and hash(back) == hash(a)
+            k = big_rational(rng)
+            back = (a * k) * (1 / k)
+            assert back == a and hash(back) == hash(a)
+
+    def test_cancellation(self):
+        for _, n, a, b in cases(76):
+            zero = Polynomial.zero(n)
+            assert a - a == zero and hash(a - a) == hash(zero)
+            back = (a + b) - b
+            assert back == a and hash(back) == hash(a)
+
+    def test_bracket_after_round_trip_through_terms(self):
+        rng = random.Random(77)
+        for _ in range(40):
+            n = rng.randint(1, 4)
+            got = big_derivation(rng, n, 3).bracket(big_derivation(rng, n, 3))
+            rebuilt = Derivation(n, [Polynomial(n, g.terms) for g in got.coeffs])
+            assert rebuilt == got and hash(rebuilt) == hash(got)

@@ -69,16 +69,11 @@ class MembershipVerdict:
 
 def membership(d: Derivation) -> MembershipVerdict:
     """Decide membership in un and sn, with per-slot violation reasons."""
-    violations: list[tuple[int, str]] = []
-    in_un = True
-    in_sn = True
-    for i in range(1, d.n + 1):
-        reasons = [_slot_violation(i, mono) for mono in d.coeff(i)._terms]
-        for r in dict.fromkeys(filter(None, reasons)):  # dedupe, keep first-seen order
-            violations.append((i, r))
-            if r not in _ADMITTED["sn"]:
-                in_sn = False
-            in_un = False
+    seen = dict.fromkeys((slot, _slot_violation(slot, mono)) for slot, mono in d._row)
+    # slots ascending; the stable sort keeps first-seen order within a slot
+    violations = sorted((v for v in seen if v[1]), key=lambda v: v[0])
+    in_un = not violations
+    in_sn = all(r in _ADMITTED["sn"] for _, r in violations)
     return MembershipVerdict(in_un, in_sn, tuple(violations))
 
 
@@ -92,19 +87,14 @@ def strip_canonical_part(d: Derivation, which: Which) -> tuple[Derivation, Deriv
     """
     _check_which(which)
     admitted = _ADMITTED[which]
-    remainder_coeffs: list[Polynomial] = []
-    stripped_coeffs: list[Polynomial] = []
-    for i, f in enumerate(d.coeffs, start=1):
-        allowed: dict[Monomial, int] = {}
-        violating: dict[Monomial, int] = {}
-        for mono, c in f._terms.items():
-            inside = _slot_violation(i, mono) in admitted
-            (allowed if inside else violating)[mono] = c
-        # both halves keep f's denominator; _from_terms reduces each
-        remainder_coeffs.append(Polynomial._from_terms(d.n, violating, f._den))
-        stripped_coeffs.append(Polynomial._from_terms(d.n, allowed, f._den))
-    remainder = Derivation(d.n, remainder_coeffs)
-    stripped = Derivation(d.n, stripped_coeffs)
+    allowed: Row = {}
+    violating: Row = {}
+    for (slot, mono), c in d._row.items():
+        inside = _slot_violation(slot, mono) in admitted
+        (allowed if inside else violating)[(slot, mono)] = c
+    # both halves keep d's denominator; _from_row reduces each
+    remainder = Derivation._from_row(d.n, violating, d._den)
+    stripped = Derivation._from_row(d.n, allowed, d._den)
     verdict = membership(stripped)
     assert verdict.in_un if which == "un" else verdict.in_sn
     return remainder, stripped
@@ -357,8 +347,7 @@ def derived_chain_witness(n: int, *,
     # brackets of those rows, are the values themselves
     level: list[tuple[BracketExpr, Row, Partials]] = []
     for i, g in enumerate(pool):
-        row = g._row()[0]
-        level.append((Leaf(i), row, row_partials(n, row)))
+        level.append((Leaf(i), g._row, row_partials(n, g._row)))
     cut_at = None
     for depth in range(1, term + 1):
         kept: list[tuple[BracketExpr, Row, Partials]] = []
@@ -377,4 +366,4 @@ def derived_chain_witness(n: int, *,
         level = kept
 
     expr, value, _ = level[0]
-    return DerivedChainWitness(term, expr, Derivation._from_row(n, value, Fraction(1)), pool)
+    return DerivedChainWitness(term, expr, Derivation._from_row(n, value, 1), pool)

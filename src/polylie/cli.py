@@ -239,7 +239,7 @@ def cmd_witness(args) -> int:
     lines = [f"term: {witness.term}",
              f"expression: {witness.expression.to_sexpr()}",
              f"value: {witness.value}"]
-    lines += [f"  {name} = {text}" for name, text in witness.legend().items()]
+    lines += [f"  {name} = {text}" for name, text in outputs["legend"].items()]
     _emit(args, "witness", inputs, outputs, lines)
     return EXIT_OK
 

@@ -10,25 +10,25 @@ never as an operator composition, which keeps every value inside the
 polynomial ring and leaves the composition identity available as an
 independent correctness check.
 
-Brackets run on integer rows.  A row is a flat map {(slot, monomial): int},
-slots 1-based, holding the term c * x^monomial of the coefficient of d_slot;
-brackets of integer rows stay integral.  `bracket_rows` is the one bracket
+A derivation is stored as one integer row over one positive denominator,
+D = _row / _den.  A row is a flat map {(slot, monomial): int}, slots
+1-based, holding the term c * x^monomial of the coefficient of d_slot; the
+pair is kept in lowest terms, gcd(_den, *row values) == 1 and _den == 1 for
+zero, the invariant `Polynomial` keeps for its terms (see `polyring`), so
+equal derivations have equal rows and denominators.  The public constructor
+takes the n coefficient polynomials and scales them to the lcm of their
+denominators; `coeffs` and `coeff` rebuild polynomials on demand.
+
+Brackets of integer rows stay integral.  `bracket_rows` is the one bracket
 kernel: slot i of [D, E] is D(g_i) - E(f_i), and each half is one call of
 `_apply_into`, which multiplies every term c x^m d_j of one operand into the
 x_j-partials of the other's coefficients, listed once per row by
 `row_partials`.  Callers that bracket a row many times (`span.lie_closure`,
 the series, the derived-chain search) list its partials once and bracket
-their stored rows directly.
-
-A Polynomial already holds integer numerators over one denominator (see
-`polyring`), so clearing a derivation's denominators builds no Fraction:
-`_row` takes den_D as the lcm of the n coefficient denominators and scales
-each coefficient's numerators by den_D / den_f_i, giving D = row_D / den_D.
-`Derivation.bracket` brackets the two rows and hands each slot of the result
-to `Polynomial._from_terms` over den_D * den_E, which divides out one gcd
-per slot.  `apply` runs the same `_apply_into` on D's row, with f's
-numerators as the one coefficient of a row, and reduces once over
-den_D * den_f.
+their stored rows directly.  `Derivation.bracket` brackets the two stored
+rows and reduces once over den_D * den_E; `apply` runs the same
+`_apply_into` on D's row, with f's numerators as the one coefficient of a
+row, and reduces once over den_D * den_f.
 """
 
 from __future__ import annotations
@@ -38,7 +38,8 @@ from math import lcm
 from operator import add
 from typing import Iterable, Sequence
 
-from .polyring import Monomial, Polynomial, Scalar
+from .polyring import (Monomial, Polynomial, Scalar, _check_index, _check_same_n,
+                       _lowest_terms, _sum_terms)
 
 Row = dict[tuple[int, Monomial], int]
 Partials = list[list[tuple[int, Monomial, int]]]
@@ -84,9 +85,10 @@ def bracket_rows(d: Row, d_partials: Partials, e: Row, e_partials: Partials) -> 
 
 
 class Derivation:
-    """Immutable polynomial vector field on Q[x1, ..., xn]."""
+    """Immutable polynomial vector field on Q[x1, ..., xn]: an integer row
+    over one positive denominator, in lowest terms."""
 
-    __slots__ = ("n", "_coeffs")
+    __slots__ = ("n", "_row", "_den")
 
     def __init__(self, n: int, coeffs: Sequence[Polynomial]):
         if n < 1:
@@ -99,33 +101,30 @@ class Derivation:
                 raise TypeError(f"coefficient {f!r} is not a Polynomial")
             if f.n != n:
                 raise ValueError(f"coefficient lives in {f.n} variables, expected {n}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_coeffs", cs)
-
-    @classmethod
-    def _from_row(cls, n: int, row: Row, scale: Fraction) -> Derivation:
-        """The derivation scale * row: the trusted constructor for rows the
-        library built itself, whose keys are valid (slot, monomial) pairs;
-        nothing is checked."""
-        num = scale.numerator
-        per_slot: list[dict[Monomial, int]] = [{} for _ in range(n)]
-        for (slot, mono), c in row.items():
-            per_slot[slot - 1][mono] = c * num
-        d = object.__new__(cls)
-        object.__setattr__(d, "n", n)
-        object.__setattr__(d, "_coeffs", tuple(Polynomial._from_terms(n, t, scale.denominator)
-                                               for t in per_slot))
-        return d
-
-    def _row(self) -> tuple[Row, int]:
-        """The integer row and the positive den with self = row / den."""
-        den = lcm(*(f._den for f in self._coeffs))
+        # the lcm of the reduced denominators leaves no common factor with
+        # the scaled numerators: lowest terms without a gcd
+        den = lcm(*(f._den for f in cs))
         row: Row = {}
-        for slot, f in enumerate(self._coeffs, start=1):
+        for slot, f in enumerate(cs, start=1):
             k = den // f._den
             for m, c in f._terms.items():
                 row[(slot, m)] = c * k
-        return row, den
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "_row", row)
+        object.__setattr__(self, "_den", den)
+
+    @classmethod
+    def _from_row(cls, n: int, row: Row, den: int) -> Derivation:
+        """The derivation row / den: the trusted constructor for rows the
+        library built itself, whose keys are valid (slot, monomial) pairs and
+        whose den is positive; nothing is checked.  It takes ownership of
+        row, a dict the caller built for it, and brings it to lowest terms."""
+        row, den = _lowest_terms(row, den)
+        d = object.__new__(cls)
+        object.__setattr__(d, "n", n)
+        object.__setattr__(d, "_row", row)
+        object.__setattr__(d, "_den", den)
+        return d
 
     def __setattr__(self, name, value):
         raise AttributeError("Derivation is immutable")
@@ -140,8 +139,7 @@ class Derivation:
     @classmethod
     def partial(cls, n: int, i: int) -> Derivation:
         """The coordinate derivation d_i = d/dx_i."""
-        if not 1 <= i <= n:
-            raise ValueError(f"variable index {i} out of range 1..{n}")
+        _check_index(i, n)
         coeffs = [Polynomial.zero(n)] * n
         coeffs[i - 1] = Polynomial.one(n)
         return cls(n, coeffs)
@@ -149,8 +147,7 @@ class Derivation:
     @classmethod
     def monomial_term(cls, n: int, exponents: Iterable[int], i: int, coeff: Scalar = 1) -> Derivation:
         """The single-term derivation (coeff * x^exponents) d_i."""
-        if not 1 <= i <= n:
-            raise ValueError(f"variable index {i} out of range 1..{n}")
+        _check_index(i, n)
         coeffs = [Polynomial.zero(n)] * n
         coeffs[i - 1] = Polynomial.monomial(n, exponents, coeff)
         return cls(n, coeffs)
@@ -164,76 +161,72 @@ class Derivation:
 
     @property
     def coeffs(self) -> tuple[Polynomial, ...]:
-        return self._coeffs
+        """The n coefficient polynomials, built from the row."""
+        per_slot: list[dict[Monomial, int]] = [{} for _ in range(self.n)]
+        for (slot, m), c in self._row.items():
+            per_slot[slot - 1][m] = c
+        return tuple(Polynomial._from_terms(self.n, t, self._den) for t in per_slot)
 
     def coeff(self, i: int) -> Polynomial:
         """Coefficient of d_i (1-based)."""
-        if not 1 <= i <= self.n:
-            raise ValueError(f"variable index {i} out of range 1..{self.n}")
-        return self._coeffs[i - 1]
+        _check_index(i, self.n)
+        return Polynomial._from_terms(
+            self.n, {m: c for (slot, m), c in self._row.items() if slot == i}, self._den)
 
     def is_zero(self) -> bool:
-        return all(f.is_zero() for f in self._coeffs)
+        return not self._row
 
     def index(self) -> int | None:
         """Largest k with a nonzero coefficient of d_k; None if D = 0."""
-        for pos in range(self.n - 1, -1, -1):
-            if not self._coeffs[pos].is_zero():
-                return pos + 1
-        return None
+        return max((slot for slot, _ in self._row), default=None)
 
     def max_coeff_degree(self) -> int | None:
         """Max total degree over nonzero coefficients; None if D = 0."""
-        degs = [f.total_degree() for f in self._coeffs if not f.is_zero()]
-        return max(degs) if degs else None
-
-    def _check_same_ring(self, other: Derivation) -> None:
-        if self.n != other.n:
-            raise ValueError(f"ambient dimension mismatch: {self.n} vs {other.n}")
+        return max((sum(m) for _, m in self._row), default=None)
 
     # -- action and bracket --------------------------------------------------
 
     def apply(self, f: Polynomial) -> Polynomial:
         """D(f) = sum f_i * df/dx_i."""
-        if f.n != self.n:
-            raise ValueError(f"ambient dimension mismatch: {self.n} vs {f.n}")
+        _check_same_n(self.n, f.n)
         # f's numerators are the one coefficient of a row, in slot 0
         f_partials = row_partials(self.n, {(0, m): c for m, c in f._terms.items()})
-        d, den_d = self._row()
         out: dict = {}
-        _apply_into(out, d.items(), f_partials, 1)
+        _apply_into(out, self._row.items(), f_partials, 1)
         return Polynomial._from_terms(self.n, {m: c for (_, m), c in out.items()},
-                                      den_d * f._den)
+                                      self._den * f._den)
 
     def bracket(self, other: Derivation) -> Derivation:
-        """[D, E] = [row_D, row_E] / (den_D * den_E), on integer rows."""
-        self._check_same_ring(other)
+        """[D, E] = [row_D, row_E] / (den_D * den_E), on the stored rows."""
+        _check_same_n(self.n, other.n)
         n = self.n
-        d, den_d = self._row()
-        e, den_e = other._row()
+        d, e = self._row, other._row
         br = bracket_rows(d, row_partials(n, d), e, row_partials(n, e))
-        return Derivation._from_row(n, br, Fraction(1, den_d * den_e))
+        return Derivation._from_row(n, br, self._den * other._den)
 
     # -- linear structure ----------------------------------------------------
 
-    def __add__(self, other: Derivation) -> Derivation:
+    def _add_scaled(self, other: Derivation, sign: int) -> Derivation:
+        """self + sign * other, both over the lcm of the two denominators."""
         if not isinstance(other, Derivation):
             return NotImplemented
-        self._check_same_ring(other)
-        return Derivation(self.n, [a + b for a, b in zip(self._coeffs, other._coeffs)])
+        _check_same_n(self.n, other.n)
+        return Derivation._from_row(
+            self.n, *_sum_terms(self._row, self._den, other._row, other._den, sign))
+
+    def __add__(self, other: Derivation) -> Derivation:
+        return self._add_scaled(other, 1)
 
     def __neg__(self) -> Derivation:
-        return Derivation(self.n, [-f for f in self._coeffs])
+        return Derivation._from_row(self.n, {k: -c for k, c in self._row.items()}, self._den)
 
     def __sub__(self, other: Derivation) -> Derivation:
-        if not isinstance(other, Derivation):
-            return NotImplemented
-        return self + (-other)
+        return self._add_scaled(other, -1)
 
     def __mul__(self, other: Polynomial | Scalar) -> Derivation:
         """p * D scales every coefficient; p may be a polynomial or rational."""
         if isinstance(other, (int, Fraction, Polynomial)):
-            return Derivation(self.n, [f * other for f in self._coeffs])
+            return Derivation(self.n, [f * other for f in self.coeffs])
         return NotImplemented
 
     __rmul__ = __mul__
@@ -241,10 +234,10 @@ class Derivation:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Derivation):
             return NotImplemented
-        return self.n == other.n and self._coeffs == other._coeffs
+        return self.n == other.n and self._den == other._den and self._row == other._row
 
     def __hash__(self) -> int:
-        return hash((self.n, self._coeffs))
+        return hash((self.n, self._den, frozenset(self._row.items())))
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -258,15 +251,12 @@ class Derivation:
         Affine or higher-degree coefficients yield None; the zero derivation
         is linear with the zero matrix.
         """
-        rows: list[tuple[Fraction, ...]] = []
-        for f in self._coeffs:
-            row = [Fraction(0)] * self.n
-            for mono, c in f:
-                if sum(mono) != 1:
-                    return None
-                row[mono.index(1)] = c
-            rows.append(tuple(row))
-        return tuple(rows)
+        rows = [[Fraction(0)] * self.n for _ in range(self.n)]
+        for (slot, mono), c in self._row.items():
+            if sum(mono) != 1:
+                return None
+            rows[slot - 1][mono.index(1)] = Fraction(c, self._den)
+        return tuple(map(tuple, rows))
 
     # -- printing ------------------------------------------------------------
 

@@ -10,7 +10,9 @@ polynomials have equal term maps and equal denominators.  Products, sums,
 partials and the bracket kernel in `derivation` work on these integers and
 divide out one gcd per result; a Fraction is made only where a coefficient
 leaves the class (`terms`, `sorted_terms`, iteration, `coefficient`,
-`constant_value`).
+`constant_value`).  `Derivation` keeps its integer row over one denominator
+in the same lowest terms, through the same two helpers, `_lowest_terms` and
+`_sum_terms`.
 
 Variable indices in the public API are 1-based (x1 ... xn), matching the
 printed syntax; exponent tuples are indexed 0-based internally.
@@ -37,6 +39,45 @@ def monomial_sort_key(m: Monomial) -> tuple:
     Sorting descending by this key lists the canonical leading term first.
     """
     return (sum(m), m)
+
+
+def _check_index(i: int, n: int) -> None:
+    """The one check of a 1-based variable (or slot) index against n."""
+    if not 1 <= i <= n:
+        raise ValueError(f"variable index {i} out of range 1..{n}")
+
+
+def _check_same_n(n1: int, n2: int) -> None:
+    """The one check that two operands live in the same number of variables."""
+    if n1 != n2:
+        raise ValueError(f"ambient dimension mismatch: {n1} vs {n2}")
+
+
+def _lowest_terms(terms: dict, den: int) -> tuple[dict, int]:
+    """terms / den in lowest terms: zero entries dropped, gcd(den, *values)
+    divided out once.  The keys, monomials or a derivation's (slot, monomial)
+    pairs, are left alone; den must be positive.  May return terms itself."""
+    if 0 in terms.values():
+        terms = {m: c for m, c in terms.items() if c}
+    if den != 1:
+        g = gcd(den, *terms.values())
+        if g != 1:
+            terms = {m: c // g for m, c in terms.items()}
+            den //= g
+    return terms, den
+
+
+def _sum_terms(t1: dict, den1: int, t2: dict, den2: int, sign: int) -> tuple[dict, int]:
+    """t1 / den1 + sign * t2 / den2 as a new term map over lcm(den1, den2),
+    cancelled entries kept as zeros for `_lowest_terms` to drop."""
+    den = lcm(den1, den2)
+    k1 = den // den1
+    k2 = sign * (den // den2)
+    out = dict(t1) if k1 == 1 else {m: c * k1 for m, c in t1.items()}
+    for m, c in t2.items():
+        v = out.get(m)
+        out[m] = c * k2 if v is None else v + c * k2
+    return out, den
 
 
 def _check_monomial(m: tuple, n: int) -> Monomial:
@@ -84,16 +125,9 @@ class Polynomial:
 
         The monomials must already be valid n-tuples, the values ints and den
         positive; nothing is checked.  The polynomial takes ownership of
-        terms, a dict the caller built for it.  Zero entries are dropped and
-        gcd(den, *values) is divided out once.
+        terms, a dict the caller built for it, and brings it to lowest terms.
         """
-        if 0 in terms.values():
-            terms = {m: c for m, c in terms.items() if c}
-        if den != 1:
-            g = gcd(den, *terms.values())
-            if g != 1:
-                terms = {m: c // g for m, c in terms.items()}
-                den //= g
+        terms, den = _lowest_terms(terms, den)
         p = object.__new__(cls)
         object.__setattr__(p, "n", n)
         object.__setattr__(p, "_terms", terms)
@@ -120,8 +154,7 @@ class Polynomial:
     @classmethod
     def variable(cls, n: int, i: int) -> Polynomial:
         """The polynomial x_i (1-based index)."""
-        if not 1 <= i <= n:
-            raise ValueError(f"variable index {i} out of range 1..{n}")
+        _check_index(i, n)
         exps = [0] * n
         exps[i - 1] = 1
         return cls(n, {tuple(exps): 1})
@@ -163,7 +196,7 @@ class Polynomial:
 
     def degree_in(self, i: int) -> int | None:
         """Max exponent of x_i over terms; None marks the zero polynomial."""
-        self._check_index(i)
+        _check_index(i, self.n)
         if not self._terms:
             return None
         return max(m[i - 1] for m in self._terms)
@@ -184,14 +217,6 @@ class Polynomial:
                     break
         return best or None
 
-    def _check_index(self, i: int) -> None:
-        if not 1 <= i <= self.n:
-            raise ValueError(f"variable index {i} out of range 1..{self.n}")
-
-    def _check_same_ring(self, other: Polynomial) -> None:
-        if self.n != other.n:
-            raise ValueError(f"ambient dimension mismatch: {self.n} vs {other.n}")
-
     # -- ring arithmetic ---------------------------------------------------
 
     def _add_scaled(self, other: Polynomial | Scalar, sign: int) -> Polynomial:
@@ -200,15 +225,9 @@ class Polynomial:
             other = Polynomial.constant(self.n, other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        self._check_same_ring(other)
-        den = lcm(self._den, other._den)
-        k1 = den // self._den
-        k2 = sign * (den // other._den)
-        out = dict(self._terms) if k1 == 1 else {m: c * k1 for m, c in self._terms.items()}
-        for m, c in other._terms.items():
-            v = out.get(m)
-            out[m] = c * k2 if v is None else v + c * k2
-        return Polynomial._from_terms(self.n, out, den)
+        _check_same_n(self.n, other.n)
+        return Polynomial._from_terms(
+            self.n, *_sum_terms(self._terms, self._den, other._terms, other._den, sign))
 
     def __add__(self, other: Polynomial | Scalar) -> Polynomial:
         return self._add_scaled(other, 1)
@@ -232,7 +251,7 @@ class Polynomial:
                                           self._den * other.denominator)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        self._check_same_ring(other)
+        _check_same_n(self.n, other.n)
         out: dict[Monomial, int] = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
@@ -277,7 +296,7 @@ class Polynomial:
 
     def partial(self, i: int) -> Polynomial:
         """Formal partial derivative with respect to x_i (1-based)."""
-        self._check_index(i)
+        _check_index(i, self.n)
         pos = i - 1
         # m -> m - e_i is injective on the kept monomials: nothing to collect
         return Polynomial._from_terms(self.n, {
@@ -312,7 +331,7 @@ class Polynomial:
         yields the empty tuple, keeping that trailing-nonzero guarantee
         unconditional.
         """
-        self._check_index(j)
+        _check_index(j, self.n)
         if not self._terms:
             return ()
         pos = j - 1

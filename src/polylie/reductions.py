@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import factorial
 
 from .derivation import Derivation, iterated_bracket
-from .polyring import Monomial, Polynomial, multi_factorial
+from .polyring import Monomial, Polynomial, _check_same_n, multi_factorial
 
 
 def constant_extraction(f: Polynomial) -> tuple[Monomial, Fraction]:
@@ -137,8 +137,7 @@ def _proportionality(v: Derivation, e: Derivation) -> Fraction | None:
 
 def eigenvector_certificate(d: Derivation, e: Derivation) -> EigenvectorCertificate | None:
     """Try [d,e] = c*e, then [[e,d],e] = c*e; first nonzero c wins."""
-    if d.n != e.n:
-        raise ValueError(f"ambient dimension mismatch: {d.n} vs {e.n}")
+    _check_same_n(d.n, e.n)
     if e.is_zero():
         raise ValueError("eigenvector candidate must be nonzero")
     c = _proportionality(d.bracket(e), e)
@@ -201,8 +200,7 @@ def sl2_check(t1: Derivation, t2: Derivation, t3: Derivation,
     """
     n = t1.n
     for t in (t2, t3):
-        if t.n != n:
-            raise ValueError(f"ambient dimension mismatch: {n} vs {t.n}")
+        _check_same_n(n, t.n)
     _check_slot(n, k)
 
     x_k = Polynomial.variable(n, k)

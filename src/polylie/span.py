@@ -8,17 +8,17 @@ ascending, then graded-lex descending within a slot.
 `SpanBasis` is the one span kernel, and `SpanBasis(n, gens)` the only way
 to build a span.  It keeps sparse integer rows (see `derivation.Row`) keyed
 by their pivot coordinate: each row is primitive (content 1) with a positive
-pivot entry and a zero in every other row's pivot column.  `add` clears a
-derivation's denominators, reduces the row once against the stored rows
-without fractions (scaling it by the lcm of the pivot entries it meets, then
-subtracting integer multiples) and inserts the residual only if it is
-nonzero.  Dividing each row by its pivot entry gives the reduced row echelon
+pivot entry and a zero in every other row's pivot column.  `add` takes a
+derivation's stored integer row, which stands for the derivation up to its
+denominator, reduces it once against the stored rows without fractions
+(scaling it by the lcm of the pivot entries it meets, then subtracting
+integer multiples) and inserts the residual only if it is nonzero.
+Dividing each row by its pivot entry gives the reduced row echelon
 form, which is unique for a given row space and column order; `basis` does
 that division, and only there, so equal spans produce identical bases
 whatever order the generators come in: two spans are equal exactly when
-their `basis` tuples are.  Rational numbers appear only at the edges:
-clearing a generator's denominators, that division, and the scales
-`lie_closure` keeps for its elements.
+their `basis` tuples are.  The one rational number is that division, kept
+as the denominator of each basis derivation.
 
 Series computations (derived, lower central) operate on bracket-closed
 spans only; closure itself is produced by `lie_closure` under explicit
@@ -30,12 +30,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable
 
 from .derivation import Derivation, Partials, Row, bracket_rows, row_partials
-from .polyring import Monomial
+from .polyring import Monomial, _check_same_n
 
 DEFAULT_DEGREE_CAP = 12
 DEFAULT_DIM_CAP = 512
@@ -66,8 +65,9 @@ class SpanBasis:
         """The reduced rows as derivations, in order of their pivot columns,
         each divided by its pivot entry."""
         if self._basis is None:
+            # copies: `_add_row` goes on reducing the stored rows in place
             self._basis = tuple(
-                Derivation._from_row(self.n, self._rows[p], Fraction(1, self._rows[p][p]))
+                Derivation._from_row(self.n, dict(self._rows[p]), self._rows[p][p])
                 for p in sorted(self._rows, key=_column_key))
         return self._basis
 
@@ -77,12 +77,6 @@ class SpanBasis:
 
     def __iter__(self):
         return iter(self.basis)
-
-    def _row_of(self, d: Derivation) -> tuple[Row, int]:
-        """d's integer row and den, with d = row / den."""
-        if d.n != self.n:
-            raise ValueError(f"ambient dimension mismatch: {d.n} vs {self.n}")
-        return d._row()
 
     def _rows_with_partials(self) -> list[tuple[Row, Partials]]:
         """The stored rows in pivot order, each with its row_partials."""
@@ -116,7 +110,8 @@ class SpanBasis:
 
     def add(self, d: Derivation) -> bool:
         """Adjoin d to the span; False, with nothing changed, if d is inside."""
-        return self._add_row(self._row_of(d)[0])
+        _check_same_n(d.n, self.n)
+        return self._add_row(d._row)
 
     def _add_row(self, row: Row) -> bool:
         """add for an integer row, which stands for any nonzero multiple of
@@ -153,7 +148,8 @@ class SpanBasis:
         return True
 
     def contains(self, d: Derivation) -> bool:
-        return not self._reduce(self._row_of(d)[0])
+        _check_same_n(d.n, self.n)
+        return not self._reduce(d._row)
 
     def __repr__(self) -> str:
         return f"SpanBasis(n={self.n}, dim={self.dim})"
@@ -206,25 +202,20 @@ def lie_closure(gens: Iterable[Derivation], *,
                              f"above degree_cap {degree_cap}")
     n = gens[0].n
     basis = SpanBasis(n, [])
-    # each element is scale * row, so the offending pair is rebuilt exactly
-    elems: list[tuple[Row, Partials, Fraction]] = []
+    elems: list[tuple[Derivation, Partials]] = []
     for g in gens:
-        row, den = basis._row_of(g)
-        if basis._add_row(row):
-            elems.append((row, row_partials(n, row), Fraction(1, den)))
+        if basis.add(g):
+            elems.append((g, row_partials(n, g._row)))
     if basis.dim > dim_cap:
         return LieClosureResult("dim_cap_exceeded", basis)
-    for j, (b, pb, scale_b) in enumerate(elems):  # also visits elements appended below
-        for a, pa, scale_a in elems[:j]:
-            br = bracket_rows(a, pa, b, pb)
+    for j, (b, pb) in enumerate(elems):  # also visits elements appended below
+        for a, pa in elems[:j]:
+            br = bracket_rows(a._row, pa, b._row, pb)
             if br and max(sum(m) for _, m in br) > degree_cap:
-                return LieClosureResult("degree_cap_exceeded", basis,
-                                        (Derivation._from_row(n, a, scale_a),
-                                         Derivation._from_row(n, b, scale_b)))
+                return LieClosureResult("degree_cap_exceeded", basis, (a, b))
             if basis._add_row(br):
-                content = gcd(*br.values())
-                row = {col: x // content for col, x in br.items()}
-                elems.append((row, row_partials(n, row), scale_a * scale_b * content))
+                ab = Derivation._from_row(n, br, a._den * b._den)
+                elems.append((ab, row_partials(n, ab._row)))
                 if basis.dim > dim_cap:
                     return LieClosureResult("dim_cap_exceeded", basis)
     return LieClosureResult("closed", basis)

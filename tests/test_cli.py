@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import re
 import subprocess
@@ -13,6 +15,40 @@ from polylie.verify import REPORT_SCHEMA
 # `verify-paper --n 3 --seed 42 --format json`, byte for byte.  A change that
 # alters any printed value must regenerate this file and say why.
 GOLDEN_REPORT = Path(__file__).parent / "data" / "verify_paper_n3_seed42.json"
+
+# The single-operation commands below, in text and JSON, with their exit codes
+# and stdout, byte for byte.  Rerun this file as a script to regenerate it.
+GOLDEN_CORPUS = Path(__file__).parent / "data" / "cli_corpus.json"
+RATIONAL_FIELD = "(1/2 + 1/3 x1) d1 + (2/3 x1 + 5/4 x2^2 - 1/6 x2) d2"
+CORPUS_COMMANDS = [
+    ["member", "(x1^2 + x2) d1 + (x2^2 + x1 x2 + x3) d2", "--n", "3"],
+    ["strip", RATIONAL_FIELD, "--which", "un", "--n", "2"],
+    ["strip", RATIONAL_FIELD, "--which", "sn", "--n", "2"],
+    # stops at the degree cap, so the offending pair is printed
+    ["closure", "(1/2 x1^2) d1", "(2/3 x1^3) d1 + (1/5 x2) d2", "--degree-cap", "4",
+     "--n", "2"],
+    ["derived-series", "d1", "(1/2 x1) d2", "(2/3 x1^2) d2", "--lower", "--n", "2"],
+    ["lnd", "(x1^2 + 1/2 x1 x2) d3 + (2/3 x1) d2 + d1", "--bound", "8", "--n", "3"],
+    ["lnd", "(x1) d1 - (x2) d2", "--n", "2"],
+    ["lnd", "(x2) d1 + (1/2 x1) d2", "--n", "2"],
+    ["bracket", "(1/2 x1^2) d1 + (2/3 x2) d2", "(3/4 x2) d1 - (1/5 x1 x2) d2", "--n", "2"],
+    ["apply", "(1/2 x2) d1 + (2/3) d2", "3/4 x1 x2 + 1/6 x2^2", "--n", "2"],
+    ["witness", "--n", "2"],
+    ["eigencert", "(x1) d1", "(2/3 x1^2) d1", "--n", "1"],
+    ["eigencert", "(x2) d1 + (x1) d2", "(x1) d1 - (x2) d2", "--n", "2"],
+]
+
+
+def render_corpus() -> str:
+    entries = []
+    for argv in CORPUS_COMMANDS:
+        for fmt in ("text", "json"):
+            full = argv + ["--format", fmt]
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(full)
+            entries.append({"argv": full, "exit": code, "stdout": out.getvalue()})
+    return json.dumps(entries, indent=2) + "\n"
 
 
 def run_cli(capsys, *argv):
@@ -242,6 +278,9 @@ class TestCommands:
         assert code == 2 and out == ""
         assert "(x1^20) d1" in err and "degree_cap 3" in err
 
+    def test_single_operation_commands_match_golden_corpus(self):
+        assert render_corpus() == GOLDEN_CORPUS.read_text()
+
 
 class TestVerifyPaper:
     def test_small_run_passes(self, capsys):
@@ -307,3 +346,7 @@ class TestEntryPoint:
             [sys.executable, "-m", "polylie", "--bogus"],
             capture_output=True, text=True, env=module_env)
         assert proc.returncode == 2
+
+
+if __name__ == "__main__":
+    GOLDEN_CORPUS.write_text(render_corpus())

@@ -6,7 +6,8 @@ numerators and denominators up to 10^6 (see large_coefficients.py), n 1 to 4,
 and each result's stored form is checked to be in lowest terms.  Equality and
 hashing compare the stored numerators and denominator, so values reached along
 different paths compare and hash equal only if every result is reduced; the
-second class checks that.
+second class checks that.  A Derivation keeps one integer row over one
+denominator in the same lowest terms, and the same checks run on it.
 """
 
 import random
@@ -14,8 +15,11 @@ from fractions import Fraction
 from math import gcd
 from operator import add
 
+from polylie.canonical import strip_canonical_part
 from polylie.derivation import Derivation
 from polylie.polyring import Polynomial
+from polylie.sampling import random_monomial
+from polylie.span import SpanBasis
 
 from large_coefficients import BOUND, big_derivation, big_polynomial, big_rational
 
@@ -83,6 +87,42 @@ def check(p, want):
     assert_lowest_terms(p)
 
 
+def assert_row_lowest_terms(d):
+    assert d._den > 0
+    assert all(type(c) is int and c for c in d._row.values())
+    assert gcd(d._den, *d._row.values()) == 1
+
+
+def check_derivation(d, want):
+    """d's coefficients are the Fraction term maps want, and every stored
+    form involved is in lowest terms."""
+    assert_row_lowest_terms(d)
+    assert [f.terms for f in d.coeffs] == want
+    assert [d.coeff(i).terms for i in range(1, d.n + 1)] == want
+    for f in d.coeffs:
+        assert_lowest_terms(f)
+
+
+def fraction_maps(rng, n):
+    """n Fraction term maps, some empty, and the derivation they define."""
+    maps = [nonzero({random_monomial(rng, n, 3): big_rational(rng)
+                     for _ in range(rng.randint(0, 3))}) for _ in range(n)]
+    return Derivation(n, [Polynomial(n, t) for t in maps]), maps
+
+
+def derivation_cases(seed, count=40):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 4)
+        d, td = fraction_maps(rng, n)
+        e, te = fraction_maps(rng, n)
+        if rng.random() < 0.3:  # shared terms, some cancelling
+            k = rng.choice((-1, big_rational(rng)))
+            e = e + d * k
+            te = [ref_add(b, ref_scale(a, k)) for a, b in zip(td, te)]
+        yield rng, n, d, td, e, te
+
+
 def cases(seed, count=60):
     rng = random.Random(seed)
     for _ in range(count):
@@ -135,6 +175,28 @@ class TestAgainstFractionMaps:
             for got, want in zip(d.bracket(e).coeffs, ref_bracket(td, te)):
                 check(got, want)
 
+    def test_derivation_arithmetic(self):
+        for rng, n, d, td, e, te in derivation_cases(78):
+            k = big_rational(rng)
+            p = big_polynomial(rng, n, 2)
+            check_derivation(d, td)
+            check_derivation(d + e, [ref_add(a, b) for a, b in zip(td, te)])
+            check_derivation(d - e, [ref_add(a, b, -1) for a, b in zip(td, te)])
+            check_derivation(-d, [ref_scale(a, -1) for a in td])
+            check_derivation(d * k, [ref_scale(a, k) for a in td])
+            check_derivation(d * p, [ref_mul(a, p.terms) for a in td])
+            check_derivation(d.bracket(e), ref_bracket(td, te))
+
+    def test_derivations_built_from_rows(self):
+        for _, n, d, _, e, _ in derivation_cases(79):
+            for b in SpanBasis(n, [d, e, d.bracket(e)]).basis:
+                assert_row_lowest_terms(b)
+            for which in ("un", "sn"):
+                remainder, stripped = strip_canonical_part(d, which)
+                assert_row_lowest_terms(remainder)
+                assert_row_lowest_terms(stripped)
+                assert remainder + stripped == d
+
 
 class TestEqualValuesHashEqual:
     def test_scaling_round_trip(self):
@@ -160,3 +222,13 @@ class TestEqualValuesHashEqual:
             got = big_derivation(rng, n, 3).bracket(big_derivation(rng, n, 3))
             rebuilt = Derivation(n, [Polynomial(n, g.terms) for g in got.coeffs])
             assert rebuilt == got and hash(rebuilt) == hash(got)
+
+    def test_derivation_paths(self):
+        for rng, n, d, _, e, _ in derivation_cases(80):
+            q = rng.randint(1, BOUND)
+            for got, want in (((d * Fraction(1, q)) * q, d),
+                              (d - d, Derivation.zero(n)),
+                              ((d + e) - e, d),
+                              (Derivation(n, d.coeffs), d)):
+                assert got == want and hash(got) == hash(want)
+                assert_row_lowest_terms(got)

@@ -104,6 +104,16 @@ class TestEchelonKernel:
         assert basis.dim == 2
         assert basis.basis == SpanBasis(n, [pd("(x1) d1", n), pd("(x2) d2", n)]).basis
 
+    def test_basis_elements_keep_their_values_after_later_adds(self):
+        n = 2
+        basis = SpanBasis(n, [pd("(x1) d1 + (x2) d2", n)])
+        first = basis.basis
+        # adding (x2) d2 back-eliminates the stored row behind first[0] in place
+        assert basis.add(pd("(x2) d2", n))
+        assert basis.add(pd("(x1) d2", n))
+        assert first == (pd("(x1) d1 + (x2) d2", n),)
+        assert str(first[0]) == "(x1) d1 + (x2) d2"
+
 
 def reference_rref(n, gens):
     """Fraction Gauss-Jordan elimination on a dense matrix: the nonzero rows

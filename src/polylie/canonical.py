@@ -69,7 +69,7 @@ class MembershipVerdict:
 
 def membership(d: Derivation) -> MembershipVerdict:
     """Decide membership in un and sn, with per-slot violation reasons."""
-    seen = dict.fromkeys((slot, _slot_violation(slot, mono)) for slot, mono in d._row)
+    seen = dict.fromkeys((slot, _slot_violation(slot, mono)) for slot, mono in d._terms)
     # slots ascending; the stable sort keeps first-seen order within a slot
     violations = sorted((v for v in seen if v[1]), key=lambda v: v[0])
     in_un = not violations
@@ -89,12 +89,12 @@ def strip_canonical_part(d: Derivation, which: Which) -> tuple[Derivation, Deriv
     admitted = _ADMITTED[which]
     allowed: Row = {}
     violating: Row = {}
-    for (slot, mono), c in d._row.items():
+    for (slot, mono), c in d._terms.items():
         inside = _slot_violation(slot, mono) in admitted
         (allowed if inside else violating)[(slot, mono)] = c
-    # both halves keep d's denominator; _from_row reduces each
-    remainder = Derivation._from_row(d.n, violating, d._den)
-    stripped = Derivation._from_row(d.n, allowed, d._den)
+    # both halves keep d's denominator; _from_terms reduces each
+    remainder = Derivation._from_terms(d.n, violating, d._den)
+    stripped = Derivation._from_terms(d.n, allowed, d._den)
     verdict = membership(stripped)
     assert verdict.in_un if which == "un" else verdict.in_sn
     return remainder, stripped
@@ -347,7 +347,7 @@ def derived_chain_witness(n: int, *,
     # brackets of those rows, are the values themselves
     level: list[tuple[BracketExpr, Row, Partials]] = []
     for i, g in enumerate(pool):
-        level.append((Leaf(i), g._row, row_partials(n, g._row)))
+        level.append((Leaf(i), g._terms, row_partials(n, g._terms)))
     cut_at = None
     for depth in range(1, term + 1):
         kept: list[tuple[BracketExpr, Row, Partials]] = []
@@ -366,4 +366,4 @@ def derived_chain_witness(n: int, *,
         level = kept
 
     expr, value, _ = level[0]
-    return DerivedChainWitness(term, expr, Derivation._from_row(n, value, 1), pool)
+    return DerivedChainWitness(term, expr, Derivation._from_terms(n, value, 1), pool)

@@ -10,14 +10,11 @@ never as an operator composition, which keeps every value inside the
 polynomial ring and leaves the composition identity available as an
 independent correctness check.
 
-A derivation is stored as one integer row over one positive denominator,
-D = _row / _den.  A row is a flat map {(slot, monomial): int}, slots
-1-based, holding the term c * x^monomial of the coefficient of d_slot; the
-pair is kept in lowest terms, gcd(_den, *row values) == 1 and _den == 1 for
-zero, the invariant `Polynomial` keeps for its terms (see `polyring`), so
-equal derivations have equal rows and denominators.  The public constructor
-takes the n coefficient polynomials and scales them to the lcm of their
-denominators; `coeffs` and `coeff` rebuild polynomials on demand.
+A derivation is a `_LowestTerms` value (see `polyring`) whose terms form
+one integer row: a flat map {(slot, monomial): int}, slots 1-based, holding
+the term c * x^monomial of the coefficient of d_slot.  The public
+constructor takes the n coefficient polynomials and scales them to the lcm
+of their denominators; `coeffs` and `coeff` rebuild polynomials on demand.
 
 Brackets of integer rows stay integral.  `bracket_rows` is the one bracket
 kernel: slot i of [D, E] is D(g_i) - E(f_i), and each half is one call of
@@ -38,8 +35,8 @@ from math import lcm
 from operator import add
 from typing import Iterable, Sequence
 
-from .polyring import (Monomial, Polynomial, Scalar, _check_index, _check_same_n,
-                       _lowest_terms, _sum_terms)
+from .polyring import (Monomial, Polynomial, Scalar, _LowestTerms, _check_index,
+                       _check_same_n)
 
 Row = dict[tuple[int, Monomial], int]
 Partials = list[list[tuple[int, Monomial, int]]]
@@ -84,11 +81,11 @@ def bracket_rows(d: Row, d_partials: Partials, e: Row, e_partials: Partials) -> 
     return {key: c for key, c in out.items() if c}
 
 
-class Derivation:
-    """Immutable polynomial vector field on Q[x1, ..., xn]: an integer row
-    over one positive denominator, in lowest terms."""
+class Derivation(_LowestTerms):
+    """Immutable polynomial vector field on Q[x1, ..., xn]: a `_LowestTerms`
+    value keyed by (slot, monomial)."""
 
-    __slots__ = ("n", "_row", "_den")
+    __slots__ = ()
 
     def __init__(self, n: int, coeffs: Sequence[Polynomial]):
         if n < 1:
@@ -110,24 +107,8 @@ class Derivation:
             for m, c in f._terms.items():
                 row[(slot, m)] = c * k
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_row", row)
+        object.__setattr__(self, "_terms", row)
         object.__setattr__(self, "_den", den)
-
-    @classmethod
-    def _from_row(cls, n: int, row: Row, den: int) -> Derivation:
-        """The derivation row / den: the trusted constructor for rows the
-        library built itself, whose keys are valid (slot, monomial) pairs and
-        whose den is positive; nothing is checked.  It takes ownership of
-        row, a dict the caller built for it, and brings it to lowest terms."""
-        row, den = _lowest_terms(row, den)
-        d = object.__new__(cls)
-        object.__setattr__(d, "n", n)
-        object.__setattr__(d, "_row", row)
-        object.__setattr__(d, "_den", den)
-        return d
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Derivation is immutable")
 
     # -- constructors ------------------------------------------------------
 
@@ -163,7 +144,7 @@ class Derivation:
     def coeffs(self) -> tuple[Polynomial, ...]:
         """The n coefficient polynomials, built from the row."""
         per_slot: list[dict[Monomial, int]] = [{} for _ in range(self.n)]
-        for (slot, m), c in self._row.items():
+        for (slot, m), c in self._terms.items():
             per_slot[slot - 1][m] = c
         return tuple(Polynomial._from_terms(self.n, t, self._den) for t in per_slot)
 
@@ -171,18 +152,15 @@ class Derivation:
         """Coefficient of d_i (1-based)."""
         _check_index(i, self.n)
         return Polynomial._from_terms(
-            self.n, {m: c for (slot, m), c in self._row.items() if slot == i}, self._den)
-
-    def is_zero(self) -> bool:
-        return not self._row
+            self.n, {m: c for (slot, m), c in self._terms.items() if slot == i}, self._den)
 
     def index(self) -> int | None:
         """Largest k with a nonzero coefficient of d_k; None if D = 0."""
-        return max((slot for slot, _ in self._row), default=None)
+        return max((slot for slot, _ in self._terms), default=None)
 
     def max_coeff_degree(self) -> int | None:
         """Max total degree over nonzero coefficients; None if D = 0."""
-        return max((sum(m) for _, m in self._row), default=None)
+        return max((sum(m) for _, m in self._terms), default=None)
 
     # -- action and bracket --------------------------------------------------
 
@@ -192,7 +170,7 @@ class Derivation:
         # f's numerators are the one coefficient of a row, in slot 0
         f_partials = row_partials(self.n, {(0, m): c for m, c in f._terms.items()})
         out: dict = {}
-        _apply_into(out, self._row.items(), f_partials, 1)
+        _apply_into(out, self._terms.items(), f_partials, 1)
         return Polynomial._from_terms(self.n, {m: c for (_, m), c in out.items()},
                                       self._den * f._den)
 
@@ -200,47 +178,21 @@ class Derivation:
         """[D, E] = [row_D, row_E] / (den_D * den_E), on the stored rows."""
         _check_same_n(self.n, other.n)
         n = self.n
-        d, e = self._row, other._row
+        d, e = self._terms, other._terms
         br = bracket_rows(d, row_partials(n, d), e, row_partials(n, e))
-        return Derivation._from_row(n, br, self._den * other._den)
+        return Derivation._from_terms(n, br, self._den * other._den)
 
     # -- linear structure ----------------------------------------------------
 
-    def _add_scaled(self, other: Derivation, sign: int) -> Derivation:
-        """self + sign * other, both over the lcm of the two denominators."""
-        if not isinstance(other, Derivation):
-            return NotImplemented
-        _check_same_n(self.n, other.n)
-        return Derivation._from_row(
-            self.n, *_sum_terms(self._row, self._den, other._row, other._den, sign))
-
-    def __add__(self, other: Derivation) -> Derivation:
-        return self._add_scaled(other, 1)
-
-    def __neg__(self) -> Derivation:
-        return Derivation._from_row(self.n, {k: -c for k, c in self._row.items()}, self._den)
-
-    def __sub__(self, other: Derivation) -> Derivation:
-        return self._add_scaled(other, -1)
-
     def __mul__(self, other: Polynomial | Scalar) -> Derivation:
         """p * D scales every coefficient; p may be a polynomial or rational."""
-        if isinstance(other, (int, Fraction, Polynomial)):
+        if isinstance(other, (int, Fraction)):
+            return self._scaled(other)
+        if isinstance(other, Polynomial):
             return Derivation(self.n, [f * other for f in self.coeffs])
         return NotImplemented
 
     __rmul__ = __mul__
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Derivation):
-            return NotImplemented
-        return self.n == other.n and self._den == other._den and self._row == other._row
-
-    def __hash__(self) -> int:
-        return hash((self.n, self._den, frozenset(self._row.items())))
-
-    def __bool__(self) -> bool:
-        return not self.is_zero()
 
     # -- classification ------------------------------------------------------
 
@@ -252,7 +204,7 @@ class Derivation:
         is linear with the zero matrix.
         """
         rows = [[Fraction(0)] * self.n for _ in range(self.n)]
-        for (slot, mono), c in self._row.items():
+        for (slot, mono), c in self._terms.items():
             if sum(mono) != 1:
                 return None
             rows[slot - 1][mono.index(1)] = Fraction(c, self._den)
@@ -262,9 +214,6 @@ class Derivation:
 
     def __str__(self) -> str:
         return format_derivation(self)
-
-    def __repr__(self) -> str:
-        return f"Derivation({self.n}, {format_derivation(self)!r})"
 
 
 def iterated_bracket(d1: Derivation, k: int, d2: Derivation) -> Derivation:

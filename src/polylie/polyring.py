@@ -1,18 +1,13 @@
 """Exact sparse multivariate polynomials over the rationals.
 
-A polynomial in Q[x1, ..., xn] is stored as integer numerators over one
-positive common denominator: a map from monomials to nonzero ints, `_terms`,
-and an int `_den`, the value being sum(c * x^m) / _den.  A monomial is a
-plain tuple of n nonnegative integer exponents, entry i-1 holding the
-exponent of x_i.  The pair is kept in lowest terms, gcd(_den, *numerators)
-== 1, and the zero polynomial is the empty map over _den == 1, so equal
-polynomials have equal term maps and equal denominators.  Products, sums,
-partials and the bracket kernel in `derivation` work on these integers and
-divide out one gcd per result; a Fraction is made only where a coefficient
-leaves the class (`terms`, `sorted_terms`, iteration, `coefficient`,
-`constant_value`).  `Derivation` keeps its integer row over one denominator
-in the same lowest terms, through the same two helpers, `_lowest_terms` and
-`_sum_terms`.
+A polynomial in Q[x1, ..., xn] is a `_LowestTerms` value keyed by monomial:
+integer numerators over one positive denominator.  A monomial is a plain
+tuple of n nonnegative integer exponents, entry i-1 holding the exponent of
+x_i.  Products, sums, partials and the bracket kernel in `derivation` work
+on the integers and divide out one gcd per result; a Fraction is made only
+where a coefficient leaves the class (`terms`, `sorted_terms`, iteration,
+`coefficient`, `constant_value`).  `Derivation` is the other `_LowestTerms`
+value, keyed by (slot, monomial).
 
 Variable indices in the public API are 1-based (x1 ... xn), matching the
 printed syntax; exponent tuples are indexed 0-based internally.
@@ -53,47 +48,107 @@ def _check_same_n(n1: int, n2: int) -> None:
         raise ValueError(f"ambient dimension mismatch: {n1} vs {n2}")
 
 
-def _lowest_terms(terms: dict, den: int) -> tuple[dict, int]:
-    """terms / den in lowest terms: zero entries dropped, gcd(den, *values)
-    divided out once.  The keys, monomials or a derivation's (slot, monomial)
-    pairs, are left alone; den must be positive.  May return terms itself."""
-    if 0 in terms.values():
-        terms = {m: c for m, c in terms.items() if c}
-    if den != 1:
-        g = gcd(den, *terms.values())
-        if g != 1:
-            terms = {m: c // g for m, c in terms.items()}
-            den //= g
-    return terms, den
-
-
-def _sum_terms(t1: dict, den1: int, t2: dict, den2: int, sign: int) -> tuple[dict, int]:
-    """t1 / den1 + sign * t2 / den2 as a new term map over lcm(den1, den2),
-    cancelled entries kept as zeros for `_lowest_terms` to drop."""
-    den = lcm(den1, den2)
-    k1 = den // den1
-    k2 = sign * (den // den2)
-    out = dict(t1) if k1 == 1 else {m: c * k1 for m, c in t1.items()}
-    for m, c in t2.items():
-        v = out.get(m)
-        out[m] = c * k2 if v is None else v + c * k2
-    return out, den
-
-
 def _check_monomial(m: tuple, n: int) -> Monomial:
     if len(m) != n:
         raise ValueError(f"monomial {m} has length {len(m)}, expected {n}")
     for e in m:
-        if not isinstance(e, int) or e < 0:
+        # a bool is an int, but True is no exponent
+        if not isinstance(e, int) or isinstance(e, bool) or e < 0:
             raise ValueError(f"monomial {m} has invalid exponent {e!r}")
     return tuple(m)
 
 
-class Polynomial:
-    """Immutable element of Q[x1, ..., xn]: nonzero integer numerators over
-    one positive denominator, in lowest terms."""
+class _LowestTerms:
+    """An immutable value stored as integer numerators over one positive
+    denominator: a map `_terms` from keys to nonzero ints and an int `_den`,
+    the value being sum(c * key) / _den, with `n` the number of variables.
+
+    The pair is kept in lowest terms, gcd(_den, *_terms.values()) == 1, and
+    zero is the empty map over _den == 1, so equal values have equal term
+    maps and denominators.  `Polynomial` keys its terms by monomial and
+    `Derivation` by (slot, monomial); values of different types never mix.
+    """
 
     __slots__ = ("n", "_terms", "_den")
+
+    @classmethod
+    def _from_terms(cls, n: int, terms: dict, den: int):
+        """Trusted constructor: the value terms / den, for term maps the
+        library built itself.
+
+        The keys must already be valid for n, the values ints and den
+        positive; nothing is checked.  The value takes ownership of terms, a
+        dict the caller built for it, drops its zero entries and divides out
+        gcd(den, *values) once.
+        """
+        if 0 in terms.values():
+            terms = {key: c for key, c in terms.items() if c}
+        if den != 1:
+            g = gcd(den, *terms.values())
+            if g != 1:
+                terms = {key: c // g for key, c in terms.items()}
+                den //= g
+        v = object.__new__(cls)
+        object.__setattr__(v, "n", n)
+        object.__setattr__(v, "_terms", terms)
+        object.__setattr__(v, "_den", den)
+        return v
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def __bool__(self) -> bool:
+        return bool(self._terms)
+
+    def _add_scaled(self, other, sign: int):
+        """self + sign * other, both over the lcm of the two denominators."""
+        if type(other) is not type(self):
+            return NotImplemented
+        _check_same_n(self.n, other.n)
+        den = lcm(self._den, other._den)
+        k1 = den // self._den
+        k2 = sign * (den // other._den)
+        out = dict(self._terms) if k1 == 1 else {key: c * k1 for key, c in self._terms.items()}
+        for key, c in other._terms.items():
+            v = out.get(key)
+            out[key] = c * k2 if v is None else v + c * k2
+        return self._from_terms(self.n, out, den)
+
+    def __add__(self, other):
+        return self._add_scaled(other, 1)
+
+    def __sub__(self, other):
+        return self._add_scaled(other, -1)
+
+    def __neg__(self):
+        return self._from_terms(self.n, {key: -c for key, c in self._terms.items()}, self._den)
+
+    def _scaled(self, c: Scalar):
+        """c * self for a rational c."""
+        num = c.numerator
+        return self._from_terms(self.n, {key: v * num for key, v in self._terms.items()},
+                                self._den * c.denominator)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.n == other.n and self._den == other._den and self._terms == other._terms
+
+    def __hash__(self) -> int:
+        return hash((self.n, self._den, frozenset(self._terms.items())))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.n}, {str(self)!r})"
+
+
+class Polynomial(_LowestTerms):
+    """Immutable element of Q[x1, ..., xn]: a `_LowestTerms` value keyed by
+    monomial."""
+
+    __slots__ = ()
 
     def __init__(self, n: int, terms: Mapping[Monomial, Scalar] | None = None):
         """Validate outside input: n >= 1, exponent tuples of length n, and
@@ -117,25 +172,6 @@ class Polynomial:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_terms", nums)
         object.__setattr__(self, "_den", den)
-
-    @classmethod
-    def _from_terms(cls, n: int, terms: dict[Monomial, int], den: int) -> Polynomial:
-        """Trusted constructor: the polynomial terms / den, for term maps the
-        library built itself.
-
-        The monomials must already be valid n-tuples, the values ints and den
-        positive; nothing is checked.  The polynomial takes ownership of
-        terms, a dict the caller built for it, and brings it to lowest terms.
-        """
-        terms, den = _lowest_terms(terms, den)
-        p = object.__new__(cls)
-        object.__setattr__(p, "n", n)
-        object.__setattr__(p, "_terms", terms)
-        object.__setattr__(p, "_den", den)
-        return p
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
 
     # -- constructors ------------------------------------------------------
 
@@ -173,9 +209,6 @@ class Polynomial:
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         """Terms in descending graded-lex order (canonical printing order)."""
         return sorted(self, key=lambda t: monomial_sort_key(t[0]), reverse=True)
-
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def is_constant(self) -> bool:
         """True for constants including zero."""
@@ -220,35 +253,19 @@ class Polynomial:
     # -- ring arithmetic ---------------------------------------------------
 
     def _add_scaled(self, other: Polynomial | Scalar, sign: int) -> Polynomial:
-        """self + sign * other, both over the lcm of the two denominators."""
+        """A rational other counts as a constant polynomial."""
         if isinstance(other, (int, Fraction)):
             other = Polynomial.constant(self.n, other)
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        _check_same_n(self.n, other.n)
-        return Polynomial._from_terms(
-            self.n, *_sum_terms(self._terms, self._den, other._terms, other._den, sign))
+        return super()._add_scaled(other, sign)
 
-    def __add__(self, other: Polynomial | Scalar) -> Polynomial:
-        return self._add_scaled(other, 1)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> Polynomial:
-        return Polynomial._from_terms(self.n, {m: -c for m, c in self._terms.items()},
-                                      self._den)
-
-    def __sub__(self, other: Polynomial | Scalar) -> Polynomial:
-        return self._add_scaled(other, -1)
+    __radd__ = _LowestTerms.__add__
 
     def __rsub__(self, other: Scalar) -> Polynomial:
         return (-self) + other
 
     def __mul__(self, other: Polynomial | Scalar) -> Polynomial:
         if isinstance(other, (int, Fraction)):
-            num = other.numerator
-            return Polynomial._from_terms(self.n, {m: c * num for m, c in self._terms.items()},
-                                          self._den * other.denominator)
+            return self._scaled(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
         _check_same_n(self.n, other.n)
@@ -278,15 +295,10 @@ class Polynomial:
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
             other = Polynomial.constant(self.n, other)
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self.n == other.n and self._den == other._den and self._terms == other._terms
+        return super().__eq__(other)
 
-    def __hash__(self) -> int:
-        return hash((self.n, self._den, frozenset(self._terms.items())))
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
+    # defining __eq__ resets __hash__ to None
+    __hash__ = _LowestTerms.__hash__
 
     def __iter__(self) -> Iterator[tuple[Monomial, Fraction]]:
         den = self._den
@@ -353,9 +365,6 @@ class Polynomial:
 
     def __str__(self) -> str:
         return format_polynomial(self)
-
-    def __repr__(self) -> str:
-        return f"Polynomial({self.n}, {format_polynomial(self)!r})"
 
 
 def format_monomial(m: Monomial) -> str:

@@ -67,7 +67,7 @@ class SpanBasis:
         if self._basis is None:
             # copies: `_add_row` goes on reducing the stored rows in place
             self._basis = tuple(
-                Derivation._from_row(self.n, dict(self._rows[p]), self._rows[p][p])
+                Derivation._from_terms(self.n, dict(self._rows[p]), self._rows[p][p])
                 for p in sorted(self._rows, key=_column_key))
         return self._basis
 
@@ -111,7 +111,7 @@ class SpanBasis:
     def add(self, d: Derivation) -> bool:
         """Adjoin d to the span; False, with nothing changed, if d is inside."""
         _check_same_n(d.n, self.n)
-        return self._add_row(d._row)
+        return self._add_row(d._terms)
 
     def _add_row(self, row: Row) -> bool:
         """add for an integer row, which stands for any nonzero multiple of
@@ -149,7 +149,7 @@ class SpanBasis:
 
     def contains(self, d: Derivation) -> bool:
         _check_same_n(d.n, self.n)
-        return not self._reduce(d._row)
+        return not self._reduce(d._terms)
 
     def __repr__(self) -> str:
         return f"SpanBasis(n={self.n}, dim={self.dim})"
@@ -205,17 +205,17 @@ def lie_closure(gens: Iterable[Derivation], *,
     elems: list[tuple[Derivation, Partials]] = []
     for g in gens:
         if basis.add(g):
-            elems.append((g, row_partials(n, g._row)))
+            elems.append((g, row_partials(n, g._terms)))
     if basis.dim > dim_cap:
         return LieClosureResult("dim_cap_exceeded", basis)
     for j, (b, pb) in enumerate(elems):  # also visits elements appended below
         for a, pa in elems[:j]:
-            br = bracket_rows(a._row, pa, b._row, pb)
+            br = bracket_rows(a._terms, pa, b._terms, pb)
             if br and max(sum(m) for _, m in br) > degree_cap:
                 return LieClosureResult("degree_cap_exceeded", basis, (a, b))
             if basis._add_row(br):
-                ab = Derivation._from_row(n, br, a._den * b._den)
-                elems.append((ab, row_partials(n, ab._row)))
+                ab = Derivation._from_terms(n, br, a._den * b._den)
+                elems.append((ab, row_partials(n, ab._terms)))
                 if basis.dim > dim_cap:
                     return LieClosureResult("dim_cap_exceeded", basis)
     return LieClosureResult("closed", basis)

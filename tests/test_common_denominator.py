@@ -6,14 +6,19 @@ numerators and denominators up to 10^6 (see large_coefficients.py), n 1 to 4,
 and each result's stored form is checked to be in lowest terms.  Equality and
 hashing compare the stored numerators and denominator, so values reached along
 different paths compare and hash equal only if every result is reduced; the
-second class checks that.  A Derivation keeps one integer row over one
-denominator in the same lowest terms, and the same checks run on it.
+second class checks that.  A Derivation keeps its integer row in the same
+stored form (`polyring._LowestTerms`), and the same checks run on it; the
+second class also checks that the two types never mix and that neither
+changes after it is built.
 """
 
+import operator
 import random
 from fractions import Fraction
 from math import gcd
 from operator import add
+
+import pytest
 
 from polylie.canonical import strip_canonical_part
 from polylie.derivation import Derivation
@@ -75,11 +80,12 @@ def ref_bracket(d, e):
     return [ref_add(ref_apply(d, g), ref_apply(e, f), -1) for f, g in zip(d, e)]
 
 
-def assert_lowest_terms(p):
-    assert p._den > 0
-    assert all(type(c) is int and c for c in p._terms.values())
-    # also makes the zero polynomial's denominator 1
-    assert gcd(p._den, *p._terms.values()) == 1
+def assert_lowest_terms(v):
+    """v, a Polynomial or a Derivation, is stored in lowest terms."""
+    assert v._den > 0
+    assert all(type(c) is int and c for c in v._terms.values())
+    # also makes the zero value's denominator 1
+    assert gcd(v._den, *v._terms.values()) == 1
 
 
 def check(p, want):
@@ -87,16 +93,10 @@ def check(p, want):
     assert_lowest_terms(p)
 
 
-def assert_row_lowest_terms(d):
-    assert d._den > 0
-    assert all(type(c) is int and c for c in d._row.values())
-    assert gcd(d._den, *d._row.values()) == 1
-
-
 def check_derivation(d, want):
     """d's coefficients are the Fraction term maps want, and every stored
     form involved is in lowest terms."""
-    assert_row_lowest_terms(d)
+    assert_lowest_terms(d)
     assert [f.terms for f in d.coeffs] == want
     assert [d.coeff(i).terms for i in range(1, d.n + 1)] == want
     for f in d.coeffs:
@@ -183,18 +183,20 @@ class TestAgainstFractionMaps:
             check_derivation(d + e, [ref_add(a, b) for a, b in zip(td, te)])
             check_derivation(d - e, [ref_add(a, b, -1) for a, b in zip(td, te)])
             check_derivation(-d, [ref_scale(a, -1) for a in td])
-            check_derivation(d * k, [ref_scale(a, k) for a in td])
+            for c in (k, k.numerator, 0):
+                check_derivation(d * c, [ref_scale(a, c) for a in td])
+                check_derivation(c * d, [ref_scale(a, c) for a in td])
             check_derivation(d * p, [ref_mul(a, p.terms) for a in td])
             check_derivation(d.bracket(e), ref_bracket(td, te))
 
     def test_derivations_built_from_rows(self):
         for _, n, d, _, e, _ in derivation_cases(79):
             for b in SpanBasis(n, [d, e, d.bracket(e)]).basis:
-                assert_row_lowest_terms(b)
+                assert_lowest_terms(b)
             for which in ("un", "sn"):
                 remainder, stripped = strip_canonical_part(d, which)
-                assert_row_lowest_terms(remainder)
-                assert_row_lowest_terms(stripped)
+                assert_lowest_terms(remainder)
+                assert_lowest_terms(stripped)
                 assert remainder + stripped == d
 
 
@@ -231,4 +233,32 @@ class TestEqualValuesHashEqual:
                               ((d + e) - e, d),
                               (Derivation(n, d.coeffs), d)):
                 assert got == want and hash(got) == hash(want)
-                assert_row_lowest_terms(got)
+                assert_lowest_terms(got)
+
+    def test_equal_values_collapse_in_a_set(self):
+        for rng, n, d, _, e, _ in derivation_cases(82):
+            a = big_polynomial(rng, n, 3)
+            b = big_polynomial(rng, n, 3)
+            k = big_rational(rng)
+            assert len({a, (a * k) * (1 / k), (a + b) - b, -(-a)}) == 1
+            assert len({d, (d * k) * (1 / k), (d + e) - e, -(-d),
+                        Derivation(n, d.coeffs)}) == 1
+
+    def test_the_two_types_never_mix(self):
+        assert Polynomial.zero(2) != Derivation.zero(2)
+        for rng, n, d, _, _, _ in derivation_cases(83, count=20):
+            p = big_polynomial(rng, n, 3)
+            assert p != d and d != p
+            for op in (operator.add, operator.sub):
+                with pytest.raises(TypeError):
+                    op(p, d)
+                with pytest.raises(TypeError):
+                    op(d, p)
+
+    def test_values_are_immutable_and_have_no_dict(self):
+        for rng, n, d, _, _, _ in derivation_cases(84, count=20):
+            for v in (big_polynomial(rng, n, 3), d):
+                assert not hasattr(v, "__dict__")
+                for name in ("n", "_terms", "_den", "other"):
+                    with pytest.raises(AttributeError, match=f"{type(v).__name__} is immutable"):
+                        setattr(v, name, 1)

@@ -72,6 +72,24 @@ class TestCoefficientTypes:
         assert Polynomial.monomial(2, (1, 0), -2) == -2 * var(2, 1)
 
 
+class TestMonomialChecks:
+    """Exponent tuples from outside must have length n and nonnegative int
+    entries; a bool is an int, but no exponent."""
+
+    BAD = [(1,), (-1, 0), (1.0, 0), (True, 0)]
+    IDS = ["wrong_length", "negative", "float", "bool"]
+
+    @pytest.mark.parametrize("mono", BAD, ids=IDS)
+    def test_constructor_rejects(self, mono):
+        with pytest.raises(ValueError):
+            Polynomial(2, {mono: 3})
+
+    @pytest.mark.parametrize("mono", BAD, ids=IDS)
+    def test_monomial_rejects(self, mono):
+        with pytest.raises(ValueError):
+            Polynomial.monomial(2, mono)
+
+
 class TestPower:
     def test_matches_repeated_multiplication(self):
         n = 2

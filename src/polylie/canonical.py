@@ -17,6 +17,7 @@ truncated generator sets witnessing the derived-length lower bound.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -125,6 +126,13 @@ def generators(which: Which, n: int, degree_cap: int) -> list[Derivation]:
     _check_which(which)
     if n < 1 or degree_cap < 0:
         raise ValueError("need n >= 1 and degree_cap >= 0")
+    # a new list each call: callers may sort or extend the one they get
+    return list(_generator_pool(which, n, degree_cap))
+
+
+@functools.cache
+def _generator_pool(which: Which, n: int, degree_cap: int) -> tuple[Derivation, ...]:
+    """The pool `generators` lists, built once per argument triple."""
     admitted = _ADMITTED[which]
     out: list[Derivation] = []
     for i in range(1, n + 1):
@@ -134,7 +142,7 @@ def generators(which: Which, n: int, degree_cap: int) -> list[Derivation]:
                 if _slot_violation(i, term) not in admitted:
                     break
                 out.append(Derivation.monomial_term(n, term, i))
-    return out
+    return tuple(out)
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,8 @@ one integer row: a flat map {(slot, monomial): int}, slots 1-based, holding
 the term c * x^monomial of the coefficient of d_slot.  The public
 constructor takes the n coefficient polynomials and scales them to the lcm
 of their denominators; `coeffs` and `coeff` rebuild polynomials on demand.
+A polynomial multiple p * D also stays on the row: each term of the row times
+each term of p, reduced once over den_D * den_p.
 
 Brackets of integer rows stay integral.  `bracket_rows` is the one bracket
 kernel: slot i of [D, E] is D(g_i) - E(f_i), and each half is one call of
@@ -185,12 +187,24 @@ class Derivation(_LowestTerms):
     # -- linear structure ----------------------------------------------------
 
     def __mul__(self, other: Polynomial | Scalar) -> Derivation:
-        """p * D scales every coefficient; p may be a polynomial or rational."""
+        """p * D scales every coefficient; p may be a polynomial or rational.
+
+        A polynomial p multiplies the row term by term, over den_D * den_p.
+        """
         if isinstance(other, (int, Fraction)):
             return self._scaled(other)
-        if isinstance(other, Polynomial):
-            return Derivation(self.n, [f * other for f in self.coeffs])
-        return NotImplemented
+        if not isinstance(other, Polynomial):
+            return NotImplemented
+        _check_same_n(self.n, other.n)
+        p = other._terms.items()
+        out: Row = {}
+        # D's row outermost: a slot-major row gives a slot-major product
+        for (slot, m1), c1 in self._terms.items():
+            for m2, c2 in p:
+                key = (slot, tuple(map(add, m1, m2)))
+                v = out.get(key)
+                out[key] = c1 * c2 if v is None else v + c1 * c2
+        return Derivation._from_terms(self.n, out, self._den * other._den)
 
     __rmul__ = __mul__
 

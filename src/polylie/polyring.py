@@ -163,8 +163,9 @@ class Polynomial(_LowestTerms):
             for mono, coeff in terms.items():
                 if not isinstance(coeff, (int, Fraction)):
                     raise TypeError(f"coefficient {coeff!r} is not an int or Fraction")
+                mono = _check_monomial(mono, n)  # a zero term's monomial too
                 if coeff:
-                    checked[_check_monomial(mono, n)] = coeff
+                    checked[mono] = coeff
                     den = lcm(den, coeff.denominator)
             # the lcm of the reduced denominators leaves no common factor
             # with the scaled numerators: lowest terms without a gcd

@@ -133,6 +133,14 @@ class TestGenerators:
         with pytest.raises(ValueError):
             generators("nope", 2, 2)
 
+    def test_caller_edits_do_not_reach_the_cached_pool(self):
+        want = [str(g) for g in generators("sn", 3, 2)]
+        generators("sn", 3, 2).sort(key=str)
+        assert [str(g) for g in generators("sn", 3, 2)] == want
+        generators("sn", 3, 2).clear()
+        assert [str(g) for g in generators("sn", 3, 2)] == want
+        assert generators("sn", 3, 2) is not generators("sn", 3, 2)
+
 
 class TestLndCheck:
     def test_witness_chains(self):
@@ -283,6 +291,15 @@ class TestDerivedChainWitness:
         assert text.startswith("[") and "," in text
         legend = w.legend()
         assert all(name.startswith("g") for name in legend)
+
+    def test_repeat_calls_give_identical_witnesses(self):
+        first, second = derived_chain_witness(2), derived_chain_witness(2)
+        assert first == second
+        assert first.expression.to_sexpr() == second.expression.to_sexpr()
+        # the witness sorts its pool by degree; the cached pool stays slot-major
+        slots = [g.index() for g in generators("sn", 2, 4)]
+        assert slots == sorted(slots)
+        assert [g.index() for g in first.generators] != slots
 
     def test_golden_n3_term2(self):
         w = derived_chain_witness(3, term=2, degree_cap=4)

@@ -12,9 +12,11 @@ from polylie.cli import main
 from polylie.verify import REPORT_SCHEMA
 
 
-# `verify-paper --n 3 --seed 42 --format json`, byte for byte.  A change that
-# alters any printed value must regenerate this file and say why.
-GOLDEN_REPORT = Path(__file__).parent / "data" / "verify_paper_n3_seed42.json"
+# `verify-paper --n 3 --seed S --format json`, byte for byte, for the default
+# seed 42 and the held-out seed 977.  A change that alters any printed value
+# must regenerate these files (rerun this file as a script) and say why.
+GOLDEN_REPORTS = {seed: Path(__file__).parent / "data" / f"verify_paper_n3_seed{seed}.json"
+                  for seed in (42, 977)}
 
 # The single-operation commands below, in text and JSON, with their exit codes
 # and stdout, byte for byte.  Rerun this file as a script to regenerate it.
@@ -49,6 +51,14 @@ def render_corpus() -> str:
                 code = main(full)
             entries.append({"argv": full, "exit": code, "stdout": out.getvalue()})
     return json.dumps(entries, indent=2) + "\n"
+
+
+def render_report(seed: int) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["verify-paper", "--n", "3", "--seed", str(seed), "--format", "json"])
+    assert code == 0
+    return out.getvalue()
 
 
 def run_cli(capsys, *argv):
@@ -326,11 +336,11 @@ class TestVerifyPaper:
                              "--format", "json")
         assert out1 == out2
 
-    def test_json_matches_golden_report(self, capsys):
-        code, out, _ = run_cli(capsys, "verify-paper", "--n", "3", "--seed", "42",
-                               "--format", "json")
-        assert code == 0
-        assert out == GOLDEN_REPORT.read_text()
+    def test_json_matches_golden_report(self):
+        assert render_report(42) == GOLDEN_REPORTS[42].read_text()
+
+    def test_json_matches_held_out_golden_report(self):
+        assert render_report(977) == GOLDEN_REPORTS[977].read_text()
 
 
 class TestEntryPoint:
@@ -350,3 +360,5 @@ class TestEntryPoint:
 
 if __name__ == "__main__":
     GOLDEN_CORPUS.write_text(render_corpus())
+    for seed, path in GOLDEN_REPORTS.items():
+        path.write_text(render_report(seed))

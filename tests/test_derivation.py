@@ -302,3 +302,42 @@ class TestScaling:
         scaled = p * d
         assert scaled.coeff(1) == p * Polynomial.variable(n, 2)
         assert scaled.coeff(2) == p
+
+    @staticmethod
+    def ref_scale(p, d):
+        """p * D through the public constructor, one polynomial product per slot."""
+        return Derivation(d.n, [f * p for f in d.coeffs])
+
+    def test_row_product_matches_coefficientwise(self):
+        rng = random.Random(61)
+        for _ in range(150):
+            n = rng.randint(1, 4)
+            p = random_polynomial(rng, n, 3)
+            d = random_derivation(rng, n, 3)
+            want = self.ref_scale(p, d)
+            for got in (p * d, d * p):
+                assert got == want
+                for c in got.coeffs:
+                    assert_canonical(c)
+
+    def test_zero_constant_and_rational_operands(self):
+        rng = random.Random(62)
+        for _ in range(40):
+            n = rng.randint(1, 4)
+            d = random_derivation(rng, n, 3)
+            p = big_polynomial(rng, n, 3)
+            for q, e in [(Polynomial.zero(n), d), (p, Derivation.zero(n)),
+                         (Polynomial.constant(n, Fraction(-7, 3)), d),
+                         (Polynomial.one(n), d), (p, big_derivation(rng, n, 3))]:
+                want = self.ref_scale(q, e)
+                assert q * e == want and e * q == want
+        assert (Polynomial.zero(2) * pd("(x1) d2", 2)).is_zero()
+        assert Polynomial.constant(2, Fraction(1, 2)) * pd("(2 x1) d2", 2) == pd("(x1) d2", 2)
+
+    def test_ring_mismatch_rejected(self):
+        p = Polynomial.variable(2, 1)
+        d = Derivation.partial(3, 1)
+        with pytest.raises(ValueError):
+            p * d
+        with pytest.raises(ValueError):
+            d * p

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from polylie.derivation import Derivation
 from polylie.polyring import Polynomial
 from polylie.sampling import random_polynomial
 
@@ -88,6 +89,15 @@ class TestMonomialChecks:
     def test_monomial_rejects(self, mono):
         with pytest.raises(ValueError):
             Polynomial.monomial(2, mono)
+
+    def test_checked_under_a_zero_coefficient(self):
+        # a zero term is dropped, but its monomial is still outside input
+        with pytest.raises(ValueError):
+            Polynomial(2, {(1, 2, 3): 0, (-1,): 0})
+        with pytest.raises(ValueError):
+            Polynomial.monomial(2, (True, 5, "x"), 0)
+        with pytest.raises(ValueError):
+            Derivation.monomial_term(2, (1, -1), 1, 0)
 
 
 class TestPower:

@@ -1,0 +1,74 @@
+"""The integer-pair samplers against the Fraction path they replaced.
+
+The reference below builds each coefficient as a Fraction and each value
+through the public constructors, as the samplers once did.  A twin
+random.Random drives it, so equal values and equal generator states after
+the call pin both the samples and the sequence of draws.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from polylie.derivation import Derivation
+from polylie.polyring import Polynomial
+from polylie.sampling import random_derivation, random_monomial, random_polynomial
+
+
+def ref_coefficient(rng, bound=9):
+    num = rng.randint(1, bound) * rng.choice((1, -1))
+    return Fraction(num, rng.randint(1, bound))
+
+
+def ref_polynomial(rng, n, max_degree, max_terms=4):
+    terms = {}
+    for _ in range(rng.randint(0, max_terms)):
+        # the right-hand side is evaluated first: coefficient, then monomial
+        terms[random_monomial(rng, n, max_degree)] = ref_coefficient(rng)
+    return Polynomial(n, terms)
+
+
+def ref_derivation(rng, n, max_degree, max_terms=3):
+    return Derivation(n, [ref_polynomial(rng, n, max_degree, max_terms)
+                          for _ in range(n)])
+
+
+CASES = [(seed, n) for seed in range(40) for n in range(1, 5)]
+
+
+def assert_same_value(got, want):
+    assert got == want
+    # term order too: membership reports violations in first-seen order
+    assert list(got._terms) == list(want._terms)
+
+
+@pytest.mark.parametrize("max_degree,max_terms", [(4, 4), (5, 4), (2, 8)])
+def test_random_polynomial_matches_fraction_path(max_degree, max_terms):
+    for seed, n in CASES:
+        rng, twin = random.Random(seed), random.Random(seed)
+        for _ in range(5):
+            got = random_polynomial(rng, n, max_degree, max_terms)
+            assert_same_value(got, ref_polynomial(twin, n, max_degree, max_terms))
+            assert rng.getstate() == twin.getstate()
+
+
+@pytest.mark.parametrize("max_degree,max_terms", [(3, 3), (4, 3), (2, 6)])
+def test_random_derivation_matches_fraction_path(max_degree, max_terms):
+    for seed, n in CASES:
+        rng, twin = random.Random(seed), random.Random(seed)
+        for _ in range(5):
+            got = random_derivation(rng, n, max_degree, max_terms)
+            assert_same_value(got, ref_derivation(twin, n, max_degree, max_terms))
+            assert rng.getstate() == twin.getstate()
+
+
+def test_repeated_monomial_keeps_last_draw():
+    # degree 0 draws the constant monomial every time, so every term after
+    # the first overwrites the one before
+    for seed in range(200):
+        rng, twin = random.Random(seed), random.Random(seed)
+        got = random_polynomial(rng, 2, 0, 4)
+        assert_same_value(got, ref_polynomial(twin, 2, 0, 4))
+        assert len(got.terms) <= 1
+

@@ -13,8 +13,10 @@ independent correctness check.
 A derivation is a `_LowestTerms` value (see `polyring`) whose terms form
 one integer row: a flat map {(slot, monomial): int}, slots 1-based, holding
 the term c * x^monomial of the coefficient of d_slot.  The public
-constructor takes the n coefficient polynomials and scales them to the lcm
-of their denominators; `coeffs` and `coeff` rebuild polynomials on demand.
+constructor validates the n coefficient polynomials and hands their terms to
+`polyring._over_lcm`, which puts them over one denominator; `coeffs` and
+`coeff` rebuild polynomials on demand.  A single-slot derivation (`partial`,
+`monomial_term`, a parsed "(p) d<i>") is a one-entry row times p.
 A polynomial multiple p * D also stays on the row: each term of the row times
 each term of p, reduced once over den_D * den_p.
 
@@ -33,12 +35,11 @@ row, and reduces once over den_D * den_f.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from operator import add
 from typing import Iterable, Sequence
 
 from .polyring import (Monomial, Polynomial, Scalar, _LowestTerms, _check_index,
-                       _check_same_n)
+                       _check_same_n, _over_lcm)
 
 Row = dict[tuple[int, Monomial], int]
 Partials = list[list[tuple[int, Monomial, int]]]
@@ -100,17 +101,9 @@ class Derivation(_LowestTerms):
                 raise TypeError(f"coefficient {f!r} is not a Polynomial")
             if f.n != n:
                 raise ValueError(f"coefficient lives in {f.n} variables, expected {n}")
-        # the lcm of the reduced denominators leaves no common factor with
-        # the scaled numerators: lowest terms without a gcd
-        den = lcm(*(f._den for f in cs))
-        row: Row = {}
-        for slot, f in enumerate(cs, start=1):
-            k = den // f._den
-            for m, c in f._terms.items():
-                row[(slot, m)] = c * k
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_terms", row)
-        object.__setattr__(self, "_den", den)
+        self._store(n, *_over_lcm({(slot, m): (c, f._den)
+                                   for slot, f in enumerate(cs, start=1)
+                                   for m, c in f._terms.items()}))
 
     # -- constructors ------------------------------------------------------
 
@@ -123,17 +116,12 @@ class Derivation(_LowestTerms):
     def partial(cls, n: int, i: int) -> Derivation:
         """The coordinate derivation d_i = d/dx_i."""
         _check_index(i, n)
-        coeffs = [Polynomial.zero(n)] * n
-        coeffs[i - 1] = Polynomial.one(n)
-        return cls(n, coeffs)
+        return cls._from_terms(n, {(i, (0,) * n): 1}, 1)
 
     @classmethod
     def monomial_term(cls, n: int, exponents: Iterable[int], i: int, coeff: Scalar = 1) -> Derivation:
         """The single-term derivation (coeff * x^exponents) d_i."""
-        _check_index(i, n)
-        coeffs = [Polynomial.zero(n)] * n
-        coeffs[i - 1] = Polynomial.monomial(n, exponents, coeff)
-        return cls(n, coeffs)
+        return cls.partial(n, i) * Polynomial.monomial(n, exponents, coeff)
 
     @classmethod
     def euler(cls, n: int) -> Derivation:

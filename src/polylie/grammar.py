@@ -223,9 +223,7 @@ class _Parser:
             raise ParseError(
                 f"derivation index d{tok.value} out of range for {self.n} variable(s)",
                 tok.line, tok.column)
-        coeffs = [Polynomial.zero(self.n)] * self.n
-        coeffs[tok.value - 1] = coeff
-        return Derivation(self.n, coeffs)
+        return Derivation.partial(self.n, tok.value) * coeff
 
     def expect_eof(self) -> None:
         if self.peek().kind != _EOF:

@@ -58,6 +58,16 @@ def _check_monomial(m: tuple, n: int) -> Monomial:
     return tuple(m)
 
 
+def _over_lcm(pairs: Mapping) -> tuple[dict, int]:
+    """The value sum(num / den * key) over pairs {key: (num, den)}, as
+    (terms, d): each numerator scaled to d, the lcm of the denominators.
+
+    The one statement of the common-denominator rule; `_store` then reduces.
+    """
+    d = lcm(*(den for _, den in pairs.values()))
+    return {key: num * (d // den) for key, (num, den) in pairs.items()}, d
+
+
 class _LowestTerms:
     """An immutable value stored as integer numerators over one positive
     denominator: a map `_terms` from keys to nonzero ints and an int `_den`,
@@ -67,19 +77,20 @@ class _LowestTerms:
     zero is the empty map over _den == 1, so equal values have equal term
     maps and denominators.  `Polynomial` keys its terms by monomial and
     `Derivation` by (slot, monomial); values of different types never mix.
+
+    `_store` is the only code that writes the three slots: the validating
+    `__init__`s of both types hand it their terms over `_over_lcm`, and
+    every other value is built by `_from_terms`.
     """
 
     __slots__ = ("n", "_terms", "_den")
 
-    @classmethod
-    def _from_terms(cls, n: int, terms: dict, den: int):
-        """Trusted constructor: the value terms / den, for term maps the
-        library built itself.
+    def _store(self, n: int, terms: dict, den: int) -> None:
+        """Write the value terms / den: drop the zero entries of terms, a
+        dict built for this value, and divide out gcd(den, *values) once.
 
         The keys must already be valid for n, the values ints and den
-        positive; nothing is checked.  The value takes ownership of terms, a
-        dict the caller built for it, drops its zero entries and divides out
-        gcd(den, *values) once.
+        positive; nothing is checked.
         """
         if 0 in terms.values():
             terms = {key: c for key, c in terms.items() if c}
@@ -88,10 +99,16 @@ class _LowestTerms:
             if g != 1:
                 terms = {key: c // g for key, c in terms.items()}
                 den //= g
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "_terms", terms)
+        object.__setattr__(self, "_den", den)
+
+    @classmethod
+    def _from_terms(cls, n: int, terms: dict, den: int):
+        """Trusted constructor: the value terms / den, for term maps the
+        library built itself (see `_store`)."""
         v = object.__new__(cls)
-        object.__setattr__(v, "n", n)
-        object.__setattr__(v, "_terms", terms)
-        object.__setattr__(v, "_den", den)
+        v._store(n, terms, den)
         return v
 
     def __setattr__(self, name, value):
@@ -156,23 +173,13 @@ class Polynomial(_LowestTerms):
         TypeError)."""
         if n < 1:
             raise ValueError(f"variable count must be >= 1, got {n}")
-        nums: dict[Monomial, int] = {}
-        den = 1
-        if terms:
-            checked: dict[Monomial, Scalar] = {}
-            for mono, coeff in terms.items():
-                if not isinstance(coeff, (int, Fraction)):
-                    raise TypeError(f"coefficient {coeff!r} is not an int or Fraction")
-                mono = _check_monomial(mono, n)  # a zero term's monomial too
-                if coeff:
-                    checked[mono] = coeff
-                    den = lcm(den, coeff.denominator)
-            # the lcm of the reduced denominators leaves no common factor
-            # with the scaled numerators: lowest terms without a gcd
-            nums = {m: c.numerator * (den // c.denominator) for m, c in checked.items()}
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_terms", nums)
-        object.__setattr__(self, "_den", den)
+        pairs: dict[Monomial, tuple[int, int]] = {}
+        for mono, coeff in (terms or {}).items():
+            if not isinstance(coeff, (int, Fraction)):
+                raise TypeError(f"coefficient {coeff!r} is not an int or Fraction")
+            # a zero term's monomial is checked too, then dropped by _store
+            pairs[_check_monomial(mono, n)] = coeff.numerator, coeff.denominator
+        self._store(n, *_over_lcm(pairs))
 
     # -- constructors ------------------------------------------------------
 

@@ -6,22 +6,21 @@ arithmetic in the identity suites fast.
 
 A random polynomial draws its term count, then for each term a coefficient
 and then the term's monomial.  The coefficient is an integer pair: a
-numerator in 1..9, its sign, then a denominator in 1..9.  A sample scales
-its numerators to the lcm of its denominators and reduces once, so no
-Fraction is made on the way; the draws are the ones a Fraction per
-coefficient would take, in the same order.
+numerator in 1..9, its sign, then a denominator in 1..9.  A sample hands its
+pairs to `polyring._over_lcm` and reduces once, so no Fraction is made on
+the way; the draws are the ones a Fraction per coefficient would take, in
+the same order.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import lcm
 from typing import Iterator
 
 from .canonical import Which, generators
 from .derivation import Derivation
-from .polyring import Monomial, Polynomial, _LowestTerms
+from .polyring import Monomial, Polynomial, _over_lcm
 
 
 def random_monomial(rng: random.Random, n: int, max_degree: int) -> Monomial:
@@ -31,14 +30,14 @@ def random_monomial(rng: random.Random, n: int, max_degree: int) -> Monomial:
     return tuple(exps)
 
 
-def _random_pair(rng: random.Random, bound: int = 9) -> tuple[int, int]:
+def _random_pair(rng: random.Random) -> tuple[int, int]:
     """A nonzero coefficient as (numerator, denominator), not reduced."""
-    num = rng.randint(1, bound) * rng.choice((1, -1))
-    return num, rng.randint(1, bound)
+    num = rng.randint(1, 9) * rng.choice((1, -1))
+    return num, rng.randint(1, 9)
 
 
-def random_coefficient(rng: random.Random, bound: int = 9) -> Fraction:
-    return Fraction(*_random_pair(rng, bound))
+def random_coefficient(rng: random.Random) -> Fraction:
+    return Fraction(*_random_pair(rng))
 
 
 def _random_terms(rng: random.Random, n: int, max_degree: int,
@@ -50,22 +49,16 @@ def _random_terms(rng: random.Random, n: int, max_degree: int,
         yield random_monomial(rng, n, max_degree), pair
 
 
-def _from_pairs(cls: type[_LowestTerms], n: int, pairs: dict) -> _LowestTerms:
-    """The value sum(num / den * key) over pairs {key: (num, den)}."""
-    den = lcm(*(d for _, d in pairs.values()))
-    return cls._from_terms(n, {key: num * (den // d) for key, (num, d) in pairs.items()}, den)
-
-
 def random_polynomial(rng: random.Random, n: int, max_degree: int,
                       max_terms: int = 4) -> Polynomial:
     # a monomial drawn twice keeps its last coefficient
-    return _from_pairs(Polynomial, n, dict(_random_terms(rng, n, max_degree, max_terms)))
+    return Polynomial._from_terms(
+        n, *_over_lcm(dict(_random_terms(rng, n, max_degree, max_terms))))
 
 
-def random_nonconstant_polynomial(rng: random.Random, n: int, max_degree: int,
-                                  max_terms: int = 4) -> Polynomial:
+def random_nonconstant_polynomial(rng: random.Random, n: int, max_degree: int) -> Polynomial:
     while True:
-        f = random_polynomial(rng, n, max_degree, max_terms)
+        f = random_polynomial(rng, n, max_degree)
         if not f.is_constant():
             return f
 
@@ -73,16 +66,17 @@ def random_nonconstant_polynomial(rng: random.Random, n: int, max_degree: int,
 def random_derivation(rng: random.Random, n: int, max_degree: int,
                       max_terms: int = 3) -> Derivation:
     """One random polynomial's draws per slot 1..n, filled into one row."""
-    return _from_pairs(Derivation, n, {
+    return Derivation._from_terms(n, *_over_lcm({
         (slot, m): pair for slot in range(1, n + 1)
-        for m, pair in _random_terms(rng, n, max_degree, max_terms)})
+        for m, pair in _random_terms(rng, n, max_degree, max_terms)}))
 
 
 def random_subalgebra_element(rng: random.Random, which: Which, n: int,
-                              degree_cap: int, max_terms: int = 4) -> Derivation:
-    """Random rational combination of monomial generators of un or sn."""
+                              degree_cap: int) -> Derivation:
+    """Random rational combination of one to four monomial generators of un
+    or sn."""
     gens = generators(which, n, degree_cap)
     out = Derivation.zero(n)
-    for _ in range(rng.randint(1, max_terms)):
+    for _ in range(rng.randint(1, 4)):
         out = out + random_coefficient(rng) * rng.choice(gens)
     return out

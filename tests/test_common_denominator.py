@@ -9,20 +9,26 @@ different paths compare and hash equal only if every result is reduced; the
 second class checks that.  A Derivation keeps its integer row in the same
 stored form (`polyring._LowestTerms`), and the same checks run on it; the
 second class also checks that the two types never mix and that neither
-changes after it is built.
+changes after it is built.  The stored slots are written in one place,
+`_LowestTerms._store`, and the single-slot derivations built straight from
+one row equal the ones built from n polynomials.
 """
 
+import ast
 import operator
 import random
 from fractions import Fraction
 from math import gcd
 from operator import add
+from pathlib import Path
 
 import pytest
 
+import polylie
 from polylie.canonical import strip_canonical_part
 from polylie.derivation import Derivation
-from polylie.polyring import Polynomial
+from polylie.grammar import ParseError, parse_derivation, parse_polynomial
+from polylie.polyring import Polynomial, format_monomial
 from polylie.sampling import random_monomial
 from polylie.span import SpanBasis
 
@@ -262,3 +268,102 @@ class TestEqualValuesHashEqual:
                 for name in ("n", "_terms", "_den", "other"):
                     with pytest.raises(AttributeError, match=f"{type(v).__name__} is immutable"):
                         setattr(v, name, 1)
+
+
+STORED_SLOTS = {"n", "_terms", "_den"}
+
+
+def slot_writers(source):
+    """The top-level class or function around each `object.__setattr__` call
+    that may write a stored slot: its name argument is one of STORED_SLOTS or
+    not a constant."""
+    out = []
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Call) and ast.unparse(node.func) == "object.__setattr__"
+                    and not (len(node.args) > 1 and isinstance(node.args[1], ast.Constant)
+                             and node.args[1].value not in STORED_SLOTS)):
+                out.append(getattr(top, "name", "<module>"))
+    return out
+
+
+class TestOneStoreMethod:
+    def test_finder_sees_slot_writes(self):
+        source = ("class A:\n    def f(self):\n        object.__setattr__(self, '_den', 1)\n"
+                  "        object.__setattr__(self, 'other', 1)\n"
+                  "def g(v, name):\n    object.__setattr__(v, name, 1)\n"
+                  "object.__setattr__(v, 'n', 1)\n")
+        assert slot_writers(source) == ["A", "g", "<module>"]
+
+    def test_slots_are_written_only_inside_lowest_terms(self):
+        package = Path(polylie.__file__).resolve().parent
+        writers = {f"{p.stem}.{name}" for p in package.glob("*.py")
+                   for name in slot_writers(p.read_text())}
+        assert writers == {"polyring._LowestTerms"}
+
+
+def from_polynomials(n, i, make_coeff):
+    """The single-slot derivation built from n polynomials, all zero but
+    make_coeff() in slot i."""
+    if not 1 <= i <= n:
+        raise ValueError(f"variable index {i} out of range 1..{n}")
+    coeffs = [Polynomial.zero(n)] * n
+    coeffs[i - 1] = make_coeff()
+    return Derivation(n, coeffs)
+
+
+def outcome(build):
+    """The value build() returns with its stored key order and denominator,
+    or the type and message of the error it raises."""
+    try:
+        d = build()
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return d, hash(d), list(d._terms), d._den
+
+
+def unordered_text(rng, n):
+    """Polynomial text whose terms come in no canonical order, some of them
+    sharing a monomial."""
+    monos = [random_monomial(rng, n, 3) for _ in range(rng.randint(1, 3))]
+    terms = [(rng.choice(monos), big_rational(rng)) for _ in range(rng.randint(0, 5))]
+    return " + ".join(f"({c}) {format_monomial(m)}" for m, c in terms) or "0"
+
+
+class TestSingleSlotBuilds:
+    def test_partial(self):
+        for n in range(1, 5):
+            for i in range(-1, n + 3):
+                assert (outcome(lambda: Derivation.partial(n, i))
+                        == outcome(lambda: from_polynomials(n, i, lambda: Polynomial.one(n))))
+
+    def test_monomial_term(self):
+        rng = random.Random(85)
+        bad_exponents = [(-1,), (True,), ("x",), (1.0,), ()]
+        coefficients = [1, -3, 0, Fraction(0), Fraction(4, 6), Fraction(-7, 3), 1.5, "2"]
+        for _ in range(100):
+            n = rng.randint(1, 4)
+            i = rng.choice((0, n + 1)) if rng.random() < 0.2 else rng.randint(1, n)
+            coeff = rng.choice(coefficients + [big_rational(rng)])
+            exps = random_monomial(rng, n, 4)
+            if rng.random() < 0.3:
+                exps = rng.choice(bad_exponents) + exps[1:]
+            got = outcome(lambda: Derivation.monomial_term(n, exps, i, coeff))
+            want = outcome(lambda: from_polynomials(
+                n, i, lambda: Polynomial.monomial(n, exps, coeff)))
+            assert got == want
+
+    def test_parsed_directional_term(self):
+        rng = random.Random(86)
+        for _ in range(60):
+            n = rng.randint(1, 4)
+            i = rng.randint(1, n)
+            text = unordered_text(rng, n)
+            got = outcome(lambda: parse_derivation(f"({text}) d{i}", n))
+            want = outcome(lambda: from_polynomials(n, i, lambda: parse_polynomial(text, n)))
+            assert got == want
+            assert outcome(lambda: parse_derivation(f"d{i}", n)) == outcome(
+                lambda: from_polynomials(n, i, lambda: Polynomial.one(n)))
+            for bad in (0, n + 1):
+                with pytest.raises(ParseError, match=f"derivation index d{bad} out of range"):
+                    parse_derivation(f"({text}) d{bad}", n)

@@ -30,6 +30,11 @@ CORPUS_COMMANDS = [
     ["closure", "(1/2 x1^2) d1", "(2/3 x1^3) d1 + (1/5 x2) d2", "--degree-cap", "4",
      "--n", "2"],
     ["derived-series", "d1", "(1/2 x1) d2", "(2/3 x1^2) d2", "--lower", "--n", "2"],
+    # closes at dim 13 from 5 generators: derived dims [13, 10, 4, 0], class 7
+    ["derived-series", "d1", "(1/2 x1) d2 + d3", "(2/3 x1^2) d2", "(x1 x2) d3",
+     "(3/4 x2^2) d3", "--n", "3"],
+    ["derived-series", "d1", "(1/2 x1) d2 + d3", "(2/3 x1^2) d2", "(x1 x2) d3",
+     "(3/4 x2^2) d3", "--lower", "--n", "3"],
     ["lnd", "(x1^2 + 1/2 x1 x2) d3 + (2/3 x1) d2 + d1", "--bound", "8", "--n", "3"],
     ["lnd", "(x1) d1 - (x2) d2", "--n", "2"],
     ["lnd", "(x2) d1 + (1/2 x1) d2", "--n", "2"],

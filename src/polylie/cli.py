@@ -147,7 +147,7 @@ def cmd_derived_series(args) -> int:
               [f"closure failed: {closure.status}"])
         return EXIT_CHECK_FAILED
     series = span.lower_central_series if args.lower else span.derived_series
-    report = series(closure.basis)
+    report = series(closure)
     outputs = {"closure_status": "closed", "dim": closure.basis.dim,
                "basis": [str(b) for b in closure.basis],
                "series": report.to_dict()}

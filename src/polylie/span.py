@@ -23,7 +23,11 @@ as the denominator of each basis derivation.
 Series computations (derived, lower central) operate on bracket-closed
 spans only; closure itself is produced by `lie_closure` under explicit
 degree and dimension caps.  Both bracket stored rows with
-`derivation.bracket_rows` and build no Derivation per bracket.
+`derivation.bracket_rows` and build no Derivation per bracket, and both
+bracket by the generators where they know them: `lie_closure` brackets each
+element it adjoins with the generators before it only, and on a closed
+`LieClosureResult` the first series step walks those same pairs and each
+lower central step brackets the generators with the current term.
 """
 
 from __future__ import annotations
@@ -159,19 +163,32 @@ class SpanBasis:
 class LieClosureResult:
     """Outcome of saturating a span under brackets, subject to caps.
 
-    basis spans everything adjoined before the stop.  On
-    "degree_cap_exceeded", offending_bracket is the pair (a, b) of span
-    elements whose bracket [a, b] has a coefficient of total degree above the
-    cap.
+    basis spans everything adjoined before the stop.  elements are the
+    adjoined derivations in order, a basis of that span: first the
+    num_generators generators that extended it, then the brackets that did.
+    On "degree_cap_exceeded", offending_bracket is the pair (a, b) of
+    elements whose bracket [a, b] has a coefficient of total degree above
+    the cap.
     """
 
     status: str  # "closed" | "degree_cap_exceeded" | "dim_cap_exceeded"
     basis: SpanBasis
+    elements: tuple[Derivation, ...]
+    num_generators: int
     offending_bracket: tuple[Derivation, Derivation] | None = None
 
     @property
     def closed(self) -> bool:
         return self.status == "closed"
+
+
+def _generator_pairs(elems: list, g: int):
+    """Each of elems with each of the first g elems (the generators) that
+    comes before it: C(g, 2) + g * (len(elems) - g) pairs.  elems may grow
+    while the pairs are walked."""
+    for j, b in enumerate(elems):
+        for a in elems[:min(j, g)]:
+            yield a, b
 
 
 def lie_closure(gens: Iterable[Derivation], *,
@@ -181,14 +198,15 @@ def lie_closure(gens: Iterable[Derivation], *,
 
     A worklist holds spanning elements: first the generators that extend the
     span, then every bracket that does.  Each element is bracketed once with
-    each element before it, so when the list is exhausted every bracket of
-    two spanning elements lies in the span and the span is bracket-closed
-    ("closed").  A bracket with a coefficient of total degree above
-    degree_cap stops with "degree_cap_exceeded" and that pair; the span
-    growing past dim_cap stops with "dim_cap_exceeded" at once.  A generator
-    already above degree_cap is a ValueError, so every element of a
-    returned basis has coefficient degree at most degree_cap.  An empty gens
-    is a ValueError too.
+    each generator before it.  A span V that contains the generators S and
+    has [s, V] inside V for every s in S is the Lie algebra S generates,
+    since it holds every right-normed bracket of elements of S.  So when the
+    list is exhausted the span is bracket-closed ("closed").  A bracket with
+    a coefficient of total degree above degree_cap stops with
+    "degree_cap_exceeded" and that pair; the span growing past dim_cap stops
+    with "dim_cap_exceeded" at once.  A generator already above degree_cap
+    is a ValueError, so every element of a returned basis has coefficient
+    degree at most degree_cap.  An empty gens is a ValueError too.
     """
     if degree_cap < 1 or dim_cap < 1:
         raise ValueError("caps must be >= 1")
@@ -206,19 +224,24 @@ def lie_closure(gens: Iterable[Derivation], *,
     for g in gens:
         if basis.add(g):
             elems.append((g, row_partials(n, g._terms)))
+    num_gens = len(elems)
+
+    def result(status, offending=None):
+        return LieClosureResult(status, basis, tuple(d for d, _ in elems),
+                                num_gens, offending)
+
     if basis.dim > dim_cap:
-        return LieClosureResult("dim_cap_exceeded", basis)
-    for j, (b, pb) in enumerate(elems):  # also visits elements appended below
-        for a, pa in elems[:j]:
-            br = bracket_rows(a._terms, pa, b._terms, pb)
-            if br and max(sum(m) for _, m in br) > degree_cap:
-                return LieClosureResult("degree_cap_exceeded", basis, (a, b))
-            if basis._add_row(br):
-                ab = Derivation._from_terms(n, br, a._den * b._den)
-                elems.append((ab, row_partials(n, ab._terms)))
-                if basis.dim > dim_cap:
-                    return LieClosureResult("dim_cap_exceeded", basis)
-    return LieClosureResult("closed", basis)
+        return result("dim_cap_exceeded")
+    for (a, pa), (b, pb) in _generator_pairs(elems, num_gens):
+        br = bracket_rows(a._terms, pa, b._terms, pb)
+        if br and max(sum(m) for _, m in br) > degree_cap:
+            return result("degree_cap_exceeded", (a, b))
+        if basis._add_row(br):
+            ab = Derivation._from_terms(n, br, a._den * b._den)
+            elems.append((ab, row_partials(n, ab._terms)))
+            if basis.dim > dim_cap:
+                return result("dim_cap_exceeded")
+    return result("closed")
 
 
 @dataclass(frozen=True)
@@ -256,11 +279,27 @@ def _bracket_span(n: int, pairs: Iterable[tuple[tuple[Row, Partials], ...]]) -> 
     return out
 
 
-def _series(start: SpanBasis, *, lower_central: bool) -> SeriesReport:
+def _series(algebra: SpanBasis | LieClosureResult, *, lower_central: bool) -> SeriesReport:
+    """The series of a closed LieClosureResult, bracketing by its generators,
+    or of a bare span, whose own rows then all count as generators.
+
+    If S generates L, then [L, M] = span [S, M] for every ideal M of L, the
+    terms L^k among them: L is spanned by right-normed brackets z of elements
+    of S, and [[s, z], x] = [s, [z, x]] - [z, [s, x]] (Jacobi) gives
+    induction on the length of z.
+    """
+    if isinstance(algebra, LieClosureResult):
+        if not algebra.closed:
+            raise ValueError(f"closure status is {algebra.status}, not closed")
+        start, g = algebra.basis, algebra.num_generators
+        elems = [(e._terms, row_partials(start.n, e._terms)) for e in algebra.elements]
+    else:
+        start = algebra
+        elems = start._rows_with_partials()
+        g = len(elems)
     n = start.n
-    rows = start._rows_with_partials()
-    derived = SpanBasis(n, [])  # [L, L], which starts both series
-    for (a, pa), (b, pb) in itertools.combinations(rows, 2):
+    derived = SpanBasis(n, [])  # [L, L] = span [S, L], which starts both series
+    for (a, pa), (b, pb) in _generator_pairs(elems, g):
         br = bracket_rows(a, pa, b, pb)
         if start._reduce(br):
             raise ValueError("span is not bracket-closed; run lie_closure first")
@@ -274,7 +313,7 @@ def _series(start: SpanBasis, *, lower_central: bool) -> SeriesReport:
         if step == 1:
             nxt = derived
         elif lower_central:
-            nxt = _bracket_span(n, itertools.product(rows, current._rows_with_partials()))
+            nxt = _bracket_span(n, itertools.product(elems[:g], current._rows_with_partials()))
         else:
             nxt = _bracket_span(n, itertools.combinations(current._rows_with_partials(), 2))
         dims.append(nxt.dim)
@@ -285,11 +324,14 @@ def _series(start: SpanBasis, *, lower_central: bool) -> SeriesReport:
     return SeriesReport(tuple(dims), zero_verdict, length=step)
 
 
-def derived_series(basis: SpanBasis) -> SeriesReport:
-    """L, [L,L], [[L,L],[L,L]], ... on a bracket-closed span."""
-    return _series(basis, lower_central=False)
+def derived_series(algebra: SpanBasis | LieClosureResult) -> SeriesReport:
+    """L, [L,L], [[L,L],[L,L]], ... on a bracket-closed span L, or on a closed
+    LieClosureResult, whose [L, L] is span [S, L] for its generators S."""
+    return _series(algebra, lower_central=False)
 
 
-def lower_central_series(basis: SpanBasis) -> SeriesReport:
-    """L, [L,L], [L,[L,L]], ... on a bracket-closed span."""
-    return _series(basis, lower_central=True)
+def lower_central_series(algebra: SpanBasis | LieClosureResult) -> SeriesReport:
+    """L, [L,L], [L,[L,L]], ... on a bracket-closed span L, or on a closed
+    LieClosureResult, whose every [L, L^k] is span [S, L^k] for its
+    generators S."""
+    return _series(algebra, lower_central=True)

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -8,14 +9,16 @@ from polylie.canonical import generators
 from polylie.derivation import Derivation
 from polylie.grammar import parse_derivation
 from polylie.polyring import monomial_sort_key
+import polylie.span as span_module
 from polylie.span import (
+    LieClosureResult,
     SpanBasis,
     derived_series,
     lie_closure,
     lower_central_series,
 )
 from polylie.polyring import Polynomial
-from polylie.sampling import random_derivation
+from polylie.sampling import random_derivation, random_subalgebra_element
 
 from large_coefficients import big_derivation, big_rational
 
@@ -197,19 +200,63 @@ class TestLieClosure:
         assert result.status == "closed" and result.basis.dim == 3
         assert result.basis.contains(pd("(x1) d1", n))
 
-    def test_degree_cap(self):
-        n = 2
-        result = lie_closure([pd("(x1^2) d2", n), pd("(x2^2) d1", n)], degree_cap=3)
+    @staticmethod
+    def check_degree_capped(result, degree_cap):
         assert result.status == "degree_cap_exceeded"
         assert result.offending_bracket is not None
         a, b = result.offending_bracket
-        assert a.bracket(b).max_coeff_degree() > 3
+        assert a.bracket(b).max_coeff_degree() > degree_cap
         assert result.basis.contains(a) and result.basis.contains(b)
+
+    @staticmethod
+    def check_dim_capped(result, dim_cap):
+        assert result.status == "dim_cap_exceeded"
+        assert result.offending_bracket is None
+        assert result.basis.dim > dim_cap
+
+    @staticmethod
+    def capped_cases(seed):
+        """Closures of seeded generating sets under small caps: (result, caps)."""
+        rng = random.Random(seed)
+        for _ in range(40):
+            n = rng.randint(1, 3)
+            gens = [random_derivation(rng, n, 2, max_terms=2)
+                    for _ in range(rng.randint(1, 3))]
+            caps = {"degree_cap": rng.randint(2, 4), "dim_cap": rng.randint(3, 12)}
+            yield lie_closure(gens, **caps), caps
+
+    def test_degree_cap(self):
+        n = 2
+        result = lie_closure([pd("(x1^2) d2", n), pd("(x2^2) d1", n)], degree_cap=3)
+        self.check_degree_capped(result, 3)
+        seen = 0
+        for result, caps in self.capped_cases(141):
+            if result.status == "degree_cap_exceeded":
+                self.check_degree_capped(result, caps["degree_cap"])
+                seen += 1
+        assert seen >= 5
 
     def test_dim_cap(self):
         n = 2
         result = lie_closure([pd("(x1^2) d2", n), pd("(x2^2) d1", n)], dim_cap=4)
-        assert result.status == "dim_cap_exceeded"
+        self.check_dim_capped(result, 4)
+        seen = 0
+        for result, caps in self.capped_cases(142):
+            if result.status == "dim_cap_exceeded":
+                self.check_dim_capped(result, caps["dim_cap"])
+                seen += 1
+        assert seen >= 5
+
+    def test_elements_are_a_basis(self):
+        # the adjoined elements, generators first, span the closure and are
+        # independent; a generator inside the span so far is not adjoined
+        n = 2
+        gens = [pd("d1", n), pd("(2 x1) d2", n), pd("d1 + (x1) d2", n), pd("(x1) d1", n)]
+        result = lie_closure(gens)
+        assert result.num_generators == 3
+        assert result.elements[:3] == (gens[0], gens[1], gens[3])
+        assert len(result.elements) == result.basis.dim
+        assert SpanBasis(n, result.elements).basis == result.basis.basis
 
     def test_generator_above_degree_cap_rejected(self):
         n = 1
@@ -319,6 +366,101 @@ class TestLowerCentralSeries:
             lower_term = SpanBasis(n, [a.bracket(b) for a in result.basis
                                        for b in lower_term.basis])
             assert all(lower_term.contains(d) for d in derived_term.basis)
+
+
+FIVE_GENERATORS = ("d1", "(1/2 x1) d2 + d3", "(2/3 x1^2) d2", "(x1 x2) d3",
+                   "(3/4 x2^2) d3")
+
+
+def closed_results():
+    """Closed closures: un(3, 3); five generators; sl2, which stabilizes; a
+    set that is not nilpotent; seeded sets with redundant generators."""
+    yield lie_closure(generators("un", 3, 3))
+    yield lie_closure([pd(t, 3) for t in FIVE_GENERATORS])
+    yield lie_closure([pd("d1", 1), pd("(x1^2) d1", 1)])
+    yield lie_closure([pd("d1", 2), pd("(x1) d1", 2), pd("(x1) d2", 2)])
+    rng = random.Random(14)
+    for _ in range(12):
+        n = rng.randint(1, 3)
+        if rng.random() < 0.5:
+            gens = [random_subalgebra_element(rng, "un", n, 2) for _ in range(3)]
+        else:
+            gens = [random_derivation(rng, n, 1, max_terms=2) for _ in range(3)]
+        # one generator inside the span so far, one inside the algebra
+        gens += [Fraction(2, 3) * gens[0] - gens[1], gens[0].bracket(gens[2])]
+        result = lie_closure(gens, degree_cap=6, dim_cap=64)
+        assert result.closed
+        yield result
+
+
+def reference_lower_terms(basis):
+    """The lower central series terms from all pairs of Derivation brackets,
+    stopping as the series does."""
+    terms = [basis]
+    while terms[-1].dim:
+        nxt = SpanBasis(basis.n, [a.bracket(b) for a in basis for b in terms[-1]])
+        terms.append(nxt)
+        if nxt.dim == terms[-2].dim:
+            break
+    return terms
+
+
+class TestSeriesByGenerators:
+    def test_result_series_equal_bare_span_series(self):
+        for result in closed_results():
+            for series in (derived_series, lower_central_series):
+                assert series(result) == series(result.basis)
+            assert lower_central_series(result).dims == \
+                tuple(t.dim for t in reference_lower_terms(result.basis))
+
+    def test_generators_bracket_each_lower_term(self):
+        # [L, L^k] = span [S, L^k] for the generators S
+        for result in closed_results():
+            gens = result.elements[:result.num_generators]
+            terms = reference_lower_terms(result.basis)
+            for term, nxt in zip(terms, terms[1:]):
+                by_gens = SpanBasis(term.n, [s.bracket(b) for s in gens for b in term])
+                assert by_gens.basis == nxt.basis
+
+    def test_bracket_counts(self, monkeypatch):
+        count = [0]
+        bracket_rows = span_module.bracket_rows
+
+        def counted(*args):
+            count[0] += 1
+            return bracket_rows(*args)
+
+        def brackets(call, *args):
+            count[0] = 0
+            call(*args)
+            return count[0]
+
+        monkeypatch.setattr(span_module, "bracket_rows", counted)
+        result = lie_closure(generators("un", 3, 3))
+        g, dim = result.num_generators, result.basis.dim
+        assert (g, dim) == (15, 27)
+        assert count[0] == comb(g, 2) + g * (dim - g) == 285
+        assert brackets(lower_central_series, result) == 2175
+        assert brackets(derived_series, result) == 666
+        # a bare span brackets all pairs of its rows
+        assert brackets(lower_central_series, result.basis) == 3753
+        assert brackets(derived_series, result.basis) == 732
+
+    def test_capped_result_rejected(self):
+        n = 2
+        result = lie_closure([pd("(x1^2) d2", n), pd("(x2^2) d1", n)], degree_cap=3)
+        assert result.status == "degree_cap_exceeded"
+        for series in (derived_series, lower_central_series):
+            with pytest.raises(ValueError, match="degree_cap_exceeded"):
+                series(result)
+
+    def test_result_not_closed_under_generators_rejected(self):
+        n = 1
+        gens = (pd("d1", n), pd("(x1^2) d1", n))
+        result = LieClosureResult("closed", SpanBasis(n, gens), gens, 2)
+        for series in (derived_series, lower_central_series):
+            with pytest.raises(ValueError, match="not bracket-closed"):
+                series(result)
 
 
 class TestRandomSpans:

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Iterator, Literal, Sequence, Union
 
 from .derivation import Derivation, Partials, Row, bracket_rows, row_partials
-from .polyring import Monomial, Polynomial
+from .polyring import Monomial, Polynomial, codec
 from .reductions import EigenvectorCertificate, eigenvector_certificate
 from .span import SpanBasis
 
@@ -54,6 +54,14 @@ def _slot_violation(i: int, mono: Monomial) -> str | None:
     return None
 
 
+def _row_violations(d: Derivation) -> Iterator[tuple[int, int, str | None]]:
+    """(key, slot, _slot_violation) for each term of d's row, in row order."""
+    c = codec(d.n)
+    for key in d._terms:
+        slot = key >> c.slot_shift
+        yield key, slot, _slot_violation(slot, c.unpack(key))
+
+
 @dataclass(frozen=True)
 class MembershipVerdict:
     in_un: bool
@@ -70,7 +78,7 @@ class MembershipVerdict:
 
 def membership(d: Derivation) -> MembershipVerdict:
     """Decide membership in un and sn, with per-slot violation reasons."""
-    seen = dict.fromkeys((slot, _slot_violation(slot, mono)) for slot, mono in d._terms)
+    seen = dict.fromkeys((slot, why) for _, slot, why in _row_violations(d))
     # slots ascending; the stable sort keeps first-seen order within a slot
     violations = sorted((v for v in seen if v[1]), key=lambda v: v[0])
     in_un = not violations
@@ -90,9 +98,8 @@ def strip_canonical_part(d: Derivation, which: Which) -> tuple[Derivation, Deriv
     admitted = _ADMITTED[which]
     allowed: Row = {}
     violating: Row = {}
-    for (slot, mono), c in d._terms.items():
-        inside = _slot_violation(slot, mono) in admitted
-        (allowed if inside else violating)[(slot, mono)] = c
+    for key, _, why in _row_violations(d):
+        (allowed if why in admitted else violating)[key] = d._terms[key]
     # both halves keep d's denominator; _from_terms reduces each
     remainder = Derivation._from_terms(d.n, violating, d._den)
     stripped = Derivation._from_terms(d.n, allowed, d._den)
@@ -101,17 +108,13 @@ def strip_canonical_part(d: Derivation, which: Which) -> tuple[Derivation, Deriv
     return remainder, stripped
 
 
-def _monomials_in_prefix(n: int, prefix_len: int, max_degree: int) -> Iterator[Monomial]:
-    """Exponent tuples supported on x_1 ... x_{prefix_len}, degree <= max_degree."""
-    if prefix_len == 0:
-        yield (0,) * n
-        return
+def _monomials_in_prefix(n: int, prefix_len: int, max_degree: int) -> Iterator[int]:
+    """Packed keys of the monomials in x_1 ... x_{prefix_len} of degree at
+    most max_degree (only the constant one when prefix_len is 0)."""
+    units = codec(n).var_units
     for total in range(max_degree + 1):
         for combo in itertools.combinations_with_replacement(range(prefix_len), total):
-            exps = [0] * n
-            for pos in combo:
-                exps[pos] += 1
-            yield tuple(exps)
+            yield sum(units[pos] for pos in combo)
 
 
 def generators(which: Which, n: int, degree_cap: int) -> list[Derivation]:
@@ -134,11 +137,12 @@ def generators(which: Which, n: int, degree_cap: int) -> list[Derivation]:
 def _generator_pool(which: Which, n: int, degree_cap: int) -> tuple[Derivation, ...]:
     """The pool `generators` lists, built once per argument triple."""
     admitted = _ADMITTED[which]
+    c = codec(n)
     out: list[Derivation] = []
     for i in range(1, n + 1):
         for m in _monomials_in_prefix(n, i - 1, degree_cap):
-            for e in range(degree_cap - sum(m) + 1):
-                term = m[:i - 1] + (e,) + m[i:]
+            for e in range(degree_cap - c.degree(m) + 1):
+                term = c.unpack(m + e * c.var_units[i - 1])
                 if _slot_violation(i, term) not in admitted:
                     break
                 out.append(Derivation.monomial_term(n, term, i))

@@ -11,66 +11,75 @@ polynomial ring and leaves the composition identity available as an
 independent correctness check.
 
 A derivation is a `_LowestTerms` value (see `polyring`) whose terms form
-one integer row: a flat map {(slot, monomial): int}, slots 1-based, holding
-the term c * x^monomial of the coefficient of d_slot.  The public
-constructor validates the n coefficient polynomials and hands their terms to
-`polyring._over_lcm`, which puts them over one denominator; `coeffs` and
-`coeff` rebuild polynomials on demand.  A single-slot derivation (`partial`,
-`monomial_term`, a parsed "(p) d<i>") is a one-entry row times p.
-A polynomial multiple p * D also stays on the row: each term of the row times
-each term of p, reduced once over den_D * den_p.
+one integer row: a flat map {key: int} over packed keys (see
+`polyring.KeyCodec`) whose slot field, 1-based, names the coefficient of
+d_slot that holds the term c * x^monomial.  The public constructor
+validates the n coefficient polynomials and hands their terms, each key
+moved to its slot, to `polyring._over_lcm`, which puts them over one
+denominator; `coeffs` and `coeff` rebuild polynomials on demand.  A
+single-slot derivation (`partial`, `monomial_term`, a parsed "(p) d<i>") is
+a one-entry row times p.  A polynomial multiple p * D also stays on the
+row: a slot-0 key of p adds to a row key straight into the same slot, each
+term of the row times each term of p, reduced once over den_D * den_p.
 
 Brackets of integer rows stay integral.  `bracket_rows` is the one bracket
 kernel: slot i of [D, E] is D(g_i) - E(f_i), and each half is one call of
 `_apply_into`, which multiplies every term c x^m d_j of one operand into the
 x_j-partials of the other's coefficients, listed once per row by
-`row_partials`.  Callers that bracket a row many times (`span.lie_closure`,
+`row_partials`.  A product of monomials is a sum of keys, a partial a
+difference.  Callers that bracket a row many times (`span.lie_closure`,
 the series, the derived-chain search) list its partials once and bracket
 their stored rows directly.  `Derivation.bracket` brackets the two stored
 rows and reduces once over den_D * den_E; `apply` runs the same
 `_apply_into` on D's row, with f's numerators as the one coefficient of a
-row, and reduces once over den_D * den_f.
+row, in slot 0, and reduces once over den_D * den_f.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add
 from typing import Iterable, Sequence
 
-from .polyring import (Monomial, Polynomial, Scalar, _LowestTerms, _check_index,
-                       _check_same_n, _over_lcm)
+from .polyring import (Polynomial, Scalar, _LowestTerms, _check_index, _check_same_n,
+                       _limit_error, _over_lcm, codec)
 
-Row = dict[tuple[int, Monomial], int]
-Partials = list[list[tuple[int, Monomial, int]]]
+Row = dict[int, int]
+Partials = list[list[tuple[int, int]]]
 
 
 def row_partials(n: int, row: Row) -> Partials:
-    """Entry j-1 lists the terms (slot, m - e_j, c * m_j) of the x_j-partials
-    of row's coefficients."""
-    # spelled out here, not taken from Polynomial.partial, so that partial
-    # stays an independent reference for the kernel
+    """Entry j-1 lists the terms (key - key(x_j), c * e_j) of the
+    x_j-partials of row's coefficients, each key still in its slot."""
+    c = codec(n)
+    unpack, units = c.unpack, c.var_units
     out: Partials = [[] for _ in range(n)]
-    for (slot, m), c in row.items():
-        for pos, e in enumerate(m):
+    for key, v in row.items():
+        pos = 0
+        for e in unpack(key):
             if e:
-                out[pos].append((slot, m[:pos] + (e - 1,) + m[pos + 1:], c * e))
+                out[pos].append((key - units[pos], v * e))
+            pos += 1
     return out
 
 
-def _apply_into(out: dict, d_terms: Iterable[tuple[tuple[int, Monomial], int]],
+def _apply_into(out: dict, d_terms: Iterable[tuple[int, int]],
                 e_partials: Partials, sign: int) -> None:
     """Add sign * D(e) into out: for each term c x^m d_j of D, c x^m times
     the x_j-partials of e's coefficients, each kept in its own slot.
 
     Coefficients that cancel stay in out as zeros, for the caller to drop.
     """
-    for (j, m1), c1 in d_terms:
-        df = e_partials[j - 1]
+    c = codec(len(e_partials))
+    slot_shift, low, guard = c.slot_shift, c.low, c.guard
+    for k1, c1 in d_terms:
+        df = e_partials[(k1 >> slot_shift) - 1]
         if df:
+            m1 = k1 & low  # x^m alone, in slot 0
             c1 *= sign
-            for slot, m2, k in df:
-                key = (slot, tuple(map(add, m1, m2)))
+            for k2, k in df:
+                key = m1 + k2
+                if key & guard:
+                    raise _limit_error()
                 v = out.get(key)
                 out[key] = c1 * k if v is None else v + c1 * k
 
@@ -101,9 +110,10 @@ class Derivation(_LowestTerms):
                 raise TypeError(f"coefficient {f!r} is not a Polynomial")
             if f.n != n:
                 raise ValueError(f"coefficient lives in {f.n} variables, expected {n}")
-        self._store(n, *_over_lcm({(slot, m): (c, f._den)
+        shift = codec(n).slot_shift
+        self._store(n, *_over_lcm({(slot << shift) + k: (c, f._den)
                                    for slot, f in enumerate(cs, start=1)
-                                   for m, c in f._terms.items()}))
+                                   for k, c in f._terms.items()}))
 
     # -- constructors ------------------------------------------------------
 
@@ -116,7 +126,7 @@ class Derivation(_LowestTerms):
     def partial(cls, n: int, i: int) -> Derivation:
         """The coordinate derivation d_i = d/dx_i."""
         _check_index(i, n)
-        return cls._from_terms(n, {(i, (0,) * n): 1}, 1)
+        return cls._from_terms(n, {i << codec(n).slot_shift: 1}, 1)
 
     @classmethod
     def monomial_term(cls, n: int, exponents: Iterable[int], i: int, coeff: Scalar = 1) -> Derivation:
@@ -133,24 +143,30 @@ class Derivation(_LowestTerms):
     @property
     def coeffs(self) -> tuple[Polynomial, ...]:
         """The n coefficient polynomials, built from the row."""
-        per_slot: list[dict[Monomial, int]] = [{} for _ in range(self.n)]
-        for (slot, m), c in self._terms.items():
-            per_slot[slot - 1][m] = c
+        c = codec(self.n)
+        per_slot: list[dict[int, int]] = [{} for _ in range(self.n)]
+        for k, v in self._terms.items():
+            per_slot[(k >> c.slot_shift) - 1][k & c.low] = v
         return tuple(Polynomial._from_terms(self.n, t, self._den) for t in per_slot)
 
     def coeff(self, i: int) -> Polynomial:
         """Coefficient of d_i (1-based)."""
         _check_index(i, self.n)
+        shift = codec(self.n).slot_shift
+        lo, hi = i << shift, (i + 1) << shift
         return Polynomial._from_terms(
-            self.n, {m: c for (slot, m), c in self._terms.items() if slot == i}, self._den)
+            self.n, {k - lo: c for k, c in self._terms.items() if lo <= k < hi}, self._den)
 
     def index(self) -> int | None:
         """Largest k with a nonzero coefficient of d_k; None if D = 0."""
-        return max((slot for slot, _ in self._terms), default=None)
+        if not self._terms:
+            return None
+        # slots are the top field: the top key is in the top slot
+        return max(self._terms) >> codec(self.n).slot_shift
 
     def max_coeff_degree(self) -> int | None:
         """Max total degree over nonzero coefficients; None if D = 0."""
-        return max((sum(m) for _, m in self._terms), default=None)
+        return max(map(codec(self.n).degree, self._terms), default=None)
 
     # -- action and bracket --------------------------------------------------
 
@@ -158,11 +174,10 @@ class Derivation(_LowestTerms):
         """D(f) = sum f_i * df/dx_i."""
         _check_same_n(self.n, f.n)
         # f's numerators are the one coefficient of a row, in slot 0
-        f_partials = row_partials(self.n, {(0, m): c for m, c in f._terms.items()})
+        f_partials = row_partials(self.n, f._terms)
         out: dict = {}
         _apply_into(out, self._terms.items(), f_partials, 1)
-        return Polynomial._from_terms(self.n, {m: c for (_, m), c in out.items()},
-                                      self._den * f._den)
+        return Polynomial._from_terms(self.n, out, self._den * f._den)
 
     def bracket(self, other: Derivation) -> Derivation:
         """[D, E] = [row_D, row_E] / (den_D * den_E), on the stored rows."""
@@ -185,11 +200,14 @@ class Derivation(_LowestTerms):
             return NotImplemented
         _check_same_n(self.n, other.n)
         p = other._terms.items()
+        guard = codec(self.n).guard
         out: Row = {}
         # D's row outermost: a slot-major row gives a slot-major product
-        for (slot, m1), c1 in self._terms.items():
-            for m2, c2 in p:
-                key = (slot, tuple(map(add, m1, m2)))
+        for k1, c1 in self._terms.items():
+            for k2, c2 in p:
+                key = k1 + k2
+                if key & guard:
+                    raise _limit_error()
                 v = out.get(key)
                 out[key] = c1 * c2 if v is None else v + c1 * c2
         return Derivation._from_terms(self.n, out, self._den * other._den)
@@ -205,11 +223,12 @@ class Derivation(_LowestTerms):
         Affine or higher-degree coefficients yield None; the zero derivation
         is linear with the zero matrix.
         """
+        c = codec(self.n)
         rows = [[Fraction(0)] * self.n for _ in range(self.n)]
-        for (slot, mono), c in self._terms.items():
-            if sum(mono) != 1:
+        for k, v in self._terms.items():
+            if c.degree(k) != 1:
                 return None
-            rows[slot - 1][mono.index(1)] = Fraction(c, self._den)
+            rows[(k >> c.slot_shift) - 1][c.unpack(k).index(1)] = Fraction(v, self._den)
         return tuple(map(tuple, rows))
 
     # -- printing ------------------------------------------------------------

@@ -1,16 +1,22 @@
 """Exact sparse multivariate polynomials over the rationals.
 
 A polynomial in Q[x1, ..., xn] is a `_LowestTerms` value keyed by monomial:
-integer numerators over one positive denominator.  A monomial is a plain
-tuple of n nonnegative integer exponents, entry i-1 holding the exponent of
-x_i.  Products, sums, partials and the bracket kernel in `derivation` work
-on the integers and divide out one gcd per result; a Fraction is made only
-where a coefficient leaves the class (`terms`, `sorted_terms`, iteration,
-`coefficient`, `constant_value`).  `Derivation` is the other `_LowestTerms`
-value, keyed by (slot, monomial).
+integer numerators over one positive denominator.  A monomial is stored as
+one nonnegative int, its packed key (see `KeyCodec`): 64-bit fields, from
+most to least significant slot | total degree | e_1 | ... | e_n, with slot 0
+for a polynomial.  A product of two monomials is the sum of their keys, an
+x_j-partial a difference, and int order within a slot is graded-lex order.
+Products, sums, partials and the bracket kernel in `derivation` work on the
+keys and on integer numerators and divide out one gcd per result; an
+exponent tuple or a Fraction is made only where a term leaves the class
+(`terms`, `sorted_terms`, iteration, `coefficient`, `leading_monomial`,
+`constant_value`).  `Derivation` is the other `_LowestTerms` value, keyed by
+packed keys whose slot field holds the slot.
 
 Variable indices in the public API are 1-based (x1 ... xn), matching the
-printed syntax; exponent tuples are indexed 0-based internally.
+printed syntax; exponent tuples are indexed 0-based internally.  The public
+API takes and returns exponent tuples and packs or unpacks them at the
+boundary.
 
 The ambient variable count n is fixed per value.  Mixing values with
 different n raises ValueError rather than embedding one ring in the other:
@@ -19,21 +25,80 @@ the index computations downstream are sensitive to silent dimension shifts.
 
 from __future__ import annotations
 
+import functools
+import struct
 from fractions import Fraction
 from math import factorial, gcd, lcm
-from operator import add
+from operator import or_
 from typing import Iterable, Iterator, Mapping, Union
 
 Monomial = tuple[int, ...]
 Scalar = Union[int, Fraction]
 
+FIELD_BITS = 64
+# Every exponent and every total degree stays below EXPONENT_LIMIT = 2^63, so
+# the top bit of each field is a guard bit that a valid key never sets.  The
+# sum of two valid keys then carries into no other field, and it is a valid
+# key exactly when no guard bit is set.  An exponent never exceeds the total
+# degree, so the degree field's guard bit is the one to test.
+EXPONENT_LIMIT = 1 << (FIELD_BITS - 1)
+_FIELD_MASK = (1 << FIELD_BITS) - 1
 
-def monomial_sort_key(m: Monomial) -> tuple:
-    """Graded-lex key with x1 > x2 > ... > xn: degree first, then exponents.
 
-    Sorting descending by this key lists the canonical leading term first.
+def _limit_error() -> ValueError:
+    return ValueError(f"an exponent or total degree reaches 2^63 = {EXPONENT_LIMIT}, "
+                      f"beyond the largest one supported")
+
+
+class KeyCodec:
+    """The packed keys of monomials in n variables: the field shifts, the
+    keys of the variables, the masks, and pack/unpack.  `codec(n)` holds
+    one per n.
+
+    Fields from most to least significant are slot | degree | e_1 | ... |
+    e_n, each FIELD_BITS wide, so the key of x_j is var_units[j-1], a unit
+    in both the e_j and the degree field.  Slots only ever sit in the top
+    field, which `low` masks off.
     """
-    return (sum(m), m)
+
+    __slots__ = ("n", "shifts", "deg_shift", "slot_shift", "var_units", "low", "guard",
+                 "_nbytes", "_fields", "_exponents")
+
+    def __init__(self, n: int):
+        self.n = n
+        self.shifts = tuple(FIELD_BITS * (n - 1 - pos) for pos in range(n))
+        self.deg_shift = FIELD_BITS * n
+        self.slot_shift = FIELD_BITS * (n + 1)
+        self.var_units = tuple((1 << s) + (1 << self.deg_shift) for s in self.shifts)
+        self.low = (1 << self.slot_shift) - 1
+        self.guard = EXPONENT_LIMIT << self.deg_shift
+        # a key's big-endian bytes, a "Q" per field: pack writes the degree
+        # and exponent fields below an empty slot, unpack reads the exponents
+        self._nbytes = FIELD_BITS // 8 * (n + 2)
+        self._fields = struct.Struct(f">{FIELD_BITS // 8}x{n + 1}Q")
+        self._exponents = struct.Struct(f">{FIELD_BITS // 4}x{n}Q")
+
+    def pack(self, m: Monomial) -> int:
+        """The slot-0 key of an exponent tuple of length n with entries >= 0;
+        ValueError if an exponent or the total degree reaches 2^63."""
+        deg = sum(m)
+        if deg >= EXPONENT_LIMIT:
+            raise _limit_error()
+        return int.from_bytes(self._fields.pack(deg, *m), "big")
+
+    def unpack(self, key: int) -> Monomial:
+        """The exponent tuple of a key; its slot is ignored."""
+        return self._exponents.unpack(key.to_bytes(self._nbytes, "big"))
+
+    def degree(self, key: int) -> int:
+        return (key >> self.deg_shift) & _FIELD_MASK
+
+    def exponent(self, key: int, pos: int) -> int:
+        """The exponent of x_{pos+1} in key."""
+        return (key >> self.shifts[pos]) & _FIELD_MASK
+
+
+codec = functools.cache(KeyCodec)  # the one KeyCodec per n
 
 
 def _check_index(i: int, n: int) -> None:
@@ -48,14 +113,15 @@ def _check_same_n(n1: int, n2: int) -> None:
         raise ValueError(f"ambient dimension mismatch: {n1} vs {n2}")
 
 
-def _check_monomial(m: tuple, n: int) -> Monomial:
+def _check_monomial(m: tuple, n: int) -> int:
+    """The packed key of an exponent tuple from outside, checked first."""
     if len(m) != n:
         raise ValueError(f"monomial {m} has length {len(m)}, expected {n}")
     for e in m:
         # a bool is an int, but True is no exponent
         if not isinstance(e, int) or isinstance(e, bool) or e < 0:
             raise ValueError(f"monomial {m} has invalid exponent {e!r}")
-    return tuple(m)
+    return codec(n).pack(m)
 
 
 def _over_lcm(pairs: Mapping) -> tuple[dict, int]:
@@ -70,13 +136,15 @@ def _over_lcm(pairs: Mapping) -> tuple[dict, int]:
 
 class _LowestTerms:
     """An immutable value stored as integer numerators over one positive
-    denominator: a map `_terms` from keys to nonzero ints and an int `_den`,
-    the value being sum(c * key) / _den, with `n` the number of variables.
+    denominator: a map `_terms` from packed keys to nonzero ints and an int
+    `_den`, the value being sum(c * key) / _den, with `n` the number of
+    variables.
 
     The pair is kept in lowest terms, gcd(_den, *_terms.values()) == 1, and
     zero is the empty map over _den == 1, so equal values have equal term
-    maps and denominators.  `Polynomial` keys its terms by monomial and
-    `Derivation` by (slot, monomial); values of different types never mix.
+    maps and denominators.  `Polynomial` keys its terms by slot-0 keys and
+    `Derivation` by keys with their slot; values of different types never
+    mix.
 
     `_store` is the only code that writes the three slots: the validating
     `__init__`s of both types hand it their terms over `_over_lcm`, and
@@ -163,19 +231,21 @@ class _LowestTerms:
 
 class Polynomial(_LowestTerms):
     """Immutable element of Q[x1, ..., xn]: a `_LowestTerms` value keyed by
-    monomial."""
+    slot-0 packed keys."""
 
     __slots__ = ()
 
     def __init__(self, n: int, terms: Mapping[Monomial, Scalar] | None = None):
-        """Validate outside input: n >= 1, exponent tuples of length n, and
-        int or Fraction coefficients (anything else, floats included, is a
+        """Validate outside input: n >= 1, exponent tuples of length n with
+        exponents and total degree below 2^63, and int or Fraction
+        coefficients (anything else, floats and bools included, is a
         TypeError)."""
         if n < 1:
             raise ValueError(f"variable count must be >= 1, got {n}")
-        pairs: dict[Monomial, tuple[int, int]] = {}
+        pairs: dict[int, tuple[int, int]] = {}
         for mono, coeff in (terms or {}).items():
-            if not isinstance(coeff, (int, Fraction)):
+            # a bool is an int, but True is no coefficient
+            if not isinstance(coeff, (int, Fraction)) or isinstance(coeff, bool):
                 raise TypeError(f"coefficient {coeff!r} is not an int or Fraction")
             # a zero term's monomial is checked too, then dropped by _store
             pairs[_check_monomial(mono, n)] = coeff.numerator, coeff.denominator
@@ -216,31 +286,35 @@ class Polynomial(_LowestTerms):
 
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         """Terms in descending graded-lex order (canonical printing order)."""
-        return sorted(self, key=lambda t: monomial_sort_key(t[0]), reverse=True)
+        unpack, den = codec(self.n).unpack, self._den
+        return [(unpack(k), Fraction(c, den))
+                for k, c in sorted(self._terms.items(), reverse=True)]
 
     def is_constant(self) -> bool:
         """True for constants including zero."""
-        return all(sum(m) == 0 for m in self._terms)
+        return not any(self._terms)
 
     def constant_value(self) -> Fraction:
         """The coefficient of the constant term (0 if absent)."""
-        return self.coefficient((0,) * self.n)
+        return Fraction(self._terms.get(0, 0), self._den)
 
     def coefficient(self, exponents: Iterable[int]) -> Fraction:
-        return Fraction(self._terms.get(tuple(exponents), 0), self._den)
+        return Fraction(self._terms.get(_check_monomial(tuple(exponents), self.n), 0),
+                        self._den)
 
     def total_degree(self) -> int | None:
         """Max total degree over terms; None for the zero polynomial."""
         if not self._terms:
             return None
-        return max(sum(m) for m in self._terms)
+        return codec(self.n).degree(max(self._terms))
 
     def degree_in(self, i: int) -> int | None:
         """Max exponent of x_i over terms; None marks the zero polynomial."""
         _check_index(i, self.n)
         if not self._terms:
             return None
-        return max(m[i - 1] for m in self._terms)
+        c = codec(self.n)
+        return max(c.exponent(k, i - 1) for k in self._terms)
 
     def index(self) -> int | None:
         """Largest s such that d/dx_s does not annihilate this polynomial.
@@ -249,14 +323,9 @@ class Polynomial(_LowestTerms):
         In characteristic zero the partial in x_s is nonzero exactly when
         some term carries a positive x_s exponent.
         """
-        best = 0
-        for m in self._terms:
-            for pos in range(self.n - 1, -1, -1):
-                if m[pos] > 0:
-                    if pos + 1 > best:
-                        best = pos + 1
-                    break
-        return best or None
+        # a field of the or of all keys is nonzero iff it is in some term
+        occurring = codec(self.n).unpack(functools.reduce(or_, self._terms, 0))
+        return max((pos + 1 for pos, e in enumerate(occurring) if e), default=None)
 
     # -- ring arithmetic ---------------------------------------------------
 
@@ -277,12 +346,15 @@ class Polynomial(_LowestTerms):
         if not isinstance(other, Polynomial):
             return NotImplemented
         _check_same_n(self.n, other.n)
-        out: dict[Monomial, int] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                m = tuple(map(add, m1, m2))
-                v = out.get(m)
-                out[m] = c1 * c2 if v is None else v + c1 * c2
+        guard = codec(self.n).guard
+        out: dict[int, int] = {}
+        for k1, c1 in self._terms.items():
+            for k2, c2 in other._terms.items():
+                k = k1 + k2
+                if k & guard:
+                    raise _limit_error()
+                v = out.get(k)
+                out[k] = c1 * c2 if v is None else v + c1 * c2
         return Polynomial._from_terms(self.n, out, self._den * other._den)
 
     __rmul__ = __mul__
@@ -309,19 +381,21 @@ class Polynomial(_LowestTerms):
     __hash__ = _LowestTerms.__hash__
 
     def __iter__(self) -> Iterator[tuple[Monomial, Fraction]]:
-        den = self._den
-        return ((m, Fraction(c, den)) for m, c in self._terms.items())
+        unpack, den = codec(self.n).unpack, self._den
+        return ((unpack(k), Fraction(c, den)) for k, c in self._terms.items())
 
     # -- differentiation ---------------------------------------------------
 
     def partial(self, i: int) -> Polynomial:
         """Formal partial derivative with respect to x_i (1-based)."""
         _check_index(i, self.n)
+        c = codec(self.n)
         pos = i - 1
-        # m -> m - e_i is injective on the kept monomials: nothing to collect
+        unit = c.var_units[pos]
+        # k -> k - key(x_i) is injective on the kept keys: nothing to collect
         return Polynomial._from_terms(self.n, {
-            m[:pos] + (m[pos] - 1,) + m[pos + 1:]: c * m[pos]
-            for m, c in self._terms.items() if m[pos]}, self._den)
+            k - unit: v * e
+            for k, v in self._terms.items() if (e := c.exponent(k, pos))}, self._den)
 
     def diff_multi(self, alpha: Iterable[int]) -> Polynomial:
         """Iterated derivative: apply d/dx_i alpha[i-1] times, for every i.
@@ -354,20 +428,21 @@ class Polynomial(_LowestTerms):
         _check_index(j, self.n)
         if not self._terms:
             return ()
+        c = codec(self.n)
         pos = j - 1
-        t = max(m[pos] for m in self._terms)
-        buckets: list[dict[Monomial, int]] = [{} for _ in range(t + 1)]
-        for m, c in self._terms.items():
-            k = m[pos]
-            stripped = m[:pos] + (0,) + m[pos + 1:]
-            buckets[k][stripped] = c
+        unit = c.var_units[pos]
+        t = max(c.exponent(k, pos) for k in self._terms)
+        buckets: list[dict[int, int]] = [{} for _ in range(t + 1)]
+        for k, v in self._terms.items():
+            e = c.exponent(k, pos)
+            buckets[e][k - e * unit] = v
         return tuple(Polynomial._from_terms(self.n, b, self._den) for b in buckets)
 
     def leading_monomial(self) -> Monomial:
         """Graded-lex greatest monomial; raises on the zero polynomial."""
         if not self._terms:
             raise ValueError("zero polynomial has no leading monomial")
-        return max(self._terms, key=monomial_sort_key)
+        return codec(self.n).unpack(max(self._terms))
 
     # -- printing ----------------------------------------------------------
 

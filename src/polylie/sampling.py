@@ -20,14 +20,17 @@ from typing import Iterator
 
 from .canonical import Which, generators
 from .derivation import Derivation
-from .polyring import Monomial, Polynomial, _over_lcm
+from .polyring import Polynomial, _over_lcm, codec
 
 
-def random_monomial(rng: random.Random, n: int, max_degree: int) -> Monomial:
-    exps = [0] * n
+def random_monomial(rng: random.Random, n: int, max_degree: int) -> int:
+    """The packed key (see `polyring.KeyCodec`) of a random monomial: a
+    degree in 0..max_degree, then a variable per degree unit."""
+    units = codec(n).var_units
+    key = 0
     for _ in range(rng.randint(0, max_degree)):
-        exps[rng.randrange(n)] += 1
-    return tuple(exps)
+        key += units[rng.randrange(n)]
+    return key
 
 
 def _random_pair(rng: random.Random) -> tuple[int, int]:
@@ -41,7 +44,7 @@ def random_coefficient(rng: random.Random) -> Fraction:
 
 
 def _random_terms(rng: random.Random, n: int, max_degree: int,
-                  max_terms: int) -> Iterator[tuple[Monomial, tuple[int, int]]]:
+                  max_terms: int) -> Iterator[tuple[int, tuple[int, int]]]:
     """The draws of one random polynomial: a term count, then per term a
     coefficient pair and then its monomial."""
     for _ in range(rng.randint(0, max_terms)):
@@ -66,8 +69,9 @@ def random_nonconstant_polynomial(rng: random.Random, n: int, max_degree: int) -
 def random_derivation(rng: random.Random, n: int, max_degree: int,
                       max_terms: int = 3) -> Derivation:
     """One random polynomial's draws per slot 1..n, filled into one row."""
+    shift = codec(n).slot_shift
     return Derivation._from_terms(n, *_over_lcm({
-        (slot, m): pair for slot in range(1, n + 1)
+        (slot << shift) + m: pair for slot in range(1, n + 1)
         for m, pair in _random_terms(rng, n, max_degree, max_terms)}))
 
 

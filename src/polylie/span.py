@@ -1,9 +1,9 @@
 """Finite-dimensional linear algebra over Q for sets of derivations.
 
 Derivations are coordinatized against the monomial support of their
-coefficients: a coordinate is a pair (slot, monomial) meaning the given
-monomial inside the coefficient of d_slot.  Columns are ordered by slot
-ascending, then graded-lex descending within a slot.
+coefficients: a coordinate is a packed row key (see `polyring.KeyCodec`),
+the given monomial inside the coefficient of d_slot.  Columns are ordered
+by slot ascending, then graded-lex descending within a slot.
 
 `SpanBasis` is the one span kernel, and `SpanBasis(n, gens)` the only way
 to build a span.  It keeps sparse integer rows (see `derivation.Row`) keyed
@@ -32,24 +32,27 @@ lower central step brackets the generators with the current term.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from math import gcd, lcm
-from typing import Iterable
+from operator import xor
+from typing import Callable, Iterable
 
 from .derivation import Derivation, Partials, Row, bracket_rows, row_partials
-from .polyring import Monomial, _check_same_n
+from .polyring import _check_same_n, codec
 
 DEFAULT_DEGREE_CAP = 12
 DEFAULT_DIM_CAP = 512
 
-Coordinate = tuple[int, Monomial]
 
-
-def _column_key(c: Coordinate) -> tuple:
-    """Column order: slots ascending, monomials graded-lex descending within."""
-    slot, mono = c
-    return (slot, -sum(mono), tuple(-e for e in mono))
+@functools.cache
+def _column_key(n: int) -> Callable[[int], int]:
+    """The sort key of the column order on keys in n variables: slots
+    ascending, monomials graded-lex descending within.  The xor with the
+    mask below the slot field reverses the order of the monomial fields
+    and keeps the slot's."""
+    return functools.partial(xor, codec(n).low)
 
 
 class SpanBasis:
@@ -59,7 +62,7 @@ class SpanBasis:
 
     def __init__(self, n: int, gens: Iterable[Derivation]):
         self.n = n
-        self._rows: dict[Coordinate, Row] = {}  # pivot -> primitive row
+        self._rows: dict[int, Row] = {}  # pivot -> primitive row
         self._basis: tuple[Derivation, ...] | None = ()
         for d in gens:
             self.add(d)
@@ -72,7 +75,7 @@ class SpanBasis:
             # copies: `_add_row` goes on reducing the stored rows in place
             self._basis = tuple(
                 Derivation._from_terms(self.n, dict(self._rows[p]), self._rows[p][p])
-                for p in sorted(self._rows, key=_column_key))
+                for p in sorted(self._rows, key=_column_key(self.n)))
         return self._basis
 
     @property
@@ -85,7 +88,7 @@ class SpanBasis:
     def _rows_with_partials(self) -> list[tuple[Row, Partials]]:
         """The stored rows in pivot order, each with its row_partials."""
         return [(self._rows[p], row_partials(self.n, self._rows[p]))
-                for p in sorted(self._rows, key=_column_key)]
+                for p in sorted(self._rows, key=_column_key(self.n))]
 
     def _reduce(self, row: Row) -> Row:
         """A positive multiple of the residual of row after subtracting its
@@ -123,7 +126,7 @@ class SpanBasis:
         residual = self._reduce(row)
         if not residual:
             return False
-        pivot = min(residual, key=_column_key)
+        pivot = min(residual, key=_column_key(self.n))
         g = gcd(*residual.values())
         if residual[pivot] < 0:
             g = -g
@@ -219,6 +222,7 @@ def lie_closure(gens: Iterable[Derivation], *,
             raise ValueError(f"generator {g} has coefficient degree {deg}, "
                              f"above degree_cap {degree_cap}")
     n = gens[0].n
+    degree = codec(n).degree
     basis = SpanBasis(n, [])
     elems: list[tuple[Derivation, Partials]] = []
     for g in gens:
@@ -234,7 +238,7 @@ def lie_closure(gens: Iterable[Derivation], *,
         return result("dim_cap_exceeded")
     for (a, pa), (b, pb) in _generator_pairs(elems, num_gens):
         br = bracket_rows(a._terms, pa, b._terms, pb)
-        if br and max(sum(m) for _, m in br) > degree_cap:
+        if br and max(map(degree, br)) > degree_cap:
             return result("degree_cap_exceeded", (a, b))
         if basis._add_row(br):
             ab = Derivation._from_terms(n, br, a._den * b._den)

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 from polylie.derivation import Derivation
 from polylie.polyring import Polynomial
-from polylie.sampling import random_monomial
+
+from kernel_reference import random_exponents
 
 BOUND = 10**6
 
@@ -17,7 +18,7 @@ def big_rational(rng):
 
 
 def big_polynomial(rng, n, max_degree, max_terms=4):
-    return Polynomial(n, {random_monomial(rng, n, max_degree): big_rational(rng)
+    return Polynomial(n, {random_exponents(rng, n, max_degree): big_rational(rng)
                           for _ in range(rng.randint(0, max_terms))})
 
 

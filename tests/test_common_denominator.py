@@ -19,7 +19,6 @@ import operator
 import random
 from fractions import Fraction
 from math import gcd
-from operator import add
 from pathlib import Path
 
 import pytest
@@ -29,9 +28,14 @@ from polylie.canonical import strip_canonical_part
 from polylie.derivation import Derivation
 from polylie.grammar import ParseError, parse_derivation, parse_polynomial
 from polylie.polyring import Polynomial, format_monomial
-from polylie.sampling import random_monomial
 from polylie.span import SpanBasis
 
+from kernel_reference import add as ref_add
+from kernel_reference import apply as ref_apply
+from kernel_reference import bracket as ref_bracket
+from kernel_reference import mul as ref_mul
+from kernel_reference import partial as ref_partial
+from kernel_reference import random_exponents
 from large_coefficients import BOUND, big_derivation, big_polynomial, big_rational
 
 
@@ -39,29 +43,8 @@ def nonzero(t):
     return {m: c for m, c in t.items() if c}
 
 
-def ref_add(a, b, sign=1):
-    out = dict(a)
-    for m, c in b.items():
-        out[m] = out.get(m, 0) + sign * c
-    return nonzero(out)
-
-
 def ref_scale(a, k):
     return nonzero({m: c * k for m, c in a.items()})
-
-
-def ref_mul(a, b):
-    out = {}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            m = tuple(map(add, m1, m2))
-            out[m] = out.get(m, 0) + c1 * c2
-    return nonzero(out)
-
-
-def ref_partial(a, pos):
-    return {m[:pos] + (m[pos] - 1,) + m[pos + 1:]: c * m[pos]
-            for m, c in a.items() if m[pos]}
 
 
 def ref_expand(a, pos):
@@ -71,19 +54,6 @@ def ref_expand(a, pos):
     for m, c in a.items():
         out[m[pos]][m[:pos] + (0,) + m[pos + 1:]] = c
     return out
-
-
-def ref_apply(d, f):
-    """D(f) = sum_j f_j * df/dx_j, D given by its coefficients' term maps."""
-    out = {}
-    for pos, g in enumerate(d):
-        out = ref_add(out, ref_mul(g, ref_partial(f, pos)))
-    return out
-
-
-def ref_bracket(d, e):
-    """Slot i of [D, E] is D(g_i) - E(f_i)."""
-    return [ref_add(ref_apply(d, g), ref_apply(e, f), -1) for f, g in zip(d, e)]
 
 
 def assert_lowest_terms(v):
@@ -111,7 +81,7 @@ def check_derivation(d, want):
 
 def fraction_maps(rng, n):
     """n Fraction term maps, some empty, and the derivation they define."""
-    maps = [nonzero({random_monomial(rng, n, 3): big_rational(rng)
+    maps = [nonzero({random_exponents(rng, n, 3): big_rational(rng)
                      for _ in range(rng.randint(0, 3))}) for _ in range(n)]
     return Derivation(n, [Polynomial(n, t) for t in maps]), maps
 
@@ -325,7 +295,7 @@ def outcome(build):
 def unordered_text(rng, n):
     """Polynomial text whose terms come in no canonical order, some of them
     sharing a monomial."""
-    monos = [random_monomial(rng, n, 3) for _ in range(rng.randint(1, 3))]
+    monos = [random_exponents(rng, n, 3) for _ in range(rng.randint(1, 3))]
     terms = [(rng.choice(monos), big_rational(rng)) for _ in range(rng.randint(0, 5))]
     return " + ".join(f"({c}) {format_monomial(m)}" for m, c in terms) or "0"
 
@@ -345,7 +315,7 @@ class TestSingleSlotBuilds:
             n = rng.randint(1, 4)
             i = rng.choice((0, n + 1)) if rng.random() < 0.2 else rng.randint(1, n)
             coeff = rng.choice(coefficients + [big_rational(rng)])
-            exps = random_monomial(rng, n, 4)
+            exps = random_exponents(rng, n, 4)
             if rng.random() < 0.3:
                 exps = rng.choice(bad_exponents) + exps[1:]
             got = outcome(lambda: Derivation.monomial_term(n, exps, i, coeff))

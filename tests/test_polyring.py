@@ -46,9 +46,10 @@ class TestArithmetic:
 
 
 class TestCoefficientTypes:
-    """Only int and Fraction coefficients come in through the public API."""
+    """Only int and Fraction coefficients come in through the public API; a
+    bool is an int, but no coefficient."""
 
-    BAD = [0.5, 0.1, "1/3", None, 1j]
+    BAD = [0.5, 0.1, "1/3", None, 1j, True]
 
     @pytest.mark.parametrize("coeff", BAD)
     def test_constructor_rejects(self, coeff):
@@ -75,10 +76,10 @@ class TestCoefficientTypes:
 
 class TestMonomialChecks:
     """Exponent tuples from outside must have length n and nonnegative int
-    entries; a bool is an int, but no exponent."""
+    entries whose sum stays below 2^63; a bool is an int, but no exponent."""
 
-    BAD = [(1,), (-1, 0), (1.0, 0), (True, 0)]
-    IDS = ["wrong_length", "negative", "float", "bool"]
+    BAD = [(1,), (-1, 0), (1.0, 0), (True, 0), (2**63, 0), (2**62, 2**62)]
+    IDS = ["wrong_length", "negative", "float", "bool", "exponent_limit", "degree_limit"]
 
     @pytest.mark.parametrize("mono", BAD, ids=IDS)
     def test_constructor_rejects(self, mono):

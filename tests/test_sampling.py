@@ -1,7 +1,8 @@
 """The integer-pair samplers against the Fraction path they replaced.
 
-The reference below builds each coefficient as a Fraction and each value
-through the public constructors, as the samplers once did.  A twin
+The reference below draws each monomial as an exponent tuple, builds each
+coefficient as a Fraction and each value through the public constructors,
+as the samplers once did.  A twin
 random.Random drives it, so equal values and equal generator states after
 the call pin both the samples and the sequence of draws.
 """
@@ -13,7 +14,9 @@ import pytest
 
 from polylie.derivation import Derivation
 from polylie.polyring import Polynomial
-from polylie.sampling import random_derivation, random_monomial, random_polynomial
+from polylie.sampling import random_derivation, random_polynomial
+
+from kernel_reference import random_exponents
 
 
 def ref_coefficient(rng, bound=9):
@@ -25,7 +28,7 @@ def ref_polynomial(rng, n, max_degree, max_terms=4):
     terms = {}
     for _ in range(rng.randint(0, max_terms)):
         # the right-hand side is evaluated first: coefficient, then monomial
-        terms[random_monomial(rng, n, max_degree)] = ref_coefficient(rng)
+        terms[random_exponents(rng, n, max_degree)] = ref_coefficient(rng)
     return Polynomial(n, terms)
 
 

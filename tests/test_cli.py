@@ -35,6 +35,17 @@ CORPUS_COMMANDS = [
      "(3/4 x2^2) d3", "--n", "3"],
     ["derived-series", "d1", "(1/2 x1) d2 + d3", "(2/3 x1^2) d2", "(x1 x2) d3",
      "(3/4 x2^2) d3", "--lower", "--n", "3"],
+    # sl2: [L, L] = L, dims [3, 3] in both series
+    ["derived-series", "d1", "(x1) d1", "(x1^2) d1", "--n", "1"],
+    ["derived-series", "d1", "(x1) d1", "(x1^2) d1", "--lower", "--n", "1"],
+    # the third generator is d1 + 2 (x1) d2, inside the span of the first two
+    ["derived-series", "d1", "(x1) d2", "(2 x1) d2 + d1", "(x1^2) d2", "--n", "2"],
+    ["derived-series", "d1", "(x1) d2", "(2 x1) d2 + d1", "(x1^2) d2", "--lower",
+     "--n", "2"],
+    # the closure stops at the degree cap, so no series runs
+    ["derived-series", "(x1^2) d2", "(x2^2) d1", "--degree-cap", "3", "--n", "2"],
+    ["derived-series", "(x1^2) d2", "(x2^2) d1", "--degree-cap", "3", "--lower",
+     "--n", "2"],
     ["lnd", "(x1^2 + 1/2 x1 x2) d3 + (2/3 x1) d2 + d1", "--bound", "8", "--n", "3"],
     ["lnd", "(x1) d1 - (x2) d2", "--n", "2"],
     ["lnd", "(x2) d1 + (1/2 x1) d2", "--n", "2"],

@@ -25,19 +25,22 @@ spans only; closure itself is produced by `lie_closure` under explicit
 degree and dimension caps.  Both bracket stored rows with
 `derivation.bracket_rows` and build no Derivation per bracket, and both
 bracket by the generators where they know them: `lie_closure` brackets each
-element it adjoins with the generators before it only, and on a closed
-`LieClosureResult` the first series step walks those same pairs and each
-lower central step brackets the generators with the current term.
+element it adjoins with the generators before it only, and keeps the
+nonzero rows of those brackets, which span [S, L].  A closed
+`LieClosureResult` hands them to the series as its first step, so nothing
+is bracketed twice, and each lower central step brackets the generators
+with the current term.  A bare span, or a result built by hand, has its
+brackets recomputed and checked against the span instead.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd, lcm
 from operator import xor
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .derivation import Derivation, Partials, Row, bracket_rows, row_partials
 from .polyring import _check_same_n, codec
@@ -171,7 +174,10 @@ class LieClosureResult:
     num_generators generators that extended it, then the brackets that did.
     On "degree_cap_exceeded", offending_bracket is the pair (a, b) of
     elements whose bracket [a, b] has a coefficient of total degree above
-    the cap.
+    the cap.  A closed result from `lie_closure` also keeps in _brackets
+    the rows of its nonzero brackets, in order: they lie in basis and span
+    [S, L] for the generators S.  A result built by hand has _brackets
+    None, and the series then recompute and check those brackets.
     """
 
     status: str  # "closed" | "degree_cap_exceeded" | "dim_cap_exceeded"
@@ -179,6 +185,7 @@ class LieClosureResult:
     elements: tuple[Derivation, ...]
     num_generators: int
     offending_bracket: tuple[Derivation, Derivation] | None = None
+    _brackets: tuple[Row, ...] | None = field(default=None, repr=False, compare=False)
 
     @property
     def closed(self) -> bool:
@@ -229,23 +236,26 @@ def lie_closure(gens: Iterable[Derivation], *,
         if basis.add(g):
             elems.append((g, row_partials(n, g._terms)))
     num_gens = len(elems)
+    brackets: list[Row] = []  # the nonzero brackets, which span [S, L]
 
-    def result(status, offending=None):
+    def result(status, offending=None, kept=None):
         return LieClosureResult(status, basis, tuple(d for d, _ in elems),
-                                num_gens, offending)
+                                num_gens, offending, kept)
 
     if basis.dim > dim_cap:
         return result("dim_cap_exceeded")
     for (a, pa), (b, pb) in _generator_pairs(elems, num_gens):
         br = bracket_rows(a._terms, pa, b._terms, pb)
-        if br and max(map(degree, br)) > degree_cap:
-            return result("degree_cap_exceeded", (a, b))
+        if br:
+            if max(map(degree, br)) > degree_cap:
+                return result("degree_cap_exceeded", (a, b))
+            brackets.append(br)
         if basis._add_row(br):
             ab = Derivation._from_terms(n, br, a._den * b._den)
             elems.append((ab, row_partials(n, ab._terms)))
             if basis.dim > dim_cap:
                 return result("dim_cap_exceeded")
-    return result("closed")
+    return result("closed", kept=tuple(brackets))
 
 
 @dataclass(frozen=True)
@@ -283,6 +293,17 @@ def _bracket_span(n: int, pairs: Iterable[tuple[tuple[Row, Partials], ...]]) -> 
     return out
 
 
+def _checked_brackets(start: SpanBasis, elems: list[tuple[Row, Partials]],
+                      g: int) -> Iterator[Row]:
+    """The brackets of each of elems with each of the first g before it,
+    each checked to lie in start."""
+    for (a, pa), (b, pb) in _generator_pairs(elems, g):
+        br = bracket_rows(a, pa, b, pb)
+        if start._reduce(br):
+            raise ValueError("span is not bracket-closed; run lie_closure first")
+        yield br
+
+
 def _series(algebra: SpanBasis | LieClosureResult, *, lower_central: bool) -> SeriesReport:
     """The series of a closed LieClosureResult, bracketing by its generators,
     or of a bare span, whose own rows then all count as generators.
@@ -290,23 +311,27 @@ def _series(algebra: SpanBasis | LieClosureResult, *, lower_central: bool) -> Se
     If S generates L, then [L, M] = span [S, M] for every ideal M of L, the
     terms L^k among them: L is spanned by right-normed brackets z of elements
     of S, and [[s, z], x] = [s, [z, x]] - [z, [s, x]] (Jacobi) gives
-    induction on the length of z.
+    induction on the length of z.  The first step, [L, L] = span [S, L],
+    takes the bracket rows that lie_closure kept; a bare span, or a result
+    built by hand, recomputes them and checks that each lies in L.
     """
+    rows = None
     if isinstance(algebra, LieClosureResult):
         if not algebra.closed:
             raise ValueError(f"closure status is {algebra.status}, not closed")
-        start, g = algebra.basis, algebra.num_generators
-        elems = [(e._terms, row_partials(start.n, e._terms)) for e in algebra.elements]
+        start, g, rows = algebra.basis, algebra.num_generators, algebra._brackets
+        # the kept rows leave only the generators to bracket with
+        elements = algebra.elements if rows is None else algebra.elements[:g]
+        elems = [(e._terms, row_partials(start.n, e._terms)) for e in elements]
     else:
         start = algebra
         elems = start._rows_with_partials()
         g = len(elems)
+    if rows is None:
+        rows = _checked_brackets(start, elems, g)
     n = start.n
     derived = SpanBasis(n, [])  # [L, L] = span [S, L], which starts both series
-    for (a, pa), (b, pb) in _generator_pairs(elems, g):
-        br = bracket_rows(a, pa, b, pb)
-        if start._reduce(br):
-            raise ValueError("span is not bracket-closed; run lie_closure first")
+    for br in rows:
         derived._add_row(br)
     zero_verdict = "nilpotent" if lower_central else "solvable"
     current = start

@@ -422,6 +422,23 @@ class TestSeriesByGenerators:
                 by_gens = SpanBasis(term.n, [s.bracket(b) for s in gens for b in term])
                 assert by_gens.basis == nxt.basis
 
+    def test_kept_brackets_are_the_nonzero_generator_brackets(self):
+        for result in closed_results():
+            elems, g = result.elements, result.num_generators
+            pairs = [(a, b) for j, b in enumerate(elems) for a in elems[:min(j, g)]
+                     if a.bracket(b)]
+            assert len(result._brackets) == len(pairs)
+            for row, (a, b) in zip(result._brackets, pairs):
+                assert Derivation._from_terms(a.n, row, a._den * b._den) == a.bracket(b)
+
+    def test_kept_brackets_agree_with_checked_brackets(self):
+        for result in closed_results():
+            by_hand = LieClosureResult(result.status, result.basis, result.elements,
+                                       result.num_generators)
+            assert by_hand._brackets is None
+            for series in (derived_series, lower_central_series):
+                assert series(result) == series(by_hand)
+
     def test_bracket_counts(self, monkeypatch):
         count = [0]
         bracket_rows = span_module.bracket_rows
@@ -435,13 +452,24 @@ class TestSeriesByGenerators:
             call(*args)
             return count[0]
 
+        add_row = SpanBasis._add_row
+        adds = [0]
+
+        def counted_add(self, row):
+            adds[0] += 1
+            return add_row(self, row)
+
         monkeypatch.setattr(span_module, "bracket_rows", counted)
+        monkeypatch.setattr(SpanBasis, "_add_row", counted_add)
         result = lie_closure(generators("un", 3, 3))
         g, dim = result.num_generators, result.basis.dim
         assert (g, dim) == (15, 27)
         assert count[0] == comb(g, 2) + g * (dim - g) == 285
-        assert brackets(lower_central_series, result) == 2175
-        assert brackets(derived_series, result) == 666
+        # one per generator and one per bracket: the closure builds no [S, L]
+        assert adds[0] == g + 285 == 300
+        # the first series step takes the closure's brackets, so makes none
+        assert brackets(lower_central_series, result) == 1890
+        assert brackets(derived_series, result) == 381
         # a bare span brackets all pairs of its rows
         assert brackets(lower_central_series, result.basis) == 3753
         assert brackets(derived_series, result.basis) == 732

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Literal, Sequence, Union
 
-from .derivation import Derivation, Partials, Row, bracket_rows, row_partials
+from .derivation import Derivation, Partials, Row, bracket_rows, row_support, signatures_meet
 from .polyring import Monomial, Polynomial, codec
 from .reductions import EigenvectorCertificate, eigenvector_certificate
 from .span import SpanBasis
@@ -357,25 +357,27 @@ def derived_chain_witness(n: int, *,
 
     # sn generators have coefficient 1, so their integer rows, and the
     # brackets of those rows, are the values themselves
-    level: list[tuple[BracketExpr, Row, Partials]] = []
+    level: list[tuple[BracketExpr, Row, Partials, int]] = []
     for i, g in enumerate(pool):
-        level.append((Leaf(i), g._terms, row_partials(n, g._terms)))
+        level.append((Leaf(i), g._terms, *row_support(n, g._terms)))
     cut_at = None
     for depth in range(1, term + 1):
-        kept: list[tuple[BracketExpr, Row, Partials]] = []
+        kept: list[tuple[BracketExpr, Row, Partials, int]] = []
         seen = SpanBasis(n, [])
-        for (expr_a, a, pa), (expr_b, b, pb) in itertools.combinations(level, 2):
+        for (expr_a, a, pa, sa), (expr_b, b, pb, sb) in itertools.combinations(level, 2):
             if len(kept) >= beam:
                 cut_at = cut_at or depth
                 break
+            if not signatures_meet(n, sa, sb):
+                continue
             value = bracket_rows(a, pa, b, pb)
             if seen._add_row(value):
-                kept.append((Bracket(expr_a, expr_b), value, row_partials(n, value)))
+                kept.append((Bracket(expr_a, expr_b), value, *row_support(n, value)))
                 if depth == term:
                     break  # the last level needs only its first nonzero value
         if not kept:
             return None if cut_at is None else TruncatedSearch(cut_at)
         level = kept
 
-    expr, value, _ = level[0]
+    expr, value, *_ = level[0]
     return DerivedChainWitness(term, expr, Derivation._from_terms(n, value, 1), pool)

@@ -29,7 +29,11 @@ x_j-partials of the other's coefficients, listed once per row by
 `row_partials`.  A product of monomials is a sum of keys, a partial a
 difference.  Callers that bracket a row many times (`span.lie_closure`,
 the series, the derived-chain search) list its partials once and bracket
-their stored rows directly.  `Derivation.bracket` brackets the two stored
+their stored rows directly.  They also compute its support signature once,
+with the partials (`row_support`: the slots that hold terms and the
+variables the coefficients depend on), and skip every pair whose
+signatures do not meet (`signatures_meet`), which `bracket_rows` would
+have bracketed to zero.  `Derivation.bracket` brackets the two stored
 rows and reduces once over den_D * den_E; `apply` runs the same
 `_apply_into` on D's row, with f's numerators as the one coefficient of a
 row, in slot 0, and reduces once over den_D * den_f.
@@ -60,6 +64,29 @@ def row_partials(n: int, row: Row) -> Partials:
                 out[pos].append((key - units[pos], v * e))
             pos += 1
     return out
+
+
+def row_support(n: int, row: Row) -> tuple[Partials, int]:
+    """row's row_partials and its support signature, an int whose bit j
+    (1..n) is set when slot j holds a term, and bit n + j when some
+    coefficient depends on x_j, that is when partials entry j-1 is nonempty.
+    """
+    partials = row_partials(n, row)
+    shift = codec(n).slot_shift
+    sig = 0
+    for key in row:
+        sig |= 1 << (key >> shift)
+    for bit, df in enumerate(partials, start=n + 1):
+        if df:
+            sig |= 1 << bit
+    return partials, sig
+
+
+def signatures_meet(n: int, sa: int, sb: int) -> bool:
+    """False when the rows of signatures sa and sb bracket to zero: no slot
+    of either meets a variable the other's coefficients depend on, so each
+    half of `bracket_rows` finds only empty partial lists."""
+    return bool(sa & (sb >> n) or sb & (sa >> n))
 
 
 def _apply_into(out: dict, d_terms: Iterable[tuple[int, int]],

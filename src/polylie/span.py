@@ -23,7 +23,10 @@ as the denominator of each basis derivation.
 Series computations (derived, lower central) operate on bracket-closed
 spans only; closure itself is produced by `lie_closure` under explicit
 degree and dimension caps.  Both bracket stored rows with
-`derivation.bracket_rows` and build no Derivation per bracket, and both
+`derivation.bracket_rows` and build no Derivation per bracket: each
+element's partials and support signature are listed once (`row_support`),
+and a pair whose signatures do not meet is skipped, since its bracket is
+provably zero (`signatures_meet`).  Both
 bracket by the generators where they know them: `lie_closure` brackets each
 element it adjoins with the generators before it only, and keeps the
 nonzero rows of those brackets, which span [S, L].  A closed
@@ -42,11 +45,13 @@ from math import gcd, lcm
 from operator import xor
 from typing import Callable, Iterable, Iterator
 
-from .derivation import Derivation, Partials, Row, bracket_rows, row_partials
+from .derivation import Derivation, Partials, Row, bracket_rows, row_support, signatures_meet
 from .polyring import _check_same_n, codec
 
 DEFAULT_DEGREE_CAP = 12
 DEFAULT_DIM_CAP = 512
+
+Operand = tuple[Row, Partials, int]  # a row, its partials and its signature
 
 
 @functools.cache
@@ -88,9 +93,9 @@ class SpanBasis:
     def __iter__(self):
         return iter(self.basis)
 
-    def _rows_with_partials(self) -> list[tuple[Row, Partials]]:
-        """The stored rows in pivot order, each with its row_partials."""
-        return [(self._rows[p], row_partials(self.n, self._rows[p]))
+    def _operands(self) -> list[Operand]:
+        """The stored rows in pivot order, each with its row_support."""
+        return [(self._rows[p], *row_support(self.n, self._rows[p]))
                 for p in sorted(self._rows, key=_column_key(self.n))]
 
     def _reduce(self, row: Row) -> Row:
@@ -231,20 +236,22 @@ def lie_closure(gens: Iterable[Derivation], *,
     n = gens[0].n
     degree = codec(n).degree
     basis = SpanBasis(n, [])
-    elems: list[tuple[Derivation, Partials]] = []
+    elems: list[tuple[Derivation, Partials, int]] = []
     for g in gens:
         if basis.add(g):
-            elems.append((g, row_partials(n, g._terms)))
+            elems.append((g, *row_support(n, g._terms)))
     num_gens = len(elems)
     brackets: list[Row] = []  # the nonzero brackets, which span [S, L]
 
     def result(status, offending=None, kept=None):
-        return LieClosureResult(status, basis, tuple(d for d, _ in elems),
+        return LieClosureResult(status, basis, tuple(d for d, _, _ in elems),
                                 num_gens, offending, kept)
 
     if basis.dim > dim_cap:
         return result("dim_cap_exceeded")
-    for (a, pa), (b, pb) in _generator_pairs(elems, num_gens):
+    for (a, pa, sa), (b, pb, sb) in _generator_pairs(elems, num_gens):
+        if not signatures_meet(n, sa, sb):
+            continue
         br = bracket_rows(a._terms, pa, b._terms, pb)
         if br:
             if max(map(degree, br)) > degree_cap:
@@ -252,7 +259,7 @@ def lie_closure(gens: Iterable[Derivation], *,
             brackets.append(br)
         if basis._add_row(br):
             ab = Derivation._from_terms(n, br, a._den * b._den)
-            elems.append((ab, row_partials(n, ab._terms)))
+            elems.append((ab, *row_support(n, ab._terms)))
             if basis.dim > dim_cap:
                 return result("dim_cap_exceeded")
     return result("closed", kept=tuple(brackets))
@@ -285,19 +292,22 @@ class SeriesReport:
         }
 
 
-def _bracket_span(n: int, pairs: Iterable[tuple[tuple[Row, Partials], ...]]) -> SpanBasis:
-    """The span of the brackets of pairs of (row, row_partials)."""
+def _bracket_span(n: int, pairs: Iterable[tuple[Operand, Operand]]) -> SpanBasis:
+    """The span of the brackets of pairs of operands."""
     out = SpanBasis(n, [])
-    for (a, pa), (b, pb) in pairs:
-        out._add_row(bracket_rows(a, pa, b, pb))
+    for (a, pa, sa), (b, pb, sb) in pairs:
+        if signatures_meet(n, sa, sb):
+            out._add_row(bracket_rows(a, pa, b, pb))
     return out
 
 
-def _checked_brackets(start: SpanBasis, elems: list[tuple[Row, Partials]],
-                      g: int) -> Iterator[Row]:
+def _checked_brackets(start: SpanBasis, elems: list[Operand], g: int) -> Iterator[Row]:
     """The brackets of each of elems with each of the first g before it,
-    each checked to lie in start."""
-    for (a, pa), (b, pb) in _generator_pairs(elems, g):
+    each checked to lie in start.  Pairs whose signatures do not meet
+    bracket to zero and are skipped."""
+    for (a, pa, sa), (b, pb, sb) in _generator_pairs(elems, g):
+        if not signatures_meet(start.n, sa, sb):
+            continue
         br = bracket_rows(a, pa, b, pb)
         if start._reduce(br):
             raise ValueError("span is not bracket-closed; run lie_closure first")
@@ -322,10 +332,10 @@ def _series(algebra: SpanBasis | LieClosureResult, *, lower_central: bool) -> Se
         start, g, rows = algebra.basis, algebra.num_generators, algebra._brackets
         # the kept rows leave only the generators to bracket with
         elements = algebra.elements if rows is None else algebra.elements[:g]
-        elems = [(e._terms, row_partials(start.n, e._terms)) for e in elements]
+        elems = [(e._terms, *row_support(start.n, e._terms)) for e in elements]
     else:
         start = algebra
-        elems = start._rows_with_partials()
+        elems = start._operands()
         g = len(elems)
     if rows is None:
         rows = _checked_brackets(start, elems, g)
@@ -342,9 +352,9 @@ def _series(algebra: SpanBasis | LieClosureResult, *, lower_central: bool) -> Se
         if step == 1:
             nxt = derived
         elif lower_central:
-            nxt = _bracket_span(n, itertools.product(elems[:g], current._rows_with_partials()))
+            nxt = _bracket_span(n, itertools.product(elems[:g], current._operands()))
         else:
-            nxt = _bracket_span(n, itertools.combinations(current._rows_with_partials(), 2))
+            nxt = _bracket_span(n, itertools.combinations(current._operands(), 2))
         dims.append(nxt.dim)
         # nxt lies inside current, so equal dimensions mean equal spans
         if nxt.dim == current.dim:

@@ -1,80 +1,17 @@
-import contextlib
-import io
 import json
 import re
 import subprocess
 import sys
-from pathlib import Path
+import time
 
 import pytest
 
 from polylie.cli import main
 from polylie.verify import REPORT_SCHEMA
 
-
-# `verify-paper --n 3 --seed S --format json`, byte for byte, for the default
-# seed 42 and the held-out seed 977.  A change that alters any printed value
-# must regenerate these files (rerun this file as a script) and say why.
-GOLDEN_REPORTS = {seed: Path(__file__).parent / "data" / f"verify_paper_n3_seed{seed}.json"
-                  for seed in (42, 977)}
-
-# The single-operation commands below, in text and JSON, with their exit codes
-# and stdout, byte for byte.  Rerun this file as a script to regenerate it.
-GOLDEN_CORPUS = Path(__file__).parent / "data" / "cli_corpus.json"
-RATIONAL_FIELD = "(1/2 + 1/3 x1) d1 + (2/3 x1 + 5/4 x2^2 - 1/6 x2) d2"
-CORPUS_COMMANDS = [
-    ["member", "(x1^2 + x2) d1 + (x2^2 + x1 x2 + x3) d2", "--n", "3"],
-    ["strip", RATIONAL_FIELD, "--which", "un", "--n", "2"],
-    ["strip", RATIONAL_FIELD, "--which", "sn", "--n", "2"],
-    # stops at the degree cap, so the offending pair is printed
-    ["closure", "(1/2 x1^2) d1", "(2/3 x1^3) d1 + (1/5 x2) d2", "--degree-cap", "4",
-     "--n", "2"],
-    ["derived-series", "d1", "(1/2 x1) d2", "(2/3 x1^2) d2", "--lower", "--n", "2"],
-    # closes at dim 13 from 5 generators: derived dims [13, 10, 4, 0], class 7
-    ["derived-series", "d1", "(1/2 x1) d2 + d3", "(2/3 x1^2) d2", "(x1 x2) d3",
-     "(3/4 x2^2) d3", "--n", "3"],
-    ["derived-series", "d1", "(1/2 x1) d2 + d3", "(2/3 x1^2) d2", "(x1 x2) d3",
-     "(3/4 x2^2) d3", "--lower", "--n", "3"],
-    # sl2: [L, L] = L, dims [3, 3] in both series
-    ["derived-series", "d1", "(x1) d1", "(x1^2) d1", "--n", "1"],
-    ["derived-series", "d1", "(x1) d1", "(x1^2) d1", "--lower", "--n", "1"],
-    # the third generator is d1 + 2 (x1) d2, inside the span of the first two
-    ["derived-series", "d1", "(x1) d2", "(2 x1) d2 + d1", "(x1^2) d2", "--n", "2"],
-    ["derived-series", "d1", "(x1) d2", "(2 x1) d2 + d1", "(x1^2) d2", "--lower",
-     "--n", "2"],
-    # the closure stops at the degree cap, so no series runs
-    ["derived-series", "(x1^2) d2", "(x2^2) d1", "--degree-cap", "3", "--n", "2"],
-    ["derived-series", "(x1^2) d2", "(x2^2) d1", "--degree-cap", "3", "--lower",
-     "--n", "2"],
-    ["lnd", "(x1^2 + 1/2 x1 x2) d3 + (2/3 x1) d2 + d1", "--bound", "8", "--n", "3"],
-    ["lnd", "(x1) d1 - (x2) d2", "--n", "2"],
-    ["lnd", "(x2) d1 + (1/2 x1) d2", "--n", "2"],
-    ["bracket", "(1/2 x1^2) d1 + (2/3 x2) d2", "(3/4 x2) d1 - (1/5 x1 x2) d2", "--n", "2"],
-    ["apply", "(1/2 x2) d1 + (2/3) d2", "3/4 x1 x2 + 1/6 x2^2", "--n", "2"],
-    ["witness", "--n", "2"],
-    ["eigencert", "(x1) d1", "(2/3 x1^2) d1", "--n", "1"],
-    ["eigencert", "(x2) d1 + (x1) d2", "(x1) d1 - (x2) d2", "--n", "2"],
-]
-
-
-def render_corpus() -> str:
-    entries = []
-    for argv in CORPUS_COMMANDS:
-        for fmt in ("text", "json"):
-            full = argv + ["--format", fmt]
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out):
-                code = main(full)
-            entries.append({"argv": full, "exit": code, "stdout": out.getvalue()})
-    return json.dumps(entries, indent=2) + "\n"
-
-
-def render_report(seed: int) -> str:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(["verify-paper", "--n", "3", "--seed", str(seed), "--format", "json"])
-    assert code == 0
-    return out.getvalue()
+# The golden files and their renderers live in golden.py, which needs no
+# pytest: `PYTHONPATH=src python tests/golden.py` regenerates the files.
+from golden import GOLDEN_CORPUS, GOLDEN_REPORTS, render_corpus, render_report
 
 
 def run_cli(capsys, *argv):
@@ -101,6 +38,10 @@ class TestCommands:
         code, out, _ = run_cli(capsys, "apply", "(x2) d1 + d2", "x1 x2", "--n", "2")
         assert code == 0
         assert out.strip() == "x2^2 + x1"
+
+    def test_huge_power_of_one_term_parses(self, capsys):
+        code, out, _ = run_cli(capsys, "index", "(x1^100000000) d1", "--n", "1")
+        assert code == 0 and out.strip() == "1"
 
     def test_index_derivation_and_polynomial(self, capsys):
         code, out, _ = run_cli(capsys, "index", "(x3) d1 + (x1) d2", "--n", "3")
@@ -373,8 +314,15 @@ class TestEntryPoint:
             capture_output=True, text=True, env=module_env)
         assert proc.returncode == 2
 
+    def test_power_above_the_bits_limit_exits_two_at_once(self, module_env):
+        start = time.monotonic()
+        proc = subprocess.run(
+            [sys.executable, "-m", "polylie", "index", "(x1 + 1)^100000", "--poly",
+             "--n", "1"],
+            capture_output=True, text=True, env=module_env, timeout=60)
+        elapsed = time.monotonic() - start
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and "POWER_BITS_LIMIT" in proc.stderr
+        # the bound is checked before any product: interpreter start-up dominates
+        assert elapsed < 10
 
-if __name__ == "__main__":
-    GOLDEN_CORPUS.write_text(render_corpus())
-    for seed, path in GOLDEN_REPORTS.items():
-        path.write_text(render_report(seed))

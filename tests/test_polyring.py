@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from polylie.derivation import Derivation
-from polylie.polyring import Polynomial
+from polylie.polyring import POWER_BITS_LIMIT, Polynomial
 from polylie.sampling import random_polynomial
 
 
@@ -112,6 +112,27 @@ class TestPower:
 
     def test_huge_exponent_of_a_variable(self):
         assert var(1, 1) ** 100_000 == Polynomial.monomial(1, (100_000,))
+
+    def test_power_above_the_bits_limit_raises_before_multiplying(self):
+        f = var(1, 1) + 1
+        with pytest.raises(ValueError, match="POWER_BITS_LIMIT"):
+            f ** 100_000
+        with pytest.raises(ValueError, match="POWER_BITS_LIMIT"):
+            (3 * var(1, 1)) ** 10_000_000
+        assert f._power_bits(2_000) <= POWER_BITS_LIMIT < f._power_bits(2_100)
+
+    def test_power_bits_bound_the_power(self):
+        rng = random.Random(77)
+        for _ in range(60):
+            n = rng.randint(1, 3)
+            f = random_polynomial(rng, n, 3, max_terms=rng.randint(1, 4))
+            if f.is_zero():
+                continue
+            k = rng.randint(0, 6)
+            p = f ** k
+            bits = max(c.bit_length() for c in p._terms.values())
+            assert len(p._terms) * bits <= f._power_bits(k)
+            assert p._den.bit_length() <= 1 + k * (f._den - 1).bit_length()
 
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):

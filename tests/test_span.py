@@ -6,7 +6,7 @@ from math import comb
 import pytest
 
 from polylie.canonical import generators
-from polylie.derivation import Derivation
+from polylie.derivation import Derivation, row_support
 from polylie.grammar import parse_derivation
 import polylie.span as span_module
 from polylie.span import (
@@ -447,10 +447,17 @@ class TestSeriesByGenerators:
             count[0] += 1
             return bracket_rows(*args)
 
+        tests = [0]
+        meet = span_module.signatures_meet
+
+        def counted_meet(*args):
+            tests[0] += 1
+            return meet(*args)
+
         def brackets(call, *args):
-            count[0] = 0
+            count[0] = tests[0] = 0
             call(*args)
-            return count[0]
+            return count[0], tests[0]
 
         add_row = SpanBasis._add_row
         adds = [0]
@@ -460,19 +467,36 @@ class TestSeriesByGenerators:
             return add_row(self, row)
 
         monkeypatch.setattr(span_module, "bracket_rows", counted)
+        monkeypatch.setattr(span_module, "signatures_meet", counted_meet)
         monkeypatch.setattr(SpanBasis, "_add_row", counted_add)
         result = lie_closure(generators("un", 3, 3))
         g, dim = result.num_generators, result.basis.dim
         assert (g, dim) == (15, 27)
-        assert count[0] == comb(g, 2) + g * (dim - g) == 285
+        # every generator pair is walked, and only the 69 whose signatures
+        # meet are bracketed: here exactly the nonzero ones
+        assert tests[0] == comb(g, 2) + g * (dim - g) == 285
+        assert count[0] == len(result._brackets) == 69
         # one per generator and one per bracket: the closure builds no [S, L]
-        assert adds[0] == g + 285 == 300
-        # the first series step takes the closure's brackets, so makes none
-        assert brackets(lower_central_series, result) == 1890
-        assert brackets(derived_series, result) == 381
+        assert adds[0] == g + 69 == 84
+        # the first series step takes the closure's brackets, so makes none;
+        # (brackets made, pairs walked)
+        assert brackets(lower_central_series, result) == (315, 1890)
+        assert brackets(derived_series, result) == (33, 381)
         # a bare span brackets all pairs of its rows
-        assert brackets(lower_central_series, result.basis) == 3753
-        assert brackets(derived_series, result.basis) == 732
+        assert brackets(lower_central_series, result.basis) == (420, 3753)
+        assert brackets(derived_series, result.basis) == (102, 732)
+
+    def test_skipped_closure_pairs_bracket_to_zero(self):
+        result = lie_closure(generators("un", 3, 3))
+        elems, g = result.elements, result.num_generators
+        skipped = 0
+        for j, b in enumerate(elems):
+            for a in elems[:min(j, g)]:
+                sa, sb = (row_support(3, d._terms)[1] for d in (a, b))
+                if not span_module.signatures_meet(3, sa, sb):
+                    skipped += 1
+                    assert a.bracket(b).is_zero()
+        assert skipped == 285 - 69
 
     def test_capped_result_rejected(self):
         n = 2

@@ -13,11 +13,12 @@ verifying command ends negative (failed check, mismatch, nothing found),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
 from . import canonical, reductions, span
-from .grammar import ParseError, parse_derivation, parse_polynomial
+from .grammar import parse_derivation, parse_polynomial
 from .verify import verify_paper
 
 # version of the JSON document the single-operation commands print;
@@ -258,7 +259,10 @@ def cmd_verify_paper(args) -> int:
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; each parse_args call returns a fresh
+    Namespace, so no state carries from one command to the next."""
     parser = argparse.ArgumentParser(
         prog="polylie",
         description="Exact computations with polynomial vector fields: brackets, "
@@ -381,14 +385,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except ValueError as exc:  # a ParseError too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -42,10 +42,11 @@ row, in slot 0, and reduces once over den_D * den_f.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import groupby
 from typing import Iterable, Sequence
 
 from .polyring import (Polynomial, Scalar, _LowestTerms, _check_index, _check_same_n,
-                       _limit_error, _over_lcm, codec)
+                       _format_sum, _limit_error, _over_lcm, codec)
 
 Row = dict[int, int]
 Partials = list[list[tuple[int, int]]]
@@ -279,13 +280,19 @@ def format_derivation(d: Derivation) -> str:
 
     A unit coefficient prints as a bare d<i>; anything else is parenthesized,
     e.g. "(x1^2) d1 + (-2 x1 x2) d2".  The zero derivation prints as "0".
+
+    Printed straight from the row: key ^ low orders the keys by slot, then
+    by descending graded-lex order within a slot.
     """
+    if not d._terms:
+        return "0"
+    c = codec(d.n)
+    terms, den, low, shift = d._terms, d._den, c.low, c.slot_shift
     parts = []
-    for pos, f in enumerate(d.coeffs):
-        if f.is_zero():
-            continue
-        if f == 1:
-            parts.append(f"d{pos + 1}")
+    for slot, group in groupby(sorted(terms, key=low.__xor__), lambda k: k >> shift):
+        keys = list(group)
+        if len(keys) == 1 and not keys[0] & low and terms[keys[0]] == den:
+            parts.append(f"d{slot}")
         else:
-            parts.append(f"({f}) d{pos + 1}")
-    return " + ".join(parts) if parts else "0"
+            parts.append(f"({_format_sum(c, keys, terms, den)}) d{slot}")
+    return " + ".join(parts)

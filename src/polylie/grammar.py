@@ -3,7 +3,8 @@
 Polynomials: variables x1..xn, integer and rational literals like 3 or 1/2,
 operators + - * ^, parentheses, and implicit multiplication by juxtaposition
 ("2 x1 x2^3").  Exponentiation binds tightest and exponents are nonnegative
-integer literals.
+integer literals.  Literals and the indices of x<i> and d<i> are written in
+ASCII digits only.
 
 Derivations: a sum of terms "(poly) d<i>" or bare "d<i>", e.g.
 "(x1^2) d2 + (x1+1) d1"; "0" denotes the zero derivation.  Whitespace is
@@ -15,10 +16,8 @@ re-exported here) emit canonical text that parses back to the same value.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .derivation import Derivation, format_derivation
-from .polyring import Polynomial, format_polynomial
+from .polyring import Polynomial, codec, format_polynomial
 
 __all__ = [
     "ParseError",
@@ -33,6 +32,10 @@ _VAR = "var"
 _DERIV = "deriv"
 _OP = "op"
 _EOF = "eof"
+
+# ASCII digits only: str.isdigit() also holds for "²", which int() rejects,
+# and for "١", which int() reads as 1
+_DIGITS = frozenset("0123456789")
 
 
 class ParseError(ValueError):
@@ -70,9 +73,9 @@ def _tokenize(text: str) -> list[_Token]:
             i += 1
             continue
         start_col = col
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j] in _DIGITS:
                 j += 1
             tokens.append(_Token(_INT, int(text[i:j]), line, start_col))
             col += j - i
@@ -80,7 +83,7 @@ def _tokenize(text: str) -> list[_Token]:
             continue
         if ch in ("x", "d"):
             j = i + 1
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j] in _DIGITS:
                 j += 1
             if j == i + 1:
                 raise ParseError(f"expected an index after '{ch}'", line, start_col)
@@ -176,10 +179,14 @@ class _Parser:
         return atom
 
     def parse_atom(self) -> Polynomial:
+        """A literal or a variable, stored straight: the tokenizer reads
+        literals as nonnegative ints and this method checks the denominator
+        and the variable's range, so the public constructors would only
+        check them again."""
         tok = self.peek()
         if tok.kind == _INT:
             self.advance()
-            value = Fraction(tok.value)
+            den = 1
             nxt = self.peek()
             if nxt.kind == _OP and nxt.value == "/":
                 self.advance()
@@ -189,14 +196,14 @@ class _Parser:
                 if dtok.value == 0:
                     raise self.fail("zero denominator")
                 self.advance()
-                value /= dtok.value
-            return Polynomial.constant(self.n, value)
+                den = dtok.value
+            return Polynomial._from_terms(self.n, {0: tok.value}, den)
         if tok.kind == _VAR:
             if not 1 <= tok.value <= self.n:
                 raise self.fail(
                     f"variable x{tok.value} out of range for {self.n} variable(s)")
             self.advance()
-            return Polynomial.variable(self.n, tok.value)
+            return Polynomial._from_terms(self.n, {codec(self.n).var_units[tok.value - 1]: 1}, 1)
         if tok.kind == _OP and tok.value == "(":
             self.advance()
             inner = self.parse_sum()

@@ -9,9 +9,10 @@ x_j-partial a difference, and int order within a slot is graded-lex order.
 Products, sums, partials and the bracket kernel in `derivation` work on the
 keys and on integer numerators and divide out one gcd per result; an
 exponent tuple or a Fraction is made only where a term leaves the class
-(`terms`, `sorted_terms`, iteration, `coefficient`, `leading_monomial`,
-`constant_value`).  `Derivation` is the other `_LowestTerms` value, keyed by
-packed keys whose slot field holds the slot.
+(`terms`, iteration, `coefficient`, `leading_monomial`, `constant_value`);
+the printers read the keys and numerators straight.  `Derivation` is the
+other `_LowestTerms` value, keyed by packed keys whose slot field holds the
+slot.
 
 Variable indices in the public API are 1-based (x1 ... xn), matching the
 printed syntax; exponent tuples are indexed 0-based internally.  The public
@@ -292,12 +293,6 @@ class Polynomial(_LowestTerms):
         """The term map with Fraction coefficients, as a new dict."""
         return dict(self)
 
-    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
-        """Terms in descending graded-lex order (canonical printing order)."""
-        unpack, den = codec(self.n).unpack, self._den
-        return [(unpack(k), Fraction(c, den))
-                for k, c in sorted(self._terms.items(), reverse=True)]
-
     def is_constant(self) -> bool:
         """True for constants including zero."""
         return not any(self._terms)
@@ -485,6 +480,34 @@ def format_monomial(m: Monomial) -> str:
     return " ".join(parts)
 
 
+def _format_sum(c: KeyCodec, keys: Iterable[int], terms: Mapping[int, int], den: int) -> str:
+    """The text of the sum of terms[k] / den * x^k over the nonempty keys, in
+    their order; the slot of each key is ignored.
+
+    Each coefficient prints in lowest terms, p or p/q, and a unit one in
+    front of a monomial not at all.  The first term carries a bare "-" if
+    it is negative, each later one "+ " or "- ".
+    """
+    pieces: list[str] = []
+    for k in keys:
+        num = terms[k]
+        g = gcd(num, den)
+        q = den // g
+        mag = str(abs(num) // g) if q == 1 else f"{abs(num) // g}/{q}"
+        mono_txt = format_monomial(c.unpack(k))
+        if not mono_txt:
+            body = mag
+        elif mag == "1":
+            body = mono_txt
+        else:
+            body = f"{mag} {mono_txt}"
+        if not pieces:
+            pieces.append(body if num > 0 else f"-{body}")
+        else:
+            pieces.append(f"+ {body}" if num > 0 else f"- {body}")
+    return " ".join(pieces)
+
+
 def format_polynomial(f: Polynomial) -> str:
     """Canonical text: terms in descending graded-lex order, x1 > x2 > ...
 
@@ -492,21 +515,7 @@ def format_polynomial(f: Polynomial) -> str:
     """
     if f.is_zero():
         return "0"
-    pieces: list[str] = []
-    for mono, coeff in f.sorted_terms():
-        mono_txt = format_monomial(mono)
-        mag = abs(coeff)
-        if not mono_txt:
-            body = str(mag)  # Fraction prints p/q, integers without the /q
-        elif mag == 1:
-            body = mono_txt
-        else:
-            body = f"{mag} {mono_txt}"
-        if not pieces:
-            pieces.append(body if coeff > 0 else f"-{body}")
-        else:
-            pieces.append(f"+ {body}" if coeff > 0 else f"- {body}")
-    return " ".join(pieces)
+    return _format_sum(codec(f.n), sorted(f._terms, reverse=True), f._terms, f._den)
 
 
 def multi_factorial(alpha: Iterable[int]) -> int:

@@ -5,7 +5,14 @@ lists of n of them, one per slot.  Everything is written from the textbook
 formulas on exponent tuples, with no packed keys, no common denominator and
 nothing shared with `polylie`, so the library's kernels can be checked
 against it.
+
+The printers at the end format polylie's own `Polynomial` and `Derivation`
+values, reading them through the public API alone (`coeffs`, iteration and
+`Fraction` coefficients), so the library's printers can be checked against
+them byte for byte.
 """
+
+from fractions import Fraction
 
 
 def random_exponents(rng, n, max_degree):
@@ -63,3 +70,45 @@ def apply(d, f):
 def bracket(d, e):
     """[D, E](x_i) = D(E(x_i)) - E(D(x_i)): slot i is D(g_i) - E(f_i)."""
     return [add(apply(d, g), apply(e, f), -1) for f, g in zip(d, e)]
+
+
+def format_monomial(m):
+    """x_i for exponent 1, x_i^e above, the factors in variable order."""
+    return " ".join(f"x{pos + 1}" if e == 1 else f"x{pos + 1}^{e}"
+                    for pos, e in enumerate(m) if e)
+
+
+def format_polynomial(f):
+    """Terms in descending graded-lex order, each coefficient a Fraction: its
+    magnitude p or p/q in front, left out before a monomial when it is 1; a
+    bare "-" on a negative first term, "+ " or "- " on each later one."""
+    pieces = []
+    for m, coeff in sorted(f, key=lambda term: graded_lex_key(term[0]), reverse=True):
+        mono = format_monomial(m)
+        mag = abs(coeff)
+        if not mono:
+            body = str(mag)
+        elif mag == 1:
+            body = mono
+        else:
+            body = f"{mag} {mono}"
+        if pieces:
+            pieces.append(f"+ {body}" if coeff > 0 else f"- {body}")
+        else:
+            pieces.append(body if coeff > 0 else f"-{body}")
+    return " ".join(pieces) or "0"
+
+
+def format_derivation(d):
+    """The nonzero coefficients in slot order: a bare d<i> for the constant
+    1, "(f) d<i>" otherwise; "0" when there are none."""
+    parts = []
+    for pos, f in enumerate(d.coeffs, start=1):
+        terms = dict(f)
+        if not terms:
+            continue
+        if terms == {(0,) * d.n: Fraction(1)}:
+            parts.append(f"d{pos}")
+        else:
+            parts.append(f"({format_polynomial(f)}) d{pos}")
+    return " + ".join(parts) or "0"

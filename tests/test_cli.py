@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from polylie.cli import main
+from polylie.cli import build_parser, main
 from polylie.verify import REPORT_SCHEMA
 
 # The golden files and their renderers live in golden.py, which needs no
@@ -298,6 +298,34 @@ class TestVerifyPaper:
 
     def test_json_matches_held_out_golden_report(self):
         assert render_report(977) == GOLDEN_REPORTS[977].read_text()
+
+
+class TestOneParser:
+    """main parses every command with the one parser of the process."""
+
+    SERIES = ["derived-series", "d1", "(x1) d1", "(x1^2) d2", "--n", "2", "--format", "json"]
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_flag_does_not_carry_to_the_next_command(self, capsys):
+        code, out, _ = run_cli(capsys, *self.SERIES, "--lower")
+        assert code == 0 and json.loads(out)["inputs"]["lower"] is True
+        code, out, _ = run_cli(capsys, *self.SERIES)
+        assert code == 0 and json.loads(out)["inputs"]["lower"] is False
+
+    def test_usage_error_leaves_no_trace(self, capsys, module_env):
+        fresh = subprocess.run([sys.executable, "-m", "polylie", *self.SERIES],
+                               capture_output=True, text=True, env=module_env)
+        assert fresh.returncode == 0
+        assert run_cli(capsys, "closure", "(x1) d2", "--n", "2")[0] == 0
+        # --lower and --degree-cap are parsed before --max-iter is rejected
+        with pytest.raises(SystemExit) as exc:
+            main(["derived-series", "d2", "--lower", "--degree-cap", "1", "--n", "2",
+                  "--max-iter", "3"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert run_cli(capsys, *self.SERIES)[:2] == (fresh.returncode, fresh.stdout)
 
 
 class TestEntryPoint:

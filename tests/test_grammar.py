@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import kernel_reference as ref
 from polylie.derivation import Derivation
 from polylie.grammar import (
     ParseError,
@@ -65,6 +66,17 @@ class TestPolynomialParsing:
     def test_zero_denominator(self):
         with pytest.raises(ParseError):
             parse_polynomial("1/0", 1)
+
+    @pytest.mark.parametrize("text, message, column", [
+        # str.isdigit() holds for both; int() rejects "²" and reads "١" as 1
+        ("(x1^²) d1", "unexpected character '²'", 5),
+        ("(x١) d1", "expected an index after 'x'", 2),
+    ])
+    def test_non_ascii_digits_rejected(self, text, message, column):
+        with pytest.raises(ParseError) as err:
+            parse_derivation(text, 1)
+        assert str(err.value) == f"{message} (line 1, column {column})"
+        assert (err.value.line, err.value.column) == (1, column)
 
 
 class TestDerivationParsing:
@@ -129,3 +141,53 @@ class TestFormatting:
             assert parse_derivation(format_derivation(d), n) == d
             f = random_polynomial(rng, n, 5)
             assert parse_polynomial(format_polynomial(f), n) == f
+
+
+# coefficients of every sign and shape: +-1, integers and rationals
+COEFFS = [Fraction(c) for c in (1, -1, 2, -3)] + [Fraction(1, 2), Fraction(-2, 3),
+                                                 Fraction(5, 4), Fraction(-7, 6)]
+
+
+def random_coefficient_polynomial(rng, n):
+    """A polynomial that is zero, a constant from COEFFS, or up to 4 terms."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return Polynomial(n)
+    if kind == 1:
+        return Polynomial.constant(n, rng.choice(COEFFS))
+    return Polynomial(n, {ref.random_exponents(rng, n, 3): rng.choice(COEFFS)
+                          for _ in range(rng.randint(1, 4))})
+
+
+def cases_of(d):
+    """The cases of the derivation d that the printers treat apart."""
+    cases = {"zero derivation"} if d.is_zero() else set()
+    for f in d.coeffs:
+        if f.is_zero():
+            cases.add("empty slot")
+        elif f.is_constant():
+            cases.add(f"constant {f.constant_value()}")
+        else:
+            cases.update("negative rational" if c < 0 else "positive rational"
+                         for _, c in f if c.denominator > 1)
+    return cases
+
+
+class TestFormatterOracle:
+    """The printers, which work on the packed row, print byte for byte what
+    the Fraction printers of kernel_reference print."""
+
+    def test_matches_fraction_reference(self):
+        rng = random.Random(18)
+        seen = set()
+        for n in range(1, 5):
+            for _ in range(300):
+                coeffs = [random_coefficient_polynomial(rng, n) for _ in range(n)]
+                for f in coeffs:
+                    assert format_polynomial(f) == ref.format_polynomial(f)
+                d = Derivation(n, coeffs)
+                assert format_derivation(d) == ref.format_derivation(d)
+                seen |= cases_of(d)
+        assert seen >= {"zero derivation", "empty slot", "constant 1", "constant -1",
+                        "constant 1/2", "constant -7/6", "negative rational",
+                        "positive rational"}

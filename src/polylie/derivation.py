@@ -45,8 +45,8 @@ from fractions import Fraction
 from itertools import groupby
 from typing import Iterable, Sequence
 
-from .polyring import (Polynomial, Scalar, _LowestTerms, _check_index, _check_same_n,
-                       _format_sum, _limit_error, _over_lcm, codec)
+from .polyring import (Polynomial, Scalar, _LowestTerms, _check_index, _check_n,
+                       _check_same_n, _format_sum, _limit_error, _over_lcm, codec)
 
 Row = dict[int, int]
 Partials = list[list[tuple[int, int]]]
@@ -128,8 +128,7 @@ class Derivation(_LowestTerms):
     __slots__ = ()
 
     def __init__(self, n: int, coeffs: Sequence[Polynomial]):
-        if n < 1:
-            raise ValueError(f"variable count must be >= 1, got {n}")
+        _check_n(n)
         cs = tuple(coeffs)
         if len(cs) != n:
             raise ValueError(f"expected {n} coefficient polynomials, got {len(cs)}")
@@ -147,8 +146,8 @@ class Derivation(_LowestTerms):
 
     @classmethod
     def zero(cls, n: int) -> Derivation:
-        z = Polynomial.zero(n)
-        return cls(n, (z,) * n)
+        _check_n(n)
+        return cls._from_terms(n, {}, 1)
 
     @classmethod
     def partial(cls, n: int, i: int) -> Derivation:

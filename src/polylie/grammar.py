@@ -17,7 +17,7 @@ re-exported here) emit canonical text that parses back to the same value.
 from __future__ import annotations
 
 from .derivation import Derivation, format_derivation
-from .polyring import Polynomial, codec, format_polynomial
+from .polyring import Polynomial, _check_n, codec, format_polynomial
 
 __all__ = [
     "ParseError",
@@ -104,8 +104,7 @@ def _tokenize(text: str) -> list[_Token]:
 
 class _Parser:
     def __init__(self, text: str, n: int):
-        if n < 1:
-            raise ValueError(f"variable count must be >= 1, got {n}")
+        _check_n(n)
         self.n = n
         self.tokens = _tokenize(text)
         self.pos = 0

@@ -116,6 +116,21 @@ def _check_index(i: int, n: int) -> None:
         raise ValueError(f"variable index {i} out of range 1..{n}")
 
 
+def _check_n(n: int) -> None:
+    """The one check of a variable count."""
+    if not isinstance(n, int):
+        raise TypeError(f"variable count {n!r} is not an int")
+    if n < 1:
+        raise ValueError(f"variable count must be >= 1, got {n}")
+
+
+def _check_coefficient(c) -> None:
+    """The one check of a coefficient from outside: an int or a Fraction."""
+    # a bool is an int, but True is no coefficient
+    if not isinstance(c, (int, Fraction)) or isinstance(c, bool):
+        raise TypeError(f"coefficient {c!r} is not an int or Fraction")
+
+
 def _check_same_n(n1: int, n2: int) -> None:
     """The one check that two operands live in the same number of variables."""
     if n1 != n2:
@@ -249,38 +264,41 @@ class Polynomial(_LowestTerms):
         exponents and total degree below 2^63, and int or Fraction
         coefficients (anything else, floats and bools included, is a
         TypeError)."""
-        if n < 1:
-            raise ValueError(f"variable count must be >= 1, got {n}")
+        _check_n(n)
         pairs: dict[int, tuple[int, int]] = {}
         for mono, coeff in (terms or {}).items():
-            # a bool is an int, but True is no coefficient
-            if not isinstance(coeff, (int, Fraction)) or isinstance(coeff, bool):
-                raise TypeError(f"coefficient {coeff!r} is not an int or Fraction")
+            _check_coefficient(coeff)
             # a zero term's monomial is checked too, then dropped by _store
             pairs[_check_monomial(mono, n)] = coeff.numerator, coeff.denominator
         self._store(n, *_over_lcm(pairs))
 
     # -- constructors ------------------------------------------------------
+    # The constants run the checks of `__init__` on their arguments, in the
+    # same order, then build their known-valid terms directly: key 0 is the
+    # constant monomial and var_units[i-1] the key of x_i.
 
     @classmethod
     def zero(cls, n: int) -> Polynomial:
-        return cls(n)
+        _check_n(n)
+        return cls._from_terms(n, {}, 1)
 
     @classmethod
     def one(cls, n: int) -> Polynomial:
-        return cls(n, {(0,) * n: 1})
+        _check_n(n)
+        return cls._from_terms(n, {0: 1}, 1)
 
     @classmethod
     def constant(cls, n: int, c: Scalar) -> Polynomial:
-        return cls(n, {(0,) * n: c})
+        _check_n(n)
+        _check_coefficient(c)
+        return cls._from_terms(n, {0: c.numerator}, c.denominator)
 
     @classmethod
     def variable(cls, n: int, i: int) -> Polynomial:
         """The polynomial x_i (1-based index)."""
         _check_index(i, n)
-        exps = [0] * n
-        exps[i - 1] = 1
-        return cls(n, {tuple(exps): 1})
+        _check_n(n)
+        return cls._from_terms(n, {codec(n).var_units[i - 1]: 1}, 1)
 
     @classmethod
     def monomial(cls, n: int, exponents: Iterable[int], coeff: Scalar = 1) -> Polynomial:

@@ -6,57 +6,59 @@ arithmetic in the identity suites fast.
 
 A random polynomial draws its term count, then for each term a coefficient
 and then the term's monomial.  The coefficient is an integer pair: a
-numerator in 1..9, its sign, then a denominator in 1..9.  A sample hands its
-pairs to `polyring._over_lcm` and reduces once, so no Fraction is made on
-the way; the draws are the ones a Fraction per coefficient would take, in
-the same order.
+numerator in 1..9, its sign, then a denominator in 1..9.  The monomial is a
+degree in 0..max_degree, then a variable per degree unit.  The draws go in
+one loop straight into a map {key: (num, den)}, which `polyring._over_lcm`
+puts over one denominator, so no Fraction is made on the way.
+
+Every draw is one call of `_below(bits, n)`, with bits the generator's
+`getrandbits`.  It reads words exactly as `Random.randrange(n)` does on
+CPython 3.10 to 3.13: k = n.bit_length() bits, again while the draw is
+n or more.  `randint(a, b)` is a + `randrange(b - a + 1)` and `choice(seq)`
+is seq[`randrange(len(seq))`], so a seed gives the same samples as it
+did through those methods, and leaves the generator in the same state.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Iterator
 
 from .canonical import Which, generators
 from .derivation import Derivation
 from .polyring import Polynomial, _over_lcm, codec
 
 
-def random_monomial(rng: random.Random, n: int, max_degree: int) -> int:
-    """The packed key (see `polyring.KeyCodec`) of a random monomial: a
-    degree in 0..max_degree, then a variable per degree unit."""
-    units = codec(n).var_units
-    key = 0
-    for _ in range(rng.randint(0, max_degree)):
-        key += units[rng.randrange(n)]
-    return key
+def _below(bits, n: int) -> int:
+    """A random int in 0..n-1 for n >= 1, from bits = rng.getrandbits."""
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
 
 
-def _random_pair(rng: random.Random) -> tuple[int, int]:
-    """A nonzero coefficient as (numerator, denominator), not reduced."""
-    num = rng.randint(1, 9) * rng.choice((1, -1))
-    return num, rng.randint(1, 9)
-
-
-def random_coefficient(rng: random.Random) -> Fraction:
-    return Fraction(*_random_pair(rng))
-
-
-def _random_terms(rng: random.Random, n: int, max_degree: int,
-                  max_terms: int) -> Iterator[tuple[int, tuple[int, int]]]:
-    """The draws of one random polynomial: a term count, then per term a
-    coefficient pair and then its monomial."""
-    for _ in range(rng.randint(0, max_terms)):
-        pair = _random_pair(rng)
-        yield random_monomial(rng, n, max_degree), pair
+def _draw_terms(pairs: dict, bits, base: int, units: tuple, max_degree: int,
+                max_terms: int) -> None:
+    """Draw one random polynomial's terms into pairs {key: (num, den)},
+    each key offset by base; a monomial drawn twice keeps its last pair."""
+    n = len(units)
+    for _ in range(_below(bits, max_terms + 1)):
+        num = _below(bits, 9) + 1
+        if _below(bits, 2):
+            num = -num
+        den = _below(bits, 9) + 1
+        key = base
+        for _ in range(_below(bits, max_degree + 1)):
+            key += units[_below(bits, n)]
+        pairs[key] = num, den
 
 
 def random_polynomial(rng: random.Random, n: int, max_degree: int,
                       max_terms: int = 4) -> Polynomial:
-    # a monomial drawn twice keeps its last coefficient
-    return Polynomial._from_terms(
-        n, *_over_lcm(dict(_random_terms(rng, n, max_degree, max_terms))))
+    pairs: dict[int, tuple[int, int]] = {}
+    _draw_terms(pairs, rng.getrandbits, 0, codec(n).var_units, max_degree, max_terms)
+    return Polynomial._from_terms(n, *_over_lcm(pairs))
 
 
 def random_nonconstant_polynomial(rng: random.Random, n: int, max_degree: int) -> Polynomial:
@@ -69,18 +71,26 @@ def random_nonconstant_polynomial(rng: random.Random, n: int, max_degree: int) -
 def random_derivation(rng: random.Random, n: int, max_degree: int,
                       max_terms: int = 3) -> Derivation:
     """One random polynomial's draws per slot 1..n, filled into one row."""
-    shift = codec(n).slot_shift
-    return Derivation._from_terms(n, *_over_lcm({
-        (slot << shift) + m: pair for slot in range(1, n + 1)
-        for m, pair in _random_terms(rng, n, max_degree, max_terms)}))
+    c = codec(n)
+    bits = rng.getrandbits
+    pairs: dict[int, tuple[int, int]] = {}
+    for slot in range(1, n + 1):
+        _draw_terms(pairs, bits, slot << c.slot_shift, c.var_units, max_degree, max_terms)
+    return Derivation._from_terms(n, *_over_lcm(pairs))
 
 
 def random_subalgebra_element(rng: random.Random, which: Which, n: int,
                               degree_cap: int) -> Derivation:
     """Random rational combination of one to four monomial generators of un
-    or sn."""
+    or sn: per term a coefficient pair, as for a polynomial, then a
+    generator."""
     gens = generators(which, n, degree_cap)
+    bits = rng.getrandbits
     out = Derivation.zero(n)
-    for _ in range(rng.randint(1, 4)):
-        out = out + random_coefficient(rng) * rng.choice(gens)
+    for _ in range(_below(bits, 4) + 1):
+        num = _below(bits, 9) + 1
+        if _below(bits, 2):
+            num = -num
+        coeff = Fraction(num, _below(bits, 9) + 1)
+        out = out + coeff * gens[_below(bits, len(gens))]
     return out

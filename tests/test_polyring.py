@@ -254,3 +254,58 @@ class TestExpansion:
             assert rebuilt == f
             if parts:
                 assert not parts[-1].is_zero()
+
+
+class TestConstants:
+    """`zero`, `one`, `constant`, `variable` and `Derivation.zero` build their
+    terms directly; here they meet the validating `__init__` path they
+    replace, in value, hash, term order and denominator, or in error."""
+
+    @staticmethod
+    def outcome(build, *args):
+        try:
+            v = build(*args)
+        except (TypeError, ValueError) as e:
+            return type(e), str(e)
+        return type(v), v, hash(v), list(v._terms.items()), v._den
+
+    @staticmethod
+    def ref_variable(n, i):
+        if not 1 <= i <= n:
+            raise ValueError(f"variable index {i} out of range 1..{n}")
+        exps = [0] * n
+        exps[i - 1] = 1
+        return Polynomial(n, {tuple(exps): 1})
+
+    NS = [-3, -1, 0, 1, 2, 3, 4]
+    SCALARS = [0, 1, -3, 2**70, Fraction(0), Fraction(5), Fraction(-6, 4),
+               1.5, 0.0, True, False, "1", None, 2j]
+
+    def test_zero_one_and_derivation_zero(self):
+        for n in self.NS:
+            assert (self.outcome(Polynomial.zero, n)
+                    == self.outcome(lambda n: Polynomial(n), n))
+            assert (self.outcome(Polynomial.one, n)
+                    == self.outcome(lambda n: Polynomial(n, {(0,) * n: 1}), n))
+            assert (self.outcome(Derivation.zero, n)
+                    == self.outcome(lambda n: Derivation(n, (Polynomial(n),) * n), n))
+
+    def test_constant(self):
+        for n in self.NS:
+            for c in self.SCALARS:
+                assert (self.outcome(Polynomial.constant, n, c)
+                        == self.outcome(lambda n, c: Polynomial(n, {(0,) * n: c}), n, c))
+
+    def test_variable(self):
+        for n in self.NS:
+            for i in range(-1, max(n, 0) + 3):
+                assert (self.outcome(Polynomial.variable, n, i)
+                        == self.outcome(self.ref_variable, n, i))
+
+    def test_count_must_be_an_int(self):
+        builds = [Polynomial, Polynomial.zero, Polynomial.one,
+                  lambda n: Polynomial.constant(n, 1), lambda n: Polynomial.variable(n, 1),
+                  Derivation.zero, lambda n: Derivation(n, [])]
+        for build in builds:
+            with pytest.raises(TypeError, match="variable count 2.0 is not an int"):
+                build(2.0)

@@ -1,10 +1,11 @@
 """The integer-pair samplers against the Fraction path they replaced.
 
-The reference below draws each monomial as an exponent tuple, builds each
-coefficient as a Fraction and each value through the public constructors,
-as the samplers once did.  A twin
-random.Random drives it, so equal values and equal generator states after
-the call pin both the samples and the sequence of draws.
+The reference below draws through `randint`, `randrange` and `choice`,
+each monomial as an exponent tuple, builds each coefficient as a Fraction
+and each value through the public constructors, as the samplers once did.
+A twin random.Random drives it, so equal values and equal generator states
+after the call pin both the samples and the sequence of draws.  `_below`,
+the samplers' one draw, is checked against those methods the same way.
 """
 
 import random
@@ -12,9 +13,11 @@ from fractions import Fraction
 
 import pytest
 
+from polylie.canonical import generators
 from polylie.derivation import Derivation
 from polylie.polyring import Polynomial
-from polylie.sampling import random_derivation, random_polynomial
+from polylie.sampling import (_below, random_derivation, random_nonconstant_polynomial,
+                              random_polynomial, random_subalgebra_element)
 
 from kernel_reference import random_exponents
 
@@ -35,6 +38,21 @@ def ref_polynomial(rng, n, max_degree, max_terms=4):
 def ref_derivation(rng, n, max_degree, max_terms=3):
     return Derivation(n, [ref_polynomial(rng, n, max_degree, max_terms)
                           for _ in range(n)])
+
+
+def ref_nonconstant_polynomial(rng, n, max_degree):
+    while True:
+        f = ref_polynomial(rng, n, max_degree)
+        if not f.is_constant():
+            return f
+
+
+def ref_subalgebra_element(rng, which, n, degree_cap):
+    gens = generators(which, n, degree_cap)
+    out = Derivation.zero(n)
+    for _ in range(rng.randint(1, 4)):
+        out = out + ref_coefficient(rng) * rng.choice(gens)
+    return out
 
 
 CASES = [(seed, n) for seed in range(40) for n in range(1, 5)]
@@ -75,3 +93,42 @@ def test_repeated_monomial_keeps_last_draw():
         assert_same_value(got, ref_polynomial(twin, 2, 0, 4))
         assert len(got.terms) <= 1
 
+
+
+# 2^32 + 1 takes 33 bits, more than one 32-bit word per draw
+BOUNDS = [1, 2, 3, 9, 16, 17, 2**31, 2**32 + 1]
+
+
+@pytest.mark.parametrize("n", BOUNDS)
+def test_below_draws_as_randrange_randint_and_choice(n):
+    seq = range(10, 10 + n)
+    for seed in range(20):
+        rng, twin = random.Random(seed), random.Random(seed)
+        bits = rng.getrandbits
+        for _ in range(50):
+            assert _below(bits, n) == twin.randrange(n)
+            assert rng.getstate() == twin.getstate()
+            assert 5 + _below(bits, n) == twin.randint(5, 4 + n)
+            assert rng.getstate() == twin.getstate()
+            assert seq[_below(bits, n)] == twin.choice(seq)
+            assert rng.getstate() == twin.getstate()
+
+
+def test_random_nonconstant_polynomial_matches_fraction_path():
+    for seed, n in CASES:
+        rng, twin = random.Random(seed), random.Random(seed)
+        for max_degree in (1, 3, 5):
+            got = random_nonconstant_polynomial(rng, n, max_degree)
+            assert_same_value(got, ref_nonconstant_polynomial(twin, n, max_degree))
+            assert rng.getstate() == twin.getstate()
+
+
+@pytest.mark.parametrize("which", ["un", "sn"])
+def test_random_subalgebra_element_matches_fraction_path(which):
+    for seed in range(30):
+        for n, degree_cap in ((1, 3), (2, 2), (3, 2)):
+            rng, twin = random.Random(seed), random.Random(seed)
+            for _ in range(3):
+                got = random_subalgebra_element(rng, which, n, degree_cap)
+                assert_same_value(got, ref_subalgebra_element(twin, which, n, degree_cap))
+                assert rng.getstate() == twin.getstate()

@@ -25,22 +25,26 @@ term of the row times each term of p, reduced once over den_D * den_p.
 Brackets of integer rows stay integral.  `bracket_rows` is the one bracket
 kernel: slot i of [D, E] is D(g_i) - E(f_i), and each half is one call of
 `_apply_into`, which multiplies every term c x^m d_j of one operand into the
-x_j-partials of the other's coefficients, listed once per row by
-`row_partials`.  A product of monomials is a sum of keys, a partial a
-difference.  Callers that bracket a row many times (`span.lie_closure`,
-the series, the derived-chain search) list its partials once and bracket
-their stored rows directly.  They also compute its support signature once,
-with the partials (`row_support`: the slots that hold terms and the
-variables the coefficients depend on), and skip every pair whose
-signatures do not meet (`signatures_meet`), which `bracket_rows` would
-have bracketed to zero.  `Derivation.bracket` brackets the two stored
-rows and reduces once over den_D * den_E; `apply` runs the same
-`_apply_into` on D's row, with f's numerators as the one coefficient of a
-row, in slot 0, and reduces once over den_D * den_f.
+x_j-partials of the other's coefficients, given by `row_partials`.  That
+reads each key's partial entries (the key minus key(x_j), in its slot, and
+the exponent e_j) from one bounded per-process table, `_key_partials`, and
+only multiplies them by the row's numerators: the values of one
+computation share few keys.  A product of monomials is a sum of keys, a
+partial a difference.  Callers that bracket a row many times
+(`span.lie_closure`, the series, the derived-chain search) take its
+partials once and bracket their stored rows directly.  They also compute
+its support signature once, with the partials (`row_support`: the slots
+that hold terms and the variables the coefficients depend on), and skip
+every pair whose signatures do not meet (`signatures_meet`), which
+`bracket_rows` would have bracketed to zero.  `Derivation.bracket`
+brackets the two stored rows and reduces once over den_D * den_E; `apply`
+runs the same `_apply_into` on D's row, with f's numerators as the one
+coefficient of a row, in slot 0, and reduces once over den_D * den_f.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from itertools import groupby
 from typing import Iterable, Sequence
@@ -52,18 +56,27 @@ Row = dict[int, int]
 Partials = list[list[tuple[int, int]]]
 
 
+@functools.lru_cache(maxsize=1 << 16)
+def _key_partials(n: int, key: int) -> tuple[tuple[int, int, int], ...]:
+    """(pos, key - key(x_{pos+1}), e_pos) for each nonzero exponent e_pos
+    of key: the partials of the monomial at key, each key kept in its slot.
+
+    Bounded, so a long process holds at most maxsize entries; each key is
+    unpacked once while it stays in the table.
+    """
+    c = codec(n)
+    return tuple((pos, key - c.var_units[pos], e)
+                 for pos, e in enumerate(c.unpack(key)) if e)
+
+
 def row_partials(n: int, row: Row) -> Partials:
     """Entry j-1 lists the terms (key - key(x_j), c * e_j) of the
-    x_j-partials of row's coefficients, each key still in its slot."""
-    c = codec(n)
-    unpack, units = c.unpack, c.var_units
+    x_j-partials of row's coefficients, each key still in its slot; each
+    key's entries come from `_key_partials`."""
     out: Partials = [[] for _ in range(n)]
     for key, v in row.items():
-        pos = 0
-        for e in unpack(key):
-            if e:
-                out[pos].append((key - units[pos], v * e))
-            pos += 1
+        for pos, k, e in _key_partials(n, key):
+            out[pos].append((k, v * e))
     return out
 
 
@@ -221,9 +234,9 @@ class Derivation(_LowestTerms):
 
         A polynomial p multiplies the row term by term, over den_D * den_p.
         """
-        if isinstance(other, (int, Fraction)):
-            return self._scaled(other)
         if not isinstance(other, Polynomial):
+            if isinstance(other, (int, Fraction)):
+                return self._scaled(other)
             return NotImplemented
         _check_same_n(self.n, other.n)
         p = other._terms.items()

@@ -172,7 +172,10 @@ class _LowestTerms:
 
     `_store` is the only code that writes the three slots: the validating
     `__init__`s of both types hand it their terms over `_over_lcm`, and
-    every other value is built by `_from_terms`.
+    every other value is built by `_from_terms`.  It writes them through
+    the slot descriptors' own `__set__` (`_set_n`, `_set_terms`,
+    `_set_den`, bound once after the class), so `__setattr__` can raise for
+    every other writer.
     """
 
     __slots__ = ("n", "_terms", "_den")
@@ -191,9 +194,9 @@ class _LowestTerms:
             if g != 1:
                 terms = {key: c // g for key, c in terms.items()}
                 den //= g
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_terms", terms)
-        object.__setattr__(self, "_den", den)
+        _set_n(self, n)
+        _set_terms(self, terms)
+        _set_den(self, den)
 
     @classmethod
     def _from_terms(cls, n: int, terms: dict, den: int):
@@ -251,6 +254,13 @@ class _LowestTerms:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.n}, {str(self)!r})"
+
+
+# the slot descriptors' setters, for `_store` alone: a call writes the slot
+# without the raising __setattr__ and without a lookup of its name
+_set_n = _LowestTerms.n.__set__
+_set_terms = _LowestTerms._terms.__set__
+_set_den = _LowestTerms._den.__set__
 
 
 class Polynomial(_LowestTerms):
@@ -352,7 +362,10 @@ class Polynomial(_LowestTerms):
 
     def _add_scaled(self, other: Polynomial | Scalar, sign: int) -> Polynomial:
         """A rational other counts as a constant polynomial."""
-        if isinstance(other, (int, Fraction)):
+        # Polynomial is tested first here, in __mul__, in __eq__ and in
+        # Derivation.__mul__: a miss on Fraction, whose metaclass is
+        # ABCMeta, runs a Python-level __instancecheck__
+        if not isinstance(other, Polynomial) and isinstance(other, (int, Fraction)):
             other = Polynomial.constant(self.n, other)
         return super()._add_scaled(other, sign)
 
@@ -362,9 +375,9 @@ class Polynomial(_LowestTerms):
         return (-self) + other
 
     def __mul__(self, other: Polynomial | Scalar) -> Polynomial:
-        if isinstance(other, (int, Fraction)):
-            return self._scaled(other)
         if not isinstance(other, Polynomial):
+            if isinstance(other, (int, Fraction)):
+                return self._scaled(other)
             return NotImplemented
         _check_same_n(self.n, other.n)
         guard = codec(self.n).guard
@@ -411,7 +424,7 @@ class Polynomial(_LowestTerms):
         return terms * (1 + k * ((s - 1).bit_length() + (self._den - 1).bit_length()))
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Polynomial) and isinstance(other, (int, Fraction)):
             other = Polynomial.constant(self.n, other)
         return super().__eq__(other)
 

@@ -243,16 +243,52 @@ class TestEqualValuesHashEqual:
 STORED_SLOTS = {"n", "_terms", "_den"}
 
 
+def slot_setter(node):
+    """Whether node is a slot descriptor's `__set__`: `X.<slot>.__set__` for a
+    slot in STORED_SLOTS, or the `__set__` of a descriptor not named by an
+    attribute (say `vars(X)[name].__set__`)."""
+    return (isinstance(node, ast.Attribute) and node.attr == "__set__"
+            and not (isinstance(node.value, ast.Attribute)
+                     and node.value.attr not in STORED_SLOTS))
+
+
+def setter_names(tree):
+    """The names bound anywhere in tree to a value built from a slot setter
+    or from a name already found, up to a fixed point."""
+    names = set()
+    while True:
+        found = {target.id
+                 for node in ast.walk(tree)
+                 if isinstance(node, (ast.Assign, ast.AnnAssign, ast.NamedExpr))
+                 and node.value is not None
+                 and any(slot_setter(v) or isinstance(v, ast.Name) and v.id in names
+                         for v in ast.walk(node.value))
+                 for t in (node.targets if isinstance(node, ast.Assign) else [node.target])
+                 for target in ast.walk(t) if isinstance(target, ast.Name)}
+        if found <= names:
+            return names
+        names |= found
+
+
 def slot_writers(source):
-    """The top-level class or function around each `object.__setattr__` call
-    that may write a stored slot: its name argument is one of STORED_SLOTS or
-    not a constant."""
+    """The top-level class or function around each call that may write a
+    stored slot: `object.__setattr__` whose name argument is one of
+    STORED_SLOTS or not a constant, a slot setter, or a name (or an
+    attribute of that name) bound to one."""
+    tree = ast.parse(source)
+    names = setter_names(tree)
     out = []
-    for top in ast.parse(source).body:
+    for top in tree.body:
         for node in ast.walk(top):
-            if (isinstance(node, ast.Call) and ast.unparse(node.func) == "object.__setattr__"
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if (ast.unparse(func) == "object.__setattr__"
                     and not (len(node.args) > 1 and isinstance(node.args[1], ast.Constant)
-                             and node.args[1].value not in STORED_SLOTS)):
+                             and node.args[1].value not in STORED_SLOTS)
+                    or slot_setter(func)
+                    or isinstance(func, ast.Name) and func.id in names
+                    or isinstance(func, ast.Attribute) and func.attr in names):
                 out.append(getattr(top, "name", "<module>"))
     return out
 
@@ -264,6 +300,18 @@ class TestOneStoreMethod:
                   "def g(v, name):\n    object.__setattr__(v, name, 1)\n"
                   "object.__setattr__(v, 'n', 1)\n")
         assert slot_writers(source) == ["A", "g", "<module>"]
+        # a descriptor's __set__, called directly or through a name bound to it
+        source = ("class B:\n    def f(self):\n        B._terms.__set__(self, {})\n"
+                  "        B.other.__set__(self, 1)\n"
+                  "def g(v, d):\n    d.__set__(v, 1)\n"
+                  "set_n = B.n.__set__\nalias = set_n\n"
+                  "def h(v):\n    set_n(v, 1)\n"
+                  "def k(v):\n    alias(v, 1)\n"
+                  "class C:\n    _set = B._den.__set__\n"
+                  "    def f(self):\n        self._set(self, 1)\n"
+                  "def quiet(v):\n    other = B.other.__set__\n    other(v, 1)\n"
+                  "    set_n\n")
+        assert slot_writers(source) == ["B", "g", "h", "k", "C"]
 
     def test_slots_are_written_only_inside_lowest_terms(self):
         package = Path(polylie.__file__).resolve().parent

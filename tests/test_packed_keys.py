@@ -7,9 +7,10 @@ two orders the library reads off the ints: graded-lex within a slot and the
 span's column order across slots.  The kernel tests check products,
 partials, `apply` and brackets of `Polynomial` and `Derivation` against
 `kernel_reference`, on exponent tuples, including exponents near the limit
-2^63.  The limit tests check that a key never wraps: reaching 2^63 is a
-ValueError, and a CLI exit code 2 (`test_polyring.TestMonomialChecks` has
-the constructor cases).
+2^63; `row_partials` is checked the same way, and from a cleared, a warm
+and an overfilled per-key table.  The limit tests check that a key never
+wraps: reaching 2^63 is a ValueError, and a CLI exit code 2
+(`test_polyring.TestMonomialChecks` has the constructor cases).
 """
 
 import itertools
@@ -21,7 +22,7 @@ from fractions import Fraction
 import pytest
 
 import kernel_reference as ref
-from polylie.derivation import Derivation
+from polylie.derivation import Derivation, _key_partials, row_partials
 from polylie.grammar import parse_derivation, parse_polynomial
 from polylie.polyring import EXPONENT_LIMIT, Polynomial, codec
 from polylie.span import _column_key
@@ -158,6 +159,56 @@ def test_kernel_against_reference(cases, seed):
         assert terms(dd * pg) == [ref.mul(t, g) for t in d]
         assert terms(dd.bracket(de)) == ref.bracket(d, e)
         assert terms(de.bracket(dd)) == ref.bracket(e, d)
+
+
+def reference_partials(n, slot_maps, den):
+    """row_partials of the row of numerators over den of the reference term
+    maps slot_maps {slot: map}, each entry sorted by key."""
+    return [sorted((row_key(n, slot, m), c * den)
+                   for slot, t in slot_maps.items()
+                   for m, c in ref.partial(t, pos).items())
+            for pos in range(n)]
+
+
+def partial_cases(cases, seed):
+    """(n, row, reference partials) for each polynomial, in slot 0, and each
+    derivation of cases(seed)."""
+    for n, f, g, d, e in cases(seed):
+        for t in (f, g):
+            p = Polynomial(n, t)
+            yield n, p._terms, reference_partials(n, {0: t}, p._den)
+        for ts in (d, e):
+            v = lib_derivation(n, ts)
+            yield n, v._terms, reference_partials(n, dict(enumerate(ts, start=1)), v._den)
+
+
+@pytest.mark.parametrize("cases,seed", [(kernel_cases, 14), (near_limit_cases, 15)],
+                         ids=["small", "near_limit"])
+def test_row_partials_against_reference(cases, seed):
+    for n, row, want in partial_cases(cases, seed):
+        assert [sorted(df) for df in row_partials(n, row)] == want
+
+
+def test_row_partials_do_not_depend_on_the_table():
+    # row_partials reads each key's entries from the bounded _key_partials
+    # table: a cleared, a warm and an overfilled table give the same lists
+    rows = [(n, row) for cases, seed in ((kernel_cases, 16), (near_limit_cases, 17))
+            for n, row, _ in partial_cases(cases, seed)]
+    maxsize = _key_partials.cache_info().maxsize
+    x1 = codec(1).var_units[0]
+    try:
+        _key_partials.cache_clear()
+        cold = [row_partials(n, row) for n, row in rows]
+        hits = _key_partials.cache_info().hits
+        assert [row_partials(n, row) for n, row in rows] == cold
+        assert _key_partials.cache_info().hits > hits
+        for e in range(maxsize + 1000):
+            _key_partials(1, e * x1)
+        assert _key_partials.cache_info().currsize <= maxsize
+        assert [row_partials(n, row) for n, row in rows] == cold
+        assert _key_partials.cache_info().currsize <= maxsize
+    finally:
+        _key_partials.cache_clear()
 
 
 def test_reference_bracket_is_the_composition_identity():

@@ -74,6 +74,54 @@ class TestCoefficientTypes:
         assert Polynomial.monomial(2, (1, 0), -2) == -2 * var(2, 1)
 
 
+class TestOperandTypes:
+    """`*`, `+`, `-` and `==` with every operand type: an int or a Fraction
+    scales or counts as a constant (a bool scales, but is no constant), a
+    Polynomial takes the polynomial path, and any other type is left to
+    Python (NotImplemented)."""
+
+    OTHERS = [0, 3, -2**70, Fraction(-6, 4), True, False, 1.5, "1", None, 2j, [1]]
+
+    def test_polynomial_operands(self):
+        p = Polynomial(2, {(1, 0): Fraction(1, 2), (0, 2): -3})
+        q = var(2, 2) + 1
+        assert p * q == q * p == Polynomial(2, {(1, 1): Fraction(1, 2), (0, 3): -3,
+                                                (1, 0): Fraction(1, 2), (0, 2): -3})
+        assert p + q - q == p and (p == q) is False and (p == p * 1) is True
+        for s in self.OTHERS:
+            if isinstance(s, (int, Fraction)):
+                assert p * s == s * p == Polynomial(2, {m: c * s for m, c in p.terms.items()})
+            else:
+                for op in (lambda: p * s, lambda: s * p):
+                    with pytest.raises(TypeError):
+                        op()
+            if isinstance(s, (int, Fraction)) and not isinstance(s, bool):
+                c = Polynomial.constant(2, s)
+                assert p + s == s + p == p + c and p - s == p - c and s - p == c - p
+                assert (c == s) is True and (p == s) is False
+            else:
+                ops = [lambda: p + s, lambda: s + p, lambda: p - s, lambda: s - p]
+                if isinstance(s, bool):
+                    ops.append(lambda: p == s)
+                else:
+                    assert (p == s) is False and (p != s) is True
+                for op in ops:
+                    with pytest.raises(TypeError):
+                        op()
+
+    def test_derivation_operands(self):
+        d = Derivation(2, [var(2, 2), Polynomial.constant(2, Fraction(2, 3))])
+        q = var(2, 1) - 2
+        assert d * q == q * d == Derivation(2, [f * q for f in d.coeffs])
+        for s in self.OTHERS:
+            if isinstance(s, (int, Fraction)):
+                assert d * s == s * d == Derivation(2, [f * s for f in d.coeffs])
+            else:
+                for op in (lambda: d * s, lambda: s * d):
+                    with pytest.raises(TypeError):
+                        op()
+
+
 class TestMonomialChecks:
     """Exponent tuples from outside must have length n and nonnegative int
     entries whose sum stays below 2^63; a bool is an int, but no exponent."""

@@ -8,13 +8,11 @@ shared with the CLI.
 """
 
 from .canonical import (
-    Bracket,
-    DerivedChainWitness,
-    Leaf,
+    DerivedChainCertificate,
+    InconclusiveSearch,
     LndVerdict,
     MembershipVerdict,
     NilpotencyWitness,
-    TruncatedSearch,
     derived_chain_witness,
     generators,
     lnd_check,

@@ -10,9 +10,9 @@ names "un" and "sn":
       length exactly 2n.
 
 Membership is decided monomial by monomial, and the same per-monomial rule
-drives the term split in `strip_canonical_part`.  The
-derived-chain search produces explicit nested-bracket expressions over
-truncated generator sets witnessing the derived-length lower bound.
+drives the term split in `strip_canonical_part`.  A single-term search
+witnesses the derived-length lower bound with a certificate that
+`DerivedChainCertificate.check` re-verifies from its JSON form alone.
 """
 
 from __future__ import annotations
@@ -21,12 +21,12 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Literal, Sequence, Union
+from typing import ClassVar, Iterator, Literal
 
 from .derivation import Derivation, Partials, Row, bracket_rows, row_support, signatures_meet
+from .grammar import parse_derivation
 from .polyring import Monomial, Polynomial, codec
 from .reductions import EigenvectorCertificate, eigenvector_certificate
-from .span import SpanBasis
 
 Which = Literal["un", "sn"]
 
@@ -258,126 +258,124 @@ def lnd_check(d: Derivation, bound: int) -> LndVerdict:
 
 # -- derived-chain witnesses -------------------------------------------------
 
-
-@dataclass(frozen=True)
-class Leaf:
-    """Reference to a generator by position in the generator list."""
-
-    index: int
-
-    def evaluate(self, gens: Sequence[Derivation]) -> Derivation:
-        return gens[self.index]
-
-    def to_sexpr(self) -> str:
-        return f"g{self.index + 1}"
+SINGLE_TERM_EXHAUSTED = "single_term_exhausted"
 
 
 @dataclass(frozen=True)
-class Bracket:
-    left: "BracketExpr"
-    right: "BracketExpr"
+class DerivedChainCertificate:
+    """A nonzero element of the term-th derived term of sn, as a DAG.
 
-    def evaluate(self, gens: Sequence[Derivation]) -> Derivation:
-        return self.left.evaluate(gens).bracket(self.right.evaluate(gens))
-
-    def to_sexpr(self) -> str:
-        return f"[{self.left.to_sexpr()},{self.right.to_sexpr()}]"
-
-
-BracketExpr = Union[Leaf, Bracket]
-
-
-@dataclass(frozen=True)
-class DerivedChainWitness:
-    """A nested-bracket expression within a given derived term, nonzero.
-
-    The expression is balanced: a term-m expression brackets two term-(m-1)
-    expressions, grounding out in generators at term 0, so its value lies in
-    the m-th derived term of the subalgebra spanned by the generators.
+    Node (key, left, right, c, depth) holds one term x^a d_i with coefficient
+    1: an sn generator when left and right are None (then c = 1, depth 0),
+    else [key(left), key(right)] = c * key with c != 0 and both children
+    earlier.  The derived terms are subspaces and [sn^(k), sn^(l)] lies in
+    sn^(min(k, l) + 1), so a key lies in the derived term of its depth when
+    that is at most 1 + the smaller child depth.  The last node, the root,
+    has depth term.
     """
 
+    kind: ClassVar[str] = "derived_chain"
+    n: int
     term: int
-    expression: BracketExpr
-    value: Derivation
-    generators: tuple[Derivation, ...]
+    nodes: tuple[tuple[Derivation, int | None, int | None, int, int], ...]
 
-    def legend(self) -> dict[str, str]:
-        return {f"g{i + 1}": str(g) for i, g in enumerate(self.generators)}
+    @property
+    def root(self) -> Derivation:
+        return self.nodes[-1][0]
 
     def to_dict(self) -> dict:
-        return {
-            "term": self.term,
-            "expression": self.expression.to_sexpr(),
-            "value": str(self.value),
-            "legend": self.legend(),
-        }
+        """The JSON form `check` takes, each key as `parse_derivation` text."""
+        return {"kind": self.kind, "n": self.n, "term": self.term,
+                "nodes": [[str(key), *rest] for key, *rest in self.nodes]}
+
+    @staticmethod
+    def check(doc: dict) -> bool:
+        """Re-verify a `to_dict` form from its stored fields alone."""
+        keys: list[Derivation] = []
+        depths: list[int] = []
+        try:
+            for i, (text, left, right, c, depth) in enumerate(doc["nodes"]):
+                key = parse_derivation(text, doc["n"])
+                if (list(key._terms.values()) != [1] or key._den != 1
+                        or type(c) is not int or type(depth) is not int or depth < 0):
+                    return False  # a key is one term with coefficient 1
+                if left is None and right is None:
+                    ok = c == 1 and depth == 0 and membership(key).in_sn
+                else:
+                    ok = (all(type(j) is int and 0 <= j < i for j in (left, right))
+                          and c != 0 and depth <= 1 + min(depths[left], depths[right])
+                          and keys[left].bracket(keys[right]) == c * key)
+                if not ok:
+                    return False
+                keys.append(key)
+                depths.append(depth)
+            return doc["kind"] == DerivedChainCertificate.kind and depths[-1:] == [doc["term"]]
+        except (KeyError, TypeError, ValueError):  # a ParseError too
+            return False
 
 
 @dataclass(frozen=True)
-class TruncatedSearch:
-    """A derived-chain search that found nothing after the beam cut a level.
+class InconclusiveSearch:
+    """No single term reached the requested term: level `depth` kept none.
+    This proves nothing, since that derived term may hold sums of terms or
+    terms above the degree cap."""
 
-    Unlike a None result this proves nothing: brackets the beam dropped at
-    level cut_at might still reach a nonzero element of the requested term.
-    """
-
-    cut_at: int
+    reason: str
+    depth: int
 
 
-def derived_chain_witness(n: int, *,
-                          term: int | None = None,
-                          degree_cap: int | None = None,
-                          beam: int = 10_000
-                          ) -> DerivedChainWitness | TruncatedSearch | None:
-    """Search for a nonzero element of the requested derived term of sn.
+def derived_chain_witness(n: int, *, term: int | None = None, degree_cap: int = 2
+                          ) -> DerivedChainCertificate | InconclusiveSearch:
+    """Search for a nonzero single term in the term-th derived term of sn.
 
-    Defaults chase the derived-length lower bound: term 2n - 1 over sn
-    generators of degree at most 2n.  The level-synchronous search keeps,
-    per depth, at most beam expressions whose values extend the rational span
-    of that depth's values; pruning linearly dependent values loses no
-    reachable span at later depths.  So when no level was cut by the beam, an
-    empty level proves the truncated search space has a zero derived term
-    there, and the result is None.  An empty level after a cut gives a
-    TruncatedSearch instead.  The last depth stops at its first nonzero
-    value, which is the witness returned.
+    The derived terms are subspaces, so a level keeps one term per (slot,
+    monomial) key, with coefficient 1.  Level 0 is the sn generators of
+    degree at most degree_cap.  Level d brackets each pair of level d - 1
+    whose support signatures meet and whose degrees p, q have p + q - 1, the
+    degree of their bracket, at most degree_cap.  It keeps a bracket that is
+    one term with a key new to level d.  The last level stops at its first
+    term, the certificate's root.  The defaults chase the derived-length
+    lower bound, term 2n - 1.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if term is None:
-        term = 2 * n - 1
+    term = 2 * n - 1 if term is None else term
     if term < 0:
         raise ValueError(f"term must be >= 0, got {term}")
-    if beam < 1:
-        raise ValueError(f"beam must be >= 1, got {beam}")
-    if degree_cap is None:
-        degree_cap = 2 * n
-    gens = generators("sn", n, degree_cap)
-    gens.sort(key=lambda g: (g.max_coeff_degree() or 0))
-    pool = tuple(gens)
-
-    # sn generators have coefficient 1, so their integer rows, and the
-    # brackets of those rows, are the values themselves
-    level: list[tuple[BracketExpr, Row, Partials, int]] = []
-    for i, g in enumerate(pool):
-        level.append((Leaf(i), g._terms, *row_support(n, g._terms)))
-    cut_at = None
+    degree = codec(n).degree
+    # (packed key, left, right, c, depth) of each kept term, children first
+    kept: list[tuple[int, int | None, int | None, int, int]] = []
+    level: list[tuple[int, Row, Partials, int, int]] = []
+    for g in generators("sn", n, degree_cap):
+        (key,) = g._terms  # one term, coefficient 1
+        level.append((len(kept), g._terms, *row_support(n, g._terms), degree(key)))
+        kept.append((key, None, None, 1, 0))
     for depth in range(1, term + 1):
-        kept: list[tuple[BracketExpr, Row, Partials, int]] = []
-        seen = SpanBasis(n, [])
-        for (expr_a, a, pa, sa), (expr_b, b, pb, sb) in itertools.combinations(level, 2):
-            if len(kept) >= beam:
-                cut_at = cut_at or depth
-                break
-            if not signatures_meet(n, sa, sb):
+        seen: dict[int, int] = {}
+        nxt: list[tuple[int, Row, Partials, int, int]] = []
+        for (i, a, pa, sa, p), (j, b, pb, sb, q) in itertools.combinations(level, 2):
+            if p + q > degree_cap + 1 or not signatures_meet(n, sa, sb):
                 continue
             value = bracket_rows(a, pa, b, pb)
-            if seen._add_row(value):
-                kept.append((Bracket(expr_a, expr_b), value, *row_support(n, value)))
-                if depth == term:
-                    break  # the last level needs only its first nonzero value
-        if not kept:
-            return None if cut_at is None else TruncatedSearch(cut_at)
-        level = kept
-
-    expr, value, *_ = level[0]
-    return DerivedChainWitness(term, expr, Derivation._from_terms(n, value, 1), pool)
+            if len(value) != 1:
+                continue
+            ((key, c),) = value.items()
+            if key in seen:
+                continue
+            seen[key] = len(kept)
+            kept.append((key, i, j, c, depth))
+            if depth == term:
+                break
+            nxt.append((seen[key], {key: 1}, *row_support(n, {key: 1}), p + q - 1))
+        if not seen:
+            return InconclusiveSearch(SINGLE_TERM_EXHAUSTED, depth)
+        level = nxt
+    # keep the nodes the root reaches, in order
+    reached = {len(kept) - 1}
+    for i in reversed(range(len(kept))):
+        if i in reached and kept[i][1] is not None:
+            reached.update(kept[i][1:3])
+    new = {old: pos for pos, old in enumerate(sorted(reached))}
+    return DerivedChainCertificate(n, term, tuple(
+        (Derivation._from_terms(n, {key: 1}, 1), new.get(left), new.get(right), c, depth)
+        for key, left, right, c, depth in map(kept.__getitem__, sorted(reached))))

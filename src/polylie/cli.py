@@ -6,8 +6,10 @@ Output is human text by default or a single JSON document with
 `--format json`.
 
 Exit codes: 0 on success (and all-pass for verifying commands), 1 when a
-verifying command ends negative (failed check, mismatch, nothing found),
-2 for usage, syntax, or precondition errors.
+verifying command ends negative (failed check, mismatch, nothing found or an
+inconclusive search), 2 for usage, syntax, or precondition errors, and 141
+(128 + SIGPIPE, as a shell reports a writer the signal ended) when the reader
+closes stdout before the output is written; that exit prints nothing.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from . import canonical, reductions, span
@@ -28,13 +31,26 @@ SCHEMA_VERSION = 1
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
+EXIT_CLOSED_STDOUT = 141
+
+# `witness` prints the expanded tree and its value up to these sizes: the
+# tree has 2^term leaves, 32768 at n = 8, and a longer coefficient would pass
+# Python's 4300-digit int-to-str limit.  A larger witness prints both as null
+# beside its certificate, which stays small.
+WITNESS_LEAF_LIMIT = 1 << 15
+WITNESS_COEFFICIENT_BITS = 13_000
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--n", type=int, required=True,
-                        help="ambient number of variables")
-    parser.add_argument("--format", choices=("text", "json"), default="text",
-                        help="output format (default: text)")
+def _command(sub, name: str, func, help_text: str, *operands: str) -> argparse.ArgumentParser:
+    """A subcommand running func on its operands, with --n and --format."""
+    p = sub.add_parser(name, help=help_text)
+    for operand in operands:
+        p.add_argument(operand)
+    p.add_argument("--n", type=int, required=True, help="ambient number of variables")
+    p.add_argument("--format", choices=("text", "json"), default="text",
+                   help="output format (default: text)")
+    p.set_defaults(func=func)
+    return p
 
 
 def _emit(args, command: str, inputs: dict, outputs: dict, lines: list[str]) -> None:
@@ -223,23 +239,60 @@ def cmd_sl2(args) -> int:
     return EXIT_OK
 
 
+def _witness_tree(cert: canonical.DerivedChainCertificate) -> dict:
+    """The certificate's DAG expanded to a tree over its leaves, named g1,
+    g2, ... in node order, and the tree's value: the product of its c's times
+    the root.  Above the printed sizes both are null, with the reason."""
+    leaves = [i for i, node in enumerate(cert.nodes) if node[1] is None]
+    names = {i: f"g{k}" for k, i in enumerate(leaves, start=1)}
+    out = {"legend": {names[i]: str(cert.nodes[i][0]) for i in leaves},
+           "expression": None, "value": None, "omitted": None}
+    sizes: list[int] = []
+    for _, left, right, *_ in cert.nodes:
+        sizes.append(1 if left is None else sizes[left] + sizes[right])
+    if sizes[-1] > WITNESS_LEAF_LIMIT:
+        out["omitted"] = (f"the tree has {sizes[-1]} leaves, above the "
+                          f"{WITNESS_LEAF_LIMIT} printed")
+        return out
+    trees: list[tuple[str, int]] = []
+    for i, (_, left, right, c, _) in enumerate(cert.nodes):
+        if left is None:
+            trees.append((names[i], 1))
+        else:
+            (a, x), (b, y) = trees[left], trees[right]
+            trees.append((f"[{a},{b}]", c * x * y))
+    expression, scale = trees[-1]
+    bits = abs(scale).bit_length()
+    if bits > WITNESS_COEFFICIENT_BITS:
+        out["omitted"] = (f"the value's coefficient has {bits} bits, above the "
+                          f"{WITNESS_COEFFICIENT_BITS} printed")
+    else:
+        out.update(expression=expression, value=str(scale * cert.root))
+    return out
+
+
 def cmd_witness(args) -> int:
-    witness = canonical.derived_chain_witness(
-        args.n, term=args.term, degree_cap=args.degree_cap, beam=args.beam)
-    inputs = {"term": args.term, "degree_cap": args.degree_cap, "beam": args.beam}
-    if witness is None:
-        _emit(args, "witness", inputs, {"found": False, "status": "absent"},
-              ["not found: absent"])
-        return EXIT_CHECK_FAILED
-    if isinstance(witness, canonical.TruncatedSearch):
+    term = 2 * args.n - 1 if args.term is None else args.term
+    result = canonical.derived_chain_witness(args.n, term=term, degree_cap=args.degree_cap)
+    inputs = {"term": term, "degree_cap": args.degree_cap}
+    if isinstance(result, canonical.InconclusiveSearch):
         _emit(args, "witness", inputs,
-              {"found": False, "status": "truncated", "cut_at": witness.cut_at},
-              [f"not found: truncated (the beam cut level {witness.cut_at})"])
+              {"found": False, "status": "inconclusive", "reason": result.reason,
+               "depth": result.depth},
+              [f"not found: inconclusive ({result.reason} at depth {result.depth})"])
         return EXIT_CHECK_FAILED
-    outputs = {"found": True, **witness.to_dict()}
-    lines = [f"term: {witness.term}",
-             f"expression: {witness.expression.to_sexpr()}",
-             f"value: {witness.value}"]
+    certificate = result.to_dict()
+    if not canonical.DerivedChainCertificate.check(certificate):
+        print("error: the witness certificate failed its check", file=sys.stderr)
+        return EXIT_CHECK_FAILED
+    outputs = {"found": True, "term": term, "certificate": certificate,
+               **_witness_tree(result)}
+    lines = [f"term: {term}"]
+    if outputs["omitted"] is None:
+        lines += [f"expression: {outputs['expression']}", f"value: {outputs['value']}"]
+    else:
+        lines.append(f"expression and value omitted: {outputs['omitted']}")
+    lines.append(f"certificate: {len(result.nodes)} nodes, root {result.root}, checked")
     lines += [f"  {name} = {text}" for name, text in outputs["legend"].items()]
     _emit(args, "witness", inputs, outputs, lines)
     return EXIT_OK
@@ -269,106 +322,50 @@ def build_parser() -> argparse.ArgumentParser:
                     "solvability, local nilpotency, sl2 certificates.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("bracket", help="Lie bracket of two derivations")
-    p.add_argument("d1")
-    p.add_argument("d2")
-    _add_common(p)
-    p.set_defaults(func=cmd_bracket)
-
-    p = sub.add_parser("apply", help="apply a derivation to a polynomial")
-    p.add_argument("deriv")
-    p.add_argument("poly")
-    _add_common(p)
-    p.set_defaults(func=cmd_apply)
-
-    p = sub.add_parser("index", help="largest active slot of a derivation "
-                                     "(or variable of a polynomial with --poly)")
-    p.add_argument("expr")
+    _command(sub, "bracket", cmd_bracket, "Lie bracket of two derivations", "d1", "d2")
+    _command(sub, "apply", cmd_apply, "apply a derivation to a polynomial", "deriv", "poly")
+    p = _command(sub, "index", cmd_index, "largest active slot of a derivation "
+                 "(or variable of a polynomial with --poly)", "expr")
     p.add_argument("--poly", action="store_true",
                    help="treat the operand as a polynomial")
-    _add_common(p)
-    p.set_defaults(func=cmd_index)
-
-    p = sub.add_parser("member", help="membership in un and sn")
-    p.add_argument("deriv")
-    _add_common(p)
-    p.set_defaults(func=cmd_member)
-
-    p = sub.add_parser("lnd", help="local-nilpotency semi-decision")
-    p.add_argument("deriv")
+    _command(sub, "member", cmd_member, "membership in un and sn", "deriv")
+    p = _command(sub, "lnd", cmd_lnd, "local-nilpotency semi-decision", "deriv")
     p.add_argument("--bound", type=int, default=32,
                    help="max chain iterations per variable (default: 32)")
-    _add_common(p)
-    p.set_defaults(func=cmd_lnd)
-
-    p = sub.add_parser("closure", help="Lie closure of a generating set under caps")
-    p.add_argument("gens", nargs="+")
-    p.add_argument("--degree-cap", type=int, default=span.DEFAULT_DEGREE_CAP)
-    p.add_argument("--dim-cap", type=int, default=span.DEFAULT_DIM_CAP)
-    _add_common(p)
-    p.set_defaults(func=cmd_closure)
-
-    p = sub.add_parser("derived-series",
-                       help="derived series of the closure of a generating set")
-    p.add_argument("gens", nargs="+")
-    p.add_argument("--degree-cap", type=int, default=span.DEFAULT_DEGREE_CAP)
-    p.add_argument("--dim-cap", type=int, default=span.DEFAULT_DIM_CAP)
-    p.add_argument("--lower", action="store_true",
+    for name, func, help_text in (
+            ("closure", cmd_closure, "Lie closure of a generating set under caps"),
+            ("derived-series", cmd_derived_series,
+             "derived series of the closure of a generating set")):
+        p = _command(sub, name, func, help_text)
+        p.add_argument("gens", nargs="+")
+        p.add_argument("--degree-cap", type=int, default=span.DEFAULT_DEGREE_CAP)
+        p.add_argument("--dim-cap", type=int, default=span.DEFAULT_DIM_CAP)
+    p.add_argument("--lower", action="store_true",  # derived-series, the last
                    help="compute the lower central series instead")
-    _add_common(p)
-    p.set_defaults(func=cmd_derived_series)
-
-    p = sub.add_parser("extract-const",
-                       help="differentiate a polynomial to a nonzero constant")
-    p.add_argument("poly")
-    _add_common(p)
-    p.set_defaults(func=cmd_extract_const)
-
-    p = sub.add_parser("extract-linear",
-                       help="differentiate to the shape lambda*x_i + g")
-    p.add_argument("poly")
+    _command(sub, "extract-const", cmd_extract_const,
+             "differentiate a polynomial to a nonzero constant", "poly")
+    p = _command(sub, "extract-linear", cmd_extract_linear,
+                 "differentiate to the shape lambda*x_i + g", "poly")
     p.add_argument("i", type=int, help="target variable index")
-    _add_common(p)
-    p.set_defaults(func=cmd_extract_linear)
-
-    p = sub.add_parser("flatten",
-                       help="bracket with d_s down to x_s-degree 1 or 2")
-    p.add_argument("deriv")
+    p = _command(sub, "flatten", cmd_flatten,
+                 "bracket with d_s down to x_s-degree 1 or 2", "deriv")
     p.add_argument("s", type=int, help="variable to flatten in")
     p.add_argument("target", type=int, choices=(1, 2), help="target degree")
-    _add_common(p)
-    p.set_defaults(func=cmd_flatten)
-
-    p = sub.add_parser("strip", help="split off the un/sn part of a derivation")
-    p.add_argument("deriv")
+    p = _command(sub, "strip", cmd_strip, "split off the un/sn part of a derivation",
+                 "deriv")
     p.add_argument("--which", choices=("un", "sn"), required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_strip)
-
-    p = sub.add_parser("eigencert",
-                       help="exact ad-eigenvector relation [D,E]=cE or [[E,D],E]=cE")
-    p.add_argument("d")
-    p.add_argument("e")
-    _add_common(p)
-    p.set_defaults(func=cmd_eigencert)
-
-    p = sub.add_parser("sl2", help="certify an sl2 triple shape at slot k")
-    p.add_argument("t1")
-    p.add_argument("t2")
-    p.add_argument("t3")
+    _command(sub, "eigencert", cmd_eigencert,
+             "exact ad-eigenvector relation [D,E]=cE or [[E,D],E]=cE", "d", "e")
+    p = _command(sub, "sl2", cmd_sl2, "certify an sl2 triple shape at slot k",
+                 "t1", "t2", "t3")
     p.add_argument("--k", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_sl2)
-
-    p = sub.add_parser("witness",
-                       help="nonzero nested-bracket element of a derived term of sn")
+    p = _command(sub, "witness", cmd_witness, "nonzero element of a derived term of "
+                 "sn among single terms, with a re-checked DAG certificate")
     p.add_argument("--term", type=int, default=None,
                    help="derived term to hit (default: 2n - 1)")
-    p.add_argument("--degree-cap", type=int, default=None,
-                   help="generator degree cap (default: 2n)")
-    p.add_argument("--beam", type=int, default=10_000)
-    _add_common(p)
-    p.set_defaults(func=cmd_witness)
+    p.add_argument("--degree-cap", type=int, default=2,
+                   help="degree cap of the generators and of every kept bracket "
+                        "(default: 2)")
 
     p = sub.add_parser("verify-paper",
                        help="run the full deterministic verification suite")
@@ -387,10 +384,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
     except ValueError as exc:  # a ParseError too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull, so the flush at exit
+        # writes nowhere instead of failing again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_STDOUT
 
 
 if __name__ == "__main__":

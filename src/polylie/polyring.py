@@ -363,8 +363,9 @@ class Polynomial(_LowestTerms):
     def _add_scaled(self, other: Polynomial | Scalar, sign: int) -> Polynomial:
         """A rational other counts as a constant polynomial."""
         # Polynomial is tested first here, in __mul__, in __eq__ and in
-        # Derivation.__mul__: a miss on Fraction, whose metaclass is
-        # ABCMeta, runs a Python-level __instancecheck__
+        # Derivation.__mul__, and __mul__ hands any other _LowestTerms to its
+        # __rmul__ before it tests Fraction: a miss on Fraction, whose
+        # metaclass is ABCMeta, runs a Python-level __instancecheck__
         if not isinstance(other, Polynomial) and isinstance(other, (int, Fraction)):
             other = Polynomial.constant(self.n, other)
         return super()._add_scaled(other, sign)
@@ -376,6 +377,8 @@ class Polynomial(_LowestTerms):
 
     def __mul__(self, other: Polynomial | Scalar) -> Polynomial:
         if not isinstance(other, Polynomial):
+            if isinstance(other, _LowestTerms):
+                return NotImplemented  # p * D: Derivation.__rmul__ scales D
             if isinstance(other, (int, Fraction)):
                 return self._scaled(other)
             return NotImplemented

@@ -1,13 +1,14 @@
 """The golden files in tests/data and what renders them, free of pytest.
 
 `verify-paper --n 3 --seed S --format json`, byte for byte, for the default
-seed 42 and the held-out seed 977, and a corpus of single-operation CLI
-outputs.  A change that alters any printed value must regenerate them and
-say why:
+seed 42 and the held-out seed 977, a corpus of single-operation CLI
+outputs, and the derived-chain certificates for n = 3..8.  A change that
+alters any printed value must regenerate them and say why:
 
     PYTHONPATH=src python tests/golden.py
 
-`tests/test_cli.py` compares the rendered outputs with the files.
+`tests/test_cli.py` compares the rendered outputs with the files, and
+`tests/test_canonical.py` re-checks the stored certificates.
 """
 
 import contextlib
@@ -15,6 +16,7 @@ import io
 import json
 from pathlib import Path
 
+from polylie.canonical import derived_chain_witness
 from polylie.cli import main
 
 GOLDEN_REPORTS = {seed: Path(__file__).parent / "data" / f"verify_paper_n3_seed{seed}.json"
@@ -59,6 +61,21 @@ CORPUS_COMMANDS = [
 ]
 
 
+# derived_chain_witness(n).to_dict() for each n, one node per line
+GOLDEN_CERTIFICATES = Path(__file__).parent / "data" / "derived_chain_certificates.json"
+CERTIFICATE_NS = range(3, 9)
+
+
+def render_certificates() -> str:
+    docs = []
+    for n in CERTIFICATE_NS:
+        doc = derived_chain_witness(n).to_dict()
+        head = json.dumps({key: value for key, value in doc.items() if key != "nodes"})
+        nodes = ",\n".join(f"    {json.dumps(node)}" for node in doc["nodes"])
+        docs.append(f'  {head[:-1]}, "nodes": [\n{nodes}\n  ]}}')
+    return "[\n" + ",\n".join(docs) + "\n]\n"
+
+
 def render_corpus() -> str:
     entries = []
     for argv in CORPUS_COMMANDS:
@@ -81,5 +98,6 @@ def render_report(seed: int) -> str:
 
 if __name__ == "__main__":
     GOLDEN_CORPUS.write_text(render_corpus())
+    GOLDEN_CERTIFICATES.write_text(render_certificates())
     for seed, path in GOLDEN_REPORTS.items():
         path.write_text(render_report(seed))

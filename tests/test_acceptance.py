@@ -14,6 +14,7 @@ import time
 import pytest
 
 from polylie.canonical import (
+    DerivedChainCertificate,
     derived_chain_witness,
     generators,
     lnd_check,
@@ -155,20 +156,19 @@ def test_criterion_5_solvability_fixtures():
 def test_criterion_6_derived_chain_witnesses():
     started = time.monotonic()
     w1 = derived_chain_witness(1)
-    assert w1 is not None and w1.term == 1
-    assert not w1.value.is_zero()
-    assert w1.expression.evaluate(w1.generators) == w1.value
+    assert w1.term == 1 and not w1.root.is_zero()
+    assert DerivedChainCertificate.check(w1.to_dict())
     series = derived_series(SpanBasis(1, generators("sn", 1, 2)))
     assert series.verdict == "solvable" and series.length == 2
 
-    w2 = derived_chain_witness(2)
-    assert w2 is not None and w2.term == 3
-    assert not w2.value.is_zero()
-    assert membership(w2.value).in_sn
-    assert w2.expression.evaluate(w2.generators) == w2.value
+    for n in (2, 3):
+        w = derived_chain_witness(n)
+        assert w.term == 2 * n - 1 and not w.root.is_zero()
+        assert membership(w.root).in_sn
+        assert DerivedChainCertificate.check(w.to_dict())
     elapsed = time.monotonic() - started
     assert elapsed < 30.0
-    _report(6, f"depth-1 and depth-3 nonzero chain witnesses ({elapsed:.2f}s)")
+    _report(6, f"certified nonzero elements of sn^(1), sn^(3), sn^(5) ({elapsed:.2f}s)")
 
 
 def test_criterion_7_local_nilpotency():

@@ -1,26 +1,30 @@
+import copy
 import dataclasses
 import itertools
+import json
 import random
+import re
 import time
 
 import pytest
 
 from polylie.canonical import (
-    Bracket,
-    DerivedChainWitness,
-    Leaf,
-    TruncatedSearch,
+    SINGLE_TERM_EXHAUSTED,
+    DerivedChainCertificate,
+    InconclusiveSearch,
     derived_chain_witness,
     generators,
     lnd_check,
     membership,
     triangular_chain_bound,
 )
+from polylie.cli import main
 from polylie.derivation import Derivation
 from polylie.grammar import parse_derivation
 from polylie.span import SpanBasis, derived_series
 from polylie.sampling import random_subalgebra_element
 
+from golden import CERTIFICATE_NS, GOLDEN_CERTIFICATES, render_certificates
 from matrices import from_rows, is_zero, power
 
 
@@ -251,81 +255,200 @@ class TestLndCheckLinearOracle:
         assert untriangular_nilpotent >= 40
 
 
+def tree(cert, i=-1):
+    """Node i's DAG expanded to a tree: a leaf's key, or a (left, right) pair."""
+    key, left, right, c, depth = cert.nodes[i]
+    return key if left is None else (tree(cert, left), tree(cert, right))
+
+
+def leaf_depths(t, depth=0):
+    if isinstance(t, tuple):
+        yield from leaf_depths(t[0], depth + 1)
+        yield from leaf_depths(t[1], depth + 1)
+    else:
+        yield depth
+
+
+def evaluate(t):
+    """A tree by Derivation.bracket."""
+    return evaluate(t[0]).bracket(evaluate(t[1])) if isinstance(t, tuple) else t
+
+
 class TestDerivedChainWitness:
     def test_dimension_one(self):
         w = derived_chain_witness(1)
-        assert w is not None and w.term == 1
-        assert not w.value.is_zero()
-        assert w.expression.evaluate(w.generators) == w.value
+        assert isinstance(w, DerivedChainCertificate) and w.term == 1
+        assert not w.root.is_zero()
+        assert DerivedChainCertificate.check(w.to_dict())
         # the whole subalgebra is two-dimensional; its derived length is 2
         basis = SpanBasis(1, generators("sn", 1, 2))
         report = derived_series(basis)
         assert report.verdict == "solvable" and report.length == 2
 
     def test_dimension_one_term_two_empty(self):
-        assert derived_chain_witness(1, term=2) is None
+        # sn^(2) = 0 for n = 1, but a search over single terms proves nothing
+        assert derived_chain_witness(1, term=2) == InconclusiveSearch(SINGLE_TERM_EXHAUSTED, 2)
 
     def test_dimension_two(self):
         w = derived_chain_witness(2)
-        assert w is not None and w.term == 3
-        assert not w.value.is_zero()
-        assert membership(w.value).in_sn
-        assert w.expression.evaluate(w.generators) == w.value
+        assert w.term == 3 and str(w.root) == "d2"
+        assert membership(w.root).in_sn
+        assert DerivedChainCertificate.check(w.to_dict())
 
     def test_expression_shape_is_balanced(self):
+        for n in (1, 2, 3):
+            w = derived_chain_witness(n)
+            for key, left, right, c, depth in w.nodes:
+                if left is not None:
+                    assert w.nodes[left][4] == w.nodes[right][4] == depth - 1
+            # every leaf of the expanded tree sits term brackets deep
+            assert set(leaf_depths(tree(w))) == {w.term}
+
+    def test_sexpr_and_legend(self, capsys):
         w = derived_chain_witness(2)
-
-        def depth(expr):
-            if isinstance(expr, Leaf):
-                return 0
-            assert isinstance(expr, Bracket)
-            left, right = depth(expr.left), depth(expr.right)
-            assert left == right  # term-m expressions bracket two term-(m-1)s
-            return left + 1
-
-        assert depth(w.expression) == 3
-
-    def test_sexpr_and_legend(self):
-        w = derived_chain_witness(1)
-        text = w.expression.to_sexpr()
-        assert text.startswith("[") and "," in text
-        legend = w.legend()
-        assert all(name.startswith("g") for name in legend)
+        assert main(["witness", "--n", "2", "--format", "json"]) == 0
+        outputs = json.loads(capsys.readouterr().out)["outputs"]
+        legend = outputs["legend"]
+        leaves = [str(key) for key, left, *_ in w.nodes if left is None]
+        assert list(legend) == [f"g{k}" for k in range(1, len(leaves) + 1)]
+        assert list(legend.values()) == leaves
+        # the legend lists only the leaves the expression uses
+        assert set(re.findall(r"g\d+", outputs["expression"])) == set(legend)
 
     def test_repeat_calls_give_identical_witnesses(self):
         first, second = derived_chain_witness(2), derived_chain_witness(2)
         assert first == second
-        assert first.expression.to_sexpr() == second.expression.to_sexpr()
-        # the witness sorts its pool by degree; the cached pool stays slot-major
-        slots = [g.index() for g in generators("sn", 2, 4)]
+        assert first.to_dict() == second.to_dict()
+        # the search reads the cached pool and leaves it slot-major
+        slots = [g.index() for g in generators("sn", 2, 2)]
         assert slots == sorted(slots)
-        assert [g.index() for g in first.generators] != slots
 
     def test_golden_n3_term2(self):
         w = derived_chain_witness(3, term=2, degree_cap=4)
-        assert w.expression.to_sexpr() == "[[g1,g4],[g1,g11]]"
-        assert str(w.value) == "(2) d2"
+        assert w.to_dict()["nodes"] == [
+            ["d1", None, None, 1, 0], ["(x1) d1", None, None, 1, 0],
+            ["(x1^2) d2", None, None, 1, 0],
+            ["d1", 0, 1, 1, 1], ["(x1) d2", 0, 2, 2, 1], ["d2", 3, 4, 1, 2]]
+        assert str(evaluate(tree(w))) == "(2) d2"
 
-    @pytest.mark.slow
     def test_paper_target_n3_term5(self):
         # the derived-length lower bound 2n for n = 3: sn^(5) is nonzero
         start = time.perf_counter()
         w = derived_chain_witness(3)
         elapsed = time.perf_counter() - start
-        assert isinstance(w, DerivedChainWitness) and w.term == 5
-        assert str(w.value) == "(1024) d3"
-        assert w.expression.evaluate(w.generators) == w.value
-        assert membership(w.value).in_sn
+        assert isinstance(w, DerivedChainCertificate) and w.term == 5
+        assert DerivedChainCertificate.check(w.to_dict())
+        assert elapsed < 1, f"took {elapsed:.2f} s"
+        assert str(evaluate(tree(w))) == "(64) d3"
+
+    @pytest.mark.slow
+    def test_paper_target_n12(self):
+        # about 0.6 s on a 2-vCPU VM; the bound leaves room for a slower host
+        start = time.perf_counter()
+        w = derived_chain_witness(12)
+        elapsed = time.perf_counter() - start
+        assert w.term == 23 and str(w.root) == "d12"
+        assert DerivedChainCertificate.check(w.to_dict())
         assert elapsed < 6, f"took {elapsed:.1f} s"
 
-    def test_beam_cut_is_not_absence(self):
-        for beam in (1, 2, 3):
-            result = derived_chain_witness(2, beam=beam)
-            assert isinstance(result, TruncatedSearch) and result.cut_at == 1
-        assert isinstance(derived_chain_witness(2, beam=5), DerivedChainWitness)
-        with pytest.raises(ValueError):
-            derived_chain_witness(2, beam=0)
+    def test_exhaustion_is_inconclusive(self):
+        # sn^(6) = 0 for n = 3; with degree 0 only the d_i, which commute
+        for n, kw, depth in [(3, {"term": 6}, 6), (2, {"degree_cap": 0}, 1)]:
+            assert derived_chain_witness(n, **kw) == InconclusiveSearch(SINGLE_TERM_EXHAUSTED, depth)
+
+    def test_bad_arguments_rejected(self):
+        for kw in ({"n": 0}, {"n": 2, "term": -1}, {"n": 2, "degree_cap": -1}):
+            with pytest.raises(ValueError):
+                derived_chain_witness(**kw)
 
     def test_term_zero(self):
         w = derived_chain_witness(1, term=0)
-        assert w is not None and isinstance(w.expression, Leaf)
+        assert len(w.nodes) == 1 and w.nodes[0][1] is None
+        assert DerivedChainCertificate.check(w.to_dict())
+
+
+def _leaf(text):
+    return [text, None, None, 1, 0]
+
+
+class TestDerivedChainCertificate:
+    """`check` works from the JSON form alone, and each broken field fails it."""
+
+    @pytest.fixture
+    def doc(self):
+        return derived_chain_witness(3).to_dict()
+
+    def inner(self, doc):
+        return [i for i, node in enumerate(doc["nodes"]) if node[1] is not None]
+
+    def mutants(self, doc, edit):
+        """One copy of doc per inner node, with edit(node, i) applied to it."""
+        for i in self.inner(doc):
+            bad = copy.deepcopy(doc)
+            edit(bad["nodes"][i], i)
+            yield bad
+
+    def test_search_certificates_pass(self):
+        for n in range(1, 6):
+            doc = derived_chain_witness(n).to_dict()
+            assert DerivedChainCertificate.check(json.loads(json.dumps(doc))), n
+
+    def test_wrong_c_fails(self, doc):
+        for scale in (-1, 2, 0):
+            def edit(node, i):
+                node[3] *= scale
+            assert not any(map(DerivedChainCertificate.check, self.mutants(doc, edit)))
+
+    def test_swapped_children_fail(self, doc):
+        def edit(node, i):
+            node[1], node[2] = node[2], node[1]
+        assert not any(map(DerivedChainCertificate.check, self.mutants(doc, edit)))
+
+    def test_raised_depth_fails(self, doc):
+        for i in range(len(doc["nodes"])):
+            bad = copy.deepcopy(doc)
+            bad["nodes"][i][4] += 1
+            if i == len(doc["nodes"]) - 1:
+                bad["term"] += 1  # the root's depth still equals the term
+            assert not DerivedChainCertificate.check(bad), i
+
+    def test_leaf_outside_sn_fails(self):
+        # [d1, (x1) d1] = d1 and [d1, (x1^2) d1] = 2 (x1) d1; x1^2 d1 is not in sn
+        good = {"kind": "derived_chain", "n": 1, "term": 1,
+                "nodes": [_leaf("d1"), _leaf("(x1) d1"), ["d1", 0, 1, 1, 1]]}
+        assert DerivedChainCertificate.check(good)
+        bad = {"kind": "derived_chain", "n": 1, "term": 1,
+               "nodes": [_leaf("d1"), _leaf("(x1^2) d1"), ["(x1) d1", 0, 1, 2, 1]]}
+        assert not DerivedChainCertificate.check(bad)
+
+    def test_forward_and_self_references_fail(self, doc):
+        for side in (1, 2):
+            for target in (lambda i: i, lambda i: i + 1, lambda i: len(doc["nodes"])):
+                def edit(node, i):
+                    node[side] = target(i)
+                assert not any(map(DerivedChainCertificate.check, self.mutants(doc, edit)))
+
+    def test_root_depth_must_equal_term(self, doc):
+        for term in (doc["term"] - 1, doc["term"] + 1):
+            assert not DerivedChainCertificate.check({**doc, "term": term})
+
+    def test_malformed_documents_fail(self, doc):
+        assert not DerivedChainCertificate.check({**doc, "kind": "other"})
+        assert not DerivedChainCertificate.check({**doc, "nodes": []})
+        assert not DerivedChainCertificate.check({k: v for k, v in doc.items() if k != "n"})
+        one_leaf = {"kind": "derived_chain", "n": 1, "term": 0, "nodes": [_leaf("d1")]}
+        assert DerivedChainCertificate.check(one_leaf)
+        for key in ("(2) d1", "d1 + (x1) d1", "0", "(1/2) d1", "d1 d1"):
+            assert not DerivedChainCertificate.check({**one_leaf, "nodes": [_leaf(key)]}), key
+        assert not DerivedChainCertificate.check({**one_leaf, "nodes": [["d1", None, None, 2, 0]]})
+        assert not DerivedChainCertificate.check({**one_leaf, "nodes": [["d1", 0, None, 1, 0]]})
+        assert not DerivedChainCertificate.check({**one_leaf, "nodes": [["d1", None, None, 1]]})
+
+    def test_golden_certificates_recheck_and_regenerate(self):
+        text = GOLDEN_CERTIFICATES.read_text()
+        docs = json.loads(text)
+        assert [doc["n"] for doc in docs] == list(CERTIFICATE_NS)
+        for doc in docs:
+            assert doc["term"] == 2 * doc["n"] - 1
+            assert DerivedChainCertificate.check(doc), doc["n"]
+        assert render_certificates() == text

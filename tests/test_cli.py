@@ -6,7 +6,10 @@ import time
 
 import pytest
 
-from polylie.cli import build_parser, main
+from polylie import cli
+from polylie.canonical import DerivedChainCertificate
+from polylie.cli import EXIT_CLOSED_STDOUT, build_parser, main
+from polylie.grammar import parse_derivation
 from polylie.verify import REPORT_SCHEMA
 
 # The golden files and their renderers live in golden.py, which needs no
@@ -136,22 +139,82 @@ class TestCommands:
         assert code == 0
         doc = json.loads(out)
         assert doc["outputs"]["found"] and doc["outputs"]["term"] == 1
+        assert DerivedChainCertificate.check(doc["outputs"]["certificate"])
         code, out, _ = run_cli(capsys, "witness", "--n", "1", "--term", "2")
         assert code == 1
-        assert out == "not found: absent\n"
+        assert out == "not found: inconclusive (single_term_exhausted at depth 2)\n"
 
-    def test_witness_beam_cut_is_truncated(self, capsys):
-        code, out, _ = run_cli(capsys, "witness", "--n", "2", "--beam", "1",
+    @pytest.mark.parametrize("argv", [["--n", "1"], ["--n", "2"], ["--n", "3"],
+                                      ["--n", "3", "--term", "2", "--degree-cap", "4"],
+                                      ["--n", "2", "--term", "2", "--degree-cap", "3"]])
+    def test_witness_expression_evaluates_to_value(self, capsys, argv):
+        code, out, _ = run_cli(capsys, "witness", *argv, "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        n, outputs = doc["n"], doc["outputs"]
+        gens = {name: parse_derivation(text, n) for name, text in outputs["legend"].items()}
+        stack = [[]]
+        for token in re.findall(r"\[|\]|g\d+", outputs["expression"]):
+            if token == "[":
+                stack.append([])
+            elif token == "]":
+                left, right = stack.pop()
+                stack[-1].append(left.bracket(right))
+            else:
+                stack[-1].append(gens[token])
+        (value,) = stack[0]
+        assert value == parse_derivation(outputs["value"], n) and not value.is_zero()
+
+    def test_witness_exhausted_is_inconclusive(self, capsys):
+        code, out, _ = run_cli(capsys, "witness", "--n", "3", "--term", "6",
                                "--format", "json")
         assert code == 1
         outputs = json.loads(out)["outputs"]
-        assert outputs == {"found": False, "status": "truncated", "cut_at": 1}
-        code, out, _ = run_cli(capsys, "witness", "--n", "2", "--beam", "1")
-        assert code == 1
-        assert out.startswith("not found: truncated")
+        assert outputs == {"found": False, "status": "inconclusive",
+                           "reason": "single_term_exhausted", "depth": 6}
+
+    def test_witness_echoes_the_applied_term_and_cap(self, capsys):
+        code, out, _ = run_cli(capsys, "witness", "--n", "2", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["inputs"] == {"term": 3, "degree_cap": 2}
+
+    @pytest.mark.parametrize("n, seconds", [(4, 1), (5, 5)])
+    def test_witness_finishes_with_a_checked_certificate(self, capsys, n, seconds):
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "witness", "--n", str(n), "--format", "json")
+        elapsed = time.perf_counter() - start
+        assert code == 0 and elapsed < seconds, f"took {elapsed:.2f} s"
+        outputs = json.loads(out)["outputs"]
+        assert DerivedChainCertificate.check(outputs["certificate"])
+        assert outputs["value"].endswith(f"d{n}") and outputs["omitted"] is None
+
+    def test_witness_prints_the_tree_up_to_n8(self, capsys):
+        code, out, _ = run_cli(capsys, "witness", "--n", "8", "--format", "json")
+        assert code == 0
+        outputs = json.loads(out)["outputs"]
+        assert outputs["omitted"] is None
+        assert outputs["expression"].count("g") == 2 ** 15
+        assert re.fullmatch(r"\(-?\d+\) d8", outputs["value"])
+
+    def test_witness_omits_a_large_tree_and_keeps_the_certificate(self, capsys):
+        code, out, _ = run_cli(capsys, "witness", "--n", "10", "--format", "json")
+        assert code == 0
+        outputs = json.loads(out)["outputs"]
+        assert outputs["expression"] is None and outputs["value"] is None
+        assert "524288 leaves" in outputs["omitted"]
+        assert DerivedChainCertificate.check(outputs["certificate"])
+        code, out, _ = run_cli(capsys, "witness", "--n", "10")
+        assert code == 0
+        assert out.splitlines()[1].startswith("expression and value omitted: ")
+
+    def test_witness_omits_a_long_coefficient(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "WITNESS_COEFFICIENT_BITS", 6)
+        code, out, _ = run_cli(capsys, "witness", "--n", "3", "--format", "json")
+        assert code == 0
+        outputs = json.loads(out)["outputs"]
+        assert outputs["value"] is None and "7 bits" in outputs["omitted"]
 
     def test_closure_prints_offending_bracket(self, capsys):
-        from polylie.grammar import parse_derivation
         code, out, _ = run_cli(capsys, "closure", "(x1^2) d2", "(x2^2) d1", "--n", "2",
                                "--degree-cap", "3", "--format", "json")
         assert code == 0
@@ -175,27 +238,31 @@ class TestCommands:
                        "offending bracket: [(3/4 x1^2) d2, "
                        "(-3/8 x1^2) d1 + (3/4 x1 x2) d2]\n")
 
+    def test_witness_prints_nothing_from_a_failed_certificate(self, capsys, monkeypatch):
+        monkeypatch.setattr(DerivedChainCertificate, "check", staticmethod(lambda doc: False))
+        code, out, err = run_cli(capsys, "witness", "--n", "2")
+        assert code == 1 and out == ""
+        assert err == "error: the witness certificate failed its check\n"
+
     def test_witness_n3_term2_exact_json(self, capsys):
         code, out, _ = run_cli(capsys, "witness", "--n", "3", "--term", "2",
                                "--degree-cap", "4", "--format", "json")
         assert code == 0
-        legend = [
-            "d1", "d2", "d3", "(x1) d1", "(x2) d2", "(x1) d2", "(x3) d3", "(x1) d3",
-            "(x2) d3", "(x1 x2) d2", "(x1^2) d2", "(x1 x3) d3", "(x2 x3) d3",
-            "(x1^2) d3", "(x1 x2) d3", "(x2^2) d3", "(x1^2 x2) d2", "(x1^3) d2",
-            "(x1^2 x3) d3", "(x1 x2 x3) d3", "(x2^2 x3) d3", "(x1^3) d3",
-            "(x1^2 x2) d3", "(x1 x2^2) d3", "(x2^3) d3", "(x1^3 x2) d2", "(x1^4) d2",
-            "(x1^3 x3) d3", "(x1^2 x2 x3) d3", "(x1 x2^2 x3) d3", "(x2^3 x3) d3",
-            "(x1^4) d3", "(x1^3 x2) d3", "(x1^2 x2^2) d3", "(x1 x2^3) d3", "(x2^4) d3",
+        nodes = [
+            ["d1", None, None, 1, 0], ["(x1) d1", None, None, 1, 0],
+            ["(x1^2) d2", None, None, 1, 0],
+            ["d1", 0, 1, 1, 1], ["(x1) d2", 0, 2, 2, 1], ["d2", 3, 4, 1, 2],
         ]
         expected = {
             "command": "witness",
-            "inputs": {"beam": 10000, "degree_cap": 4, "term": 2},
+            "inputs": {"degree_cap": 4, "term": 2},
             "n": 3,
             "outputs": {
-                "expression": "[[g1,g4],[g1,g11]]",
+                "certificate": {"kind": "derived_chain", "n": 3, "nodes": nodes, "term": 2},
+                "expression": "[[g1,g2],[g1,g3]]",
                 "found": True,
-                "legend": {f"g{i}": text for i, text in enumerate(legend, start=1)},
+                "legend": {"g1": "d1", "g2": "(x1) d1", "g3": "(x1^2) d2"},
+                "omitted": None,
                 "term": 2,
                 "value": "(2) d2",
             },
@@ -204,7 +271,6 @@ class TestCommands:
         assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
 
     def test_report_values_reparse(self, capsys):
-        from polylie.grammar import parse_derivation
         code, out, _ = run_cli(capsys, "bracket", "(x1^2) d2", "(x2) d1", "--n", "2",
                                "--format", "json")
         assert code == 0
@@ -354,3 +420,16 @@ class TestEntryPoint:
         # the bound is checked before any product: interpreter start-up dominates
         assert elapsed < 10
 
+    @pytest.mark.parametrize("argv", [
+        ["closure", "d1", "(x1) d2", "(x1^2) d3", "--n", "3", "--format", "json"],
+        ["verify-paper", "--n", "2", "--format", "json"],
+    ])
+    def test_closed_stdout_exits_quietly(self, module_env, argv):
+        proc = subprocess.Popen([sys.executable, "-m", "polylie", *argv],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                env=module_env)
+        proc.stdout.close()  # the reader leaves before the first byte is written
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == EXIT_CLOSED_STDOUT
+        assert err == b""

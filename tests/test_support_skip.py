@@ -5,7 +5,8 @@ import random
 
 import polylie.canonical as canonical_module
 import polylie.span as span_module
-from polylie.canonical import TruncatedSearch, derived_chain_witness, generators
+from polylie.canonical import (DerivedChainCertificate, InconclusiveSearch,
+                               derived_chain_witness, generators)
 from polylie.derivation import bracket_rows, row_support, signatures_meet
 from polylie.grammar import parse_derivation
 from polylie.sampling import random_derivation, random_subalgebra_element
@@ -103,14 +104,11 @@ def closure_inputs():
 
 
 WITNESS_SEARCHES = [
-    (1, {}), (2, {}), (1, {"term": 2}), (2, {"term": 4, "degree_cap": 3}),
-    (3, {"term": 2, "degree_cap": 4}),
-    (2, {"beam": 1}), (2, {"beam": 3}), (2, {"beam": 6}), (2, {"beam": 12}),
-    (3, {"term": 3, "degree_cap": 2, "beam": 5}),
-    # the beam cuts level 2 just before pairs that all skip, and a later
-    # level is empty: TruncatedSearch(cut_at=2), which a skip tested before
-    # the beam would turn into None
-    (2, {"term": 4, "degree_cap": 3, "beam": 10}),
+    (1, {}), (2, {}), (3, {}), (4, {}), (5, {}),
+    (1, {"term": 0}), (2, {"term": 3, "degree_cap": 3}),
+    (3, {"term": 2, "degree_cap": 4}), (3, {"term": 3, "degree_cap": 3}),
+    # empty levels: sn^(2) = 0 for n = 1, and the d_i alone commute
+    (1, {"term": 2}), (3, {"term": 6}), (2, {"degree_cap": 0}),
 ]
 
 
@@ -130,9 +128,8 @@ def test_forcing_every_pair_changes_no_result(monkeypatch):
     closures, series, witnesses = all_results()
     statuses = {fields[0] for fields in closures}
     assert statuses == {"closed", "degree_cap_exceeded", "dim_cap_exceeded"}
-    assert TruncatedSearch(cut_at=1) in witnesses
-    assert TruncatedSearch(cut_at=2) in witnesses
-    assert any(w is None for w in witnesses)
+    assert sum(isinstance(w, DerivedChainCertificate) for w in witnesses) == 9
+    assert {w.depth for w in witnesses if isinstance(w, InconclusiveSearch)} == {1, 2, 6}
 
     always = lambda n, sa, sb: True  # noqa: E731
     for module in (span_module, canonical_module):

@@ -1,9 +1,10 @@
-"""Failure paths of the sampled `verify` checks.
+"""Failure paths of the `verify` checks.
 
-Each test breaks one library function on part of the samples and runs one
-check from a fixed seed.  The check must fail, count exactly the broken
-trials, and keep its details keys, so a change to how the checks sample
-cannot silently change what `failures` counts.
+Each sampled-check test breaks one library function on part of the samples
+and runs one check from a fixed seed.  The check must fail, count exactly
+the broken trials, and keep its details keys, so a change to how the checks
+sample cannot silently change what `failures` counts.  The derived-chain
+checks must fail on a broken bracket and on an inconclusive search.
 """
 
 import random
@@ -104,3 +105,25 @@ def test_grammar_roundtrip_counts_random_and_fixed_failures(monkeypatch):
     assert result.passed is False
     # four of the five fixed corpus entries are over n = 2
     assert result.details == {"corpus": SAMPLES + 5, "failures": 11 + 4}
+
+
+def test_derived_chain_checks_recheck_every_n(monkeypatch):
+    report = verify.verify_paper(3, 0)
+    names = [c.name for c in report.checks if c.name.startswith("derived_chain")]
+    assert names == [f"derived_chain_witness_n{n}" for n in (1, 2, 3)]
+    assert all(c.passed and c.details["checked"] for c in report.checks
+               if c.name in names)
+    # the check runs on the JSON form, so a bracket that breaks its
+    # relations fails it even though the search itself used the row kernel
+    _break_bracket_on_n1(monkeypatch)
+    result = verify.check_derived_chain_witness(1)
+    assert result.passed is False and result.details["checked"] is False
+
+
+def test_derived_chain_check_fails_an_inconclusive_search(monkeypatch):
+    monkeypatch.setattr(canonical, "derived_chain_witness",
+                        lambda n: canonical.InconclusiveSearch("single_term_exhausted", 2))
+    result = verify.check_derived_chain_witness(2)
+    assert result.passed is False
+    assert result.details == {"n": 2, "term": 3, "found": False,
+                              "reason": "single_term_exhausted"}

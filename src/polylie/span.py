@@ -10,9 +10,10 @@ to build a span.  It keeps sparse integer rows (see `derivation.Row`) keyed
 by their pivot coordinate: each row is primitive (content 1) with a positive
 pivot entry and a zero in every other row's pivot column.  `add` takes a
 derivation's stored integer row, which stands for the derivation up to its
-denominator, reduces it once against the stored rows without fractions
-(scaling it by the lcm of the pivot entries it meets, then subtracting
-integer multiples) and inserts the residual only if it is nonzero.
+denominator, reduces a copy of it without fractions, one pivot column at
+a time (scaled by that pivot entry, less an integer multiple of the pivot's
+row; each stored row vanishes in the others' pivot columns, so the order is
+free), and inserts the residual only if it is nonzero.
 Dividing each row by its pivot entry gives the reduced row echelon
 form, which is unique for a given row space and column order; `basis` does
 that division, and only there, so equal spans produce identical bases
@@ -41,7 +42,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from math import gcd, lcm
+from math import gcd
 from operator import xor
 from typing import Callable, Iterable, Iterator
 
@@ -61,6 +62,21 @@ def _column_key(n: int) -> Callable[[int], int]:
     mask below the slot field reverses the order of the monomial fields
     and keeps the slot's."""
     return functools.partial(xor, codec(n).low)
+
+
+def _eliminate(target: Row, source: Row, col: int) -> None:
+    """target <- e * target - c * source, with e = source[col] > 0 and
+    c = target[col]: clears target's entry in col, in place."""
+    e, c = source[col], target[col]
+    if e != 1:
+        for k in target:
+            target[k] *= e
+    for k, x in source.items():
+        value = target.get(k, 0) - c * x
+        if value:
+            target[k] = value
+        else:
+            del target[k]
 
 
 class SpanBasis:
@@ -100,27 +116,19 @@ class SpanBasis:
 
     def _reduce(self, row: Row) -> Row:
         """A positive multiple of the residual of row after subtracting its
-        part in the span; row itself is never modified.
+        part in the span, as a new dict; row itself is never modified.
 
-        Every stored row vanishes in the pivot columns of the others, so the
-        multiple of a row to subtract is fixed by row's own entry in its
-        pivot column.  Scaling row by the lcm of those pivot entries first
-        makes every multiple an integer.
+        Each pivot column of row is cleared by `_eliminate` with that
+        pivot's stored row, one pivot at a time.  Every stored row vanishes
+        in the pivot columns of the others, so a step clears its own column
+        and leaves the others as they were, up to a positive factor: the
+        order of the steps is free.
         """
-        combo = [(p, c) for p, c in row.items() if p in self._rows]
-        if not combo:
-            return row
-        scale = lcm(*(self._rows[p][p] for p, _ in combo))
-        residual = {col: x * scale for col, x in row.items()}
-        for p, c in combo:
-            stored = self._rows[p]
-            k = c * (scale // stored[p])
-            for col, x in stored.items():
-                value = residual.get(col, 0) - k * x
-                if value:
-                    residual[col] = value
-                else:
-                    del residual[col]
+        residual = dict(row)
+        rows = self._rows
+        for p in row:
+            if p in rows:
+                _eliminate(residual, rows[p], p)
         return residual
 
     def add(self, d: Derivation) -> bool:
@@ -138,27 +146,18 @@ class SpanBasis:
         g = gcd(*residual.values())
         if residual[pivot] < 0:
             g = -g
-        new = {col: x // g for col, x in residual.items()}
-        piv = new[pivot]
+        if g != 1:
+            for col in residual:
+                residual[col] //= g
         for other in self._rows.values():
-            c = other.get(pivot)
-            if c:
-                # piv * other - c * new keeps other's pivot entry positive,
-                # since new vanishes in other's pivot column
-                if piv != 1:
-                    for col in other:
-                        other[col] *= piv
-                for col, x in new.items():
-                    value = other.get(col, 0) - c * x
-                    if value:
-                        other[col] = value
-                    else:
-                        del other[col]
+            if pivot in other:
+                # other's pivot entry stays positive: residual is 0 there
+                _eliminate(other, residual, pivot)
                 content = gcd(*other.values())
                 if content != 1:
                     for col in other:
                         other[col] //= content
-        self._rows[pivot] = new
+        self._rows[pivot] = residual
         self._basis = None
         return True
 

@@ -117,6 +117,20 @@ class TestEchelonKernel:
         assert first == (pd("(x1) d1 + (x2) d2", n),)
         assert str(first[0]) == "(x1) d1 + (x2) d2"
 
+    def test_add_leaves_its_row_alone(self):
+        # the kernel reduces and divides a copy of the row, also when the
+        # row meets no pivot: here content 2 over denominator 1
+        n = 2
+        d = pd("2 d1 + (4 x1) d2", n)
+        terms = dict(d._terms)
+        span = SpanBasis(n, [])
+        assert span.add(d)
+        assert d._terms == terms
+        # (x1) d2 back-eliminates the stored row in its pivot column
+        assert span.add(pd("(x1) d2", n))
+        assert d._terms == terms and d == pd("2 d1 + (4 x1) d2", n)
+        assert span.basis == (pd("d1", n), pd("(x1) d2", n))
+
 
 def reference_rref(n, gens):
     """Fraction Gauss-Jordan elimination on a dense matrix: the nonzero rows
@@ -258,6 +272,22 @@ class TestLieClosure:
         assert len(result.elements) == result.basis.dim
         assert SpanBasis(n, result.elements).basis == result.basis.basis
 
+    def test_elements_and_kept_brackets_are_fresh_brackets(self):
+        # the span reduces copies: no element or kept bracket row that the
+        # closure hands out is divided or back-eliminated in place later
+        gens = generators("un", 3, 2)
+        result = lie_closure(gens)
+        g = result.num_generators
+        assert result.closed and result.elements[:g] == tuple(gens)
+        fresh = [a.bracket(b) for a, b in
+                 span_module._generator_pairs(list(result.elements), g)]
+        fresh = [f for f in fresh if not f.is_zero()]
+        assert all(f._den == 1 for f in fresh)
+        assert [dict(row) for row in result._brackets] == [f._terms for f in fresh]
+        rest = iter(fresh)  # the elements after the generators, in order
+        assert all(any(e == f for f in rest) for e in result.elements[g:])
+        assert len(result.elements) == result.basis.dim > g
+
     def test_generator_above_degree_cap_rejected(self):
         n = 1
         with pytest.raises(ValueError, match=r"generator \(x1\^20\) d1 .* degree 20"):
@@ -345,14 +375,22 @@ class TestLowerCentralSeries:
         assert report.verdict == "nilpotent" and report.length == 1
 
     def test_default_cap_decides_nilpotent_closure(self):
-        # un(3, 3) is nilpotent (Engel); its class 13 exceeds the 2n + 4 = 10
-        # steps an n-based cap would allow
+        # L(n, c), the closure of generators("un", n, c), is nilpotent
+        # (Engel) of class w_n(c) = 1 + c + ... + c^(n-1): 13 for un(3, 3),
+        # above the 2n + 4 = 10 steps an n-based cap would allow; 40 for
+        # L(4, 3) and 31 for L(5, 2), from their closed results
         closure = lie_closure(generators("un", 3, 3))
         assert closure.status == "closed"
-        report = lower_central_series(closure.basis)
-        assert report.verdict == "nilpotent" and report.length == 13
-        assert report.dims[0] == 27 and report.dims[-2:] == (1, 0)
-        assert all(a > b for a, b in zip(report.dims, report.dims[1:]))
+        reports = [(lower_central_series(closure.basis), 27, 13)]
+        for n, c, degree_cap, dim in ((4, 3, 40, 265), (5, 2, 16, 249)):
+            closure = lie_closure(generators("un", n, c), degree_cap=degree_cap)
+            assert closure.closed
+            w = sum(c ** k for k in range(n))
+            reports.append((lower_central_series(closure), dim, w))
+        for report, dim, w in reports:
+            assert report.verdict == "nilpotent" and report.length == w
+            assert report.dims[0] == dim and report.dims[-2:] == (1, 0)
+            assert all(a > b for a, b in zip(report.dims, report.dims[1:]))
 
     def test_derived_term_inside_lower_central_term(self):
         n = 2

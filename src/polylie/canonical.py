@@ -330,12 +330,18 @@ def derived_chain_witness(n: int, *, term: int | None = None, degree_cap: int = 
 
     The derived terms are subspaces, so a level keeps one term per (slot,
     monomial) key, with coefficient 1.  Level 0 is the sn generators of
-    degree at most degree_cap.  Level d brackets each pair of level d - 1
-    whose support signatures meet and whose degrees p, q have p + q - 1, the
-    degree of their bracket, at most degree_cap.  It keeps a bracket that is
-    one term with a key new to level d.  The last level stops at its first
-    term, the certificate's root.  The defaults chase the derived-length
-    lower bound, term 2n - 1.
+    degree at most degree_cap.  Level d brackets each pair of level d - 1,
+    in `itertools.combinations` order, whose support signatures meet and
+    whose degrees p, q have p + q - 1, the degree of their bracket, at most
+    degree_cap.  It keeps a bracket that is one term with a key new to
+    level d.  The last level stops at its first term, the certificate's
+    root.  The defaults chase the derived-length lower bound, term 2n - 1.
+
+    The levels are built on demand: each is a generator that pulls the
+    level below only as its pair walk reaches an element and yields each
+    term as soon as it is kept.  So a level is walked only as far as the
+    root needs, and each level still keeps the same terms in the same order
+    as a level built in full would.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -343,39 +349,62 @@ def derived_chain_witness(n: int, *, term: int | None = None, degree_cap: int = 
     if term < 0:
         raise ValueError(f"term must be >= 0, got {term}")
     degree = codec(n).degree
-    # (packed key, left, right, c, depth) of each kept term, children first
+    # (packed key, left, right, c, depth) of each kept term, in the order kept:
+    # the levels interleave, but a term's children always come before it
     kept: list[tuple[int, int | None, int | None, int, int]] = []
-    level: list[tuple[int, Row, Partials, int, int]] = []
-    for g in generators("sn", n, degree_cap):
-        (key,) = g._terms  # one term, coefficient 1
-        level.append((len(kept), g._terms, *row_support(n, g._terms), degree(key)))
-        kept.append((key, None, None, 1, 0))
+
+    def keep(key: int, left: int | None, right: int | None, c: int, depth: int,
+             p: int) -> tuple[int, Row, Partials, int, int]:
+        """Record a kept term; return its (index, row, partials, signature,
+        degree) for the level above."""
+        kept.append((key, left, right, c, depth))
+        return (len(kept) - 1, {key: 1}, *row_support(n, {key: 1}), p)
+
+    def level(below: Iterator[tuple[int, Row, Partials, int, int]], depth: int
+              ) -> Iterator[tuple[int, Row, Partials, int, int]]:
+        """Level depth, pulling each element of below as the walk reaches it."""
+        pulled = list(itertools.islice(below, 1))
+        rest = _appending(below, pulled)
+        seen: set[int] = set()
+        # the list iterator sees the elements `rest` appends during row 0
+        for i, (x, a, pa, sa, p) in enumerate(pulled):
+            for y, b, pb, sb, q in itertools.chain(itertools.islice(pulled, i + 1, None), rest):
+                if p + q > degree_cap + 1 or not signatures_meet(n, sa, sb):
+                    continue
+                value = bracket_rows(a, pa, b, pb)
+                if len(value) != 1:
+                    continue
+                ((key, c),) = value.items()
+                if key not in seen:
+                    seen.add(key)
+                    yield keep(key, x, y, c, depth, p + q - 1)
+
+    # each generator is one term with coefficient 1
+    top = (keep(key, None, None, 1, 0, degree(key))
+           for g in generators("sn", n, degree_cap) for key in g._terms)
     for depth in range(1, term + 1):
-        seen: dict[int, int] = {}
-        nxt: list[tuple[int, Row, Partials, int, int]] = []
-        for (i, a, pa, sa, p), (j, b, pb, sb, q) in itertools.combinations(level, 2):
-            if p + q > degree_cap + 1 or not signatures_meet(n, sa, sb):
-                continue
-            value = bracket_rows(a, pa, b, pb)
-            if len(value) != 1:
-                continue
-            ((key, c),) = value.items()
-            if key in seen:
-                continue
-            seen[key] = len(kept)
-            kept.append((key, i, j, c, depth))
-            if depth == term:
-                break
-            nxt.append((seen[key], {key: 1}, *row_support(n, {key: 1}), p + q - 1))
-        if not seen:
-            return InconclusiveSearch(SINGLE_TERM_EXHAUSTED, depth)
-        level = nxt
-    # keep the nodes the root reaches, in order
+        top = level(top, depth)
+    if term == 0:
+        for _ in top:  # the root is the last generator
+            pass
+    elif next(top, None) is None:
+        # Every level is now walked in full.  A term brackets two of the
+        # level below, so the first empty level is the one above the deepest.
+        return InconclusiveSearch(SINGLE_TERM_EXHAUSTED, 1 + max(d for *_, d in kept))
+    # keep the nodes the root reaches, level by level in the order kept
     reached = {len(kept) - 1}
     for i in reversed(range(len(kept))):
         if i in reached and kept[i][1] is not None:
             reached.update(kept[i][1:3])
-    new = {old: pos for pos, old in enumerate(sorted(reached))}
+    order = sorted(reached, key=lambda i: (kept[i][4], i))
+    new = {old: pos for pos, old in enumerate(order)}
     return DerivedChainCertificate(n, term, tuple(
         (Derivation._from_terms(n, {key: 1}, 1), new.get(left), new.get(right), c, depth)
-        for key, left, right, c, depth in map(kept.__getitem__, sorted(reached))))
+        for key, left, right, c, depth in map(kept.__getitem__, order)))
+
+
+def _appending(items: Iterator, into: list) -> Iterator:
+    """Yield each of items after appending it to into."""
+    for item in items:
+        into.append(item)
+        yield item

@@ -18,9 +18,11 @@ from polylie.canonical import (
     membership,
     triangular_chain_bound,
 )
+from polylie import canonical
 from polylie.cli import main
-from polylie.derivation import Derivation
+from polylie.derivation import Derivation, bracket_rows, row_support, signatures_meet
 from polylie.grammar import parse_derivation
+from polylie.polyring import codec
 from polylie.span import SpanBasis, derived_series
 from polylie.sampling import random_subalgebra_element
 
@@ -274,6 +276,45 @@ def evaluate(t):
     return evaluate(t[0]).bracket(evaluate(t[1])) if isinstance(t, tuple) else t
 
 
+def eager_witness(n, term=None, degree_cap=2):
+    """`derived_chain_witness` with each level built in full before the next:
+    the reference the on-demand search must match exactly."""
+    term = 2 * n - 1 if term is None else term
+    degree = codec(n).degree
+    kept, level = [], []
+    for g in generators("sn", n, degree_cap):
+        (key,) = g._terms
+        level.append((len(kept), g._terms, *row_support(n, g._terms), degree(key)))
+        kept.append((key, None, None, 1, 0))
+    for depth in range(1, term + 1):
+        seen, nxt = {}, []
+        for (i, a, pa, sa, p), (j, b, pb, sb, q) in itertools.combinations(level, 2):
+            if p + q > degree_cap + 1 or not signatures_meet(n, sa, sb):
+                continue
+            value = bracket_rows(a, pa, b, pb)
+            if len(value) != 1:
+                continue
+            ((key, c),) = value.items()
+            if key in seen:
+                continue
+            seen[key] = len(kept)
+            kept.append((key, i, j, c, depth))
+            if depth == term:
+                break
+            nxt.append((seen[key], {key: 1}, *row_support(n, {key: 1}), p + q - 1))
+        if not seen:
+            return InconclusiveSearch(SINGLE_TERM_EXHAUSTED, depth)
+        level = nxt
+    reached = {len(kept) - 1}
+    for i in reversed(range(len(kept))):
+        if i in reached and kept[i][1] is not None:
+            reached.update(kept[i][1:3])
+    new = {old: pos for pos, old in enumerate(sorted(reached))}
+    return DerivedChainCertificate(n, term, tuple(
+        (Derivation._from_terms(n, {key: 1}, 1), new.get(left), new.get(right), c, depth)
+        for key, left, right, c, depth in map(kept.__getitem__, sorted(reached))))
+
+
 class TestDerivedChainWitness:
     def test_dimension_one(self):
         w = derived_chain_witness(1)
@@ -365,6 +406,38 @@ class TestDerivedChainWitness:
         w = derived_chain_witness(1, term=0)
         assert len(w.nodes) == 1 and w.nodes[0][1] is None
         assert DerivedChainCertificate.check(w.to_dict())
+        # the root is the last generator: for n = 2, (x1^2) d2 and not d1
+        w = derived_chain_witness(2, term=0)
+        assert w.to_dict()["nodes"] == [["(x1^2) d2", None, None, 1, 0]]
+
+    def test_matches_levels_built_in_full(self):
+        for n in range(1, 9):
+            assert derived_chain_witness(n).to_dict() == eager_witness(n).to_dict(), n
+        for n, term, cap in [(3, 2, 4), (4, 3, 3), (5, 4, 3), (2, 1, 2)]:
+            w = derived_chain_witness(n, term=term, degree_cap=cap)
+            assert w.to_dict() == eager_witness(n, term, cap).to_dict(), (n, term, cap)
+        for n, term, cap in [(3, 6, 2), (2, 3, 0), (1, 2, 2)]:
+            w = derived_chain_witness(n, term=term, degree_cap=cap)
+            assert isinstance(w, InconclusiveSearch)
+            assert w == eager_witness(n, term, cap), (n, term, cap)
+
+    def test_lower_levels_stop_at_what_the_root_needs(self, monkeypatch):
+        calls = 0
+        real = canonical.bracket_rows
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return real(*args)
+
+        monkeypatch.setattr(canonical, "bracket_rows", counting)
+        # levels built in full made 223, 712 and 1411 brackets
+        for (n, kw), most in [((3, {"term": 2, "degree_cap": 4}), 5),
+                              ((4, {"term": 3, "degree_cap": 3}), 8),
+                              ((5, {}), 1411)]:
+            calls = 0
+            assert isinstance(derived_chain_witness(n, **kw), DerivedChainCertificate)
+            assert calls <= most, (n, kw, calls)
 
 
 def _leaf(text):

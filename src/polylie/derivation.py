@@ -17,10 +17,11 @@ d_slot that holds the term c * x^monomial.  The public constructor
 validates the n coefficient polynomials and hands their terms, each key
 moved to its slot, to `polyring._over_lcm`, which puts them over one
 denominator; `coeffs` and `coeff` rebuild polynomials on demand.  A
-single-slot derivation (`partial`, `monomial_term`, a parsed "(p) d<i>") is
-a one-entry row times p.  A polynomial multiple p * D also stays on the
-row: a slot-0 key of p adds to a row key straight into the same slot, each
-term of the row times each term of p, reduced once over den_D * den_p.
+single-slot derivation (`partial`, `monomial_term`) is a one-entry row
+times p; the grammar moves the keys of a parsed "(p) d<i>" to slot i
+itself.  A polynomial multiple p * D also stays on the row: a slot-0 key of
+p adds to a row key straight into the same slot, each term of the row
+times each term of p, reduced once over den_D * den_p.
 
 Brackets of integer rows stay integral.  `bracket_rows` is the one bracket
 kernel: slot i of [D, E] is D(g_i) - E(f_i), and each half is one call of
@@ -151,9 +152,9 @@ class Derivation(_LowestTerms):
             if f.n != n:
                 raise ValueError(f"coefficient lives in {f.n} variables, expected {n}")
         shift = codec(n).slot_shift
-        self._store(n, *_over_lcm({(slot << shift) + k: (c, f._den)
+        self._store(n, *_over_lcm([((slot << shift) + k, (c, f._den))
                                    for slot, f in enumerate(cs, start=1)
-                                   for k, c in f._terms.items()}))
+                                   for k, c in f._terms.items()]))
 
     # -- constructors ------------------------------------------------------
 

@@ -31,7 +31,7 @@ import struct
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm
 from operator import or_
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Collection, Iterable, Iterator, Mapping, Union
 
 Monomial = tuple[int, ...]
 Scalar = Union[int, Fraction]
@@ -148,14 +148,18 @@ def _check_monomial(m: tuple, n: int) -> int:
     return codec(n).pack(m)
 
 
-def _over_lcm(pairs: Mapping) -> tuple[dict, int]:
-    """The value sum(num / den * key) over pairs {key: (num, den)}, as
-    (terms, d): each numerator scaled to d, the lcm of the denominators.
+def _over_lcm(items: Collection[tuple[int, tuple[int, int]]]) -> tuple[dict, int]:
+    """The value sum(num / den * key) over items (key, (num, den)), as
+    (terms, d): each numerator scaled to d, the lcm of the denominators,
+    and the numerators of a key that repeats summed.
 
     The one statement of the common-denominator rule; `_store` then reduces.
     """
-    d = lcm(*(den for _, den in pairs.values()))
-    return {key: num * (d // den) for key, (num, den) in pairs.items()}, d
+    d = lcm(*(den for _, (_, den) in items))
+    terms: dict[int, int] = {}
+    for key, (num, den) in items:
+        terms[key] = terms.get(key, 0) + num * (d // den)
+    return terms, d
 
 
 class _LowestTerms:
@@ -280,7 +284,7 @@ class Polynomial(_LowestTerms):
             _check_coefficient(coeff)
             # a zero term's monomial is checked too, then dropped by _store
             pairs[_check_monomial(mono, n)] = coeff.numerator, coeff.denominator
-        self._store(n, *_over_lcm(pairs))
+        self._store(n, *_over_lcm(pairs.items()))
 
     # -- constructors ------------------------------------------------------
     # The constants run the checks of `__init__` on their arguments, in the

@@ -58,7 +58,7 @@ def random_polynomial(rng: random.Random, n: int, max_degree: int,
                       max_terms: int = 4) -> Polynomial:
     pairs: dict[int, tuple[int, int]] = {}
     _draw_terms(pairs, rng.getrandbits, 0, codec(n).var_units, max_degree, max_terms)
-    return Polynomial._from_terms(n, *_over_lcm(pairs))
+    return Polynomial._from_terms(n, *_over_lcm(pairs.items()))
 
 
 def random_nonconstant_polynomial(rng: random.Random, n: int, max_degree: int) -> Polynomial:
@@ -76,7 +76,7 @@ def random_derivation(rng: random.Random, n: int, max_degree: int,
     pairs: dict[int, tuple[int, int]] = {}
     for slot in range(1, n + 1):
         _draw_terms(pairs, bits, slot << c.slot_shift, c.var_units, max_degree, max_terms)
-    return Derivation._from_terms(n, *_over_lcm(pairs))
+    return Derivation._from_terms(n, *_over_lcm(pairs.items()))
 
 
 def random_subalgebra_element(rng: random.Random, which: Which, n: int,

@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import ClassVar, Iterator, Literal
+from typing import Iterator, Literal, NamedTuple
 
 from .derivation import Derivation, Partials, Row, bracket_rows, row_support, signatures_meet
 from .grammar import parse_derivation
@@ -62,8 +61,7 @@ def _row_violations(d: Derivation) -> Iterator[tuple[int, int, str | None]]:
         yield key, slot, _slot_violation(slot, c.unpack(key))
 
 
-@dataclass(frozen=True)
-class MembershipVerdict:
+class MembershipVerdict(NamedTuple):
     in_un: bool
     in_sn: bool
     violations: tuple[tuple[int, str], ...]
@@ -149,8 +147,7 @@ def _generator_pool(which: Which, n: int, degree_cap: int) -> tuple[Derivation, 
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class NilpotencyWitness:
+class NilpotencyWitness(NamedTuple):
     """Per-variable iteration chains x_i, D(x_i), D^2(x_i), ..., 0.
 
     lengths[i-1] is the first power of D that kills x_i; the chain for x_i
@@ -164,8 +161,7 @@ class NilpotencyWitness:
         return tuple(len(chain) - 1 for chain in self.chains)
 
 
-@dataclass(frozen=True)
-class LndVerdict:
+class LndVerdict(NamedTuple):
     """Outcome of the local-nilpotency semi-decision.
 
     status "witness": all variable chains terminated; D is locally
@@ -261,8 +257,7 @@ def lnd_check(d: Derivation, bound: int) -> LndVerdict:
 SINGLE_TERM_EXHAUSTED = "single_term_exhausted"
 
 
-@dataclass(frozen=True)
-class DerivedChainCertificate:
+class DerivedChainCertificate(NamedTuple):
     """A nonzero element of the term-th derived term of sn, as a DAG.
 
     Node (key, left, right, c, depth) holds one term x^a d_i with coefficient
@@ -274,7 +269,7 @@ class DerivedChainCertificate:
     has depth term.
     """
 
-    kind: ClassVar[str] = "derived_chain"
+    kind = "derived_chain"  # not annotated, so a class attribute, not a field
     n: int
     term: int
     nodes: tuple[tuple[Derivation, int | None, int | None, int, int], ...]
@@ -314,8 +309,7 @@ class DerivedChainCertificate:
             return False
 
 
-@dataclass(frozen=True)
-class InconclusiveSearch:
+class InconclusiveSearch(NamedTuple):
     """No single term reached the requested term: level `depth` kept none.
     This proves nothing, since that derived term may hold sums of terms or
     terms above the degree cap."""

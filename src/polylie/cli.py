@@ -5,6 +5,12 @@ polynomial and derivation operands, and a `verify-paper` batch harness.
 Output is human text by default or a single JSON document with
 `--format json`.
 
+A command imports the modules it runs.  At module level this file imports
+only what the parser and the operand parsing need (`grammar`, and `span` for
+the cap defaults); `canonical`, `reductions` and `verify` are imported
+inside the commands that call them, so a one-shot `bracket`, `closure` or
+`derived-series` process never loads them.
+
 Exit codes: 0 on success (and all-pass for verifying commands), 1 when a
 verifying command ends negative (failed check, mismatch, nothing found or an
 inconclusive search), 2 for usage, syntax, or precondition errors, and 141
@@ -20,9 +26,8 @@ import json
 import os
 import sys
 
-from . import canonical, reductions, span
+from . import span
 from .grammar import parse_derivation, parse_polynomial
-from .verify import verify_paper
 
 # version of the JSON document the single-operation commands print;
 # verify-paper prints a Report, versioned by verify.SCHEMA_VERSION
@@ -98,6 +103,7 @@ def cmd_index(args) -> int:
 
 
 def cmd_member(args) -> int:
+    from . import canonical
     d = parse_derivation(args.deriv, args.n)
     verdict = canonical.membership(d)
     lines = [f"in_un: {verdict.in_un}", f"in_sn: {verdict.in_sn}"]
@@ -108,6 +114,7 @@ def cmd_member(args) -> int:
 
 
 def cmd_lnd(args) -> int:
+    from . import canonical
     d = parse_derivation(args.deriv, args.n)
     verdict = canonical.lnd_check(d, args.bound)
     outputs: dict = {"status": verdict.status, "bound": verdict.bound}
@@ -178,6 +185,7 @@ def cmd_derived_series(args) -> int:
 
 
 def cmd_extract_const(args) -> int:
+    from . import reductions
     f = parse_polynomial(args.poly, args.n)
     alpha, gamma = reductions.constant_extraction(f)
     outputs = {"alpha": list(alpha), "gamma": str(gamma)}
@@ -187,6 +195,7 @@ def cmd_extract_const(args) -> int:
 
 
 def cmd_extract_linear(args) -> int:
+    from . import reductions
     f = parse_polynomial(args.poly, args.n)
     beta, lam, g = reductions.linear_extraction(f, args.i)
     outputs = {"beta": list(beta), "lambda": str(lam), "g": str(g)}
@@ -196,6 +205,7 @@ def cmd_extract_linear(args) -> int:
 
 
 def cmd_flatten(args) -> int:
+    from . import reductions
     d = parse_derivation(args.deriv, args.n)
     result = reductions.flatten_in_variable(d, args.s, args.target)
     _emit(args, "flatten", {"deriv": str(d), "s": args.s, "target": args.target},
@@ -204,6 +214,7 @@ def cmd_flatten(args) -> int:
 
 
 def cmd_strip(args) -> int:
+    from . import canonical
     d = parse_derivation(args.deriv, args.n)
     remainder, stripped = canonical.strip_canonical_part(d, args.which)
     outputs = {"remainder": str(remainder), "stripped": str(stripped)}
@@ -213,6 +224,7 @@ def cmd_strip(args) -> int:
 
 
 def cmd_eigencert(args) -> int:
+    from . import reductions
     d = parse_derivation(args.d, args.n)
     e = parse_derivation(args.e, args.n)
     cert = reductions.eigenvector_certificate(d, e)
@@ -226,6 +238,7 @@ def cmd_eigencert(args) -> int:
 
 
 def cmd_sl2(args) -> int:
+    from . import reductions
     triple = [parse_derivation(t, args.n) for t in (args.t1, args.t2, args.t3)]
     result = reductions.sl2_check(*triple, args.k)
     inputs = {"t1": str(triple[0]), "t2": str(triple[1]), "t3": str(triple[2]),
@@ -239,7 +252,7 @@ def cmd_sl2(args) -> int:
     return EXIT_OK
 
 
-def _witness_tree(cert: canonical.DerivedChainCertificate) -> dict:
+def _witness_tree(cert) -> dict:
     """The certificate's DAG expanded to a tree over its leaves, named g1,
     g2, ... in node order, and the tree's value: the product of its c's times
     the root.  Above the printed sizes both are null, with the reason."""
@@ -272,6 +285,7 @@ def _witness_tree(cert: canonical.DerivedChainCertificate) -> dict:
 
 
 def cmd_witness(args) -> int:
+    from . import canonical
     term = 2 * args.n - 1 if args.term is None else args.term
     result = canonical.derived_chain_witness(args.n, term=term, degree_cap=args.degree_cap)
     inputs = {"term": term, "degree_cap": args.degree_cap}
@@ -299,6 +313,7 @@ def cmd_witness(args) -> int:
 
 
 def cmd_verify_paper(args) -> int:
+    from .verify import verify_paper
     report = verify_paper(args.n, args.seed)
     if args.format == "json":
         print(json.dumps(report.to_dict(include_timing=args.timing),

@@ -14,9 +14,9 @@ relation can be re-checked exactly from the certificate alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from typing import NamedTuple
 
 from .derivation import Derivation, iterated_bracket
 from .polyring import Monomial, Polynomial, _check_same_n, multi_factorial
@@ -89,8 +89,7 @@ def flatten_in_variable(d: Derivation, s: int, target_deg: int) -> Derivation:
     return iterated_bracket(Derivation.partial(d.n, s), steps, d)
 
 
-@dataclass(frozen=True)
-class EigenvectorCertificate:
+class EigenvectorCertificate(NamedTuple):
     """Exact relation showing ad-action on e with a nonzero eigenvalue.
 
     relation "single":  [d, e] = scalar * e
@@ -149,8 +148,7 @@ def eigenvector_certificate(d: Derivation, e: Derivation) -> EigenvectorCertific
     return None
 
 
-@dataclass(frozen=True)
-class Sl2Certificate:
+class Sl2Certificate(NamedTuple):
     """Witness that T1, T2, T3 generate a non-solvable subalgebra.
 
     Shape: modulo terms in slots below k, the triple is d_k, -x_k^2 d_k,
@@ -171,8 +169,7 @@ class Sl2Certificate:
         return {"t1": str(self.t1), "t2": str(self.t2), "t3": str(self.t3), "k": self.k}
 
 
-@dataclass(frozen=True)
-class Sl2Mismatch:
+class Sl2Mismatch(NamedTuple):
     reason: str
 
 

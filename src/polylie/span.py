@@ -41,10 +41,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
 from math import gcd
 from operator import xor
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .derivation import Derivation, Partials, Row, bracket_rows, row_support, signatures_meet
 from .polyring import _check_same_n, codec
@@ -169,10 +168,10 @@ class SpanBasis:
         return f"SpanBasis(n={self.n}, dim={self.dim})"
 
 
-@dataclass(frozen=True)
 class LieClosureResult:
     """Outcome of saturating a span under brackets, subject to caps.
 
+    status is "closed", "degree_cap_exceeded" or "dim_cap_exceeded".
     basis spans everything adjoined before the stop.  elements are the
     adjoined derivations in order, a basis of that span: first the
     num_generators generators that extended it, then the brackets that did.
@@ -182,14 +181,45 @@ class LieClosureResult:
     the rows of its nonzero brackets, in order: they lie in basis and span
     [S, L] for the generators S.  A result built by hand has _brackets
     None, and the series then recompute and check those brackets.
+
+    The fields are read-only.  Equality, hashing and the repr see the
+    public fields only, not _brackets.
     """
 
-    status: str  # "closed" | "degree_cap_exceeded" | "dim_cap_exceeded"
-    basis: SpanBasis
-    elements: tuple[Derivation, ...]
-    num_generators: int
-    offending_bracket: tuple[Derivation, Derivation] | None = None
-    _brackets: tuple[Row, ...] | None = field(default=None, repr=False, compare=False)
+    __slots__ = ("status", "basis", "elements", "num_generators", "offending_bracket",
+                 "_brackets")
+
+    def __init__(self, status: str, basis: SpanBasis, elements: tuple[Derivation, ...],
+                 num_generators: int,
+                 offending_bracket: tuple[Derivation, Derivation] | None = None,
+                 _brackets: tuple[Row, ...] | None = None) -> None:
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "num_generators", num_generators)
+        object.__setattr__(self, "offending_bracket", offending_bracket)
+        object.__setattr__(self, "_brackets", _brackets)
+
+    def __setattr__(self, name: str, *_) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _public(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__[:-1])
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not LieClosureResult:
+            return NotImplemented
+        return self._public() == other._public()
+
+    def __hash__(self) -> int:
+        return hash(self._public())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}"
+                           for name, value in zip(self.__slots__, self._public()))
+        return f"LieClosureResult({fields})"
 
     @property
     def closed(self) -> bool:
@@ -264,8 +294,7 @@ def lie_closure(gens: Iterable[Derivation], *,
     return result("closed", kept=tuple(brackets))
 
 
-@dataclass(frozen=True)
-class SeriesReport:
+class SeriesReport(NamedTuple):
     """Dimensions of successive series terms plus a termination verdict.
 
     verdict is "solvable" (derived series reached zero; length = derived

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from . import canonical, reductions, span
 from .derivation import Derivation
@@ -62,18 +61,16 @@ REPORT_SCHEMA = {
 }
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
-    details: dict = field(default_factory=dict)
+    details: dict
 
     def to_dict(self) -> dict:
         return {"name": self.name, "passed": self.passed, "details": self.details}
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     command: str
     inputs: dict
     checks: list[CheckResult]

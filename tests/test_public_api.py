@@ -1,13 +1,23 @@
-"""Every public function and method of the package has a use in it.
+"""The package's public API: what it exports, and that each part is used.
 
-A public module-level function or public method (a name without a leading
+Every public function and method of the package has a use in it.  A public
+module-level function or public method (a name without a leading
 underscore) must be referenced by name, as a call, an attribute or a bare
 name, somewhere in the package besides its own def.  API that no command,
 check or other library code uses is either wired in or deleted.
+
+The package resolves its exported names and its submodules on first use:
+each name is its defining module's object, and the records those names
+include are read-only.
 """
 
 import ast
+import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import polylie
 
@@ -65,3 +75,77 @@ def test_every_public_def_is_used():
     sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
     # an allowed name that gains a use, or goes, leaves the list too
     assert sorted(unused_public_api(sources)) == sorted(ALLOWED)
+
+
+SUBMODULES = ("canonical", "cli", "derivation", "grammar", "polyring", "reductions",
+              "sampling", "span", "verify")
+
+
+def test_names_resolve_to_their_modules_objects(module_env):
+    """In a fresh interpreter, so every name and submodule resolves on first use."""
+    code = f"""
+import inspect, sys, polylie
+assert not [m for m in sys.modules if m.startswith("polylie.")]
+for name in polylie.__all__:
+    value = getattr(polylie, name)
+    module = sys.modules["polylie." + polylie._MODULE_OF[name]]
+    assert value is getattr(module, name), name
+    if inspect.isclass(value) or inspect.isfunction(value):
+        assert value.__module__ == module.__name__, name
+for name in {SUBMODULES!r}:
+    assert getattr(polylie, name) is sys.modules["polylie." + name], name
+"""
+    proc = subprocess.run([sys.executable, "-c", code], env=module_env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_dir_and_star_import_cover_all():
+    assert set(polylie.__all__) | set(SUBMODULES) <= set(dir(polylie))
+    namespace: dict = {}
+    exec("from polylie import *", namespace)
+    assert set(polylie.__all__) <= set(namespace)
+    for name in polylie.__all__:
+        assert namespace[name] is getattr(polylie, name)
+
+
+def test_unknown_name_is_an_attribute_error():
+    message = "module 'polylie' has no attribute 'no_such_name'"
+    with pytest.raises(AttributeError, match=f"^{re.escape(message)}$"):
+        polylie.no_such_name
+    assert not hasattr(polylie, "no_such_name")
+    with pytest.raises(ImportError, match="cannot import name 'no_such_name'"):
+        exec("from polylie import no_such_name", {})
+
+
+def records() -> list:
+    """One instance of each record class of the package."""
+    p = polylie
+    n = 2
+    d = p.parse_derivation("(x1^2) d2", n)
+    x1sq = p.parse_derivation("(x1^2) d1", 1)
+    closure = p.lie_closure([p.Derivation.partial(1, 1), x1sq])
+    witness = p.lnd_check(p.parse_derivation("(x1) d2 + d1", n), 5)
+    refuted = p.lnd_check(p.Derivation.euler(n), 5)
+    out = [p.membership(d), witness, witness.witness, refuted, refuted.certificate,
+           p.derived_chain_witness(1), p.derived_chain_witness(2, term=4),
+           p.sl2_check(*p.case2_witness(x1sq, 1), 1),
+           p.sl2_check(d, d, d, 1), closure, p.derived_series(closure)]
+    report = p.verify_paper(1, 0)
+    return out + [report, report.checks[0]]
+
+
+def test_records_are_read_only():
+    made = records()
+    assert {type(r).__name__ for r in made} == {
+        "MembershipVerdict", "NilpotencyWitness", "LndVerdict", "DerivedChainCertificate",
+        "InconclusiveSearch", "EigenvectorCertificate", "Sl2Certificate", "Sl2Mismatch",
+        "LieClosureResult", "SeriesReport", "CheckResult", "Report"}
+    for record in made:
+        fields = getattr(type(record), "_fields", None) or type(record).__slots__
+        for field in fields:
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            record.not_a_field = None
+        assert not hasattr(record, "__dict__")

@@ -477,6 +477,18 @@ class TestSeriesByGenerators:
             for series in (derived_series, lower_central_series):
                 assert series(result) == series(by_hand)
 
+    def test_kept_brackets_stay_out_of_repr_and_equality(self):
+        result = lie_closure([pd("d1", 1), pd("(x1) d1", 1)])
+        assert result._brackets
+        by_hand = LieClosureResult(result.status, result.basis, result.elements,
+                                   result.num_generators)
+        assert repr(result) == repr(by_hand) == (
+            "LieClosureResult(status='closed', basis=SpanBasis(n=1, dim=2), "
+            "elements=(Derivation(1, 'd1'), Derivation(1, '(x1) d1')), "
+            "num_generators=2, offending_bracket=None)")
+        assert result == by_hand and hash(result) == hash(by_hand)
+        assert result != LieClosureResult(result.status, result.basis, result.elements, 1)
+
     def test_bracket_counts(self, monkeypatch):
         count = [0]
         bracket_rows = span_module.bracket_rows

@@ -10,8 +10,8 @@ names "un" and "sn":
       length exactly 2n.
 
 Membership is decided monomial by monomial, and the same per-monomial rule
-drives the term split in `strip_canonical_part`.  A single-term search
-witnesses the derived-length lower bound with a certificate that
+drives the term split in `strip_canonical_part`.  A closed-form chain of
+brackets witnesses the derived-length lower bound with a certificate that
 `DerivedChainCertificate.check` re-verifies from its JSON form alone.
 """
 
@@ -22,7 +22,7 @@ import itertools
 from fractions import Fraction
 from typing import Iterator, Literal, NamedTuple
 
-from .derivation import Derivation, Partials, Row, bracket_rows, row_support, signatures_meet
+from .derivation import Derivation, Row
 from .grammar import parse_derivation
 from .polyring import Monomial, Polynomial, codec
 from .reductions import EigenvectorCertificate, eigenvector_certificate
@@ -254,7 +254,13 @@ def lnd_check(d: Derivation, bound: int) -> LndVerdict:
 
 # -- derived-chain witnesses -------------------------------------------------
 
-SINGLE_TERM_EXHAUSTED = "single_term_exhausted"
+BEYOND_CONSTRUCTION = "beyond_construction"
+
+
+def lower_bound_term(n: int) -> int:
+    """2n - 1, the derived term of sn that the derived-length lower bound
+    shows nonzero: d_n lies in sn^(2n - 1)."""
+    return 2 * n - 1
 
 
 class DerivedChainCertificate(NamedTuple):
@@ -310,9 +316,10 @@ class DerivedChainCertificate(NamedTuple):
 
 
 class InconclusiveSearch(NamedTuple):
-    """No single term reached the requested term: level `depth` kept none.
-    This proves nothing, since that derived term may hold sums of terms or
-    terms above the degree cap."""
+    """The chain certifies no term from `depth` on: it has no root past term
+    2n - 1, and it needs generators of degree 1 from term 1 and of degree 2
+    from term 3, which a lower degree cap leaves out.  This proves nothing
+    about those derived terms."""
 
     reason: str
     depth: int
@@ -320,85 +327,68 @@ class InconclusiveSearch(NamedTuple):
 
 def derived_chain_witness(n: int, *, term: int | None = None, degree_cap: int = 2
                           ) -> DerivedChainCertificate | InconclusiveSearch:
-    """Search for a nonzero single term in the term-th derived term of sn.
+    """A certificate that d_s, s = term // 2 + 1, lies in the term-th derived
+    term of sn (term defaults to `lower_bound_term(n)`), built in closed form.
 
-    The derived terms are subspaces, so a level keeps one term per (slot,
-    monomial) key, with coefficient 1.  Level 0 is the sn generators of
-    degree at most degree_cap.  Level d brackets each pair of level d - 1,
-    in `itertools.combinations` order, whose support signatures meet and
-    whose degrees p, q have p + q - 1, the degree of their bracket, at most
-    degree_cap.  It keeps a bracket that is one term with a key new to
-    level d.  The last level stops at its first term, the certificate's
-    root.  The defaults chase the derived-length lower bound, term 2n - 1.
+    A node at depth k >= 1 is the bracket of two nodes at depth k - 1, always
+    with c = 1, and a node at depth 0 is an sn generator.  Slot s uses four:
 
-    The levels are built on demand: each is a generator that pulls the
-    level below only as its pair walk reaches an element and yields each
-    term as soon as it is kept.  So a level is walked only as far as the
-    root needs, and each level still keeps the same terms in the same order
-    as a level built in full would.
+      D_s = d_s              = [D_s, X_s] if k = 2s - 1, else [D_(s-1), A_s]
+      A_s = x_(s-1) d_s      = [X_(s-1), A_s]
+      X_s = x_s d_s          = [D_(s-1), B_s]
+      B_s = x_(s-1) x_s d_s  = [X_(s-1), B_s]
+
+    Apart from d_s = [d_s, x_s d_s], each is x_(s-1)^a x_s^b d_s =
+    [x_(s-1)^a d_(s-1), x_(s-1) x_s^b d_s], as d_s kills x_(s-1)^a.  The
+    root D_s is at depth at most 2s - 1, so D_s, X_s, A_s and B_s appear at
+    depths at most 2s - 1, 2s - 2, 2s - 3 and 2s - 3: a child always exists,
+    and slot 1 holds only d_1 and x_1 d_1.  Every leaf sits term brackets
+    deep.  The largest degree is 0 at term 0, 1 at terms 1 and 2 and 2
+    above; a term past 2n - 1 or above what degree_cap admits is
+    inconclusive, at the first term the chain cannot certify.
+
+    The nodes are found one depth at a time from the root down, and listed
+    from depth 0 up, each depth in key order, so every child comes before
+    its parent.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    term = 2 * n - 1 if term is None else term
-    if term < 0:
-        raise ValueError(f"term must be >= 0, got {term}")
-    degree = codec(n).degree
-    # (packed key, left, right, c, depth) of each kept term, in the order kept:
-    # the levels interleave, but a term's children always come before it
-    kept: list[tuple[int, int | None, int | None, int, int]] = []
+    term = lower_bound_term(n) if term is None else term
+    if term < 0 or degree_cap < 0:
+        raise ValueError(f"need term >= 0 and degree_cap >= 0, got {term}, {degree_cap}")
+    # the chain for term k has degree (k > 0) + (k > 2); the first term it
+    # cannot certify
+    beyond = next(k for k in itertools.count()
+                  if k > lower_bound_term(n) or (k > 0) + (k > 2) > degree_cap)
+    if term >= beyond:
+        return InconclusiveSearch(BEYOND_CONSTRUCTION, beyond)
+    # rows[i] maps each node (s, a, b), the term x_(s-1)^a x_s^b d_s, at depth
+    # term - i to its two children at the depth below, or to None at depth 0
+    rows: list[dict[tuple[int, int, int], tuple | None]] = []
+    wanted = [(term // 2 + 1, 0, 0)]
+    for k in range(term, -1, -1):
+        row = {}
+        for s, a, b in wanted:
+            if k == 0:
+                row[s, a, b] = None
+            elif (a, b, k) == (0, 0, 2 * s - 1):
+                row[s, a, b] = ((s, 0, 0), (s, 0, 1))
+            else:
+                row[s, a, b] = ((s - 1, 0, a), (s, 1, b))
+        rows.append(row)
+        wanted = list(dict.fromkeys(child for pair in row.values() if pair for child in pair))
+    c = codec(n)
 
-    def keep(key: int, left: int | None, right: int | None, c: int, depth: int,
-             p: int) -> tuple[int, Row, Partials, int, int]:
-        """Record a kept term; return its (index, row, partials, signature,
-        degree) for the level above."""
-        kept.append((key, left, right, c, depth))
-        return (len(kept) - 1, {key: 1}, *row_support(n, {key: 1}), p)
+    def key(node: tuple[int, int, int]) -> int:
+        s, a, b = node  # a = 0 when s = 1
+        return (s << c.slot_shift) + a * c.var_units[s - 2] + b * c.var_units[s - 1]
 
-    def level(below: Iterator[tuple[int, Row, Partials, int, int]], depth: int
-              ) -> Iterator[tuple[int, Row, Partials, int, int]]:
-        """Level depth, pulling each element of below as the walk reaches it."""
-        pulled = list(itertools.islice(below, 1))
-        rest = _appending(below, pulled)
-        seen: set[int] = set()
-        # the list iterator sees the elements `rest` appends during row 0
-        for i, (x, a, pa, sa, p) in enumerate(pulled):
-            for y, b, pb, sb, q in itertools.chain(itertools.islice(pulled, i + 1, None), rest):
-                if p + q > degree_cap + 1 or not signatures_meet(n, sa, sb):
-                    continue
-                value = bracket_rows(a, pa, b, pb)
-                if len(value) != 1:
-                    continue
-                ((key, c),) = value.items()
-                if key not in seen:
-                    seen.add(key)
-                    yield keep(key, x, y, c, depth, p + q - 1)
-
-    # each generator is one term with coefficient 1
-    top = (keep(key, None, None, 1, 0, degree(key))
-           for g in generators("sn", n, degree_cap) for key in g._terms)
-    for depth in range(1, term + 1):
-        top = level(top, depth)
-    if term == 0:
-        for _ in top:  # the root is the last generator
-            pass
-    elif next(top, None) is None:
-        # Every level is now walked in full.  A term brackets two of the
-        # level below, so the first empty level is the one above the deepest.
-        return InconclusiveSearch(SINGLE_TERM_EXHAUSTED, 1 + max(d for *_, d in kept))
-    # keep the nodes the root reaches, level by level in the order kept
-    reached = {len(kept) - 1}
-    for i in reversed(range(len(kept))):
-        if i in reached and kept[i][1] is not None:
-            reached.update(kept[i][1:3])
-    order = sorted(reached, key=lambda i: (kept[i][4], i))
-    new = {old: pos for pos, old in enumerate(order)}
-    return DerivedChainCertificate(n, term, tuple(
-        (Derivation._from_terms(n, {key: 1}, 1), new.get(left), new.get(right), c, depth)
-        for key, left, right, c, depth in map(kept.__getitem__, order)))
-
-
-def _appending(items: Iterator, into: list) -> Iterator:
-    """Yield each of items after appending it to into."""
-    for item in items:
-        into.append(item)
-        yield item
+    index: dict[tuple[int, tuple[int, int, int]], int] = {}
+    nodes = []
+    for depth, row in enumerate(reversed(rows)):
+        for node in sorted(row, key=key):
+            left, right = (None, None) if row[node] is None else (
+                index[depth - 1, child] for child in row[node])
+            index[depth, node] = len(nodes)
+            nodes.append((Derivation._from_terms(n, {key(node): 1}, 1), left, right, 1, depth))
+    return DerivedChainCertificate(n, term, tuple(nodes))

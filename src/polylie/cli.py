@@ -13,7 +13,7 @@ inside the commands that call them, so a one-shot `bracket`, `closure` or
 
 Exit codes: 0 on success (and all-pass for verifying commands), 1 when a
 verifying command ends negative (failed check, mismatch, nothing found or an
-inconclusive search), 2 for usage, syntax, or precondition errors, and 141
+inconclusive answer), 2 for usage, syntax, or precondition errors, and 141
 (128 + SIGPIPE, as a shell reports a writer the signal ended) when the reader
 closes stdout before the output is written; that exit prints nothing.
 """
@@ -38,12 +38,10 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_CLOSED_STDOUT = 141
 
-# `witness` prints the expanded tree and its value up to these sizes: the
-# tree has 2^term leaves, 32768 at n = 8, and a longer coefficient would pass
-# Python's 4300-digit int-to-str limit.  A larger witness prints both as null
-# beside its certificate, which stays small.
+# `witness` prints the expanded tree up to this many leaves: the tree has
+# 2^term leaves, 32768 at n = 8.  A larger witness prints the tree and its
+# value as null beside its certificate, which stays small.
 WITNESS_LEAF_LIMIT = 1 << 15
-WITNESS_COEFFICIENT_BITS = 13_000
 
 
 def _command(sub, name: str, func, help_text: str, *operands: str) -> argparse.ArgumentParser:
@@ -254,8 +252,8 @@ def cmd_sl2(args) -> int:
 
 def _witness_tree(cert) -> dict:
     """The certificate's DAG expanded to a tree over its leaves, named g1,
-    g2, ... in node order, and the tree's value: the product of its c's times
-    the root.  Above the printed sizes both are null, with the reason."""
+    g2, ... in node order, and the tree's value: the root, as every c is 1.
+    Above the printed size both are null, with the reason."""
     leaves = [i for i, node in enumerate(cert.nodes) if node[1] is None]
     names = {i: f"g{k}" for k, i in enumerate(leaves, start=1)}
     out = {"legend": {names[i]: str(cert.nodes[i][0]) for i in leaves},
@@ -267,26 +265,16 @@ def _witness_tree(cert) -> dict:
         out["omitted"] = (f"the tree has {sizes[-1]} leaves, above the "
                           f"{WITNESS_LEAF_LIMIT} printed")
         return out
-    trees: list[tuple[str, int]] = []
-    for i, (_, left, right, c, _) in enumerate(cert.nodes):
-        if left is None:
-            trees.append((names[i], 1))
-        else:
-            (a, x), (b, y) = trees[left], trees[right]
-            trees.append((f"[{a},{b}]", c * x * y))
-    expression, scale = trees[-1]
-    bits = abs(scale).bit_length()
-    if bits > WITNESS_COEFFICIENT_BITS:
-        out["omitted"] = (f"the value's coefficient has {bits} bits, above the "
-                          f"{WITNESS_COEFFICIENT_BITS} printed")
-    else:
-        out.update(expression=expression, value=str(scale * cert.root))
+    trees: list[str] = []
+    for i, (_, left, right, *_) in enumerate(cert.nodes):
+        trees.append(names[i] if left is None else f"[{trees[left]},{trees[right]}]")
+    out.update(expression=trees[-1], value=str(cert.root))
     return out
 
 
 def cmd_witness(args) -> int:
     from . import canonical
-    term = 2 * args.n - 1 if args.term is None else args.term
+    term = canonical.lower_bound_term(args.n) if args.term is None else args.term
     result = canonical.derived_chain_witness(args.n, term=term, degree_cap=args.degree_cap)
     inputs = {"term": term, "degree_cap": args.degree_cap}
     if isinstance(result, canonical.InconclusiveSearch):
@@ -375,12 +363,13 @@ def build_parser() -> argparse.ArgumentParser:
                  "t1", "t2", "t3")
     p.add_argument("--k", type=int, required=True)
     p = _command(sub, "witness", cmd_witness, "nonzero element of a derived term of "
-                 "sn among single terms, with a re-checked DAG certificate")
+                 "sn from a closed-form chain of brackets, with a re-checked DAG "
+                 "certificate")
     p.add_argument("--term", type=int, default=None,
-                   help="derived term to hit (default: 2n - 1)")
+                   help="derived term to hit, at most 2n - 1 (default: 2n - 1)")
     p.add_argument("--degree-cap", type=int, default=2,
-                   help="degree cap of the generators and of every kept bracket "
-                        "(default: 2)")
+                   help="largest generator degree the certificate may use; the "
+                        "chain needs 1 from term 1 and 2 from term 3 (default: 2)")
 
     p = sub.add_parser("verify-paper",
                        help="run the full deterministic verification suite")

@@ -32,12 +32,12 @@ the exponent e_j) from one bounded per-process table, `_key_partials`, and
 only multiplies them by the row's numerators: the values of one
 computation share few keys.  A product of monomials is a sum of keys, a
 partial a difference.  Callers that bracket a row many times
-(`span.lie_closure`, the series, the derived-chain search) take its
-partials once and bracket their stored rows directly.  They also compute
-its support signature once, with the partials (`row_support`: the slots
-that hold terms and the variables the coefficients depend on), and skip
-every pair whose signatures do not meet (`signatures_meet`), which
-`bracket_rows` would have bracketed to zero.  `Derivation.bracket`
+(`span.lie_closure` and the series) take its partials once and bracket
+their stored rows directly.  They also compute its support signature once,
+with the partials (`row_support`: the slots that hold terms and the
+variables the coefficients depend on), and skip every pair whose
+signatures do not meet (`signatures_meet`), which `bracket_rows` would
+have bracketed to zero.  `Derivation.bracket`
 brackets the two stored rows and reduces once over den_D * den_E; `apply`
 runs the same `_apply_into` on D's row, with f's numerators as the one
 coefficient of a row, in slot 0, and reduces once over den_D * den_f.

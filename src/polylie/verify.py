@@ -259,9 +259,9 @@ def check_solvability_fixtures() -> CheckResult:
 
 
 def check_derived_chain_witness(n: int) -> CheckResult:
-    """A nonzero element of sn^(2n - 1): the search's certificate, re-checked
-    from its JSON form alone."""
-    target = 2 * n - 1
+    """A nonzero element of sn^(2n - 1): the closed-form chain's certificate,
+    re-checked from its JSON form alone."""
+    target = canonical.lower_bound_term(n)
     result = canonical.derived_chain_witness(n)
     found = isinstance(result, canonical.DerivedChainCertificate)
     details: dict = {"n": n, "term": target, "found": found}

@@ -18,17 +18,17 @@ from polylie.cli import EXIT_USAGE, main
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def cli_lines() -> list[tuple[int, str]]:
-    """(line number, text) of each command in a sh block of the CLI section."""
+def cli_lines() -> list[str]:
+    """Each command in a sh block of the CLI section."""
     lines = []
     in_section = in_block = False
-    for lineno, line in enumerate(README.read_text().splitlines(), start=1):
+    for line in README.read_text().splitlines():
         if line.startswith("## "):
             in_section = line == "## CLI"
         elif in_section and line.startswith("```"):
             in_block = line == "```sh"
         elif in_block and line.startswith("polylie "):
-            lines.append((lineno, line))
+            lines.append(line)
     return lines
 
 
@@ -39,8 +39,9 @@ def test_cli_section_has_examples():
     assert len(LINES) >= 15
 
 
-@pytest.mark.parametrize("line", [text for _, text in LINES],
-                         ids=[f"README.md:{lineno}" for lineno, _ in LINES])
+# each example is named by its command text, without the trailing comment, so
+# an edit elsewhere in the README renames no test
+@pytest.mark.parametrize("line", LINES, ids=[line.split("#")[0].rstrip() for line in LINES])
 def test_readme_line_runs(line, capsys):
     argv = shlex.split(line, comments=True)[1:]
     try:

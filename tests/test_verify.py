@@ -114,7 +114,7 @@ def test_derived_chain_checks_recheck_every_n(monkeypatch):
     assert all(c.passed and c.details["checked"] for c in report.checks
                if c.name in names)
     # the check runs on the JSON form, so a bracket that breaks its
-    # relations fails it even though the search itself used the row kernel
+    # relations fails it even though building the chain brackets nothing
     _break_bracket_on_n1(monkeypatch)
     result = verify.check_derived_chain_witness(1)
     assert result.passed is False and result.details["checked"] is False
@@ -122,8 +122,8 @@ def test_derived_chain_checks_recheck_every_n(monkeypatch):
 
 def test_derived_chain_check_fails_an_inconclusive_search(monkeypatch):
     monkeypatch.setattr(canonical, "derived_chain_witness",
-                        lambda n: canonical.InconclusiveSearch("single_term_exhausted", 2))
+                        lambda n: canonical.InconclusiveSearch(canonical.BEYOND_CONSTRUCTION, 2))
     result = verify.check_derived_chain_witness(2)
     assert result.passed is False
     assert result.details == {"n": 2, "term": 3, "found": False,
-                              "reason": "single_term_exhausted"}
+                              "reason": "beyond_construction"}

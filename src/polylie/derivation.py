@@ -167,6 +167,7 @@ class Derivation(_LowestTerms):
     def partial(cls, n: int, i: int) -> Derivation:
         """The coordinate derivation d_i = d/dx_i."""
         _check_index(i, n)
+        _check_n(n)
         return cls._from_terms(n, {i << codec(n).slot_shift: 1}, 1)
 
     @classmethod

@@ -7,11 +7,23 @@ round-trip corpus, all driven deterministically from one seed.  Produces a
 Report whose JSON form is byte-for-byte reproducible for identical (inputs,
 seed, version): wall-clock timing is carried separately and excluded from
 the JSON unless explicitly requested.
+
+Every sampled check runs through `_sample`.  The four bracket identities,
+most of a run's time, split their samples between this process and one
+forked child on another CPU: both replay the same seeded draws, this process
+evaluates the even-indexed samples and the child the odd ones.  The cheaper
+checks, and every check where a fork cannot help or is unsafe (no `os.fork`,
+another thread running, a single usable CPU, a failed fork), evaluate every
+sample in-process.  A child that fails is replayed in-process.  Only
+outcome counts reach a report, so it is the same on every path.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
 import random
+import threading
 import time
 from typing import Callable, Iterable, NamedTuple
 
@@ -91,24 +103,111 @@ class Report(NamedTuple):
         }
 
 
-Trial = Callable[[random.Random, int], Iterable[bool]]
+# trial(rng, n) draws every input of one sample from rng and returns the
+# sample's evaluation, which draws nothing and gives one outcome per instance
+Trial = Callable[[random.Random, int], Callable[[], Iterable[bool]]]
+
+# ends the child's outcome bytes (0 fail, 1 pass), so a short message shows
+_DONE = b"."
 
 
-def _sample(rng: random.Random, n_max: int, samples: int,
-            trial: Trial) -> tuple[int, int]:
+def _can_fork() -> bool:
+    """Whether a child can take half the samples: fork exists, no other thread
+    runs (forking one may deadlock, and Python 3.12+ warns), and this
+    process may use more than one CPU."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return False
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) > 1
+    return (os.cpu_count() or 1) > 1
+
+
+def _other_cpus() -> set[int]:
+    """The CPUs this process may use besides the one it runs on now (Linux),
+    else none.  A scheduler that does not balance load, as in a cpuset with
+    sched_load_balance off, keeps a forked child on its parent's CPU, where
+    the two take turns; the child moves itself to these instead."""
+    try:  # field 39 of /proc/self/stat is the CPU this process last ran on
+        with open("/proc/self/stat", "rb") as f:
+            here = int(f.read().rsplit(b")", 1)[1].split()[36])
+        return os.sched_getaffinity(0) - {here}
+    except (OSError, AttributeError, ValueError, IndexError):
+        return set()
+
+
+def _sample(rng: random.Random, n_max: int, samples: int, trial: Trial,
+            split: bool = False) -> tuple[int, int]:
     """(instances, failures) over samples trials, each on a fresh n in 1..n_max.
 
-    trial(rng, n) draws its inputs from rng and returns one pass/fail outcome
-    per instance it checked.
+    With split, the samples are shared between two processes.  One forked
+    child and this process each run `share`: it draws every sample from
+    rng, so both generators advance alike, and evaluates only the samples
+    of its parity, even here and odd in the child.  The child runs on the
+    CPUs of `_other_cpus`, writes one byte per outcome to a pipe and leaves
+    through `os._exit`, never flushing the inherited stdout; this process
+    reads the pipe and always reaps the child.  rng ends where a serial
+    loop over the samples leaves it.  Every sample is evaluated in-process
+    without split, when `_can_fork` says no, or when fork fails, and the
+    child's share is replayed here from the saved state when it exits
+    non-zero or its message is cut short.  Outcomes are only counted, so
+    every path gives the same figures.  Forking, starting and reaping a
+    child take a few milliseconds, so only checks far slower than that split.
     """
-    outcomes = [ok for _ in range(samples) for ok in trial(rng, rng.randint(1, n_max))]
+    state = rng.getstate()
+
+    def share(parity: int | None) -> list[bool]:
+        """Draw every sample; evaluate those with index = parity mod 2, or all
+        for None.  No draw outlives its own sample."""
+        outcomes: list[bool] = []
+        for k in range(samples):
+            evaluate = trial(rng, rng.randint(1, n_max))
+            if parity is None or k % 2 == parity:
+                outcomes.extend(evaluate())
+        return outcomes
+
+    pid = 0
+    if split and _can_fork():
+        cpus = _other_cpus()
+        r, w = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(r)
+            os.close(w)
+        else:
+            if pid == 0:  # the child: its share to the pipe, then out at once
+                code = 1
+                try:
+                    if cpus:
+                        with contextlib.suppress(OSError):
+                            os.sched_setaffinity(0, cpus)
+                    with open(w, "wb") as pipe:
+                        pipe.write(bytes(share(1)) + _DONE)
+                    code = 0
+                finally:
+                    os._exit(code)
+    if not pid:
+        outcomes = share(None)
+    else:
+        os.close(w)
+        try:
+            with open(r, "rb") as pipe:
+                outcomes = share(0)
+                sent = pipe.read()
+        finally:
+            _, status = os.waitpid(pid, 0)
+        if status == 0 and sent.endswith(_DONE):
+            outcomes += sent[:-1]  # the child's outcomes as 0 and 1
+        else:
+            rng.setstate(state)
+            outcomes += share(1)
     return len(outcomes), outcomes.count(False)
 
 
 def _sampled_check(name: str, rng: random.Random, n_max: int, samples: int,
-                   trial: Trial) -> CheckResult:
+                   trial: Trial, split: bool = False) -> CheckResult:
     """A check that is its trial alone, failing on any failed sample."""
-    _, failures = _sample(rng, n_max, samples, trial)
+    _, failures = _sample(rng, n_max, samples, trial, split)
     return CheckResult(name, failures == 0, {"samples": samples, "failures": failures})
 
 
@@ -120,11 +219,14 @@ def check_scaled_bracket_identity(rng: random.Random, n_max: int,
         b = random_polynomial(rng, n, 4)
         d1 = random_derivation(rng, n, 4)
         d2 = random_derivation(rng, n, 4)
-        lhs = (a * d1).bracket(b * d2)
-        rhs = (a * b) * d1.bracket(d2) + (a * d1.apply(b)) * d2 - (b * d2.apply(a)) * d1
-        return [lhs == rhs]
 
-    return _sampled_check("scaled_bracket_identity", rng, n_max, samples, trial)
+        def evaluate():
+            lhs = (a * d1).bracket(b * d2)
+            rhs = (a * b) * d1.bracket(d2) + (a * d1.apply(b)) * d2 - (b * d2.apply(a)) * d1
+            return [lhs == rhs]
+        return evaluate
+
+    return _sampled_check("scaled_bracket_identity", rng, n_max, samples, trial, split=True)
 
 
 def check_scaled_bracket_commuting_case(rng: random.Random, n_max: int,
@@ -135,13 +237,16 @@ def check_scaled_bracket_commuting_case(rng: random.Random, n_max: int,
         j = rng.randint(1, n)
         a = random_polynomial(rng, n, 4)
         b = random_polynomial(rng, n, 4)
-        d1 = Derivation.partial(n, i)
-        d2 = Derivation.partial(n, j)
-        lhs = (a * d1).bracket(b * d2)
-        rhs = (a * d1.apply(b)) * d2 - (b * d2.apply(a)) * d1
-        return [lhs == rhs]
 
-    return _sampled_check("scaled_bracket_commuting_case", rng, n_max, samples, trial)
+        def evaluate():
+            d1 = Derivation.partial(n, i)
+            d2 = Derivation.partial(n, j)
+            lhs = (a * d1).bracket(b * d2)
+            rhs = (a * d1.apply(b)) * d2 - (b * d2.apply(a)) * d1
+            return [lhs == rhs]
+        return evaluate
+
+    return _sampled_check("scaled_bracket_commuting_case", rng, n_max, samples, trial, split=True)
 
 
 def check_bracket_composition_oracle(rng: random.Random, n_max: int,
@@ -150,11 +255,14 @@ def check_bracket_composition_oracle(rng: random.Random, n_max: int,
     def trial(rng, n):
         d = random_derivation(rng, n, 3)
         e = random_derivation(rng, n, 3)
-        br = d.bracket(e)
-        xs = (Polynomial.variable(n, i) for i in range(1, n + 1))
-        return [all(br.apply(x) == d.apply(e.apply(x)) - e.apply(d.apply(x)) for x in xs)]
 
-    return _sampled_check("bracket_composition_oracle", rng, n_max, samples, trial)
+        def evaluate():
+            br = d.bracket(e)
+            xs = (Polynomial.variable(n, i) for i in range(1, n + 1))
+            return [all(br.apply(x) == d.apply(e.apply(x)) - e.apply(d.apply(x)) for x in xs)]
+        return evaluate
+
+    return _sampled_check("bracket_composition_oracle", rng, n_max, samples, trial, split=True)
 
 
 def check_bracket_antisymmetry_jacobi(rng: random.Random, n_max: int,
@@ -163,21 +271,27 @@ def check_bracket_antisymmetry_jacobi(rng: random.Random, n_max: int,
         d = random_derivation(rng, n, 3)
         e = random_derivation(rng, n, 3)
         f = random_derivation(rng, n, 3)
-        de = d.bracket(e)
-        if de != -(e.bracket(d)):
-            return [False]
-        cyclic = d.bracket(e.bracket(f)) + e.bracket(f.bracket(d)) + f.bracket(de)
-        return [cyclic.is_zero()]
 
-    return _sampled_check("bracket_antisymmetry_jacobi", rng, n_max, samples, trial)
+        def evaluate():
+            de = d.bracket(e)
+            if de != -(e.bracket(d)):
+                return [False]
+            cyclic = d.bracket(e.bracket(f)) + e.bracket(f.bracket(d)) + f.bracket(de)
+            return [cyclic.is_zero()]
+        return evaluate
+
+    return _sampled_check("bracket_antisymmetry_jacobi", rng, n_max, samples, trial, split=True)
 
 
 def check_constant_extraction(rng: random.Random, n_max: int,
                               samples: int) -> CheckResult:
     def trial(rng, n):
         f = random_nonconstant_polynomial(rng, n, 5)
-        alpha, gamma = reductions.constant_extraction(f)
-        return [gamma != 0 and f.diff_multi(alpha) == Polynomial.constant(n, gamma)]
+
+        def evaluate():
+            alpha, gamma = reductions.constant_extraction(f)
+            return [gamma != 0 and f.diff_multi(alpha) == Polynomial.constant(n, gamma)]
+        return evaluate
 
     return _sampled_check("constant_extraction_random", rng, n_max, samples, trial)
 
@@ -187,13 +301,13 @@ def check_linear_extraction(rng: random.Random, n_max: int,
     """One instance per sample f and variable x_i that f depends on."""
     def trial(rng, n):
         f = random_nonconstant_polynomial(rng, n, 5)
-        for i in range(1, n + 1):
-            if (f.degree_in(i) or 0) < 1:
-                continue
+
+        def instance(i):
             beta, lam, g = reductions.linear_extraction(f, i)
-            yield (lam != 0
-                   and g.degree_in(i) in (None, 0)
-                   and f.diff_multi(beta) == lam * Polynomial.variable(n, i) + g)
+            return (lam != 0
+                    and g.degree_in(i) in (None, 0)
+                    and f.diff_multi(beta) == lam * Polynomial.variable(n, i) + g)
+        return lambda: [instance(i) for i in range(1, n + 1) if (f.degree_in(i) or 0) >= 1]
 
     checked, failures = _sample(rng, n_max, samples, trial)
     return CheckResult("linear_extraction_random", failures == 0,
@@ -286,8 +400,11 @@ def check_lnd(rng: random.Random, n_max: int, samples: int) -> CheckResult:
 
     def trial(rng, n):
         d = random_subalgebra_element(rng, "un", n, degree_cap)
-        bound = canonical.triangular_chain_bound(n, degree_cap)
-        return [canonical.lnd_check(d, bound).status == "witness"]
+
+        def evaluate():
+            bound = canonical.triangular_chain_bound(n, degree_cap)
+            return [canonical.lnd_check(d, bound).status == "witness"]
+        return evaluate
 
     _, failures = _sample(rng, n_max, samples, trial)
     # Euler chains never die, so the verdict comes from the linear part
@@ -325,7 +442,8 @@ def check_membership(rng: random.Random, n_max: int, samples: int) -> CheckResul
     def trial(rng, n):
         which = rng.choice(("un", "sn"))
         gens = canonical.generators(which, n, 3)
-        return [_inside(which, rng.choice(gens).bracket(rng.choice(gens)))]
+        d, e = rng.choice(gens), rng.choice(gens)
+        return lambda: [_inside(which, d.bracket(e))]
 
     _, closure_failures = _sample(rng, n_max, samples, trial)
     ok = gen_ok and fixtures_ok and closure_failures == 0
@@ -340,8 +458,11 @@ def check_grammar_roundtrip(rng: random.Random, n_max: int,
     def roundtrips(d: Derivation) -> bool:
         return parse_derivation(format_derivation(d), d.n) == d
 
-    _, failures = _sample(rng, n_max, corpus_size,
-                          lambda rng, n: [roundtrips(random_derivation(rng, n, 4))])
+    def trial(rng, n):
+        d = random_derivation(rng, n, 4)
+        return lambda: [roundtrips(d)]
+
+    _, failures = _sample(rng, n_max, corpus_size, trial)
     fixed = [
         ("(x1^2) d2 + (x1+1) d1", 2),
         ("(1/2 x1 - x2^3) d1", 2),

@@ -353,7 +353,12 @@ class TestConstants:
     def test_count_must_be_an_int(self):
         builds = [Polynomial, Polynomial.zero, Polynomial.one,
                   lambda n: Polynomial.constant(n, 1), lambda n: Polynomial.variable(n, 1),
-                  Derivation.zero, lambda n: Derivation(n, [])]
+                  Derivation.zero, lambda n: Derivation(n, []),
+                  lambda n: Derivation.partial(n, 1),
+                  lambda n: Derivation.monomial_term(n, (1, 0), 1)]
         for build in builds:
             with pytest.raises(TypeError, match="variable count 2.0 is not an int"):
                 build(2.0)
+        # a bad index is named before a bad count, as by Polynomial.variable
+        with pytest.raises(ValueError, match=r"variable index 1 out of range 1\.\.0"):
+            Derivation.partial(0, 1)

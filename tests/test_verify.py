@@ -1,18 +1,29 @@
-"""Failure paths of the `verify` checks.
+"""Failure paths of the `verify` checks, and the two-process sampler.
 
 Each sampled-check test breaks one library function on part of the samples
 and runs one check from a fixed seed.  The check must fail, count exactly
 the broken trials, and keep its details keys, so a change to how the checks
-sample cannot silently change what `failures` counts.  The derived-chain
-checks must fail on a broken bracket and on an inconclusive search.
+sample cannot silently change what `failures` counts.  The four bracket
+identities take the forked path, and must count the same in-process.  The
+derived-chain checks must fail on a broken bracket and on an inconclusive
+search.
+
+The sampler must give the pinned reports on every path (forked, without
+`os.fork`, on one CPU, with a failed fork or a child that dies), leave no
+child behind, and leave the generator where a serial loop does.
 """
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
 from polylie import canonical, reductions, verify
 from polylie.derivation import Derivation
+
+from golden import GOLDEN_REPORTS, render_report
 
 SEED = 5
 N_MAX = 3
@@ -21,6 +32,40 @@ SAMPLES = 30
 
 def _rng():
     return random.Random(SEED)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Take the forked path on any host: report two CPUs, and record the pid
+    of every child forked."""
+    if not hasattr(os, "fork"):
+        pytest.skip("no os.fork")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    children = []
+    fork = os.fork
+
+    def recorded():
+        pid = fork()
+        if pid:
+            children.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recorded)
+    return children
+
+
+def _before_bracket(monkeypatch, act, in_parent: bool):
+    """Derivation.bracket calls act() first: in this process if in_parent,
+    else in every other process."""
+    parent = os.getpid()
+    bracket = Derivation.bracket
+
+    def patched(self, other):
+        if (os.getpid() == parent) == in_parent:
+            act()
+        return bracket(self, other)
+
+    monkeypatch.setattr(Derivation, "bracket", patched)
 
 
 def _break_bracket_on_n1(monkeypatch):
@@ -34,17 +79,28 @@ def _break_bracket_on_n1(monkeypatch):
     monkeypatch.setattr(Derivation, "bracket", wrong)
 
 
-@pytest.mark.parametrize("check, failures", [
+BRACKET_IDENTITY_FAILURES = [
     (verify.check_scaled_bracket_identity, 9),
     (verify.check_scaled_bracket_commuting_case, 9),
     (verify.check_bracket_composition_oracle, 9),
     (verify.check_bracket_antisymmetry_jacobi, 13),
-])
-def test_bracket_identities_count_failing_samples(monkeypatch, check, failures):
+]
+
+
+@pytest.mark.parametrize("check, failures", BRACKET_IDENTITY_FAILURES)
+def test_bracket_identities_count_failing_samples(monkeypatch, forks, check, failures):
     _break_bracket_on_n1(monkeypatch)
     result = check(_rng(), N_MAX, SAMPLES)
+    assert len(forks) == 1
     assert result.passed is False
     assert result.details == {"samples": SAMPLES, "failures": failures}
+
+
+def test_bracket_identities_count_failing_samples_in_process(monkeypatch):
+    _break_bracket_on_n1(monkeypatch)
+    monkeypatch.delattr(os, "fork", raising=False)
+    for check, failures in BRACKET_IDENTITY_FAILURES:
+        assert check(_rng(), N_MAX, SAMPLES).details["failures"] == failures
 
 
 def test_constant_extraction_counts_failing_samples(monkeypatch):
@@ -127,3 +183,100 @@ def test_derived_chain_check_fails_an_inconclusive_search(monkeypatch):
     assert result.passed is False
     assert result.details == {"n": 2, "term": 3, "found": False,
                               "reason": "beyond_construction"}
+
+
+# -- the two-process sampler ---------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", [42, 977])
+def test_reports_without_fork(monkeypatch, seed):
+    monkeypatch.delattr(os, "fork", raising=False)
+    assert render_report(seed) == GOLDEN_REPORTS[seed].read_text()
+
+
+@pytest.mark.parametrize("seed", [42, 977])
+def test_reports_on_the_forked_path(forks, seed):
+    assert render_report(seed) == GOLDEN_REPORTS[seed].read_text()
+    # one child for each bracket identity; the cheaper checks stay in-process
+    assert len(forks) == 4
+
+
+def test_a_child_that_dies_is_replayed(monkeypatch, forks):
+    _before_bracket(monkeypatch, lambda: os._exit(3), in_parent=False)
+    assert render_report(42) == GOLDEN_REPORTS[42].read_text()
+    assert forks
+
+
+def test_a_dead_childs_failures_are_counted(monkeypatch, forks):
+    # the child's samples are replayed here, so its broken ones still count
+    _break_bracket_on_n1(monkeypatch)
+    _before_bracket(monkeypatch, lambda: os._exit(3), in_parent=False)
+    result = verify.check_bracket_antisymmetry_jacobi(_rng(), N_MAX, SAMPLES)
+    assert len(forks) == 1
+    assert result.details == {"samples": SAMPLES, "failures": 13}
+
+
+def test_a_single_cpu_samples_in_process(monkeypatch, forks):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert render_report(42) == GOLDEN_REPORTS[42].read_text()
+    assert not forks
+
+
+def test_a_failed_fork_samples_in_process(monkeypatch):
+    def fails():
+        raise OSError("no fork")
+
+    monkeypatch.setattr(os, "fork", fails, raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert render_report(42) == GOLDEN_REPORTS[42].read_text()
+
+
+@pytest.mark.parametrize("broken", [False, True])
+def test_no_child_outlives_a_run(monkeypatch, forks, broken):
+    if broken:
+        _break_bracket_on_n1(monkeypatch)
+    assert verify.verify_paper(2, 0).passed is not broken
+    assert forks
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_no_child_outlives_a_run_that_raises(monkeypatch, forks):
+    def broken():
+        raise RuntimeError("broken bracket")
+
+    _before_bracket(monkeypatch, broken, in_parent=True)
+    with pytest.raises(RuntimeError, match="broken bracket"):
+        verify.verify_paper(2, 0)
+    assert forks
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _uneven_trial(rng, n):
+    """0..2n instances a sample, some failing: the child sends a varying
+    number of bytes."""
+    draws = [rng.random() for _ in range(rng.randint(0, 2 * n))]
+    return lambda: [d < 0.7 for d in draws]
+
+
+def test_a_split_leaves_the_generator_where_a_serial_loop_does(forks):
+    rng = _rng()
+    split = verify._sample(rng, N_MAX, SAMPLES, _uneven_trial, split=True), rng.getstate()
+    assert len(forks) == 1
+    rng = _rng()
+    serial = verify._sample(rng, N_MAX, SAMPLES, _uneven_trial), rng.getstate()
+    assert len(forks) == 1
+    assert split == serial
+    instances, failures = serial[0]
+    assert instances > SAMPLES and 0 < failures < instances
+
+
+def test_cli_process_writes_the_pinned_report(module_env):
+    # a real process with stdout on a pipe: a child that flushed the
+    # inherited stdout buffer would write its bytes a second time
+    proc = subprocess.run(
+        [sys.executable, "-m", "polylie", "verify-paper", "--n", "3", "--seed", "42",
+         "--format", "json"],
+        stdout=subprocess.PIPE, env=module_env, check=True, timeout=120)
+    assert proc.stdout == GOLDEN_REPORTS[42].read_bytes()

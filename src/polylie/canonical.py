@@ -201,12 +201,15 @@ def triangular_chain_bound(n: int, degree_cap: int) -> int:
 
     Assign x_1 weight 1 and x_{i+1} weight degree_cap * weight(x_i) + 1;
     any un element with coefficient degree <= degree_cap strictly lowers
-    weight, so the chain of x_n dies within weight(x_n) + 1 steps.
+    weight, and polynomials have weight >= 0, so D^(weight(x_i) + 1) kills
+    every x_i, x_n last.  The bound is tight: d_1 + x_1^c d_2 + ... +
+    x_(n-1)^c d_n lowers weight by exactly 1, and sends x_n to a nonzero
+    constant after weight(x_n) steps.
     """
     w = 1
     for _ in range(n - 1):
         w = degree_cap * w + 1
-    return w + 2
+    return w + 1
 
 
 def _power(d: Derivation, k: int, f: Polynomial) -> Polynomial:

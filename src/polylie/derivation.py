@@ -240,19 +240,7 @@ class Derivation(_LowestTerms):
             if isinstance(other, (int, Fraction)):
                 return self._scaled(other)
             return NotImplemented
-        _check_same_n(self.n, other.n)
-        p = other._terms.items()
-        guard = codec(self.n).guard
-        out: Row = {}
-        # D's row outermost: a slot-major row gives a slot-major product
-        for k1, c1 in self._terms.items():
-            for k2, c2 in p:
-                key = k1 + k2
-                if key & guard:
-                    raise _limit_error()
-                v = out.get(key)
-                out[key] = c1 * c2 if v is None else v + c1 * c2
-        return Derivation._from_terms(self.n, out, self._den * other._den)
+        return self._times(other)
 
     __rmul__ = __mul__
 

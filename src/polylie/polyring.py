@@ -248,6 +248,23 @@ class _LowestTerms:
         return self._from_terms(self.n, {key: v * num for key, v in self._terms.items()},
                                 self._den * c.denominator)
 
+    def _times(self, p):
+        """self * p for a Polynomial p, term by term over the product of
+        the denominators, self's terms outermost: a slot-major row gives a
+        slot-major product."""
+        _check_same_n(self.n, p.n)
+        guard = codec(self.n).guard
+        out: dict[int, int] = {}
+        p_terms = p._terms.items()
+        for k1, c1 in self._terms.items():
+            for k2, c2 in p_terms:
+                k = k1 + k2
+                if k & guard:
+                    raise _limit_error()
+                v = out.get(k)
+                out[k] = c1 * c2 if v is None else v + c1 * c2
+        return self._from_terms(self.n, out, self._den * p._den)
+
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
             return NotImplemented
@@ -386,17 +403,7 @@ class Polynomial(_LowestTerms):
             if isinstance(other, (int, Fraction)):
                 return self._scaled(other)
             return NotImplemented
-        _check_same_n(self.n, other.n)
-        guard = codec(self.n).guard
-        out: dict[int, int] = {}
-        for k1, c1 in self._terms.items():
-            for k2, c2 in other._terms.items():
-                k = k1 + k2
-                if k & guard:
-                    raise _limit_error()
-                v = out.get(k)
-                out[k] = c1 * c2 if v is None else v + c1 * c2
-        return Polynomial._from_terms(self.n, out, self._den * other._den)
+        return self._times(other)
 
     __rmul__ = __mul__
 

@@ -21,9 +21,9 @@ whatever order the generators come in: two spans are equal exactly when
 their `basis` tuples are.  The one rational number is that division, kept
 as the denominator of each basis derivation.
 
-Series computations (derived, lower central) operate on bracket-closed
-spans only; closure itself is produced by `lie_closure` under explicit
-degree and dimension caps.  Both bracket stored rows with
+Series computations (derived, lower central) take a closed result of
+`lie_closure` only, which produces closures under explicit degree and
+dimension caps.  Both bracket stored rows with
 `derivation.bracket_rows` and build no Derivation per bracket: each
 element's partials and support signature are listed once (`row_support`),
 and a pair whose signatures do not meet is skipped, since its bracket is
@@ -33,8 +33,8 @@ element it adjoins with the generators before it only, and keeps the
 nonzero rows of those brackets, which span [S, L].  A closed
 `LieClosureResult` hands them to the series as its first step, so nothing
 is bracketed twice, and each lower central step brackets the generators
-with the current term.  A bare span, or a result built by hand, has its
-brackets recomputed and checked against the span instead.
+with the current term.  A bare span knows no generators and a result built
+by hand keeps no brackets, so the series refuse both.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ import functools
 import itertools
 from math import gcd
 from operator import xor
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .derivation import Derivation, Partials, Row, bracket_rows, row_support, signatures_meet
 from .polyring import _check_same_n, codec
@@ -180,10 +180,10 @@ class LieClosureResult:
     the cap.  A closed result from `lie_closure` also keeps in _brackets
     the rows of its nonzero brackets, in order: they lie in basis and span
     [S, L] for the generators S.  A result built by hand has _brackets
-    None, and the series then recompute and check those brackets.
+    None, and the series refuse it.
 
-    The fields are read-only.  Equality, hashing and the repr see the
-    public fields only, not _brackets.
+    The fields are read-only.  A result equals only itself, and the repr
+    shows the public fields only, not _brackets.
     """
 
     __slots__ = ("status", "basis", "elements", "num_generators", "offending_bracket",
@@ -205,20 +205,8 @@ class LieClosureResult:
 
     __delattr__ = __setattr__
 
-    def _public(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__[:-1])
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not LieClosureResult:
-            return NotImplemented
-        return self._public() == other._public()
-
-    def __hash__(self) -> int:
-        return hash(self._public())
-
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}"
-                           for name, value in zip(self.__slots__, self._public()))
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__[:-1])
         return f"LieClosureResult({fields})"
 
     @property
@@ -329,47 +317,28 @@ def _bracket_span(n: int, pairs: Iterable[tuple[Operand, Operand]]) -> SpanBasis
     return out
 
 
-def _checked_brackets(start: SpanBasis, elems: list[Operand], g: int) -> Iterator[Row]:
-    """The brackets of each of elems with each of the first g before it,
-    each checked to lie in start.  Pairs whose signatures do not meet
-    bracket to zero and are skipped."""
-    for (a, pa, sa), (b, pb, sb) in _generator_pairs(elems, g):
-        if not signatures_meet(start.n, sa, sb):
-            continue
-        br = bracket_rows(a, pa, b, pb)
-        if start._reduce(br):
-            raise ValueError("span is not bracket-closed; run lie_closure first")
-        yield br
-
-
-def _series(algebra: SpanBasis | LieClosureResult, *, lower_central: bool) -> SeriesReport:
-    """The series of a closed LieClosureResult, bracketing by its generators,
-    or of a bare span, whose own rows then all count as generators.
+def _series(algebra: LieClosureResult, *, lower_central: bool) -> SeriesReport:
+    """The series of a closed result of `lie_closure`, bracketing by its
+    generators.
 
     If S generates L, then [L, M] = span [S, M] for every ideal M of L, the
     terms L^k among them: L is spanned by right-normed brackets z of elements
     of S, and [[s, z], x] = [s, [z, x]] - [z, [s, x]] (Jacobi) gives
     induction on the length of z.  The first step, [L, L] = span [S, L],
-    takes the bracket rows that lie_closure kept; a bare span, or a result
-    built by hand, recomputes them and checks that each lies in L.
+    takes the bracket rows that lie_closure kept.
     """
-    rows = None
-    if isinstance(algebra, LieClosureResult):
-        if not algebra.closed:
-            raise ValueError(f"closure status is {algebra.status}, not closed")
-        start, g, rows = algebra.basis, algebra.num_generators, algebra._brackets
-        # the kept rows leave only the generators to bracket with
-        elements = algebra.elements if rows is None else algebra.elements[:g]
-        elems = [(e._terms, *row_support(start.n, e._terms)) for e in elements]
-    else:
-        start = algebra
-        elems = start._operands()
-        g = len(elems)
-    if rows is None:
-        rows = _checked_brackets(start, elems, g)
+    if not isinstance(algebra, LieClosureResult):
+        raise TypeError(f"the series take a lie_closure result, not {type(algebra).__name__}")
+    if not algebra.closed:
+        raise ValueError(f"closure status is {algebra.status}, not closed")
+    if algebra._brackets is None:
+        raise ValueError("a closed result built by hand keeps no brackets; run lie_closure")
+    start = algebra.basis
     n = start.n
+    gens = [(e._terms, *row_support(n, e._terms))
+            for e in algebra.elements[:algebra.num_generators]]
     derived = SpanBasis(n, [])  # [L, L] = span [S, L], which starts both series
-    for br in rows:
+    for br in algebra._brackets:
         derived._add_row(br)
     zero_verdict = "nilpotent" if lower_central else "solvable"
     current = start
@@ -380,7 +349,7 @@ def _series(algebra: SpanBasis | LieClosureResult, *, lower_central: bool) -> Se
         if step == 1:
             nxt = derived
         elif lower_central:
-            nxt = _bracket_span(n, itertools.product(elems[:g], current._operands()))
+            nxt = _bracket_span(n, itertools.product(gens, current._operands()))
         else:
             nxt = _bracket_span(n, itertools.combinations(current._operands(), 2))
         dims.append(nxt.dim)
@@ -391,14 +360,13 @@ def _series(algebra: SpanBasis | LieClosureResult, *, lower_central: bool) -> Se
     return SeriesReport(tuple(dims), zero_verdict, length=step)
 
 
-def derived_series(algebra: SpanBasis | LieClosureResult) -> SeriesReport:
-    """L, [L,L], [[L,L],[L,L]], ... on a bracket-closed span L, or on a closed
-    LieClosureResult, whose [L, L] is span [S, L] for its generators S."""
+def derived_series(algebra: LieClosureResult) -> SeriesReport:
+    """L, [L,L], [[L,L],[L,L]], ... on a closed result of `lie_closure`,
+    whose [L, L] is span [S, L] for its generators S."""
     return _series(algebra, lower_central=False)
 
 
-def lower_central_series(algebra: SpanBasis | LieClosureResult) -> SeriesReport:
-    """L, [L,L], [L,[L,L]], ... on a bracket-closed span L, or on a closed
-    LieClosureResult, whose every [L, L^k] is span [S, L^k] for its
-    generators S."""
+def lower_central_series(algebra: LieClosureResult) -> SeriesReport:
+    """L, [L,L], [L,[L,L]], ... on a closed result of `lie_closure`, whose
+    every [L, L^k] is span [S, L^k] for its generators S."""
     return _series(algebra, lower_central=True)

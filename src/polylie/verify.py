@@ -357,8 +357,8 @@ def check_solvability_fixtures() -> CheckResult:
     x1d1 = parse_derivation("(x1) d1", n)
     x1sq = parse_derivation("(x1^2) d1", n)
 
-    solvable = span.derived_series(span.SpanBasis(n, [d1, x1d1]))
-    sl2 = span.derived_series(span.SpanBasis(n, [d1, x1d1, x1sq]))
+    solvable = span.derived_series(span.lie_closure([d1, x1d1]))
+    sl2 = span.derived_series(span.lie_closure([d1, x1d1, x1sq]))
     cert = reductions.sl2_check(*reductions.case2_witness(x1sq, 1), 1)
     certified = isinstance(cert, reductions.Sl2Certificate)
 
@@ -388,8 +388,7 @@ def check_derived_chain_witness(n: int) -> CheckResult:
     if n == 1:
         # the full subalgebra is 2-dimensional here, so its derived length
         # is checkable outright
-        basis = span.SpanBasis(1, canonical.generators("sn", 1, 2))
-        report = span.derived_series(basis)
+        report = span.derived_series(span.lie_closure(canonical.generators("sn", 1, 2)))
         details["series"] = report.to_dict()
         ok = ok and report.verdict == "solvable" and report.length == 2
     return CheckResult(f"derived_chain_witness_n{n}", ok, details)

@@ -36,7 +36,7 @@ from polylie.sampling import (
     random_polynomial,
     random_subalgebra_element,
 )
-from polylie.span import SpanBasis, derived_series
+from polylie.span import derived_series, lie_closure
 from polylie.verify import REPORT_SCHEMA
 
 
@@ -137,12 +137,12 @@ def test_criterion_5_solvability_fixtures():
     x1sq = parse_derivation("(x1^2) d1", n)
 
     started = time.monotonic()
-    report = derived_series(SpanBasis(n, [d1, x1d1]))
+    report = derived_series(lie_closure([d1, x1d1]))
     assert time.monotonic() - started < 1.0
     assert report.verdict == "solvable" and report.length == 2
 
     started = time.monotonic()
-    report = derived_series(SpanBasis(n, [d1, x1d1, x1sq]))
+    report = derived_series(lie_closure([d1, x1d1, x1sq]))
     assert time.monotonic() - started < 1.0
     assert report.verdict == "stabilized_nonzero" and report.dims[0] == 3
 
@@ -158,7 +158,7 @@ def test_criterion_6_derived_chain_witnesses():
     w1 = derived_chain_witness(1)
     assert w1.term == 1 and not w1.root.is_zero()
     assert DerivedChainCertificate.check(w1.to_dict())
-    series = derived_series(SpanBasis(1, generators("sn", 1, 2)))
+    series = derived_series(lie_closure(generators("sn", 1, 2)))
     assert series.verdict == "solvable" and series.length == 2
 
     for n in (2, 3):

@@ -20,7 +20,7 @@ from polylie.canonical import (
 from polylie.cli import main
 from polylie.derivation import Derivation
 from polylie.grammar import parse_derivation
-from polylie.span import SpanBasis, derived_series
+from polylie.span import derived_series, lie_closure
 from polylie.sampling import random_subalgebra_element
 
 from golden import CERTIFICATE_NS, GOLDEN_CERTIFICATES, render_certificates
@@ -181,6 +181,17 @@ class TestLndCheck:
             verdict = lnd_check(d, triangular_chain_bound(n, 3))
             assert verdict.status == "witness"
 
+    def test_triangular_bound_is_tight(self):
+        # d1 + (x1^c) d2 + ... + (x_(n-1)^c) d_n lowers the weight by exactly
+        # 1, so the chain of x_n takes every step of the bound
+        for n in range(1, 5):
+            for c in range(1, 4):
+                terms = ["d1"] + [f"(x{i}^{c}) d{i + 1}" for i in range(1, n)]
+                d = pd(" + ".join(terms), n)
+                bound = triangular_chain_bound(n, c)
+                assert lnd_check(d, bound).status == "witness"
+                assert lnd_check(d, bound - 1).status == "inconclusive"
+
     def test_inconclusive_when_bound_too_small(self):
         n = 2
         verdict = lnd_check(pd("(x2^3) d1 + (x1) d2", n), 2)
@@ -280,8 +291,7 @@ class TestDerivedChainWitness:
         assert not w.root.is_zero()
         assert DerivedChainCertificate.check(w.to_dict())
         # the whole subalgebra is two-dimensional; its derived length is 2
-        basis = SpanBasis(1, generators("sn", 1, 2))
-        report = derived_series(basis)
+        report = derived_series(lie_closure(generators("sn", 1, 2)))
         assert report.verdict == "solvable" and report.length == 2
 
     def test_dimension_one_term_two_empty(self):

@@ -17,7 +17,7 @@ from polylie.reductions import (
     sl2_check,
 )
 from polylie.sampling import random_nonconstant_polynomial, random_derivation
-from polylie.span import SpanBasis, derived_series, lie_closure
+from polylie.span import derived_series, lie_closure
 
 
 def pp(text, n):
@@ -230,7 +230,7 @@ class TestSl2Check:
         x1 = Polynomial.variable(n, 1)
         assert (t1.bracket(t2).coeff(1), t3.bracket(t1).coeff(1), t3.bracket(t2).coeff(1)) \
             == (-2 * x1, Polynomial.constant(n, 2), 2 * x1 * x1)
-        report = derived_series(SpanBasis(n, [t1, t2, t3]))
+        report = derived_series(lie_closure([t1, t2, t3]))
         assert report.verdict == "stabilized_nonzero" and report.dims == (3, 3)
 
     def test_lower_slot_terms_keep_the_bracket_table(self):
@@ -291,7 +291,7 @@ class TestSl2Check:
         assert isinstance(sl2_check(t1, t2, t3, 1), Sl2Certificate)
         closure = lie_closure([t1, t2, t3])
         assert closure.status == "closed"
-        report = derived_series(closure.basis)
+        report = derived_series(closure)
         assert report.verdict == "stabilized_nonzero"
 
 

@@ -322,33 +322,42 @@ class TestLieClosure:
 class TestDerivedSeries:
     def test_affine_span_solvable(self):
         n = 1
-        report = derived_series(SpanBasis(n, [pd("d1", n), pd("(x1) d1", n)]))
+        report = derived_series(lie_closure([pd("d1", n), pd("(x1) d1", n)]))
         assert report.dims == (2, 1, 0)
         assert report.verdict == "solvable" and report.length == 2
 
     def test_sl2_stabilizes(self):
         n = 1
         gens = [pd(t, n) for t in ("d1", "(x1) d1", "(x1^2) d1")]
-        report = derived_series(SpanBasis(n, gens))
+        report = derived_series(lie_closure(gens))
         assert report.dims == (3, 3)
         assert report.verdict == "stabilized_nonzero"
 
     def test_zero_span(self):
-        report = derived_series(SpanBasis(2, []))
+        report = derived_series(lie_closure([Derivation.zero(2)]))
         assert report.dims == (0,)
         assert report.verdict == "solvable" and report.length == 0
 
     def test_not_closed_rejected(self):
         n = 1
-        with pytest.raises(ValueError):
-            derived_series(SpanBasis(n, [pd("d1", n), pd("(x1^2) d1", n)]))
+        result = lie_closure([pd("d1", n), pd("(x1^2) d1", n)], dim_cap=2)
+        assert result.status == "dim_cap_exceeded"
+        with pytest.raises(ValueError, match="dim_cap_exceeded"):
+            derived_series(result)
+
+    def test_span_rejected(self):
+        n = 1
+        basis = SpanBasis(n, [pd("d1", n), pd("(x1) d1", n)])
+        for series in (derived_series, lower_central_series):
+            with pytest.raises(TypeError, match="lie_closure"):
+                series(basis)
 
     def test_dims_non_increasing_and_terms_closed(self):
         n = 2
         result = lie_closure([pd("d1", n), pd("(x1) d1", n), pd("(x1) d2", n),
                               pd("(x2) d2", n)])
         assert result.status == "closed"
-        report = derived_series(result.basis)
+        report = derived_series(result)
         assert all(a >= b for a, b in zip(report.dims, report.dims[1:]))
         # every derived term is itself bracket-closed
         current = result.basis
@@ -361,17 +370,17 @@ class TestDerivedSeries:
 class TestLowerCentralSeries:
     def test_affine_span_not_nilpotent(self):
         n = 1
-        report = lower_central_series(SpanBasis(n, [pd("d1", n), pd("(x1) d1", n)]))
+        report = lower_central_series(lie_closure([pd("d1", n), pd("(x1) d1", n)]))
         assert report.verdict == "stabilized_nonzero"
 
     def test_abelian_class_one(self):
         n = 2
-        report = lower_central_series(SpanBasis(n, [pd("d1", n), pd("d2", n)]))
+        report = lower_central_series(lie_closure([pd("d1", n), pd("d2", n)]))
         assert report.verdict == "nilpotent" and report.length == 1
 
     def test_commuting_pair_class_one(self):
         n = 2
-        report = lower_central_series(SpanBasis(n, [pd("d2", n), pd("(x1) d2", n)]))
+        report = lower_central_series(lie_closure([pd("d2", n), pd("(x1) d2", n)]))
         assert report.verdict == "nilpotent" and report.length == 1
 
     def test_default_cap_decides_nilpotent_closure(self):
@@ -381,7 +390,7 @@ class TestLowerCentralSeries:
         # L(4, 3) and 31 for L(5, 2), from their closed results
         closure = lie_closure(generators("un", 3, 3))
         assert closure.status == "closed"
-        reports = [(lower_central_series(closure.basis), 27, 13)]
+        reports = [(lower_central_series(closure), 27, 13)]
         for n, c, degree_cap, dim in ((4, 3, 40, 265), (5, 2, 16, 249)):
             closure = lie_closure(generators("un", n, c), degree_cap=degree_cap)
             assert closure.closed
@@ -431,12 +440,13 @@ def closed_results():
         yield result
 
 
-def reference_lower_terms(basis):
-    """The lower central series terms from all pairs of Derivation brackets,
-    stopping as the series does."""
+def reference_terms(basis, lower_central=True):
+    """The lower central (or derived) series terms from all pairs of
+    Derivation brackets, stopping as the series does."""
     terms = [basis]
     while terms[-1].dim:
-        nxt = SpanBasis(basis.n, [a.bracket(b) for a in basis for b in terms[-1]])
+        left = basis if lower_central else terms[-1]
+        nxt = SpanBasis(basis.n, [a.bracket(b) for a in left for b in terms[-1]])
         terms.append(nxt)
         if nxt.dim == terms[-2].dim:
             break
@@ -444,18 +454,17 @@ def reference_lower_terms(basis):
 
 
 class TestSeriesByGenerators:
-    def test_result_series_equal_bare_span_series(self):
+    def test_result_series_equal_reference_series(self):
         for result in closed_results():
-            for series in (derived_series, lower_central_series):
-                assert series(result) == series(result.basis)
-            assert lower_central_series(result).dims == \
-                tuple(t.dim for t in reference_lower_terms(result.basis))
+            for series, lower_central in ((derived_series, False), (lower_central_series, True)):
+                assert series(result).dims == \
+                    tuple(t.dim for t in reference_terms(result.basis, lower_central))
 
     def test_generators_bracket_each_lower_term(self):
         # [L, L^k] = span [S, L^k] for the generators S
         for result in closed_results():
             gens = result.elements[:result.num_generators]
-            terms = reference_lower_terms(result.basis)
+            terms = reference_terms(result.basis)
             for term, nxt in zip(terms, terms[1:]):
                 by_gens = SpanBasis(term.n, [s.bracket(b) for s in gens for b in term])
                 assert by_gens.basis == nxt.basis
@@ -469,15 +478,7 @@ class TestSeriesByGenerators:
             for row, (a, b) in zip(result._brackets, pairs):
                 assert Derivation._from_terms(a.n, row, a._den * b._den) == a.bracket(b)
 
-    def test_kept_brackets_agree_with_checked_brackets(self):
-        for result in closed_results():
-            by_hand = LieClosureResult(result.status, result.basis, result.elements,
-                                       result.num_generators)
-            assert by_hand._brackets is None
-            for series in (derived_series, lower_central_series):
-                assert series(result) == series(by_hand)
-
-    def test_kept_brackets_stay_out_of_repr_and_equality(self):
+    def test_kept_brackets_stay_out_of_repr(self):
         result = lie_closure([pd("d1", 1), pd("(x1) d1", 1)])
         assert result._brackets
         by_hand = LieClosureResult(result.status, result.basis, result.elements,
@@ -486,8 +487,6 @@ class TestSeriesByGenerators:
             "LieClosureResult(status='closed', basis=SpanBasis(n=1, dim=2), "
             "elements=(Derivation(1, 'd1'), Derivation(1, '(x1) d1')), "
             "num_generators=2, offending_bracket=None)")
-        assert result == by_hand and hash(result) == hash(by_hand)
-        assert result != LieClosureResult(result.status, result.basis, result.elements, 1)
 
     def test_bracket_counts(self, monkeypatch):
         count = [0]
@@ -532,9 +531,6 @@ class TestSeriesByGenerators:
         # (brackets made, pairs walked)
         assert brackets(lower_central_series, result) == (315, 1890)
         assert brackets(derived_series, result) == (33, 381)
-        # a bare span brackets all pairs of its rows
-        assert brackets(lower_central_series, result.basis) == (420, 3753)
-        assert brackets(derived_series, result.basis) == (102, 732)
 
     def test_skipped_closure_pairs_bracket_to_zero(self):
         result = lie_closure(generators("un", 3, 3))
@@ -557,11 +553,14 @@ class TestSeriesByGenerators:
                 series(result)
 
     def test_result_not_closed_under_generators_rejected(self):
+        # a result built by hand keeps no brackets, so it is refused whether
+        # or not its span is bracket-closed
         n = 1
         gens = (pd("d1", n), pd("(x1^2) d1", n))
         result = LieClosureResult("closed", SpanBasis(n, gens), gens, 2)
+        assert result._brackets is None
         for series in (derived_series, lower_central_series):
-            with pytest.raises(ValueError, match="not bracket-closed"):
+            with pytest.raises(ValueError, match="built by hand"):
                 series(result)
 
 

@@ -107,8 +107,7 @@ def all_results():
         result = lie_closure(gens, **caps)
         closures.append(closure_fields(result))
         if result.closed:
-            series += [derived_series(result), lower_central_series(result),
-                       derived_series(result.basis), lower_central_series(result.basis)]
+            series += [derived_series(result), lower_central_series(result)]
     return closures, series
 
 

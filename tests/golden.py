@@ -58,6 +58,17 @@ CORPUS_COMMANDS = [
     ["witness", "--n", "2"],
     ["eigencert", "(x1) d1", "(2/3 x1^2) d1", "--n", "1"],
     ["eigencert", "(x2) d1 + (x1) d2", "(x1) d1 - (x2) d2", "--n", "2"],
+    # the shape at slot 2 holds modulo the slot-1 terms
+    ["sl2", "d2 + (x1) d1", "(-x2^2) d2 + (1/2 x1^2) d1", "(-2 x2) d2 - d1", "--k", "2",
+     "--n", "2"],
+    # t2 not normalized: its slot-1 coefficient is -3 x1^2
+    ["sl2", "d1", "(-3 x1^2) d1", "(-2 x1) d1", "--k", "1", "--n", "1"],
+    ["sl2", "d1", "(-x1^2) d1 + (x1) d2", "(-2 x1) d1", "--k", "1", "--n", "2"],
+    ["flatten", "(x1^3 x2) d2 + (1/2 x1^2) d1", "1", "1", "--n", "2"],
+    ["extract-const", "1/2 x1^2 x2 + 2/3 x2^3 - x1", "--n", "2"],
+    ["extract-linear", "1/2 x1^3 x2 + 2/3 x1^2 x2^2 + x2", "1", "--n", "2"],
+    ["index", "(x1) d1 + (1/2 x2^2) d2", "--n", "3"],
+    ["index", "x1 + 2/3 x2^2", "--poly", "--n", "3"],
 ]
 
 

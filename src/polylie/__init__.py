@@ -26,7 +26,7 @@ _PUBLIC = {
     "grammar": ("ParseError", "parse_derivation", "parse_polynomial"),
     "polyring": ("Monomial", "Polynomial", "format_polynomial"),
     "reductions": ("EigenvectorCertificate", "Sl2Certificate", "Sl2Mismatch",
-                   "case2_witness", "constant_extraction", "eigenvector_certificate",
+                   "constant_extraction", "eigenvector_certificate",
                    "flatten_in_variable", "linear_extraction", "sl2_check"),
     "span": ("LieClosureResult", "SeriesReport", "SpanBasis", "derived_series",
              "lie_closure", "lower_central_series"),

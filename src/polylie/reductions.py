@@ -173,22 +173,6 @@ class Sl2Mismatch(NamedTuple):
     reason: str
 
 
-def _check_slot(n: int, k: int) -> None:
-    if not 1 <= k <= n:
-        raise ValueError(f"slot {k} out of range 1..{n}")
-
-
-def _sl2_shape_violation(t: Derivation, k: int, want: Polynomial) -> int | None:
-    """The first slot where t leaves the sl2 shape at slot k, or None.
-
-    The shape: every slot above k vanishes and the slot-k coefficient is want.
-    """
-    for j in range(k + 1, t.n + 1):
-        if not t.coeff(j).is_zero():
-            return j
-    return None if t.coeff(k) == want else k
-
-
 def sl2_check(t1: Derivation, t2: Derivation, t3: Derivation,
               k: int) -> Sl2Certificate | Sl2Mismatch:
     """Verify the sl2 shape at slot k; certify or explain.
@@ -198,34 +182,16 @@ def sl2_check(t1: Derivation, t2: Derivation, t3: Derivation,
     n = t1.n
     for t in (t2, t3):
         _check_same_n(n, t.n)
-    _check_slot(n, k)
+    if not 1 <= k <= n:
+        raise ValueError(f"slot {k} out of range 1..{n}")
 
     x_k = Polynomial.variable(n, k)
     for name, t, want in (("t1", t1, Polynomial.one(n)),
                           ("t2", t2, -(x_k * x_k)),
                           ("t3", t3, -2 * x_k)):
-        j = _sl2_shape_violation(t, k, want)
-        if j == k:
+        for j in range(k + 1, n + 1):
+            if not t.coeff(j).is_zero():
+                return Sl2Mismatch(f"{name} has a nonzero coefficient at slot {j} > {k}")
+        if t.coeff(k) != want:
             return Sl2Mismatch(f"{name} slot-{k} coefficient is {t.coeff(k)}, expected {want}")
-        if j is not None:
-            return Sl2Mismatch(f"{name} has a nonzero coefficient at slot {j} > {k}")
     return Sl2Certificate(t1, t2, t3, k)
-
-
-def case2_witness(d2: Derivation, k: int) -> tuple[Derivation, Derivation, Derivation]:
-    """Assemble the triple (d_k, -d2, -2 x_k d_k) for sl2_check.
-
-    Requires d2 normalized so its slot-k coefficient is exactly x_k^2 and
-    every higher slot vanishes; divide by the leading scalar first.
-    """
-    n = d2.n
-    _check_slot(n, k)
-    x_k = Polynomial.variable(n, k)
-    j = _sl2_shape_violation(d2, k, x_k * x_k)
-    if j == k:
-        raise ValueError(
-            f"slot-{k} coefficient is {d2.coeff(k)}, expected x{k}^2 (normalize first)")
-    if j is not None:
-        raise ValueError(f"slot {j} > {k} must vanish, got {d2.coeff(j)}")
-    d_k = Derivation.partial(n, k)
-    return d_k, -d2, -2 * x_k * d_k

@@ -348,9 +348,10 @@ def check_bracket_fixtures() -> CheckResult:
 def check_solvability_fixtures() -> CheckResult:
     """span{d1, x1 d1} is solvable of length 2; span{d1, x1 d1, x1^2 d1} is sl2.
 
-    The sl2 triple is the paper's case-2 triple built from x1^2 d1; its
-    certificate is its shape, and the derived series of span{d1, x1 d1,
-    x1^2 d1} shows that copy of sl2 never reaches zero.
+    The sl2 triple is the paper's case-2 triple, written out as (d1,
+    -x1^2 d1, -2 x1 d1); its certificate is its shape, and the derived
+    series of span{d1, x1 d1, x1^2 d1} shows that copy of sl2 never
+    reaches zero.
     """
     n = 1
     d1 = Derivation.partial(n, 1)
@@ -359,7 +360,7 @@ def check_solvability_fixtures() -> CheckResult:
 
     solvable = span.derived_series(span.lie_closure([d1, x1d1]))
     sl2 = span.derived_series(span.lie_closure([d1, x1d1, x1sq]))
-    cert = reductions.sl2_check(*reductions.case2_witness(x1sq, 1), 1)
+    cert = reductions.sl2_check(d1, -x1sq, -2 * x1d1, 1)
     certified = isinstance(cert, reductions.Sl2Certificate)
 
     details = {

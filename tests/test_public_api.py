@@ -123,13 +123,14 @@ def records() -> list:
     p = polylie
     n = 2
     d = p.parse_derivation("(x1^2) d2", n)
+    d1 = p.Derivation.partial(1, 1)
     x1sq = p.parse_derivation("(x1^2) d1", 1)
-    closure = p.lie_closure([p.Derivation.partial(1, 1), x1sq])
+    closure = p.lie_closure([d1, x1sq])
     witness = p.lnd_check(p.parse_derivation("(x1) d2 + d1", n), 5)
     refuted = p.lnd_check(p.Derivation.euler(n), 5)
     out = [p.membership(d), witness, witness.witness, refuted, refuted.certificate,
            p.derived_chain_witness(1), p.derived_chain_witness(2, term=4),
-           p.sl2_check(*p.case2_witness(x1sq, 1), 1),
+           p.sl2_check(d1, -x1sq, p.parse_derivation("(-2 x1) d1", 1), 1),
            p.sl2_check(d, d, d, 1), closure, p.derived_series(closure)]
     report = p.verify_paper(1, 0)
     return out + [report, report.checks[0]]

@@ -9,7 +9,6 @@ from polylie.polyring import Polynomial
 from polylie.reductions import (
     Sl2Certificate,
     Sl2Mismatch,
-    case2_witness,
     constant_extraction,
     eigenvector_certificate,
     flatten_in_variable,
@@ -261,9 +260,10 @@ class TestSl2Check:
 
     def test_shape_violation(self):
         n = 1
-        result = sl2_check(pd("d1", n), pd("(-1 x1) d1", n), pd("(-2 x1) d1", n), 1)
-        assert isinstance(result, Sl2Mismatch)
-        assert "t2" in result.reason
+        # the wrong degree, then x1^2 d1 not normalized before negating
+        for t2, got in (("(-1 x1) d1", "-x1"), ("(-3 x1^2) d1", "-3 x1^2")):
+            result = sl2_check(pd("d1", n), pd(t2, n), pd("(-2 x1) d1", n), 1)
+            assert result == Sl2Mismatch(f"t2 slot-1 coefficient is {got}, expected -x1^2")
 
     def test_upper_slot_violation(self):
         n = 2
@@ -277,9 +277,6 @@ class TestSl2Check:
         triple = (pd("d1", n), pd("(-1 x1^2) d1", n), pd("(-2 x1) d1", n))
         with pytest.raises(ValueError, match=rf"^slot {k} out of range 1\.\.1$"):
             sl2_check(*triple, k)
-        # the same message case2_witness gives for the same slot
-        with pytest.raises(ValueError, match=rf"^slot {k} out of range 1\.\.1$"):
-            case2_witness(pd("(x1^2) d1", n), k)
 
     def test_mixed_rings_are_a_precondition_error(self):
         with pytest.raises(ValueError, match="ambient dimension mismatch: 1 vs 2"):
@@ -293,30 +290,3 @@ class TestSl2Check:
         assert closure.status == "closed"
         report = derived_series(closure)
         assert report.verdict == "stabilized_nonzero"
-
-
-class TestCase2Witness:
-    def test_dimension_one(self):
-        n = 1
-        t1, t2, t3 = case2_witness(pd("(x1^2) d1", n), 1)
-        assert t1 == Derivation.partial(n, 1)
-        assert t2 == pd("(-1 x1^2) d1", n)
-        assert t3 == pd("(-2 x1) d1", n)
-        assert isinstance(sl2_check(t1, t2, t3, 1), Sl2Certificate)
-
-    def test_lower_terms_carried_along(self):
-        n = 2
-        d2 = pd("(x1) d1 + (x2^2) d2", n)
-        t1, t2, t3 = case2_witness(d2, 2)
-        assert t2 == -d2
-        assert isinstance(sl2_check(t1, t2, t3, 2), Sl2Certificate)
-
-    def test_non_quadratic_rejected(self):
-        n = 1
-        with pytest.raises(ValueError):
-            case2_witness(pd("(x1) d1", n), 1)
-
-    def test_unnormalized_rejected(self):
-        n = 1
-        with pytest.raises(ValueError):
-            case2_witness(pd("(3 x1^2) d1", n), 1)

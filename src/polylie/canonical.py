@@ -24,7 +24,7 @@ from typing import Iterator, Literal, NamedTuple
 
 from .derivation import Derivation, Row
 from .grammar import parse_derivation
-from .polyring import Monomial, Polynomial, codec
+from .polyring import Monomial, Polynomial, _check_n, codec
 from .reductions import EigenvectorCertificate, eigenvector_certificate
 
 Which = Literal["un", "sn"]
@@ -354,8 +354,7 @@ def derived_chain_witness(n: int, *, term: int | None = None, degree_cap: int = 
     from depth 0 up, each depth in key order, so every child comes before
     its parent.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    _check_n(n)
     term = lower_bound_term(n) if term is None else term
     if term < 0 or degree_cap < 0:
         raise ValueError(f"need term >= 0 and degree_cap >= 0, got {term}, {degree_cap}")

@@ -54,6 +54,13 @@ _FIELD_MASK = (1 << FIELD_BITS) - 1
 POWER_BITS_LIMIT = 1 << 22
 
 
+# The largest variable count.  A KeyCodec holds n keys of FIELD_BITS * (n + 2)
+# bits each, so its memory grows with n^2: 8 MB of keys at n = 1000, 0.8 GB at
+# n = 10000.  No command or check here uses n above 100.  This bounds memory,
+# not run time.
+MAX_VARIABLES = 1000
+
+
 def _limit_error() -> ValueError:
     return ValueError(f"an exponent or total degree reaches 2^63 = {EXPONENT_LIMIT}, "
                       f"beyond the largest one supported")
@@ -74,6 +81,7 @@ class KeyCodec:
                  "_nbytes", "_fields", "_exponents")
 
     def __init__(self, n: int):
+        _check_n(n)
         self.n = n
         self.shifts = tuple(FIELD_BITS * (n - 1 - pos) for pos in range(n))
         self.deg_shift = FIELD_BITS * n
@@ -112,16 +120,22 @@ codec = functools.cache(KeyCodec)  # the one KeyCodec per n
 
 def _check_index(i: int, n: int) -> None:
     """The one check of a 1-based variable (or slot) index against n."""
+    # a bool is an int, but True is no index
+    if not isinstance(i, int) or isinstance(i, bool):
+        raise TypeError(f"variable index {i!r} is not an int")
     if not 1 <= i <= n:
         raise ValueError(f"variable index {i} out of range 1..{n}")
 
 
 def _check_n(n: int) -> None:
-    """The one check of a variable count."""
-    if not isinstance(n, int):
+    """The one check of a variable count: an int in 1..MAX_VARIABLES."""
+    # a bool is an int, but True is no count
+    if not isinstance(n, int) or isinstance(n, bool):
         raise TypeError(f"variable count {n!r} is not an int")
     if n < 1:
         raise ValueError(f"variable count must be >= 1, got {n}")
+    if n > MAX_VARIABLES:
+        raise ValueError(f"variable count must be <= {MAX_VARIABLES}, got {n}")
 
 
 def _check_coefficient(c) -> None:
@@ -291,10 +305,10 @@ class Polynomial(_LowestTerms):
     __slots__ = ()
 
     def __init__(self, n: int, terms: Mapping[Monomial, Scalar] | None = None):
-        """Validate outside input: n >= 1, exponent tuples of length n with
-        exponents and total degree below 2^63, and int or Fraction
-        coefficients (anything else, floats and bools included, is a
-        TypeError)."""
+        """Validate outside input: an int n in 1..MAX_VARIABLES, exponent
+        tuples of length n with exponents and total degree below 2^63, and
+        int or Fraction coefficients (anything else, floats and bools
+        included, is a TypeError)."""
         _check_n(n)
         pairs: dict[int, tuple[int, int]] = {}
         for mono, coeff in (terms or {}).items():

@@ -30,7 +30,7 @@ from typing import Callable, Iterable, NamedTuple
 from . import canonical, reductions, span
 from .derivation import Derivation
 from .grammar import format_derivation, parse_derivation
-from .polyring import Polynomial
+from .polyring import Polynomial, _check_n
 from .sampling import (
     random_derivation,
     random_nonconstant_polynomial,
@@ -477,8 +477,7 @@ def check_grammar_roundtrip(rng: random.Random, n_max: int,
 
 def verify_paper(n_max: int = 2, seed: int = 0) -> Report:
     """Run every check deterministically from the seed and collect a Report."""
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    _check_n(n_max)
     samples = 200
     started = time.perf_counter()
     rng = random.Random(seed)

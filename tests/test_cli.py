@@ -294,6 +294,17 @@ class TestCommands:
         assert code == 2
         assert "below target" in err
 
+    @pytest.mark.parametrize("argv", [["bracket", "(x1) d1", "d1"], ["witness"],
+                                      ["verify-paper"]])
+    def test_variable_count_above_the_limit_exits_two(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--n", "1001")
+        assert code == 2 and out == ""
+        assert err == "error: variable count must be <= 1000, got 1001\n"
+
+    def test_variable_count_at_the_limit_works(self, capsys):
+        code, out, _ = run_cli(capsys, "bracket", "(x1) d1", "d1", "--n", "1000")
+        assert code == 0 and out == "(-1) d1\n"
+
     def test_series_takes_no_iteration_cap(self, capsys):
         # the series always reach a verdict, so there is no cap to set
         with pytest.raises(SystemExit) as exc:

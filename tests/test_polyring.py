@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from polylie.canonical import derived_chain_witness, generators
 from polylie.derivation import Derivation
-from polylie.polyring import POWER_BITS_LIMIT, Polynomial
-from polylie.sampling import random_polynomial
+from polylie.grammar import parse_derivation
+from polylie.polyring import MAX_VARIABLES, POWER_BITS_LIMIT, KeyCodec, Polynomial
+from polylie.sampling import random_derivation, random_polynomial
 
 
 def var(n, i):
@@ -356,9 +358,41 @@ class TestConstants:
                   Derivation.zero, lambda n: Derivation(n, []),
                   lambda n: Derivation.partial(n, 1),
                   lambda n: Derivation.monomial_term(n, (1, 0), 1)]
-        for build in builds:
-            with pytest.raises(TypeError, match="variable count 2.0 is not an int"):
-                build(2.0)
+        # a bool is an int to isinstance, but no count
+        for bad in (2.0, True):
+            for build in builds:
+                with pytest.raises(TypeError, match=f"^variable count {bad} is not an int$"):
+                    build(bad)
         # a bad index is named before a bad count, as by Polynomial.variable
         with pytest.raises(ValueError, match=r"variable index 1 out of range 1\.\.0"):
             Derivation.partial(0, 1)
+
+    def test_index_must_be_an_int(self):
+        f = Polynomial.variable(2, 1)
+        d = Derivation.partial(2, 1)
+        uses = [lambda i: Polynomial.variable(2, i), lambda i: Derivation.partial(2, i),
+                f.degree_in, f.partial, f.expand_in, d.coeff]
+        # True would otherwise read as index 1, and 1.0 fail later on a tuple
+        for bad in (True, 1.0):
+            for use in uses:
+                with pytest.raises(TypeError, match=f"^variable index {bad} is not an int$"):
+                    use(bad)
+
+
+class TestVariableCount:
+    """A KeyCodec's memory grows with n^2, so every way to a codec stops at
+    MAX_VARIABLES."""
+
+    def test_count_above_the_limit_is_a_value_error(self):
+        assert MAX_VARIABLES == 1000
+        builds = [KeyCodec, Polynomial.zero, lambda n: parse_derivation("d1", n),
+                  lambda n: random_derivation(random.Random(0), n, 2),
+                  lambda n: generators("sn", n, 1), derived_chain_witness]
+        for build in builds:
+            with pytest.raises(ValueError, match="^variable count must be <= 1000, got 1001$"):
+                build(MAX_VARIABLES + 1)
+
+    def test_count_at_the_limit_works(self):
+        d = Derivation.partial(MAX_VARIABLES, MAX_VARIABLES)
+        assert d.index() == MAX_VARIABLES
+        assert KeyCodec(MAX_VARIABLES).n == MAX_VARIABLES

@@ -1,10 +1,12 @@
 """The package's public API: what it exports, and that each part is used.
 
 Every public function and method of the package has a use in it.  A public
-module-level function or public method (a name without a leading
-underscore) must be referenced by name, as a call, an attribute or a bare
-name, somewhere in the package besides its own def.  API that no command,
-check or other library code uses is either wired in or deleted.
+module-level function (a name without a leading underscore) must be
+referenced by name, as a bare name or an attribute, somewhere in the
+package besides its own def.  A public method must be referenced as an
+attribute: a bare name that a method shares is another binding, such as a
+parameter.  API that no command, check or other library code uses is either
+wired in or deleted.
 
 The package resolves its exported names and its submodules on first use:
 each name is its defining module's object, and the records those names
@@ -25,6 +27,8 @@ PACKAGE = Path(polylie.__file__).resolve().parent
 
 # module.qualname -> reason it stays without a use in the package
 ALLOWED = {
+    "derivation.Derivation.coeffs": "the inverse of Derivation(n, coeffs), through "
+                                    "which the tests read values",
     "span.SpanBasis.contains": "the span's public membership query; the "
                                "benchmark's tracer wraps it",
 }
@@ -43,32 +47,43 @@ def public_defs(tree: ast.Module) -> list[tuple[str, str]]:
     return out
 
 
-def referenced_names(tree: ast.AST) -> set[str]:
-    """Names used as a bare name or as an attribute; defs and imports do not count."""
-    out = set()
+def referenced_names(tree: ast.AST) -> tuple[set[str], set[str]]:
+    """The names used as a bare name, and those used as an attribute; defs
+    and imports do not count."""
+    names, attrs = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            out.add(node.id)
+            names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
-    return out
+            attrs.add(node.attr)
+    return names, attrs
 
 
 def unused_public_api(sources: dict[str, str]) -> list[str]:
-    """module.qualname of each public def whose name the sources never reference."""
+    """module.qualname of each public def the sources never use: a function
+    by a bare name or an attribute, a method by an attribute only."""
     trees = {stem: ast.parse(text) for stem, text in sources.items()}
-    used = set().union(*(referenced_names(t) for t in trees.values()))
+    names, attrs = set(), set()
+    for tree in trees.values():
+        tree_names, tree_attrs = referenced_names(tree)
+        names |= tree_names
+        attrs |= tree_attrs
     return [f"{stem}.{qual}" for stem, tree in sorted(trees.items())
-            for qual, name in public_defs(tree) if name not in used]
+            for qual, name in public_defs(tree)
+            if name not in attrs and ("." in qual or name not in names)]
 
 
 def test_finder_sees_defs_and_uses():
     sources = {
         "a": "def used(): pass\ndef unused(): pass\ndef _private(): pass\n"
-             "class K:\n    def meth(self): pass\n    def called(self): pass\n",
-        "b": "from .a import unused\nused()\nk.called()\n",
+             "def by_attr(): pass\n"
+             "class K:\n    def meth(self): pass\n    def called(self): pass\n"
+             "    def shadowed(self): pass\n",
+        # `shadowed` is only a parameter here, no use of the method
+        "b": "from .a import unused\nused()\na.by_attr()\nk.called()\n"
+             "def _f(shadowed): return shadowed\n",
     }
-    assert unused_public_api(sources) == ["a.unused", "a.K.meth"]
+    assert unused_public_api(sources) == ["a.unused", "a.K.meth", "a.K.shadowed"]
 
 
 def test_every_public_def_is_used():

@@ -308,7 +308,8 @@ def cmd_verify_paper(args) -> int:
                          indent=2, sort_keys=True))
     else:
         for check in report.checks:
-            print(f"{'PASS' if check.passed else 'FAIL'}  {check.name}")
+            timing = f"  {check.timing_ms:.1f} ms" if args.timing else ""
+            print(f"{'PASS' if check.passed else 'FAIL'}  {check.name}{timing}")
         timing = f", {report.timing_ms:.0f} ms" if args.timing else ""
         print(f"{'all checks passed' if report.passed else 'SOME CHECKS FAILED'} "
               f"({len(report.checks)} checks{timing})")
@@ -377,8 +378,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="largest ambient dimension to sample (default: 2)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--timing", action="store_true",
-                   help="include wall-clock timing in the output, text or JSON "
-                        "(off by default to keep reports byte-reproducible)")
+                   help="include wall-clock timing, of the run and of each check, "
+                        "in the output, text or JSON (off by default to keep "
+                        "reports byte-reproducible)")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_verify_paper)
 

@@ -115,7 +115,9 @@ class KeyCodec:
         return (key >> self.shifts[pos]) & _FIELD_MASK
 
 
-codec = functools.cache(KeyCodec)  # the one KeyCodec per n
+# the KeyCodec per n, kept for the 64 counts met last: each holds about 8n^2
+# bytes of keys, so a cache without a bound grows with every n a process meets
+codec = functools.lru_cache(maxsize=64)(KeyCodec)
 
 
 def _check_index(i: int, n: int) -> None:

@@ -8,24 +8,29 @@ Report whose JSON form is byte-for-byte reproducible for identical (inputs,
 seed, version): wall-clock timing is carried separately and excluded from
 the JSON unless explicitly requested.
 
-Every sampled check runs through `_sample`.  The four bracket identities,
-most of a run's time, split their samples between this process and one
-forked child on another CPU: both replay the same seeded draws, this process
-evaluates the even-indexed samples and the child the odd ones.  The cheaper
-checks, and every check where a fork cannot help or is unsafe (no `os.fork`,
-another thread running, a single usable CPU, a failed fork), evaluate every
-sample in-process.  A child that fails is replayed in-process.  Only
-outcome counts reach a report, so it is the same on every path.
+Every sampled check runs through `_sample`.  `verify_paper` runs its checks
+inside one `_split`: it forks one child on another CPU for the whole run,
+and both processes walk the same check list.  In every sampled check both
+replay the same seeded draws; this process evaluates the even-indexed
+samples and the child the odd ones, and the child sends one record of its
+outcomes per check.  Where a fork cannot help or is unsafe (no `os.fork`,
+another thread running, a single usable CPU, a failed fork), and for a
+check called on its own, every sample is evaluated in-process.  A child
+that dies has its share of that check replayed here, and the checks after
+it run in-process.  Only outcome counts reach a report, so it is the same on
+every path.  With `--timing` a report also carries each check's wall time.
 """
 
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import os
 import random
+import signal
 import threading
 import time
-from typing import Callable, Iterable, NamedTuple
+from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple
 
 from . import canonical, reductions, span
 from .derivation import Derivation
@@ -64,6 +69,7 @@ REPORT_SCHEMA = {
                     "name": {"type": "string"},
                     "passed": {"type": "boolean"},
                     "details": {"type": "object"},
+                    "timing_ms": {"type": ["number", "null"]},
                 },
             },
         },
@@ -77,9 +83,13 @@ class CheckResult(NamedTuple):
     name: str
     passed: bool
     details: dict
+    timing_ms: float | None = None
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "details": self.details}
+    def to_dict(self, include_timing: bool = False) -> dict:
+        out = {"name": self.name, "passed": self.passed, "details": self.details}
+        if include_timing:
+            out["timing_ms"] = self.timing_ms
+        return out
 
 
 class Report(NamedTuple):
@@ -97,7 +107,7 @@ class Report(NamedTuple):
             "schema": SCHEMA_VERSION,
             "command": self.command,
             "inputs": self.inputs,
-            "checks": [c.to_dict() for c in self.checks],
+            "checks": [c.to_dict(include_timing) for c in self.checks],
             "passed": self.passed,
             "timing_ms": self.timing_ms if include_timing else None,
         }
@@ -107,8 +117,12 @@ class Report(NamedTuple):
 # sample's evaluation, which draws nothing and gives one outcome per instance
 Trial = Callable[[random.Random, int], Callable[[], Iterable[bool]]]
 
-# ends the child's outcome bytes (0 fail, 1 pass), so a short message shows
-_DONE = b"."
+# The other process of the running `_split`: (child pid, pipe from the child)
+# in the parent, (0, pipe to the parent) in the child, None while every
+# sample is evaluated in-process.  A context variable, so a thread that did
+# not open the split never joins it.
+_partner: contextvars.ContextVar[tuple[int, BinaryIO] | None] = contextvars.ContextVar(
+    "_partner", default=None)
 
 
 def _can_fork() -> bool:
@@ -135,23 +149,92 @@ def _other_cpus() -> set[int]:
         return set()
 
 
-def _sample(rng: random.Random, n_max: int, samples: int, trial: Trial,
-            split: bool = False) -> tuple[int, int]:
+@contextlib.contextmanager
+def _split() -> Iterator[None]:
+    """Share every `_sample` of the block with one forked child.
+
+    The child runs the block too, on the CPUs of `_other_cpus`, and sends one
+    record per `_sample` call to a pipe; it leaves through `os._exit` when the
+    block ends or raises, never flushing the inherited stdout.  On leaving the
+    block, whether it ends or raises, this process kills the child and reaps
+    it.  Without `_can_fork`, or when fork fails, the block runs in-process
+    alone.
+    """
+    if _can_fork():
+        cpus = _other_cpus()
+        r, w = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(r)
+            os.close(w)
+        else:
+            if pid == 0:  # the child: the block's odd shares, then out at once
+                code = 1
+                try:
+                    os.close(r)
+                    if cpus:
+                        with contextlib.suppress(OSError):
+                            os.sched_setaffinity(0, cpus)
+                    with open(w, "wb") as pipe:
+                        _partner.set((0, pipe))
+                        yield
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(w)
+            _partner.set((pid, open(r, "rb")))
+    try:
+        yield
+    finally:
+        _drop_partner()
+
+
+def _drop_partner() -> None:
+    """Kill and reap the child of the running `_split`, if it has one; the
+    samples that follow are evaluated in-process."""
+    partner = _partner.get()
+    if partner is not None:
+        pid, pipe = partner
+        _partner.set(None)
+        os.kill(pid, signal.SIGKILL)  # it is unreaped, so the pid is still its
+        os.waitpid(pid, 0)
+        pipe.close()
+
+
+def _send(pipe: BinaryIO, outcomes: list[bool]) -> None:
+    """One record: the outcome count in 4 bytes, then a byte per outcome (0
+    fail, 1 pass).  It is flushed at once, so the parent never waits for a
+    buffer to fill."""
+    pipe.write(len(outcomes).to_bytes(4, "big") + bytes(outcomes))
+    pipe.flush()
+
+
+def _receive(pipe: BinaryIO) -> bytes | None:
+    """The outcomes of the next record, or None if it comes back short."""
+    head = pipe.read(4)
+    if len(head) == 4:
+        size = int.from_bytes(head, "big")
+        body = pipe.read(size)
+        if len(body) == size:
+            return body
+    return None
+
+
+def _sample(rng: random.Random, n_max: int, samples: int, trial: Trial) -> tuple[int, int]:
     """(instances, failures) over samples trials, each on a fresh n in 1..n_max.
 
-    With split, the samples are shared between two processes.  One forked
-    child and this process each run `share`: it draws every sample from
-    rng, so both generators advance alike, and evaluates only the samples
-    of its parity, even here and odd in the child.  The child runs on the
-    CPUs of `_other_cpus`, writes one byte per outcome to a pipe and leaves
-    through `os._exit`, never flushing the inherited stdout; this process
-    reads the pipe and always reaps the child.  rng ends where a serial
-    loop over the samples leaves it.  Every sample is evaluated in-process
-    without split, when `_can_fork` says no, or when fork fails, and the
-    child's share is replayed here from the saved state when it exits
-    non-zero or its message is cut short.  Outcomes are only counted, so
-    every path gives the same figures.  Forking, starting and reaping a
-    child take a few milliseconds, so only checks far slower than that split.
+    Inside a `_split`, this process and the child each run `share`: it draws
+    every sample from rng, so both generators advance alike, and evaluates
+    only the samples of its parity, even here and odd in the child.  The
+    child sends its outcomes as one record and counts only its own share,
+    which nothing reports; this process reads the record after its own
+    share.  If the record comes back short, the child has died: its share is
+    replayed here from the saved state, and the child is dropped, so later
+    samples are evaluated in-process.  Outside a split, every sample is
+    evaluated in-process.  rng ends where a serial loop over the samples
+    leaves it, and outcomes are only counted, so every path gives the same
+    figures.
     """
     state = rng.getstate()
 
@@ -165,49 +248,27 @@ def _sample(rng: random.Random, n_max: int, samples: int, trial: Trial,
                 outcomes.extend(evaluate())
         return outcomes
 
-    pid = 0
-    if split and _can_fork():
-        cpus = _other_cpus()
-        r, w = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:
-            os.close(r)
-            os.close(w)
-        else:
-            if pid == 0:  # the child: its share to the pipe, then out at once
-                code = 1
-                try:
-                    if cpus:
-                        with contextlib.suppress(OSError):
-                            os.sched_setaffinity(0, cpus)
-                    with open(w, "wb") as pipe:
-                        pipe.write(bytes(share(1)) + _DONE)
-                    code = 0
-                finally:
-                    os._exit(code)
-    if not pid:
+    partner = _partner.get()
+    if partner is None:
         outcomes = share(None)
+    elif partner[0] == 0:  # the child
+        outcomes = share(1)
+        _send(partner[1], outcomes)
     else:
-        os.close(w)
-        try:
-            with open(r, "rb") as pipe:
-                outcomes = share(0)
-                sent = pipe.read()
-        finally:
-            _, status = os.waitpid(pid, 0)
-        if status == 0 and sent.endswith(_DONE):
-            outcomes += sent[:-1]  # the child's outcomes as 0 and 1
-        else:
+        outcomes = share(0)
+        sent = _receive(partner[1])
+        if sent is None:
+            _drop_partner()
             rng.setstate(state)
-            outcomes += share(1)
+            sent = share(1)
+        outcomes += sent  # the child's outcomes as 0 and 1
     return len(outcomes), outcomes.count(False)
 
 
 def _sampled_check(name: str, rng: random.Random, n_max: int, samples: int,
-                   trial: Trial, split: bool = False) -> CheckResult:
+                   trial: Trial) -> CheckResult:
     """A check that is its trial alone, failing on any failed sample."""
-    _, failures = _sample(rng, n_max, samples, trial, split)
+    _, failures = _sample(rng, n_max, samples, trial)
     return CheckResult(name, failures == 0, {"samples": samples, "failures": failures})
 
 
@@ -226,7 +287,7 @@ def check_scaled_bracket_identity(rng: random.Random, n_max: int,
             return [lhs == rhs]
         return evaluate
 
-    return _sampled_check("scaled_bracket_identity", rng, n_max, samples, trial, split=True)
+    return _sampled_check("scaled_bracket_identity", rng, n_max, samples, trial)
 
 
 def check_scaled_bracket_commuting_case(rng: random.Random, n_max: int,
@@ -246,7 +307,7 @@ def check_scaled_bracket_commuting_case(rng: random.Random, n_max: int,
             return [lhs == rhs]
         return evaluate
 
-    return _sampled_check("scaled_bracket_commuting_case", rng, n_max, samples, trial, split=True)
+    return _sampled_check("scaled_bracket_commuting_case", rng, n_max, samples, trial)
 
 
 def check_bracket_composition_oracle(rng: random.Random, n_max: int,
@@ -262,7 +323,7 @@ def check_bracket_composition_oracle(rng: random.Random, n_max: int,
             return [all(br.apply(x) == d.apply(e.apply(x)) - e.apply(d.apply(x)) for x in xs)]
         return evaluate
 
-    return _sampled_check("bracket_composition_oracle", rng, n_max, samples, trial, split=True)
+    return _sampled_check("bracket_composition_oracle", rng, n_max, samples, trial)
 
 
 def check_bracket_antisymmetry_jacobi(rng: random.Random, n_max: int,
@@ -280,7 +341,7 @@ def check_bracket_antisymmetry_jacobi(rng: random.Random, n_max: int,
             return [cyclic.is_zero()]
         return evaluate
 
-    return _sampled_check("bracket_antisymmetry_jacobi", rng, n_max, samples, trial, split=True)
+    return _sampled_check("bracket_antisymmetry_jacobi", rng, n_max, samples, trial)
 
 
 def check_constant_extraction(rng: random.Random, n_max: int,
@@ -476,27 +537,32 @@ def check_grammar_roundtrip(rng: random.Random, n_max: int,
 
 
 def verify_paper(n_max: int = 2, seed: int = 0) -> Report:
-    """Run every check deterministically from the seed and collect a Report."""
+    """Run every check deterministically from the seed and collect a Report,
+    timing each check and the whole run."""
     _check_n(n_max)
     samples = 200
     started = time.perf_counter()
     rng = random.Random(seed)
-    checks = [
-        check_scaled_bracket_identity(rng, n_max, samples),
-        check_scaled_bracket_commuting_case(rng, n_max, samples),
-        check_bracket_composition_oracle(rng, n_max, samples),
-        check_bracket_antisymmetry_jacobi(rng, n_max, samples),
-        check_constant_extraction(rng, n_max, max(50, samples // 4)),
-        check_linear_extraction(rng, n_max, max(50, samples // 4)),
-        check_bracket_fixtures(),
-        check_solvability_fixtures(),
+    calls = [
+        (check_scaled_bracket_identity, rng, n_max, samples),
+        (check_scaled_bracket_commuting_case, rng, n_max, samples),
+        (check_bracket_composition_oracle, rng, n_max, samples),
+        (check_bracket_antisymmetry_jacobi, rng, n_max, samples),
+        (check_constant_extraction, rng, n_max, max(50, samples // 4)),
+        (check_linear_extraction, rng, n_max, max(50, samples // 4)),
+        (check_bracket_fixtures,),
+        (check_solvability_fixtures,),
+        *((check_derived_chain_witness, n) for n in range(1, n_max + 1)),
+        (check_lnd, rng, n_max, max(50, samples // 4)),
+        (check_membership, rng, n_max, max(100, samples // 2)),
+        (check_grammar_roundtrip, rng, n_max, 50),
     ]
-    checks.extend(check_derived_chain_witness(n) for n in range(1, n_max + 1))
-    checks.extend([
-        check_lnd(rng, n_max, max(50, samples // 4)),
-        check_membership(rng, n_max, max(100, samples // 2)),
-        check_grammar_roundtrip(rng, n_max, 50),
-    ])
+    checks = []
+    with _split():
+        for check, *args in calls:
+            begun = time.perf_counter()
+            result = check(*args)
+            checks.append(result._replace(timing_ms=(time.perf_counter() - begun) * 1000.0))
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     return Report(
         command="verify-paper",

@@ -365,7 +365,25 @@ class TestVerifyPaper:
 
     def test_timing_is_opt_in_for_text(self, capsys):
         _, out, _ = run_cli(capsys, "verify-paper", "--n", "1", "--seed", "3", "--timing")
-        assert re.fullmatch(r"all checks passed \(12 checks, \d+ ms\)", out.splitlines()[-1])
+        lines = out.splitlines()
+        assert re.fullmatch(r"all checks passed \(12 checks, \d+ ms\)", lines[-1])
+        # and each check's line ends in its own milliseconds
+        assert len(lines) == 13
+        assert all(re.fullmatch(r"PASS  \w+  \d+\.\d ms", line) for line in lines[:-1])
+
+    def test_timing_is_opt_in_for_json(self, capsys):
+        argv = ("verify-paper", "--n", "1", "--seed", "3", "--format", "json")
+        plain = json.loads(run_cli(capsys, *argv)[1])
+        timed_text = run_cli(capsys, *argv, "--timing")[1]
+        timed = json.loads(timed_text)
+        assert plain["timing_ms"] is None
+        assert all("timing_ms" not in c for c in plain["checks"])
+        assert timed["timing_ms"] > 0
+        assert all(c.pop("timing_ms") >= 0 for c in timed["checks"])
+        # timing aside, the two reports are the same
+        assert timed == dict(plain, timing_ms=timed["timing_ms"])
+        jsonschema = pytest.importorskip("jsonschema")
+        jsonschema.validate(json.loads(timed_text), REPORT_SCHEMA)
 
     def test_deterministic_json(self, capsys):
         _, out1, _ = run_cli(capsys, "verify-paper", "--n", "1", "--seed", "3",

@@ -6,7 +6,7 @@ import pytest
 from polylie.canonical import derived_chain_witness, generators
 from polylie.derivation import Derivation
 from polylie.grammar import parse_derivation
-from polylie.polyring import MAX_VARIABLES, POWER_BITS_LIMIT, KeyCodec, Polynomial
+from polylie.polyring import MAX_VARIABLES, POWER_BITS_LIMIT, KeyCodec, Polynomial, codec
 from polylie.sampling import random_derivation, random_polynomial
 
 
@@ -396,3 +396,17 @@ class TestVariableCount:
         d = Derivation.partial(MAX_VARIABLES, MAX_VARIABLES)
         assert d.index() == MAX_VARIABLES
         assert KeyCodec(MAX_VARIABLES).n == MAX_VARIABLES
+
+    def test_codecs_kept_are_bounded(self):
+        # codecs for many counts stay within the cache's bound, and a codec
+        # built again after its eviction gives the same values
+        def values():
+            rng = random.Random(7)
+            ds = [random_derivation(rng, n, 3) for n in (1, 2, 3) for _ in range(2)]
+            return [str(d.bracket(e)) for d, e in zip(ds[::2], ds[1::2])]
+
+        before = values()
+        for n in range(1, 301):
+            assert Polynomial.variable(n, n).index() == n
+        assert codec.cache_info().currsize <= codec.cache_info().maxsize == 64
+        assert values() == before

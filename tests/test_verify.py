@@ -3,20 +3,24 @@
 Each sampled-check test breaks one library function on part of the samples
 and runs one check from a fixed seed.  The check must fail, count exactly
 the broken trials, and keep its details keys, so a change to how the checks
-sample cannot silently change what `failures` counts.  The four bracket
-identities take the forked path, and must count the same in-process.  The
-derived-chain checks must fail on a broken bracket and on an inconclusive
-search.
+sample cannot silently change what `failures` counts.  Every one of the nine
+sampled checks must count the same in-process and inside a `_split` that
+forks one child.  The derived-chain checks must fail on a broken bracket and
+on an inconclusive search.
 
-The sampler must give the pinned reports on every path (forked, without
-`os.fork`, on one CPU, with a failed fork or a child that dies), leave no
-child behind, and leave the generator where a serial loop does.
+The sampler must fork once per `verify_paper` run and give the pinned
+reports on every path: forked, without `os.fork`, on one CPU, with a failed
+fork, or with a child that dies or cuts a record short at any check.  It
+must leave no child behind, even when a run raises, never wait on a child
+that stalls, and leave the generator where a serial loop does.
 """
 
+import io
 import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -52,6 +56,39 @@ def forks(monkeypatch):
 
     monkeypatch.setattr(os, "fork", recorded)
     return children
+
+
+def _both_paths(forks, check):
+    """check(rng, N_MAX, SAMPLES) in-process and inside a `_split` that forks
+    one child; the two results must be equal, and that result is returned."""
+    serial = check(_rng(), N_MAX, SAMPLES)
+    assert not forks
+    with verify._split():
+        forked = check(_rng(), N_MAX, SAMPLES)
+    assert len(forks) == 1
+    assert forked == serial
+    return serial
+
+
+def _in_child(act):
+    """A function that calls act() in every process but this one."""
+    parent = os.getpid()
+
+    def maybe():
+        if os.getpid() != parent:
+            act()
+    return maybe
+
+
+def _stall_once():
+    """A function that sleeps 20 s on its first call, then does nothing."""
+    calls = []
+
+    def stall():
+        if not calls:
+            calls.append(None)
+            time.sleep(20)
+    return stall
 
 
 def _before_bracket(monkeypatch, act, in_parent: bool):
@@ -90,7 +127,8 @@ BRACKET_IDENTITY_FAILURES = [
 @pytest.mark.parametrize("check, failures", BRACKET_IDENTITY_FAILURES)
 def test_bracket_identities_count_failing_samples(monkeypatch, forks, check, failures):
     _break_bracket_on_n1(monkeypatch)
-    result = check(_rng(), N_MAX, SAMPLES)
+    with verify._split():
+        result = check(_rng(), N_MAX, SAMPLES)
     assert len(forks) == 1
     assert result.passed is False
     assert result.details == {"samples": SAMPLES, "failures": failures}
@@ -103,7 +141,7 @@ def test_bracket_identities_count_failing_samples_in_process(monkeypatch):
         assert check(_rng(), N_MAX, SAMPLES).details["failures"] == failures
 
 
-def test_constant_extraction_counts_failing_samples(monkeypatch):
+def test_constant_extraction_counts_failing_samples(monkeypatch, forks):
     extract = reductions.constant_extraction
 
     def wrong(f):
@@ -111,12 +149,12 @@ def test_constant_extraction_counts_failing_samples(monkeypatch):
         return alpha, gamma + 1 if f.n == 1 else gamma
 
     monkeypatch.setattr(reductions, "constant_extraction", wrong)
-    result = verify.check_constant_extraction(_rng(), N_MAX, SAMPLES)
+    result = _both_paths(forks, verify.check_constant_extraction)
     assert result.passed is False
     assert result.details == {"samples": SAMPLES, "failures": 5}
 
 
-def test_linear_extraction_counts_failing_instances(monkeypatch):
+def test_linear_extraction_counts_failing_instances(monkeypatch, forks):
     extract = reductions.linear_extraction
 
     def wrong(f, i):
@@ -124,40 +162,40 @@ def test_linear_extraction_counts_failing_instances(monkeypatch):
         return beta, lam + 1, g
 
     monkeypatch.setattr(reductions, "linear_extraction", wrong)
-    result = verify.check_linear_extraction(_rng(), N_MAX, SAMPLES)
+    result = _both_paths(forks, verify.check_linear_extraction)
     assert result.passed is False
     # every (f, i) instance fails, and there are more instances than samples
     assert result.details == {"samples": SAMPLES, "instances": 56, "failures": 56}
 
 
-def test_lnd_counts_failing_samples(monkeypatch):
+def test_lnd_counts_failing_samples(monkeypatch, forks):
     # a two-step bound still kills every chain for n = 1 (constant d1
     # multiples), but leaves most larger un elements without a witness
     monkeypatch.setattr(canonical, "triangular_chain_bound", lambda n, cap: 2)
-    result = verify.check_lnd(_rng(), N_MAX, SAMPLES)
+    result = _both_paths(forks, verify.check_lnd)
     assert result.passed is False
     assert result.details == {"samples": SAMPLES, "failures": 8,
                               "euler_refuted": True, "euler_certified": True}
 
 
-def test_membership_counts_failing_brackets(monkeypatch):
+def test_membership_counts_failing_brackets(monkeypatch, forks):
     # generators and fixtures are never bracketed, so only the sampled
     # brackets are broken
     _break_bracket_on_n1(monkeypatch)
-    result = verify.check_membership(_rng(), N_MAX, SAMPLES)
+    result = _both_paths(forks, verify.check_membership)
     assert result.passed is False
     assert result.details == {"generators_ok": True, "fixtures_ok": True,
                               "bracket_samples": SAMPLES, "bracket_failures": 13}
 
 
-def test_grammar_roundtrip_counts_random_and_fixed_failures(monkeypatch):
+def test_grammar_roundtrip_counts_random_and_fixed_failures(monkeypatch, forks):
     fmt = verify.format_derivation
 
     def wrong(d):
         return fmt(d + Derivation.partial(d.n, 1) if d.n == 2 else d)
 
     monkeypatch.setattr(verify, "format_derivation", wrong)
-    result = verify.check_grammar_roundtrip(_rng(), N_MAX, SAMPLES)
+    result = _both_paths(forks, verify.check_grammar_roundtrip)
     assert result.passed is False
     # four of the five fixed corpus entries are over n = 2
     assert result.details == {"corpus": SAMPLES + 5, "failures": 11 + 4}
@@ -188,6 +226,12 @@ def test_derived_chain_check_fails_an_inconclusive_search(monkeypatch):
 # -- the two-process sampler ---------------------------------------------------
 
 
+def _no_child_left():
+    assert verify._partner.get() is None
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.mark.parametrize("seed", [42, 977])
 def test_reports_without_fork(monkeypatch, seed):
     monkeypatch.delattr(os, "fork", raising=False)
@@ -197,21 +241,72 @@ def test_reports_without_fork(monkeypatch, seed):
 @pytest.mark.parametrize("seed", [42, 977])
 def test_reports_on_the_forked_path(forks, seed):
     assert render_report(seed) == GOLDEN_REPORTS[seed].read_text()
-    # one child for each bracket identity; the cheaper checks stay in-process
-    assert len(forks) == 4
+    # one child for the whole run, sharing all nine sampled checks
+    assert len(forks) == 1
 
 
 def test_a_child_that_dies_is_replayed(monkeypatch, forks):
     _before_bracket(monkeypatch, lambda: os._exit(3), in_parent=False)
     assert render_report(42) == GOLDEN_REPORTS[42].read_text()
-    assert forks
+    assert len(forks) == 1
+
+
+def test_a_child_that_dies_at_a_middle_check_is_replayed(monkeypatch, forks):
+    # the child dies in its share of local_nilpotency, after sending its
+    # records of the six sampled checks before it; that share is replayed
+    # here, and the checks after it run in-process
+    partnered = {}
+
+    def seen(check):
+        def wrapper(*args):
+            partnered[check.__name__] = verify._partner.get() is not None
+            return check(*args)
+        return wrapper
+
+    lnd_check = canonical.lnd_check
+    dies = _in_child(lambda: os._exit(3))
+
+    def dying(d, bound):
+        dies()
+        return lnd_check(d, bound)
+
+    monkeypatch.setattr(canonical, "lnd_check", dying)
+    for name in ("check_linear_extraction", "check_lnd", "check_membership"):
+        monkeypatch.setattr(verify, name, seen(getattr(verify, name)))
+    assert render_report(42) == GOLDEN_REPORTS[42].read_text()
+    assert len(forks) == 1
+    assert partnered == {"check_linear_extraction": True, "check_lnd": True,
+                         "check_membership": False}
+    _no_child_left()
+
+
+def test_a_record_cut_short_is_replayed(monkeypatch, forks):
+    # the child sends all of its fifth record but the last byte, then dies
+    send = verify._send
+    records = []
+
+    def cut_short(pipe, outcomes):
+        records.append(outcomes)
+        if len(records) < 5:
+            return send(pipe, outcomes)
+        whole = io.BytesIO()
+        send(whole, outcomes)
+        pipe.write(whole.getvalue()[:-1])
+        pipe.flush()
+        os._exit(3)
+
+    monkeypatch.setattr(verify, "_send", cut_short)
+    assert render_report(977) == GOLDEN_REPORTS[977].read_text()
+    assert len(forks) == 1
+    _no_child_left()
 
 
 def test_a_dead_childs_failures_are_counted(monkeypatch, forks):
     # the child's samples are replayed here, so its broken ones still count
     _break_bracket_on_n1(monkeypatch)
     _before_bracket(monkeypatch, lambda: os._exit(3), in_parent=False)
-    result = verify.check_bracket_antisymmetry_jacobi(_rng(), N_MAX, SAMPLES)
+    with verify._split():
+        result = verify.check_bracket_antisymmetry_jacobi(_rng(), N_MAX, SAMPLES)
     assert len(forks) == 1
     assert result.details == {"samples": SAMPLES, "failures": 13}
 
@@ -229,6 +324,7 @@ def test_a_failed_fork_samples_in_process(monkeypatch):
     monkeypatch.setattr(os, "fork", fails, raising=False)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     assert render_report(42) == GOLDEN_REPORTS[42].read_text()
+    assert verify._partner.get() is None
 
 
 @pytest.mark.parametrize("broken", [False, True])
@@ -236,21 +332,39 @@ def test_no_child_outlives_a_run(monkeypatch, forks, broken):
     if broken:
         _break_bracket_on_n1(monkeypatch)
     assert verify.verify_paper(2, 0).passed is not broken
-    assert forks
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    assert len(forks) == 1
+    _no_child_left()
 
 
 def test_no_child_outlives_a_run_that_raises(monkeypatch, forks):
+    # the child stalls in its first bracket and the parent raises in its
+    # own: the parent must kill the child, not wait for it
     def broken():
         raise RuntimeError("broken bracket")
 
     _before_bracket(monkeypatch, broken, in_parent=True)
+    _before_bracket(monkeypatch, _stall_once(), in_parent=False)
+    started = time.monotonic()
     with pytest.raises(RuntimeError, match="broken bracket"):
         verify.verify_paper(2, 0)
-    assert forks
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    assert time.monotonic() - started < 10
+    assert len(forks) == 1
+    _no_child_left()
+
+
+def test_the_child_sends_each_record_at_once(forks):
+    # the child stalls after its first record: that record must reach the
+    # parent at once, not when the child's buffer is flushed at its exit,
+    # and leaving the split must not wait for the child
+    stalls = _in_child(_stall_once())
+    started = time.monotonic()
+    with verify._split():
+        split = verify._sample(_rng(), N_MAX, SAMPLES, _uneven_trial)
+        stalls()
+    assert time.monotonic() - started < 10
+    assert split == verify._sample(_rng(), N_MAX, SAMPLES, _uneven_trial)
+    assert len(forks) == 1
+    _no_child_left()
 
 
 def _uneven_trial(rng, n):
@@ -261,13 +375,17 @@ def _uneven_trial(rng, n):
 
 
 def test_a_split_leaves_the_generator_where_a_serial_loop_does(forks):
+    # two samples in one split: the second draws from where the first left rng
     rng = _rng()
-    split = verify._sample(rng, N_MAX, SAMPLES, _uneven_trial, split=True), rng.getstate()
+    with verify._split():
+        split = [verify._sample(rng, N_MAX, SAMPLES, _uneven_trial) for _ in range(2)]
+    split_state = rng.getstate()
     assert len(forks) == 1
     rng = _rng()
-    serial = verify._sample(rng, N_MAX, SAMPLES, _uneven_trial), rng.getstate()
+    serial = [verify._sample(rng, N_MAX, SAMPLES, _uneven_trial) for _ in range(2)]
     assert len(forks) == 1
-    assert split == serial
+    assert (split, split_state) == (serial, rng.getstate())
+    assert split[0] != split[1]
     instances, failures = serial[0]
     assert instances > SAMPLES and 0 < failures < instances
 
@@ -280,3 +398,18 @@ def test_cli_process_writes_the_pinned_report(module_env):
          "--format", "json"],
         stdout=subprocess.PIPE, env=module_env, check=True, timeout=120)
     assert proc.stdout == GOLDEN_REPORTS[42].read_bytes()
+
+
+def test_the_child_never_flushes_the_inherited_stdout(module_env):
+    # bytes still buffered for stdout when the child is forked must be
+    # written once, by this process alone
+    code = ("import sys\n"
+            "from polylie import verify\n"
+            "assert verify._can_fork()\n"
+            "sys.stdout.write('once\\n')\n"
+            "verify.verify_paper(1, 0)\n")
+    if not verify._can_fork():
+        pytest.skip("verify-paper forks no child here")
+    proc = subprocess.run([sys.executable, "-c", code], stdout=subprocess.PIPE,
+                          env=module_env, check=True, timeout=120)
+    assert proc.stdout == b"once\n"

@@ -24,7 +24,7 @@ from typing import Iterator, Literal, NamedTuple
 
 from .derivation import Derivation, Row
 from .grammar import parse_derivation
-from .polyring import Monomial, Polynomial, _check_n, codec
+from .polyring import Monomial, Polynomial, _check_int, _check_n, codec
 from .reductions import EigenvectorCertificate, eigenvector_certificate
 
 Which = Literal["un", "sn"]
@@ -125,8 +125,11 @@ def generators(which: Which, n: int, degree_cap: int) -> list[Derivation]:
     m and the enumeration order of its exponent tuple, then by e.
     """
     _check_which(which)
-    if n < 1 or degree_cap < 0:
-        raise ValueError("need n >= 1 and degree_cap >= 0")
+    # checked before the cache, where True and 1.0 would hit the key of 1
+    _check_n(n)
+    _check_int(degree_cap, "degree cap")
+    if degree_cap < 0:
+        raise ValueError(f"degree cap must be >= 0, got {degree_cap}")
     # a new list each call: callers may sort or extend the one they get
     return list(_generator_pool(which, n, degree_cap))
 
@@ -212,13 +215,6 @@ def triangular_chain_bound(n: int, degree_cap: int) -> int:
     return w + 1
 
 
-def _power(d: Derivation, k: int, f: Polynomial) -> Polynomial:
-    """D^k(f), by k applications of d."""
-    for _ in range(k):
-        f = d.apply(f)
-    return f
-
-
 def lnd_check(d: Derivation, bound: int) -> LndVerdict:
     """Semi-decide local nilpotency of d by chain iteration up to bound.
 
@@ -226,32 +222,32 @@ def lnd_check(d: Derivation, bound: int) -> LndVerdict:
     non-nilpotent linear part is a refutation, anything else stays
     inconclusive rather than guessing.
     """
+    _check_int(bound, "bound")
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
     # A homogeneous linear D maps span{x_1..x_n} into itself by its matrix,
     # so it is locally nilpotent exactly when that matrix is nilpotent, which
-    # holds exactly when D^n kills every x_i.  Otherwise some chain never
-    # dies, so this refutation is tried before iterating the chains.
+    # holds exactly when D^n kills every x_i.  So its chains run n steps
+    # whatever the bound, and one still alive then never dies.
     rows = d.as_linear()
-    if rows is not None and any(not _power(d, d.n, Polynomial.variable(d.n, i)).is_zero()
-                                for i in range(1, d.n + 1)):
-        cert = None
-        for e in _eigen_candidates(d.n):
-            cert = eigenvector_certificate(d, e)
-            if cert is not None:
-                break
-        return LndVerdict("not_nilpotent", bound, certificate=cert, linear_part=rows)
-
+    steps = bound if rows is None else d.n
     chains: list[tuple[Polynomial, ...]] = []
     for i in range(1, d.n + 1):
         chain = [Polynomial.variable(d.n, i)]
-        for _ in range(bound):
+        for _ in range(steps):
             chain.append(d.apply(chain[-1]))
             if chain[-1].is_zero():
                 break
         else:
-            return LndVerdict("inconclusive", bound)
+            if rows is None:
+                return LndVerdict("inconclusive", bound)
+            certs = (eigenvector_certificate(d, e) for e in _eigen_candidates(d.n))
+            cert = next((c for c in certs if c is not None), None)
+            return LndVerdict("not_nilpotent", bound, certificate=cert, linear_part=rows)
         chains.append(tuple(chain))
+    # only a linear D's chains may outrun the bound
+    if max(map(len, chains)) > bound + 1:
+        return LndVerdict("inconclusive", bound)
     return LndVerdict("witness", bound, witness=NilpotencyWitness(tuple(chains)))
 
 

@@ -229,21 +229,6 @@ class Derivation(_LowestTerms):
         br = bracket_rows(d, row_partials(n, d), e, row_partials(n, e))
         return Derivation._from_terms(n, br, self._den * other._den)
 
-    # -- linear structure ----------------------------------------------------
-
-    def __mul__(self, other: Polynomial | Scalar) -> Derivation:
-        """p * D scales every coefficient; p may be a polynomial or rational.
-
-        A polynomial p multiplies the row term by term, over den_D * den_p.
-        """
-        if not isinstance(other, Polynomial):
-            if isinstance(other, (int, Fraction)):
-                return self._scaled(other)
-            return NotImplemented
-        return self._times(other)
-
-    __rmul__ = __mul__
-
     # -- classification ------------------------------------------------------
 
     def as_linear(self) -> tuple[tuple[Fraction, ...], ...] | None:
@@ -283,15 +268,15 @@ def format_derivation(d: Derivation) -> str:
     A unit coefficient prints as a bare d<i>; anything else is parenthesized,
     e.g. "(x1^2) d1 + (-2 x1 x2) d2".  The zero derivation prints as "0".
 
-    Printed straight from the row: key ^ low orders the keys by slot, then
-    by descending graded-lex order within a slot.
+    Printed straight from the row, in the column order of its keys: by
+    slot, then by descending graded-lex order within a slot.
     """
     if not d._terms:
         return "0"
     c = codec(d.n)
     terms, den, low, shift = d._terms, d._den, c.low, c.slot_shift
     parts = []
-    for slot, group in groupby(sorted(terms, key=low.__xor__), lambda k: k >> shift):
+    for slot, group in groupby(sorted(terms, key=c.column_key), lambda k: k >> shift):
         keys = list(group)
         if len(keys) == 1 and not keys[0] & low and terms[keys[0]] == den:
             parts.append(f"d{slot}")

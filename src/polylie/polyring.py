@@ -30,7 +30,7 @@ import functools
 import struct
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm
-from operator import or_
+from operator import or_, xor
 from typing import Collection, Iterable, Iterator, Mapping, Union
 
 Monomial = tuple[int, ...]
@@ -74,11 +74,12 @@ class KeyCodec:
     Fields from most to least significant are slot | degree | e_1 | ... |
     e_n, each FIELD_BITS wide, so the key of x_j is var_units[j-1], a unit
     in both the e_j and the degree field.  Slots only ever sit in the top
-    field, which `low` masks off.
+    field, which `low` masks off.  `column_key`, the xor with `low`, sorts
+    keys by slot, then graded-lex descending within a slot: the column order.
     """
 
     __slots__ = ("n", "shifts", "deg_shift", "slot_shift", "var_units", "low", "guard",
-                 "_nbytes", "_fields", "_exponents")
+                 "column_key", "_nbytes", "_fields", "_exponents")
 
     def __init__(self, n: int):
         _check_n(n)
@@ -88,6 +89,7 @@ class KeyCodec:
         self.slot_shift = FIELD_BITS * (n + 1)
         self.var_units = tuple((1 << s) + (1 << self.deg_shift) for s in self.shifts)
         self.low = (1 << self.slot_shift) - 1
+        self.column_key = functools.partial(xor, self.low)
         self.guard = EXPONENT_LIMIT << self.deg_shift
         # a key's big-endian bytes, a "Q" per field: pack writes the degree
         # and exponent fields below an empty slot, unpack reads the exponents
@@ -120,20 +122,23 @@ class KeyCodec:
 codec = functools.lru_cache(maxsize=64)(KeyCodec)
 
 
+def _check_int(v: int, what: str) -> None:
+    """The one type check of a count, index or bound: an int, not a bool."""
+    # a bool is an int, but True is no count, index or bound
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise TypeError(f"{what} {v!r} is not an int")
+
+
 def _check_index(i: int, n: int) -> None:
     """The one check of a 1-based variable (or slot) index against n."""
-    # a bool is an int, but True is no index
-    if not isinstance(i, int) or isinstance(i, bool):
-        raise TypeError(f"variable index {i!r} is not an int")
+    _check_int(i, "variable index")
     if not 1 <= i <= n:
         raise ValueError(f"variable index {i} out of range 1..{n}")
 
 
 def _check_n(n: int) -> None:
     """The one check of a variable count: an int in 1..MAX_VARIABLES."""
-    # a bool is an int, but True is no count
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise TypeError(f"variable count {n!r} is not an int")
+    _check_int(n, "variable count")
     if n < 1:
         raise ValueError(f"variable count must be >= 1, got {n}")
     if n > MAX_VARIABLES:
@@ -281,6 +286,19 @@ class _LowestTerms:
                 out[k] = c1 * c2 if v is None else v + c1 * c2
         return self._from_terms(self.n, out, self._den * p._den)
 
+    def __mul__(self, other):
+        """self * other on either side: a Polynomial multiplies (`_times`), a
+        rational scales (`_scaled`), and p * D goes to D's __rmul__."""
+        if isinstance(other, Polynomial):
+            return self._times(other)
+        if isinstance(other, _LowestTerms):
+            return NotImplemented
+        if isinstance(other, (int, Fraction)):
+            return self._scaled(other)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
             return NotImplemented
@@ -399,8 +417,8 @@ class Polynomial(_LowestTerms):
 
     def _add_scaled(self, other: Polynomial | Scalar, sign: int) -> Polynomial:
         """A rational other counts as a constant polynomial."""
-        # Polynomial is tested first here, in __mul__, in __eq__ and in
-        # Derivation.__mul__, and __mul__ hands any other _LowestTerms to its
+        # Polynomial is tested first here, in __eq__ and in
+        # _LowestTerms.__mul__, which hands any other _LowestTerms to its
         # __rmul__ before it tests Fraction: a miss on Fraction, whose
         # metaclass is ABCMeta, runs a Python-level __instancecheck__
         if not isinstance(other, Polynomial) and isinstance(other, (int, Fraction)):
@@ -411,17 +429,6 @@ class Polynomial(_LowestTerms):
 
     def __rsub__(self, other: Scalar) -> Polynomial:
         return (-self) + other
-
-    def __mul__(self, other: Polynomial | Scalar) -> Polynomial:
-        if not isinstance(other, Polynomial):
-            if isinstance(other, _LowestTerms):
-                return NotImplemented  # p * D: Derivation.__rmul__ scales D
-            if isinstance(other, (int, Fraction)):
-                return self._scaled(other)
-            return NotImplemented
-        return self._times(other)
-
-    __rmul__ = __mul__
 
     def __pow__(self, k: int) -> Polynomial:
         if not isinstance(k, int) or k < 0:
@@ -481,15 +488,13 @@ class Polynomial(_LowestTerms):
     def diff_multi(self, alpha: Iterable[int]) -> Polynomial:
         """Iterated derivative: apply d/dx_i alpha[i-1] times, for every i.
 
-        Partials commute, so the application order is immaterial.
+        Partials commute, so the application order is immaterial.  alpha
+        is checked whole, as a monomial's exponents, before any partial.
         """
         a = tuple(alpha)
-        if len(a) != self.n:
-            raise ValueError(f"exponent vector {a} has length {len(a)}, expected {self.n}")
+        _check_monomial(a, self.n)
         result = self
         for i, k in enumerate(a, start=1):
-            if k < 0:
-                raise ValueError(f"exponent vector {a} has negative entry")
             for _ in range(k):
                 result = result.partial(i)
                 if result.is_zero():

@@ -39,11 +39,9 @@ by hand keeps no brackets, so the series refuse both.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from math import gcd
-from operator import xor
-from typing import Callable, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .derivation import Derivation, Partials, Row, bracket_rows, row_support, signatures_meet
 from .polyring import _check_same_n, codec
@@ -52,15 +50,6 @@ DEFAULT_DEGREE_CAP = 12
 DEFAULT_DIM_CAP = 512
 
 Operand = tuple[Row, Partials, int]  # a row, its partials and its signature
-
-
-@functools.cache
-def _column_key(n: int) -> Callable[[int], int]:
-    """The sort key of the column order on keys in n variables: slots
-    ascending, monomials graded-lex descending within.  The xor with the
-    mask below the slot field reverses the order of the monomial fields
-    and keeps the slot's."""
-    return functools.partial(xor, codec(n).low)
 
 
 def _eliminate(target: Row, source: Row, col: int) -> None:
@@ -98,7 +87,7 @@ class SpanBasis:
             # copies: `_add_row` goes on reducing the stored rows in place
             self._basis = tuple(
                 Derivation._from_terms(self.n, dict(self._rows[p]), self._rows[p][p])
-                for p in sorted(self._rows, key=_column_key(self.n)))
+                for p in sorted(self._rows, key=codec(self.n).column_key))
         return self._basis
 
     @property
@@ -111,7 +100,7 @@ class SpanBasis:
     def _operands(self) -> list[Operand]:
         """The stored rows in pivot order, each with its row_support."""
         return [(self._rows[p], *row_support(self.n, self._rows[p]))
-                for p in sorted(self._rows, key=_column_key(self.n))]
+                for p in sorted(self._rows, key=codec(self.n).column_key)]
 
     def _reduce(self, row: Row) -> Row:
         """A positive multiple of the residual of row after subtracting its
@@ -141,7 +130,7 @@ class SpanBasis:
         residual = self._reduce(row)
         if not residual:
             return False
-        pivot = min(residual, key=_column_key(self.n))
+        pivot = min(residual, key=codec(self.n).column_key)
         g = gcd(*residual.values())
         if residual[pivot] < 0:
             g = -g

@@ -12,8 +12,8 @@ Every sampled check runs through `_sample`.  `verify_paper` runs its checks
 inside one `_split`: it forks one child on another CPU for the whole run,
 and both processes walk the same check list.  In every sampled check both
 replay the same seeded draws; this process evaluates the even-indexed
-samples and the child the odd ones, and the child sends one record of its
-outcomes per check.  Where a fork cannot help or is unsafe (no `os.fork`,
+samples and the child the odd ones, and the child sends one line of its
+counts per check.  Where a fork cannot help or is unsafe (no `os.fork`,
 another thread running, a single usable CPU, a failed fork), and for a
 check called on its own, every sample is evaluated in-process.  A child
 that dies has its share of that check replayed here, and the checks after
@@ -154,7 +154,7 @@ def _split() -> Iterator[None]:
     """Share every `_sample` of the block with one forked child.
 
     The child runs the block too, on the CPUs of `_other_cpus`, and sends one
-    record per `_sample` call to a pipe; it leaves through `os._exit` when the
+    line per `_sample` call to a pipe; it leaves through `os._exit` when the
     block ends or raises, never flushing the inherited stdout.  On leaving the
     block, whether it ends or raises, this process kills the child and reaps
     it.  Without `_can_fork`, or when fork fails, the block runs in-process
@@ -202,23 +202,11 @@ def _drop_partner() -> None:
         pipe.close()
 
 
-def _send(pipe: BinaryIO, outcomes: list[bool]) -> None:
-    """One record: the outcome count in 4 bytes, then a byte per outcome (0
-    fail, 1 pass).  It is flushed at once, so the parent never waits for a
-    buffer to fill."""
-    pipe.write(len(outcomes).to_bytes(4, "big") + bytes(outcomes))
+def _send(pipe: BinaryIO, counts: tuple[int, int]) -> None:
+    """One line, b"<instances> <failures>\\n", flushed at once, so the parent
+    never waits for a buffer to fill."""
+    pipe.write(b"%d %d\n" % counts)
     pipe.flush()
-
-
-def _receive(pipe: BinaryIO) -> bytes | None:
-    """The outcomes of the next record, or None if it comes back short."""
-    head = pipe.read(4)
-    if len(head) == 4:
-        size = int.from_bytes(head, "big")
-        body = pipe.read(size)
-        if len(body) == size:
-            return body
-    return None
 
 
 def _sample(rng: random.Random, n_max: int, samples: int, trial: Trial) -> tuple[int, int]:
@@ -227,42 +215,43 @@ def _sample(rng: random.Random, n_max: int, samples: int, trial: Trial) -> tuple
     Inside a `_split`, this process and the child each run `share`: it draws
     every sample from rng, so both generators advance alike, and evaluates
     only the samples of its parity, even here and odd in the child.  The
-    child sends its outcomes as one record and counts only its own share,
-    which nothing reports; this process reads the record after its own
-    share.  If the record comes back short, the child has died: its share is
-    replayed here from the saved state, and the child is dropped, so later
-    samples are evaluated in-process.  Outside a split, every sample is
-    evaluated in-process.  rng ends where a serial loop over the samples
-    leaves it, and outcomes are only counted, so every path gives the same
-    figures.
+    child sends the counts of its share as one line, and this process reads
+    it after its own share and adds them.  A line without its newline means
+    the child has died: its share is replayed here from the saved state,
+    and the child is dropped, so later samples are evaluated in-process.
+    Outside a split, every sample is evaluated in-process.  rng ends where a
+    serial loop over the samples leaves it, and outcomes are only counted,
+    so every path gives the same figures.
     """
     state = rng.getstate()
 
-    def share(parity: int | None) -> list[bool]:
+    def share(parity: int | None) -> tuple[int, int]:
         """Draw every sample; evaluate those with index = parity mod 2, or all
-        for None.  No draw outlives its own sample."""
+        for None, and count their instances and failures.  No draw outlives
+        its own sample."""
         outcomes: list[bool] = []
         for k in range(samples):
             evaluate = trial(rng, rng.randint(1, n_max))
             if parity is None or k % 2 == parity:
                 outcomes.extend(evaluate())
-        return outcomes
+        return len(outcomes), outcomes.count(False)
 
     partner = _partner.get()
     if partner is None:
-        outcomes = share(None)
-    elif partner[0] == 0:  # the child
-        outcomes = share(1)
-        _send(partner[1], outcomes)
-    else:
-        outcomes = share(0)
-        sent = _receive(partner[1])
-        if sent is None:
-            _drop_partner()
-            rng.setstate(state)
-            sent = share(1)
-        outcomes += sent  # the child's outcomes as 0 and 1
-    return len(outcomes), outcomes.count(False)
+        return share(None)
+    if partner[0] == 0:  # the child
+        counts = share(1)
+        _send(partner[1], counts)
+        return counts
+    instances, failures = share(0)
+    line = partner[1].readline()
+    if line.endswith(b"\n"):
+        theirs = tuple(map(int, line.split()))
+    else:  # cut short: the child has died
+        _drop_partner()
+        rng.setstate(state)
+        theirs = share(1)
+    return instances + theirs[0], failures + theirs[1]
 
 
 def _sampled_check(name: str, rng: random.Random, n_max: int, samples: int,
@@ -548,13 +537,13 @@ def verify_paper(n_max: int = 2, seed: int = 0) -> Report:
         (check_scaled_bracket_commuting_case, rng, n_max, samples),
         (check_bracket_composition_oracle, rng, n_max, samples),
         (check_bracket_antisymmetry_jacobi, rng, n_max, samples),
-        (check_constant_extraction, rng, n_max, max(50, samples // 4)),
-        (check_linear_extraction, rng, n_max, max(50, samples // 4)),
+        (check_constant_extraction, rng, n_max, 50),
+        (check_linear_extraction, rng, n_max, 50),
         (check_bracket_fixtures,),
         (check_solvability_fixtures,),
         *((check_derived_chain_witness, n) for n in range(1, n_max + 1)),
-        (check_lnd, rng, n_max, max(50, samples // 4)),
-        (check_membership, rng, n_max, max(100, samples // 2)),
+        (check_lnd, rng, n_max, 50),
+        (check_membership, rng, n_max, 100),
         (check_grammar_roundtrip, rng, n_max, 50),
     ]
     checks = []

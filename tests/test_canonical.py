@@ -7,10 +7,12 @@ import time
 
 import pytest
 
+from polylie import canonical
 from polylie.canonical import (
     BEYOND_CONSTRUCTION,
     DerivedChainCertificate,
     InconclusiveSearch,
+    LndVerdict,
     derived_chain_witness,
     generators,
     lnd_check,
@@ -20,6 +22,7 @@ from polylie.canonical import (
 from polylie.cli import main
 from polylie.derivation import Derivation
 from polylie.grammar import parse_derivation
+from polylie.polyring import Polynomial
 from polylie.span import derived_series, lie_closure
 from polylie.sampling import random_subalgebra_element
 
@@ -136,6 +139,25 @@ class TestGenerators:
         with pytest.raises(ValueError):
             generators("nope", 2, 2)
 
+    def test_bad_counts_rejected_whatever_is_cached(self):
+        # True and 1.0 hash and compare as 1, so each bad call below shares
+        # its pool's cache key with (1, 2) or (2, 1); the checks come before
+        # the cache, so the answer is the same before and after those pools
+        bad = [((True, 2), TypeError, "^variable count True is not an int$"),
+               ((1.0, 2), TypeError, "^variable count 1.0 is not an int$"),
+               ((2, True), TypeError, "^degree cap True is not an int$"),
+               ((2, 1.0), TypeError, "^degree cap 1.0 is not an int$"),
+               ((0, 2), ValueError, "^variable count must be >= 1, got 0$"),
+               ((2, -1), ValueError, "^degree cap must be >= 0, got -1$")]
+        for pools_first in (False, True):
+            canonical._generator_pool.cache_clear()
+            if pools_first:
+                assert generators("un", 1, 2) == [pd("d1", 1)]
+                assert len(generators("un", 2, 1)) == 3
+            for args, error, message in bad:
+                with pytest.raises(error, match=message):
+                    generators("un", *args)
+
     def test_caller_edits_do_not_reach_the_cached_pool(self):
         want = [str(g) for g in generators("sn", 3, 2)]
         generators("sn", 3, 2).sort(key=str)
@@ -196,6 +218,16 @@ class TestLndCheck:
         n = 2
         verdict = lnd_check(pd("(x2^3) d1 + (x1) d2", n), 2)
         assert verdict.status == "inconclusive"
+
+    def test_bound_must_be_an_int(self):
+        # a linear D runs n steps whatever the bound, so the bound is
+        # checked before any chain
+        d = pd("(x1) d2", 2)
+        for bad in (True, 1.5, 2.0):
+            with pytest.raises(TypeError, match=f"^bound {bad} is not an int$"):
+                lnd_check(d, bad)
+        with pytest.raises(ValueError, match="^bound must be >= 1, got 0$"):
+            lnd_check(d, 0)
 
     def test_semisimple_nonlinear_stays_inconclusive(self):
         # honest semi-decision: no verdict without a linear part
@@ -263,6 +295,30 @@ class TestLndCheckLinearOracle:
                 seen.add(want)
         assert seen == {"not_nilpotent", "witness", "inconclusive"}
         assert untriangular_nilpotent >= 40
+
+    def test_chains_are_rows_of_matrix_powers(self):
+        # entry k of the chain of x_i is row i of A^k, and the chains run n
+        # steps whatever the bound: a bound n decides every matrix, and a
+        # bound below the longest chain leaves a nilpotent one undecided
+        for a in self.matrices():
+            n = len(a)
+            d = from_rows(a)
+            verdict = lnd_check(d, n)
+            if not is_zero(power(a, n)):
+                assert verdict.status == "not_nilpotent", a
+                assert all(lnd_check(d, bound) == verdict._replace(bound=bound)
+                           for bound in range(1, n))
+                continue
+            assert verdict.status == "witness", a
+            for i, chain in enumerate(verdict.witness.chains, start=1):
+                assert chain[0] == Polynomial.variable(n, i)
+                assert list(chain[1:]) == [from_rows(power(a, k)).coeff(i)
+                                           for k in range(1, len(chain))]
+                assert chain[-1].is_zero() and all(chain[:-1])
+            longest = max(verdict.witness.lengths)
+            assert lnd_check(d, longest) == verdict._replace(bound=longest)
+            assert all(lnd_check(d, bound) == LndVerdict("inconclusive", bound)
+                       for bound in range(1, longest))
 
 
 def tree(cert, i=-1):

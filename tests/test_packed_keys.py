@@ -4,12 +4,12 @@ knows nothing of them, and the exponent limit.
 A monomial is stored as one int, 64-bit fields slot | degree | e_1 | ... |
 e_n (see `polyring.KeyCodec`).  The codec tests pin the round trip and the
 two orders the library reads off the ints: graded-lex within a slot and the
-span's column order across slots.  The kernel tests check products,
-partials, `apply` and brackets of `Polynomial` and `Derivation` against
-`kernel_reference`, on exponent tuples, including exponents near the limit
-2^63; `row_partials` is checked the same way, and from a cleared, a warm
-and an overfilled per-key table.  The limit tests check that a key never
-wraps: reaching 2^63 is a ValueError, and a CLI exit code 2
+column order across slots (`KeyCodec.column_key`).  The kernel tests check
+products, partials, `apply` and brackets of `Polynomial` and `Derivation`
+against `kernel_reference`, on exponent tuples, including exponents near
+the limit 2^63; `row_partials` is checked the same way, and from a cleared,
+a warm and an overfilled per-key table.  The limit tests check that a key
+never wraps: reaching 2^63 is a ValueError, and a CLI exit code 2
 (`test_polyring.TestMonomialChecks` has the constructor cases).
 """
 
@@ -25,7 +25,6 @@ import kernel_reference as ref
 from polylie.derivation import Derivation, _key_partials, row_partials
 from polylie.grammar import parse_derivation, parse_polynomial
 from polylie.polyring import EXPONENT_LIMIT, Polynomial, codec
-from polylie.span import _column_key
 
 TOP = EXPONENT_LIMIT - 1  # the largest exponent and degree supported
 
@@ -103,7 +102,7 @@ class TestCodec:
                                  (0,) * (n - 1) + (TOP,))}
             coords = list(coords)
             rng.shuffle(coords)
-            got = sorted((row_key(n, slot, m) for slot, m in coords), key=_column_key(n))
+            got = sorted((row_key(n, slot, m) for slot, m in coords), key=codec(n).column_key)
             want = [row_key(n, slot, m) for slot, m in sorted(coords, key=lambda t: old_key(*t))]
             assert got == want
 

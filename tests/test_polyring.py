@@ -220,6 +220,13 @@ class TestDifferentiation:
         assert f.diff_multi((0, 0)) == f
         assert f.diff_multi((2, 0)).is_zero()
 
+    def test_diff_multi_checks_the_whole_vector_first(self):
+        # the x1 partial of x2 vanishes at once, before the bad x2 entry
+        x2 = var(2, 2)
+        for bad in ((1, -1), (0, -1), (1, True), (1, 1.0), (1,), (1, 0, 0)):
+            with pytest.raises(ValueError):
+                x2.diff_multi(bad)
+
     def test_leibniz_exact_random(self):
         rng = random.Random(7)
         for _ in range(100):

@@ -10,7 +10,7 @@ on an inconclusive search.
 
 The sampler must fork once per `verify_paper` run and give the pinned
 reports on every path: forked, without `os.fork`, on one CPU, with a failed
-fork, or with a child that dies or cuts a record short at any check.  It
+fork, or with a child that dies or cuts its line short at any check.  It
 must leave no child behind, even when a run raises, never wait on a child
 that stalls, and leave the generator where a serial loop does.
 """
@@ -253,7 +253,7 @@ def test_a_child_that_dies_is_replayed(monkeypatch, forks):
 
 def test_a_child_that_dies_at_a_middle_check_is_replayed(monkeypatch, forks):
     # the child dies in its share of local_nilpotency, after sending its
-    # records of the six sampled checks before it; that share is replayed
+    # lines of the six sampled checks before it; that share is replayed
     # here, and the checks after it run in-process
     partnered = {}
 
@@ -281,16 +281,20 @@ def test_a_child_that_dies_at_a_middle_check_is_replayed(monkeypatch, forks):
 
 
 def test_a_record_cut_short_is_replayed(monkeypatch, forks):
-    # the child sends all of its fifth record but the last byte, then dies
+    # the child's fifth line comes without its newline, then the child dies;
+    # the line claims one failure more than the child saw, so a parent that
+    # read it as counts would fail constant_extraction_random, and the
+    # pinned report shows that the child's share was replayed instead
     send = verify._send
-    records = []
+    lines = []
 
-    def cut_short(pipe, outcomes):
-        records.append(outcomes)
-        if len(records) < 5:
-            return send(pipe, outcomes)
+    def cut_short(pipe, counts):
+        lines.append(counts)
+        if len(lines) < 5:
+            return send(pipe, counts)
+        instances, failures = counts
         whole = io.BytesIO()
-        send(whole, outcomes)
+        send(whole, (instances, failures + 1))
         pipe.write(whole.getvalue()[:-1])
         pipe.flush()
         os._exit(3)
@@ -353,7 +357,7 @@ def test_no_child_outlives_a_run_that_raises(monkeypatch, forks):
 
 
 def test_the_child_sends_each_record_at_once(forks):
-    # the child stalls after its first record: that record must reach the
+    # the child stalls after its first line: that line must reach the
     # parent at once, not when the child's buffer is flushed at its exit,
     # and leaving the split must not wait for the child
     stalls = _in_child(_stall_once())
@@ -368,8 +372,8 @@ def test_the_child_sends_each_record_at_once(forks):
 
 
 def _uneven_trial(rng, n):
-    """0..2n instances a sample, some failing: the child sends a varying
-    number of bytes."""
+    """0..2n instances a sample, some failing: the child's counts vary from
+    share to share."""
     draws = [rng.random() for _ in range(rng.randint(0, 2 * n))]
     return lambda: [d < 0.7 for d in draws]
 

@@ -127,9 +127,7 @@ def generators(which: Which, n: int, degree_cap: int) -> list[Derivation]:
     _check_which(which)
     # checked before the cache, where True and 1.0 would hit the key of 1
     _check_n(n)
-    _check_int(degree_cap, "degree cap")
-    if degree_cap < 0:
-        raise ValueError(f"degree cap must be >= 0, got {degree_cap}")
+    _check_int(degree_cap, "degree cap", 0)
     # a new list each call: callers may sort or extend the one they get
     return list(_generator_pool(which, n, degree_cap))
 
@@ -141,12 +139,13 @@ def _generator_pool(which: Which, n: int, degree_cap: int) -> tuple[Derivation, 
     c = codec(n)
     out: list[Derivation] = []
     for i in range(1, n + 1):
+        slot = i << c.slot_shift
         for m in _monomials_in_prefix(n, i - 1, degree_cap):
             for e in range(degree_cap - c.degree(m) + 1):
-                term = c.unpack(m + e * c.var_units[i - 1])
-                if _slot_violation(i, term) not in admitted:
+                key = m + e * c.var_units[i - 1]
+                if _slot_violation(i, c.unpack(key)) not in admitted:
                     break
-                out.append(Derivation.monomial_term(n, term, i))
+                out.append(Derivation._from_terms(n, {slot + key: 1}, 1))
     return tuple(out)
 
 
@@ -209,6 +208,8 @@ def triangular_chain_bound(n: int, degree_cap: int) -> int:
     x_(n-1)^c d_n lowers weight by exactly 1, and sends x_n to a nonzero
     constant after weight(x_n) steps.
     """
+    _check_n(n)
+    _check_int(degree_cap, "degree cap", 0)
     w = 1
     for _ in range(n - 1):
         w = degree_cap * w + 1
@@ -222,9 +223,7 @@ def lnd_check(d: Derivation, bound: int) -> LndVerdict:
     non-nilpotent linear part is a refutation, anything else stays
     inconclusive rather than guessing.
     """
-    _check_int(bound, "bound")
-    if bound < 1:
-        raise ValueError(f"bound must be >= 1, got {bound}")
+    _check_int(bound, "bound", 1)
     # A homogeneous linear D maps span{x_1..x_n} into itself by its matrix,
     # so it is locally nilpotent exactly when that matrix is nilpotent, which
     # holds exactly when D^n kills every x_i.  So its chains run n steps
@@ -259,6 +258,7 @@ BEYOND_CONSTRUCTION = "beyond_construction"
 def lower_bound_term(n: int) -> int:
     """2n - 1, the derived term of sn that the derived-length lower bound
     shows nonzero: d_n lies in sn^(2n - 1)."""
+    _check_n(n)
     return 2 * n - 1
 
 
@@ -350,14 +350,14 @@ def derived_chain_witness(n: int, *, term: int | None = None, degree_cap: int = 
     from depth 0 up, each depth in key order, so every child comes before
     its parent.
     """
-    _check_n(n)
-    term = lower_bound_term(n) if term is None else term
-    if term < 0 or degree_cap < 0:
-        raise ValueError(f"need term >= 0 and degree_cap >= 0, got {term}, {degree_cap}")
+    last = lower_bound_term(n)  # checks n
+    term = last if term is None else term
+    _check_int(term, "term", 0)
+    _check_int(degree_cap, "degree cap", 0)
     # the chain for term k has degree (k > 0) + (k > 2); the first term it
     # cannot certify
     beyond = next(k for k in itertools.count()
-                  if k > lower_bound_term(n) or (k > 0) + (k > 2) > degree_cap)
+                  if k > last or (k > 0) + (k > 2) > degree_cap)
     if term >= beyond:
         return InconclusiveSearch(BEYOND_CONSTRUCTION, beyond)
     # rows[i] maps each node (s, a, b), the term x_(s-1)^a x_s^b d_s, at depth

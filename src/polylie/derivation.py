@@ -17,11 +17,11 @@ d_slot that holds the term c * x^monomial.  The public constructor
 validates the n coefficient polynomials and hands their terms, each key
 moved to its slot, to `polyring._over_lcm`, which puts them over one
 denominator; `coeffs` and `coeff` rebuild polynomials on demand.  A
-single-slot derivation (`partial`, `monomial_term`) is a one-entry row
-times p; the grammar moves the keys of a parsed "(p) d<i>" to slot i
-itself.  A polynomial multiple p * D also stays on the row: a slot-0 key of
-p adds to a row key straight into the same slot, each term of the row
-times each term of p, reduced once over den_D * den_p.
+single-slot derivation p d_i is the one-entry row of `partial` times p;
+the grammar moves the keys of a parsed "(p) d<i>" to slot i itself.  A
+polynomial multiple p * D also stays on the row: a slot-0 key of p adds to
+a row key straight into the same slot, each term of the row times each
+term of p, reduced once over den_D * den_p.
 
 Brackets of integer rows stay integral.  `bracket_rows` is the one bracket
 kernel: slot i of [D, E] is D(g_i) - E(f_i), and each half is one call of
@@ -50,7 +50,7 @@ from fractions import Fraction
 from itertools import groupby
 from typing import Iterable, Sequence
 
-from .polyring import (Polynomial, Scalar, _LowestTerms, _check_index, _check_n,
+from .polyring import (Polynomial, _LowestTerms, _check_index, _check_int, _check_n,
                        _check_same_n, _format_sum, _limit_error, _over_lcm, codec)
 
 Row = dict[int, int]
@@ -171,13 +171,9 @@ class Derivation(_LowestTerms):
         return cls._from_terms(n, {i << codec(n).slot_shift: 1}, 1)
 
     @classmethod
-    def monomial_term(cls, n: int, exponents: Iterable[int], i: int, coeff: Scalar = 1) -> Derivation:
-        """The single-term derivation (coeff * x^exponents) d_i."""
-        return cls.partial(n, i) * Polynomial.monomial(n, exponents, coeff)
-
-    @classmethod
     def euler(cls, n: int) -> Derivation:
         """x1 d1 + ... + xn dn, scaling each monomial by its total degree."""
+        _check_n(n)
         return cls(n, [Polynomial.variable(n, i) for i in range(1, n + 1)])
 
     # -- queries -----------------------------------------------------------
@@ -254,8 +250,7 @@ class Derivation(_LowestTerms):
 
 def iterated_bracket(d1: Derivation, k: int, d2: Derivation) -> Derivation:
     """k-fold nested bracket [d1, [d1, ... [d1, d2] ... ]] (k >= 1)."""
-    if k < 1:
-        raise ValueError(f"iteration count must be >= 1, got {k}")
+    _check_int(k, "iteration count", 1)
     out = d2
     for _ in range(k):
         out = d1.bracket(out)

@@ -9,7 +9,7 @@ x_j-partial a difference, and int order within a slot is graded-lex order.
 Products, sums, partials and the bracket kernel in `derivation` work on the
 keys and on integer numerators and divide out one gcd per result; an
 exponent tuple or a Fraction is made only where a term leaves the class
-(`terms`, iteration, `coefficient`, `leading_monomial`, `constant_value`);
+(iteration, `coefficient`, `leading_monomial`, `constant_value`);
 the printers read the keys and numerators straight.  `Derivation` is the
 other `_LowestTerms` value, keyed by packed keys whose slot field holds the
 slot.
@@ -122,27 +122,31 @@ class KeyCodec:
 codec = functools.lru_cache(maxsize=64)(KeyCodec)
 
 
-def _check_int(v: int, what: str) -> None:
-    """The one type check of a count, index or bound: an int, not a bool."""
-    # a bool is an int, but True is no count, index or bound
+def _check_int(v: int, what: str, low: int, high: int | None = None, *,
+               span: bool = False) -> None:
+    """The one check of a count, index, bound or cap: an int, not a bool
+    (TypeError), in low..high, with no upper end when high is None
+    (ValueError).  The ValueError names the end that v is past, or with
+    span, as for an index, the whole range."""
+    # a bool is an int, but True is no count, index, bound or cap
     if not isinstance(v, int) or isinstance(v, bool):
         raise TypeError(f"{what} {v!r} is not an int")
+    if low <= v and (high is None or v <= high):
+        return
+    if span:
+        raise ValueError(f"{what} {v} out of range {low}..{high}")
+    raise ValueError(f"{what} must be >= {low}, got {v}" if v < low
+                     else f"{what} must be <= {high}, got {v}")
 
 
-def _check_index(i: int, n: int) -> None:
+def _check_index(i: int, n: int, what: str = "variable index") -> None:
     """The one check of a 1-based variable (or slot) index against n."""
-    _check_int(i, "variable index")
-    if not 1 <= i <= n:
-        raise ValueError(f"variable index {i} out of range 1..{n}")
+    _check_int(i, what, 1, n, span=True)
 
 
 def _check_n(n: int) -> None:
     """The one check of a variable count: an int in 1..MAX_VARIABLES."""
-    _check_int(n, "variable count")
-    if n < 1:
-        raise ValueError(f"variable count must be >= 1, got {n}")
-    if n > MAX_VARIABLES:
-        raise ValueError(f"variable count must be <= {MAX_VARIABLES}, got {n}")
+    _check_int(n, "variable count", 1, MAX_VARIABLES)
 
 
 def _check_coefficient(c) -> None:
@@ -365,16 +369,7 @@ class Polynomial(_LowestTerms):
         _check_n(n)
         return cls._from_terms(n, {codec(n).var_units[i - 1]: 1}, 1)
 
-    @classmethod
-    def monomial(cls, n: int, exponents: Iterable[int], coeff: Scalar = 1) -> Polynomial:
-        return cls(n, {tuple(exponents): coeff})
-
     # -- basic queries -----------------------------------------------------
-
-    @property
-    def terms(self) -> dict[Monomial, Fraction]:
-        """The term map with Fraction coefficients, as a new dict."""
-        return dict(self)
 
     def is_constant(self) -> bool:
         """True for constants including zero."""
@@ -431,8 +426,7 @@ class Polynomial(_LowestTerms):
         return (-self) + other
 
     def __pow__(self, k: int) -> Polynomial:
-        if not isinstance(k, int) or k < 0:
-            raise ValueError(f"exponent must be a nonnegative integer, got {k!r}")
+        _check_int(k, "exponent", 0)
         if self._terms:
             bits = self._power_bits(k)
             if bits > POWER_BITS_LIMIT:

@@ -19,7 +19,8 @@ from math import factorial
 from typing import NamedTuple
 
 from .derivation import Derivation, iterated_bracket
-from .polyring import Monomial, Polynomial, _check_same_n, multi_factorial
+from .polyring import (Monomial, Polynomial, _check_index, _check_int, _check_same_n,
+                       multi_factorial)
 
 
 def constant_extraction(f: Polynomial) -> tuple[Monomial, Fraction]:
@@ -74,8 +75,7 @@ def flatten_in_variable(d: Derivation, s: int, target_deg: int) -> Derivation:
     the top x_s-coefficient picks up nonzero integer factors and survives.
     The derivation's index is preserved.
     """
-    if target_deg not in (1, 2):
-        raise ValueError(f"target degree must be 1 or 2, got {target_deg}")
+    _check_int(target_deg, "target degree", 1, 2)
     k = d.index()
     if k is None:
         raise ValueError("zero derivation has no coefficient to flatten")
@@ -123,15 +123,13 @@ class EigenvectorCertificate(NamedTuple):
 
 
 def _proportionality(v: Derivation, e: Derivation) -> Fraction | None:
-    """c with v = c * e exactly, or None if not proportional (e != 0)."""
-    for i in range(1, e.n + 1):
-        f = e.coeff(i)
-        if f.is_zero():
-            continue
-        mono = next(iter(sorted(f.terms)))
-        c = v.coeff(i).coefficient(mono) / f.coefficient(mono)
-        return c if v == c * e else None
-    return None
+    """c with v = c * e exactly, or None if not proportional (e != 0).
+
+    c is read off the stored rows at e's first key: if v is proportional to
+    e, that one c is the only factor that can work."""
+    key, e_num = next(iter(e._terms.items()))
+    c = Fraction(v._terms.get(key, 0) * e._den, v._den * e_num)
+    return c if v == c * e else None
 
 
 def eigenvector_certificate(d: Derivation, e: Derivation) -> EigenvectorCertificate | None:
@@ -182,8 +180,7 @@ def sl2_check(t1: Derivation, t2: Derivation, t3: Derivation,
     n = t1.n
     for t in (t2, t3):
         _check_same_n(n, t.n)
-    if not 1 <= k <= n:
-        raise ValueError(f"slot {k} out of range 1..{n}")
+    _check_index(k, n, "slot")
 
     x_k = Polynomial.variable(n, k)
     for name, t, want in (("t1", t1, Polynomial.one(n)),

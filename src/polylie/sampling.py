@@ -26,7 +26,11 @@ from fractions import Fraction
 
 from .canonical import Which, generators
 from .derivation import Derivation
-from .polyring import Polynomial, _over_lcm, codec
+from .polyring import Polynomial, _check_int, _over_lcm, codec
+
+# the most terms a random polynomial draws, and a random derivation per slot
+POLYNOMIAL_TERMS = 4
+DERIVATION_TERMS = 3
 
 
 def _below(bits, n: int) -> int:
@@ -54,10 +58,10 @@ def _draw_terms(pairs: dict, bits, base: int, units: tuple, max_degree: int,
         pairs[key] = num, den
 
 
-def random_polynomial(rng: random.Random, n: int, max_degree: int,
-                      max_terms: int = 4) -> Polynomial:
+def random_polynomial(rng: random.Random, n: int, max_degree: int) -> Polynomial:
+    _check_int(max_degree, "max degree", 0)
     pairs: dict[int, tuple[int, int]] = {}
-    _draw_terms(pairs, rng.getrandbits, 0, codec(n).var_units, max_degree, max_terms)
+    _draw_terms(pairs, rng.getrandbits, 0, codec(n).var_units, max_degree, POLYNOMIAL_TERMS)
     return Polynomial._from_terms(n, *_over_lcm(pairs.items()))
 
 
@@ -68,14 +72,15 @@ def random_nonconstant_polynomial(rng: random.Random, n: int, max_degree: int) -
             return f
 
 
-def random_derivation(rng: random.Random, n: int, max_degree: int,
-                      max_terms: int = 3) -> Derivation:
+def random_derivation(rng: random.Random, n: int, max_degree: int) -> Derivation:
     """One random polynomial's draws per slot 1..n, filled into one row."""
+    _check_int(max_degree, "max degree", 0)
     c = codec(n)
     bits = rng.getrandbits
     pairs: dict[int, tuple[int, int]] = {}
     for slot in range(1, n + 1):
-        _draw_terms(pairs, bits, slot << c.slot_shift, c.var_units, max_degree, max_terms)
+        _draw_terms(pairs, bits, slot << c.slot_shift, c.var_units, max_degree,
+                    DERIVATION_TERMS)
     return Derivation._from_terms(n, *_over_lcm(pairs.items()))
 
 

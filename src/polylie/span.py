@@ -44,7 +44,7 @@ from math import gcd
 from typing import Iterable, NamedTuple
 
 from .derivation import Derivation, Partials, Row, bracket_rows, row_support, signatures_meet
-from .polyring import _check_same_n, codec
+from .polyring import _check_int, _check_n, _check_same_n, codec
 
 DEFAULT_DEGREE_CAP = 12
 DEFAULT_DIM_CAP = 512
@@ -73,6 +73,7 @@ class SpanBasis:
     __slots__ = ("n", "_rows", "_basis")
 
     def __init__(self, n: int, gens: Iterable[Derivation]):
+        _check_n(n)
         self.n = n
         self._rows: dict[int, Row] = {}  # pivot -> primitive row
         self._basis: tuple[Derivation, ...] | None = ()
@@ -229,8 +230,8 @@ def lie_closure(gens: Iterable[Derivation], *,
     is a ValueError, so every element of a returned basis has coefficient
     degree at most degree_cap.  An empty gens is a ValueError too.
     """
-    if degree_cap < 1 or dim_cap < 1:
-        raise ValueError("caps must be >= 1")
+    _check_int(degree_cap, "degree cap", 1)
+    _check_int(dim_cap, "dimension cap", 1)
     gens = list(gens)
     if not gens:
         raise ValueError("need at least one generator")

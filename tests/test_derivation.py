@@ -140,7 +140,7 @@ def ref_bracket(d, e):
 def assert_canonical(p):
     """No stored zero, Fraction coefficients, same value and hash as rebuilt."""
     assert all(type(c) is Fraction and c != 0 for _, c in p)
-    rebuilt = Polynomial(p.n, p.terms)
+    rebuilt = Polynomial(p.n, dict(p))
     assert rebuilt == p and hash(rebuilt) == hash(p)
 
 

@@ -140,7 +140,7 @@ def lib_derivation(n, d):
 
 def terms(d):
     """A Derivation's coefficients as reference term maps."""
-    return [f.terms for f in d.coeffs]
+    return [dict(f) for f in d.coeffs]
 
 
 @pytest.mark.parametrize("cases,seed", [(kernel_cases, 11), (near_limit_cases, 12)],
@@ -149,12 +149,12 @@ def test_kernel_against_reference(cases, seed):
     for n, f, g, d, e in cases(seed):
         pf, pg = Polynomial(n, f), Polynomial(n, g)
         dd, de = lib_derivation(n, d), lib_derivation(n, e)
-        assert pf.terms == f and terms(dd) == d
-        assert (pf * pg).terms == ref.mul(f, g)
+        assert dict(pf) == f and terms(dd) == d
+        assert dict(pf * pg) == ref.mul(f, g)
         for pos in range(n):
-            assert pf.partial(pos + 1).terms == ref.partial(f, pos)
-        assert dd.apply(pg).terms == ref.apply(d, g)
-        assert de.apply(pf).terms == ref.apply(e, f)
+            assert dict(pf.partial(pos + 1)) == ref.partial(f, pos)
+        assert dict(dd.apply(pg)) == ref.apply(d, g)
+        assert dict(de.apply(pf)) == ref.apply(e, f)
         assert terms(dd * pg) == [ref.mul(t, g) for t in d]
         assert terms(dd.bracket(de)) == ref.bracket(d, e)
         assert terms(de.bracket(dd)) == ref.bracket(e, d)
@@ -229,7 +229,7 @@ class TestExponentLimit:
             assert str(d) == f"(x{n}^{TOP}) d1"
             assert parse_derivation(str(d), n) == d
         p = Polynomial(2, {(TOP - 1, 1): 5})
-        assert p.terms == {(TOP - 1, 1): 5}
+        assert dict(p) == {(TOP - 1, 1): 5}
         assert p.leading_monomial() == (TOP - 1, 1)
         assert p.total_degree() == TOP and p.degree_in(1) == TOP - 1
 
@@ -240,7 +240,7 @@ class TestExponentLimit:
             x1 ** half * x1 ** half
         with pytest.raises(ValueError):
             x1 ** EXPONENT_LIMIT
-        assert x1 ** TOP == Polynomial.monomial(1, (TOP,))
+        assert x1 ** TOP == Polynomial(1, {(TOP,): 1})
         assert (x1 ** (half - 1)) * (x1 ** half) == x1 ** TOP
         # the degree crosses, though no exponent does
         x = [Polynomial.variable(2, i) for i in (1, 2)]

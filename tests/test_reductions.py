@@ -18,6 +18,8 @@ from polylie.reductions import (
 from polylie.sampling import random_nonconstant_polynomial, random_derivation
 from polylie.span import derived_series, lie_closure
 
+import term_counts
+
 
 def pp(text, n):
     return parse_polynomial(text, n)
@@ -207,8 +209,8 @@ class TestEigenvectorCertificate:
         found = 0
         for _ in range(200):
             n = rng.randint(1, 2)
-            d = random_derivation(rng, n, 2, max_terms=1)
-            e = random_derivation(rng, n, 2, max_terms=1)
+            d = term_counts.random_derivation(rng, n, 2, 1)
+            e = term_counts.random_derivation(rng, n, 2, 1)
             if e.is_zero():
                 continue
             cert = eigenvector_certificate(d, e)

@@ -16,8 +16,9 @@ import pytest
 from polylie.canonical import generators
 from polylie.derivation import Derivation
 from polylie.polyring import Polynomial
-from polylie.sampling import (_below, random_derivation, random_nonconstant_polynomial,
-                              random_polynomial, random_subalgebra_element)
+from polylie.sampling import (DERIVATION_TERMS, POLYNOMIAL_TERMS, _below, random_derivation,
+                              random_nonconstant_polynomial, random_polynomial,
+                              random_subalgebra_element)
 
 from kernel_reference import random_exponents
 
@@ -64,22 +65,23 @@ def assert_same_value(got, want):
     assert list(got._terms) == list(want._terms)
 
 
-@pytest.mark.parametrize("max_degree,max_terms", [(4, 4), (5, 4), (2, 8)])
+# max_terms is the samplers' own term count, which the reference takes
+@pytest.mark.parametrize("max_degree,max_terms", [(4, POLYNOMIAL_TERMS), (5, POLYNOMIAL_TERMS)])
 def test_random_polynomial_matches_fraction_path(max_degree, max_terms):
     for seed, n in CASES:
         rng, twin = random.Random(seed), random.Random(seed)
         for _ in range(5):
-            got = random_polynomial(rng, n, max_degree, max_terms)
+            got = random_polynomial(rng, n, max_degree)
             assert_same_value(got, ref_polynomial(twin, n, max_degree, max_terms))
             assert rng.getstate() == twin.getstate()
 
 
-@pytest.mark.parametrize("max_degree,max_terms", [(3, 3), (4, 3), (2, 6)])
+@pytest.mark.parametrize("max_degree,max_terms", [(3, DERIVATION_TERMS), (4, DERIVATION_TERMS)])
 def test_random_derivation_matches_fraction_path(max_degree, max_terms):
     for seed, n in CASES:
         rng, twin = random.Random(seed), random.Random(seed)
         for _ in range(5):
-            got = random_derivation(rng, n, max_degree, max_terms)
+            got = random_derivation(rng, n, max_degree)
             assert_same_value(got, ref_derivation(twin, n, max_degree, max_terms))
             assert rng.getstate() == twin.getstate()
 
@@ -89,9 +91,9 @@ def test_repeated_monomial_keeps_last_draw():
     # the first overwrites the one before
     for seed in range(200):
         rng, twin = random.Random(seed), random.Random(seed)
-        got = random_polynomial(rng, 2, 0, 4)
-        assert_same_value(got, ref_polynomial(twin, 2, 0, 4))
-        assert len(got.terms) <= 1
+        got = random_polynomial(rng, 2, 0)
+        assert_same_value(got, ref_polynomial(twin, 2, 0, POLYNOMIAL_TERMS))
+        assert len(dict(got)) <= 1
 
 
 

@@ -21,6 +21,7 @@ from polylie.sampling import random_derivation, random_subalgebra_element
 
 from kernel_reference import graded_lex_key
 from large_coefficients import big_derivation, big_rational
+import term_counts
 
 
 def pd(text, n):
@@ -81,7 +82,7 @@ class TestEchelonKernel:
         rng = random.Random(41)
         for _ in range(8):
             n = rng.randint(1, 3)
-            gens = [random_derivation(rng, n, 2, max_terms=3) for _ in range(3)]
+            gens = [random_derivation(rng, n, 2) for _ in range(3)]
             gens.append(gens[0] - rng.randint(1, 3) * gens[1])  # a dependent one
             span = SpanBasis(n, gens)
             assert all(span.contains(g) for g in gens)
@@ -234,7 +235,7 @@ class TestLieClosure:
         rng = random.Random(seed)
         for _ in range(40):
             n = rng.randint(1, 3)
-            gens = [random_derivation(rng, n, 2, max_terms=2)
+            gens = [term_counts.random_derivation(rng, n, 2, 2)
                     for _ in range(rng.randint(1, 3))]
             caps = {"degree_cap": rng.randint(2, 4), "dim_cap": rng.randint(3, 12)}
             yield lie_closure(gens, **caps), caps
@@ -432,7 +433,7 @@ def closed_results():
         if rng.random() < 0.5:
             gens = [random_subalgebra_element(rng, "un", n, 2) for _ in range(3)]
         else:
-            gens = [random_derivation(rng, n, 1, max_terms=2) for _ in range(3)]
+            gens = [term_counts.random_derivation(rng, n, 1, 2) for _ in range(3)]
         # one generator inside the span so far, one inside the algebra
         gens += [Fraction(2, 3) * gens[0] - gens[1], gens[0].bracket(gens[2])]
         result = lie_closure(gens, degree_cap=6, dim_cap=64)
@@ -569,7 +570,7 @@ class TestRandomSpans:
         rng = random.Random(32)
         for _ in range(10):
             n = rng.randint(1, 2)
-            gens = [random_derivation(rng, n, 1, max_terms=2) for _ in range(2)]
+            gens = [term_counts.random_derivation(rng, n, 1, 2) for _ in range(2)]
             result = lie_closure(gens, degree_cap=6, dim_cap=64)
             if result.status != "closed":
                 continue

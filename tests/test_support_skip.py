@@ -7,8 +7,10 @@ import polylie.span as span_module
 from polylie.canonical import generators
 from polylie.derivation import bracket_rows, row_support, signatures_meet
 from polylie.grammar import parse_derivation
-from polylie.sampling import random_derivation, random_subalgebra_element
+from polylie.sampling import random_subalgebra_element
 from polylie.span import derived_series, lie_closure, lower_central_series
+
+import term_counts
 
 
 def reference_signature(d):
@@ -28,7 +30,7 @@ def sample_derivations(rng):
     closures, as lists of derivations in one n."""
     for _ in range(30):
         n = rng.randint(1, 4)
-        yield [random_derivation(rng, n, rng.randint(0, 3), max_terms=rng.randint(1, 3))
+        yield [term_counts.random_derivation(rng, n, rng.randint(0, 3), rng.randint(1, 3))
                for _ in range(6)]
     for which in ("un", "sn"):
         for n in range(1, 5):
@@ -97,7 +99,7 @@ def closure_inputs():
             gens = [random_subalgebra_element(rng, rng.choice(("un", "sn")), n, 2)
                     for _ in range(3)]
         else:
-            gens = [random_derivation(rng, n, 2, max_terms=2) for _ in range(3)]
+            gens = [term_counts.random_derivation(rng, n, 2, 2) for _ in range(3)]
         yield gens, {"degree_cap": rng.randint(2, 4), "dim_cap": rng.randint(4, 40)}
 
 

@@ -26,6 +26,7 @@ import pytest
 
 from polylie import canonical, reductions, verify
 from polylie.derivation import Derivation
+from polylie.polyring import Polynomial
 
 from golden import GOLDEN_REPORTS, render_report
 
@@ -111,7 +112,7 @@ def _break_bracket_on_n1(monkeypatch):
 
     def wrong(self, other):
         out = bracket(self, other)
-        return out + Derivation.monomial_term(1, (2,), 1) if self.n == 1 else out
+        return out + Derivation.partial(1, 1) * Polynomial(1, {(2,): 1}) if self.n == 1 else out
 
     monkeypatch.setattr(Derivation, "bracket", wrong)
 

@@ -8,17 +8,19 @@ Report whose JSON form is byte-for-byte reproducible for identical (inputs,
 seed, version): wall-clock timing is carried separately and excluded from
 the JSON unless explicitly requested.
 
-Every sampled check runs through `_sample`.  `verify_paper` runs its checks
-inside one `_split`: it forks one child on another CPU for the whole run,
-and both processes walk the same check list.  In every sampled check both
-replay the same seeded draws; this process evaluates the even-indexed
-samples and the child the odd ones, and the child sends one line of its
-counts per check.  Where a fork cannot help or is unsafe (no `os.fork`,
-another thread running, a single usable CPU, a failed fork), and for a
-check called on its own, every sample is evaluated in-process.  A child
-that dies has its share of that check replayed here, and the checks after
-it run in-process.  Only outcome counts reach a report, so it is the same on
-every path.  With `--timing` a report also carries each check's wall time.
+Every sampled check runs through `_sample`, which draws one seed per sample
+from the check's generator; a sample draws its inputs from its own seed
+alone.  `verify_paper` runs its checks inside one `_split`: it forks one
+child on another CPU for the whole run, and both processes walk the sampled
+checks.  In each, this process draws and evaluates the even-indexed samples
+and the child the odd ones, and the child sends one line of its counts per
+check; the child skips the checks that draw nothing.  Where a fork cannot
+help or is unsafe (no `os.fork`, another thread running, a single usable
+CPU, a failed fork), and for a check called on its own, every sample is
+evaluated in-process.  A child that dies has its share of that check
+replayed here, and the checks after it run in-process.  Only outcome counts
+reach a report, so it is the same on every path.  With `--timing` a report
+also carries each check's wall time.
 """
 
 from __future__ import annotations
@@ -113,9 +115,9 @@ class Report(NamedTuple):
         }
 
 
-# trial(rng, n) draws every input of one sample from rng and returns the
-# sample's evaluation, which draws nothing and gives one outcome per instance
-Trial = Callable[[random.Random, int], Callable[[], Iterable[bool]]]
+# trial(rng, n) draws one sample's inputs from rng and gives one outcome
+# per instance
+Trial = Callable[[random.Random, int], Iterable[bool]]
 
 # The other process of the running `_split`: (child pid, pipe from the child)
 # in the parent, (0, pipe to the parent) in the child, None while every
@@ -202,6 +204,12 @@ def _drop_partner() -> None:
         pipe.close()
 
 
+def _in_child() -> bool:
+    """Whether this process is the child of the running `_split`."""
+    partner = _partner.get()
+    return partner is not None and partner[0] == 0
+
+
 def _send(pipe: BinaryIO, counts: tuple[int, int]) -> None:
     """One line, b"<instances> <failures>\\n", flushed at once, so the parent
     never waits for a buffer to fill."""
@@ -212,34 +220,34 @@ def _send(pipe: BinaryIO, counts: tuple[int, int]) -> None:
 def _sample(rng: random.Random, n_max: int, samples: int, trial: Trial) -> tuple[int, int]:
     """(instances, failures) over samples trials, each on a fresh n in 1..n_max.
 
-    Inside a `_split`, this process and the child each run `share`: it draws
-    every sample from rng, so both generators advance alike, and evaluates
-    only the samples of its parity, even here and odd in the child.  The
-    child sends the counts of its share as one line, and this process reads
-    it after its own share and adds them.  A line without its newline means
-    the child has died: its share is replayed here from the saved state,
-    and the child is dropped, so later samples are evaluated in-process.
-    Outside a split, every sample is evaluated in-process.  rng ends where a
-    serial loop over the samples leaves it, and outcomes are only counted,
-    so every path gives the same figures.
+    Every path first draws one 64-bit seed per sample from rng, so rng ends
+    where it does on every other path.  Sample k re-seeds one generator with
+    the k-th seed and draws its n and its inputs from it, so it is the same
+    sample whichever process runs it.  Inside a `_split`, this process runs the
+    even samples and the child the odd ones; the child sends the counts of
+    its share as one line, and this process reads it after its own share and
+    adds them.  A line without its newline means the child has died: its
+    share is run here, and the child is dropped, so later samples are
+    evaluated in-process.  Outside a split, every sample is evaluated
+    in-process.  Outcomes are only counted, so every path gives the same
+    figures.
     """
-    state = rng.getstate()
+    seeds = [rng.getrandbits(64) for _ in range(samples)]
+    own = random.Random()
 
     def share(parity: int | None) -> tuple[int, int]:
-        """Draw every sample; evaluate those with index = parity mod 2, or all
-        for None, and count their instances and failures.  No draw outlives
-        its own sample."""
+        """Run the samples with index = parity mod 2, or all for None, and
+        count their instances and failures."""
         outcomes: list[bool] = []
-        for k in range(samples):
-            evaluate = trial(rng, rng.randint(1, n_max))
-            if parity is None or k % 2 == parity:
-                outcomes.extend(evaluate())
+        for seed in seeds if parity is None else seeds[parity::2]:
+            own.seed(seed)
+            outcomes.extend(trial(own, own.randint(1, n_max)))
         return len(outcomes), outcomes.count(False)
 
     partner = _partner.get()
     if partner is None:
         return share(None)
-    if partner[0] == 0:  # the child
+    if _in_child():
         counts = share(1)
         _send(partner[1], counts)
         return counts
@@ -249,7 +257,6 @@ def _sample(rng: random.Random, n_max: int, samples: int, trial: Trial) -> tuple
         theirs = tuple(map(int, line.split()))
     else:  # cut short: the child has died
         _drop_partner()
-        rng.setstate(state)
         theirs = share(1)
     return instances + theirs[0], failures + theirs[1]
 
@@ -269,12 +276,9 @@ def check_scaled_bracket_identity(rng: random.Random, n_max: int,
         b = random_polynomial(rng, n, 4)
         d1 = random_derivation(rng, n, 4)
         d2 = random_derivation(rng, n, 4)
-
-        def evaluate():
-            lhs = (a * d1).bracket(b * d2)
-            rhs = (a * b) * d1.bracket(d2) + (a * d1.apply(b)) * d2 - (b * d2.apply(a)) * d1
-            return [lhs == rhs]
-        return evaluate
+        lhs = (a * d1).bracket(b * d2)
+        rhs = (a * b) * d1.bracket(d2) + (a * d1.apply(b)) * d2 - (b * d2.apply(a)) * d1
+        return [lhs == rhs]
 
     return _sampled_check("scaled_bracket_identity", rng, n_max, samples, trial)
 
@@ -287,14 +291,11 @@ def check_scaled_bracket_commuting_case(rng: random.Random, n_max: int,
         j = rng.randint(1, n)
         a = random_polynomial(rng, n, 4)
         b = random_polynomial(rng, n, 4)
-
-        def evaluate():
-            d1 = Derivation.partial(n, i)
-            d2 = Derivation.partial(n, j)
-            lhs = (a * d1).bracket(b * d2)
-            rhs = (a * d1.apply(b)) * d2 - (b * d2.apply(a)) * d1
-            return [lhs == rhs]
-        return evaluate
+        d1 = Derivation.partial(n, i)
+        d2 = Derivation.partial(n, j)
+        lhs = (a * d1).bracket(b * d2)
+        rhs = (a * d1.apply(b)) * d2 - (b * d2.apply(a)) * d1
+        return [lhs == rhs]
 
     return _sampled_check("scaled_bracket_commuting_case", rng, n_max, samples, trial)
 
@@ -305,12 +306,9 @@ def check_bracket_composition_oracle(rng: random.Random, n_max: int,
     def trial(rng, n):
         d = random_derivation(rng, n, 3)
         e = random_derivation(rng, n, 3)
-
-        def evaluate():
-            br = d.bracket(e)
-            xs = (Polynomial.variable(n, i) for i in range(1, n + 1))
-            return [all(br.apply(x) == d.apply(e.apply(x)) - e.apply(d.apply(x)) for x in xs)]
-        return evaluate
+        br = d.bracket(e)
+        xs = (Polynomial.variable(n, i) for i in range(1, n + 1))
+        return [all(br.apply(x) == d.apply(e.apply(x)) - e.apply(d.apply(x)) for x in xs)]
 
     return _sampled_check("bracket_composition_oracle", rng, n_max, samples, trial)
 
@@ -321,14 +319,11 @@ def check_bracket_antisymmetry_jacobi(rng: random.Random, n_max: int,
         d = random_derivation(rng, n, 3)
         e = random_derivation(rng, n, 3)
         f = random_derivation(rng, n, 3)
-
-        def evaluate():
-            de = d.bracket(e)
-            if de != -(e.bracket(d)):
-                return [False]
-            cyclic = d.bracket(e.bracket(f)) + e.bracket(f.bracket(d)) + f.bracket(de)
-            return [cyclic.is_zero()]
-        return evaluate
+        de = d.bracket(e)
+        if de != -(e.bracket(d)):
+            return [False]
+        cyclic = d.bracket(e.bracket(f)) + e.bracket(f.bracket(d)) + f.bracket(de)
+        return [cyclic.is_zero()]
 
     return _sampled_check("bracket_antisymmetry_jacobi", rng, n_max, samples, trial)
 
@@ -337,11 +332,8 @@ def check_constant_extraction(rng: random.Random, n_max: int,
                               samples: int) -> CheckResult:
     def trial(rng, n):
         f = random_nonconstant_polynomial(rng, n, 5)
-
-        def evaluate():
-            alpha, gamma = reductions.constant_extraction(f)
-            return [gamma != 0 and f.diff_multi(alpha) == Polynomial.constant(n, gamma)]
-        return evaluate
+        alpha, gamma = reductions.constant_extraction(f)
+        return [gamma != 0 and f.diff_multi(alpha) == Polynomial.constant(n, gamma)]
 
     return _sampled_check("constant_extraction_random", rng, n_max, samples, trial)
 
@@ -357,7 +349,7 @@ def check_linear_extraction(rng: random.Random, n_max: int,
             return (lam != 0
                     and g.degree_in(i) in (None, 0)
                     and f.diff_multi(beta) == lam * Polynomial.variable(n, i) + g)
-        return lambda: [instance(i) for i in range(1, n + 1) if (f.degree_in(i) or 0) >= 1]
+        return [instance(i) for i in range(1, n + 1) if (f.degree_in(i) or 0) >= 1]
 
     checked, failures = _sample(rng, n_max, samples, trial)
     return CheckResult("linear_extraction_random", failures == 0,
@@ -450,11 +442,8 @@ def check_lnd(rng: random.Random, n_max: int, samples: int) -> CheckResult:
 
     def trial(rng, n):
         d = random_subalgebra_element(rng, "un", n, degree_cap)
-
-        def evaluate():
-            bound = canonical.triangular_chain_bound(n, degree_cap)
-            return [canonical.lnd_check(d, bound).status == "witness"]
-        return evaluate
+        bound = canonical.triangular_chain_bound(n, degree_cap)
+        return [canonical.lnd_check(d, bound).status == "witness"]
 
     _, failures = _sample(rng, n_max, samples, trial)
     # Euler chains never die, so the verdict comes from the linear part
@@ -493,7 +482,7 @@ def check_membership(rng: random.Random, n_max: int, samples: int) -> CheckResul
         which = rng.choice(("un", "sn"))
         gens = canonical.generators(which, n, 3)
         d, e = rng.choice(gens), rng.choice(gens)
-        return lambda: [_inside(which, d.bracket(e))]
+        return [_inside(which, d.bracket(e))]
 
     _, closure_failures = _sample(rng, n_max, samples, trial)
     ok = gen_ok and fixtures_ok and closure_failures == 0
@@ -509,8 +498,7 @@ def check_grammar_roundtrip(rng: random.Random, n_max: int,
         return parse_derivation(format_derivation(d), d.n) == d
 
     def trial(rng, n):
-        d = random_derivation(rng, n, 4)
-        return lambda: [roundtrips(d)]
+        return [roundtrips(random_derivation(rng, n, 4))]
 
     _, failures = _sample(rng, n_max, corpus_size, trial)
     fixed = [
@@ -549,6 +537,8 @@ def verify_paper(n_max: int = 2, seed: int = 0) -> Report:
     checks = []
     with _split():
         for check, *args in calls:
+            if _in_child() and rng not in args:
+                continue  # a check that draws nothing has no share here
             begun = time.perf_counter()
             result = check(*args)
             checks.append(result._replace(timing_ms=(time.perf_counter() - begun) * 1000.0))

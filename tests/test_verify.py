@@ -12,7 +12,9 @@ The sampler must fork once per `verify_paper` run and give the pinned
 reports on every path: forked, without `os.fork`, on one CPU, with a failed
 fork, or with a child that dies or cuts its line short at any check.  It
 must leave no child behind, even when a run raises, never wait on a child
-that stalls, and leave the generator where a serial loop does.
+that stalls, and leave the generator one 64-bit draw per sample on.  Each
+sample comes from its own seed, so this process draws only the even samples
+and the child only the odd ones, and the child runs only the sampled checks.
 """
 
 import io
@@ -121,7 +123,7 @@ BRACKET_IDENTITY_FAILURES = [
     (verify.check_scaled_bracket_identity, 9),
     (verify.check_scaled_bracket_commuting_case, 9),
     (verify.check_bracket_composition_oracle, 9),
-    (verify.check_bracket_antisymmetry_jacobi, 13),
+    (verify.check_bracket_antisymmetry_jacobi, 9),
 ]
 
 
@@ -152,7 +154,7 @@ def test_constant_extraction_counts_failing_samples(monkeypatch, forks):
     monkeypatch.setattr(reductions, "constant_extraction", wrong)
     result = _both_paths(forks, verify.check_constant_extraction)
     assert result.passed is False
-    assert result.details == {"samples": SAMPLES, "failures": 5}
+    assert result.details == {"samples": SAMPLES, "failures": 9}
 
 
 def test_linear_extraction_counts_failing_instances(monkeypatch, forks):
@@ -166,7 +168,7 @@ def test_linear_extraction_counts_failing_instances(monkeypatch, forks):
     result = _both_paths(forks, verify.check_linear_extraction)
     assert result.passed is False
     # every (f, i) instance fails, and there are more instances than samples
-    assert result.details == {"samples": SAMPLES, "instances": 56, "failures": 56}
+    assert result.details == {"samples": SAMPLES, "instances": 52, "failures": 52}
 
 
 def test_lnd_counts_failing_samples(monkeypatch, forks):
@@ -175,7 +177,7 @@ def test_lnd_counts_failing_samples(monkeypatch, forks):
     monkeypatch.setattr(canonical, "triangular_chain_bound", lambda n, cap: 2)
     result = _both_paths(forks, verify.check_lnd)
     assert result.passed is False
-    assert result.details == {"samples": SAMPLES, "failures": 8,
+    assert result.details == {"samples": SAMPLES, "failures": 6,
                               "euler_refuted": True, "euler_certified": True}
 
 
@@ -186,7 +188,7 @@ def test_membership_counts_failing_brackets(monkeypatch, forks):
     result = _both_paths(forks, verify.check_membership)
     assert result.passed is False
     assert result.details == {"generators_ok": True, "fixtures_ok": True,
-                              "bracket_samples": SAMPLES, "bracket_failures": 13}
+                              "bracket_samples": SAMPLES, "bracket_failures": 9}
 
 
 def test_grammar_roundtrip_counts_random_and_fixed_failures(monkeypatch, forks):
@@ -313,7 +315,7 @@ def test_a_dead_childs_failures_are_counted(monkeypatch, forks):
     with verify._split():
         result = verify.check_bracket_antisymmetry_jacobi(_rng(), N_MAX, SAMPLES)
     assert len(forks) == 1
-    assert result.details == {"samples": SAMPLES, "failures": 13}
+    assert result.details == {"samples": SAMPLES, "failures": 9}
 
 
 def test_a_single_cpu_samples_in_process(monkeypatch, forks):
@@ -375,8 +377,7 @@ def test_the_child_sends_each_record_at_once(forks):
 def _uneven_trial(rng, n):
     """0..2n instances a sample, some failing: the child's counts vary from
     share to share."""
-    draws = [rng.random() for _ in range(rng.randint(0, 2 * n))]
-    return lambda: [d < 0.7 for d in draws]
+    return [rng.random() < 0.7 for _ in range(rng.randint(0, 2 * n))]
 
 
 def test_a_split_leaves_the_generator_where_a_serial_loop_does(forks):
@@ -393,6 +394,108 @@ def test_a_split_leaves_the_generator_where_a_serial_loop_does(forks):
     assert split[0] != split[1]
     instances, failures = serial[0]
     assert instances > SAMPLES and 0 < failures < instances
+
+
+def _sample_states():
+    """The state of sample k's generator once it has drawn its n, for every k
+    of a `_sample(_rng(), N_MAX, SAMPLES, ...)` call."""
+    rng = _rng()
+    states = []
+    for seed in [rng.getrandbits(64) for _ in range(SAMPLES)]:
+        own = random.Random(seed)
+        own.randint(1, N_MAX)
+        states.append(own.getstate())
+    return states
+
+
+def test_the_parent_draws_only_the_even_samples(forks):
+    # a trial records which sample it is running, from its generator's
+    # state; the child's records stay in the child
+    states = _sample_states()
+    seen = []
+
+    def trial(rng, n):
+        seen.append(states.index(rng.getstate()))
+        return _uneven_trial(rng, n)
+
+    serial = verify._sample(_rng(), N_MAX, SAMPLES, trial)
+    assert seen == list(range(SAMPLES))
+    seen.clear()
+    with verify._split():
+        split = verify._sample(_rng(), N_MAX, SAMPLES, trial)
+    assert len(forks) == 1
+    assert seen == list(range(0, SAMPLES, 2))
+    assert split == serial
+
+
+@pytest.mark.parametrize("late", ["parent", "child"])
+def test_a_samples_outcome_depends_on_its_seed_alone(forks, late):
+    # one process starts its share 0.2 s late, so the other runs its share
+    # first; the counts are those of a serial loop either way
+    parent = os.getpid()
+    waits = []
+
+    def trial(rng, n):
+        if not waits and (os.getpid() == parent) == (late == "parent"):
+            waits.append(None)
+            time.sleep(0.2)
+        return _uneven_trial(rng, n)
+
+    serial = verify._sample(_rng(), N_MAX, SAMPLES, _uneven_trial)
+    with verify._split():
+        split = verify._sample(_rng(), N_MAX, SAMPLES, trial)
+    assert len(forks) == 1
+    assert split == serial
+
+
+def test_every_path_leaves_the_generator_after_one_draw_per_sample(forks):
+    expected = _rng()
+    for _ in range(SAMPLES):
+        expected.getrandbits(64)
+    rng = _rng()
+    verify._sample(rng, N_MAX, SAMPLES, _uneven_trial)
+    assert rng.getstate() == expected.getstate()
+    rng = _rng()
+    with verify._split():
+        verify._sample(rng, N_MAX, SAMPLES, _uneven_trial)
+    assert rng.getstate() == expected.getstate()
+    dies = _in_child(lambda: os._exit(3))
+
+    def dying(rng, n):
+        dies()
+        return _uneven_trial(rng, n)
+
+    rng = _rng()
+    with verify._split():
+        verify._sample(rng, N_MAX, SAMPLES, dying)
+    assert len(forks) == 2
+    assert rng.getstate() == expected.getstate()
+    _no_child_left()
+
+
+def test_the_child_skips_the_checks_that_draw_nothing(monkeypatch, forks, tmp_path):
+    # each wrapped check appends its name and the pid that runs it to a
+    # file, from either process; only the sampled check runs in the child
+    ran = tmp_path / "pids"
+    names = ("check_bracket_fixtures", "check_solvability_fixtures",
+             "check_derived_chain_witness", "check_lnd")
+
+    def recorded(name, check):
+        def wrapper(*args):
+            with open(ran, "a") as f:
+                f.write(f"{name} {os.getpid()}\n")
+            return check(*args)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(verify, name, recorded(name, getattr(verify, name)))
+    assert verify.verify_paper(2, 0).passed
+    assert len(forks) == 1
+    here, child = os.getpid(), forks[0]
+    assert sorted((name, int(pid)) for name, pid in map(str.split, ran.read_text().splitlines())) \
+        == sorted([("check_bracket_fixtures", here), ("check_solvability_fixtures", here),
+                   ("check_derived_chain_witness", here), ("check_derived_chain_witness", here),
+                   ("check_lnd", here), ("check_lnd", child)])
 
 
 def test_cli_process_writes_the_pinned_report(module_env):

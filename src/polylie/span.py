@@ -33,8 +33,14 @@ element it adjoins with the generators before it only, and keeps the
 nonzero rows of those brackets, which span [S, L].  A closed
 `LieClosureResult` hands them to the series as its first step, so nothing
 is bracketed twice, and each lower central step brackets the generators
-with the current term.  A bare span knows no generators and a result built
-by hand keeps no brackets, so the series refuse both.
+with the rows of the current term.  Most rows of a lower central term are
+rows of the term before, unchanged; such a row, matched by its entries and
+not by its pivot alone, reuses the brackets the step before kept for it.  So
+a row kept from one term to the next is bracketed once, and since a step
+keeps only its own term's brackets, memory holds one term's worth.  Spans
+are canonical, so no basis or dimension depends on the reuse.  A bare span
+knows no generators and a result built by hand keeps no brackets, so the
+series refuse both.
 """
 
 from __future__ import annotations
@@ -307,6 +313,35 @@ def _bracket_span(n: int, pairs: Iterable[tuple[Operand, Operand]]) -> SpanBasis
     return out
 
 
+Kept = dict[int, tuple[Row, list[Row]]]  # pivot -> (row, its nonzero [S, row])
+
+
+def _generator_step(n: int, gens: list[Operand], term: SpanBasis,
+                    kept: Kept) -> tuple[SpanBasis, Kept]:
+    """span [S, term] for the generator operands gens, and term's rows each
+    with its nonzero brackets with gens.
+
+    A row of term that equals the one kept for its pivot from the term
+    before (exact integer rows, so the same element) takes its kept brackets
+    instead of being bracketed again.  A pivot alone is no key: a row can
+    change while its pivot stays.
+    """
+    out = SpanBasis(n, [])
+    brackets: Kept = {}
+    for pivot, row in term._rows.items():
+        old = kept.get(pivot)
+        if old is not None and old[0] == row:
+            rows = old[1]
+        else:
+            partials, sig = row_support(n, row)
+            rows = [br for s, ps, ss in gens if signatures_meet(n, ss, sig)
+                    and (br := bracket_rows(s, ps, row, partials))]
+        brackets[pivot] = (row, rows)
+        for br in rows:
+            out._add_row(br)
+    return out, brackets
+
+
 def _series(algebra: LieClosureResult, *, lower_central: bool) -> SeriesReport:
     """The series of a closed result of `lie_closure`, bracketing by its
     generators.
@@ -315,7 +350,10 @@ def _series(algebra: LieClosureResult, *, lower_central: bool) -> SeriesReport:
     terms L^k among them: L is spanned by right-normed brackets z of elements
     of S, and [[s, z], x] = [s, [z, x]] - [z, [s, x]] (Jacobi) gives
     induction on the length of z.  The first step, [L, L] = span [S, L],
-    takes the bracket rows that lie_closure kept.
+    takes the bracket rows that lie_closure kept.  Each later lower central
+    step (`_generator_step`) brackets S only with the rows of L^k that
+    L^(k-1) did not hold unchanged, and keeps the brackets of L^k alone, so
+    memory holds one term's brackets.
     """
     if not isinstance(algebra, LieClosureResult):
         raise TypeError(f"the series take a lie_closure result, not {type(algebra).__name__}")
@@ -334,12 +372,13 @@ def _series(algebra: LieClosureResult, *, lower_central: bool) -> SeriesReport:
     current = start
     dims = [current.dim]
     step = 0
+    kept: Kept = {}  # lower central: current's rows and their brackets with S
     while current.dim:
         step += 1
         if step == 1:
             nxt = derived
         elif lower_central:
-            nxt = _bracket_span(n, itertools.product(gens, current._operands()))
+            nxt, kept = _generator_step(n, gens, current, kept)
         else:
             nxt = _bracket_span(n, itertools.combinations(current._operands(), 2))
         dims.append(nxt.dim)

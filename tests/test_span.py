@@ -420,6 +420,11 @@ FIVE_GENERATORS = ("d1", "(1/2 x1) d2 + d3", "(2/3 x1^2) d2", "(x1 x2) d3",
                    "(3/4 x2^2) d3")
 
 
+# three un(4, 2) elements whose lower series keeps a pivot with a new row
+STALE_PIVOT_GENERATORS = ("(-9/4 x1^2 + 1) d2 + (x1 x2) d3", "(2 x3^2 + 7/3 x2) d4",
+                          "(9/8 x1 + 7/2 x2) d3")
+
+
 def closed_results():
     """Closed closures: un(3, 3); five generators; sl2, which stabilizes; a
     set that is not nilpotent; seeded sets with redundant generators."""
@@ -530,8 +535,35 @@ class TestSeriesByGenerators:
         assert adds[0] == g + 69 == 84
         # the first series step takes the closure's brackets, so makes none;
         # (brackets made, pairs walked)
-        assert brackets(lower_central_series, result) == (315, 1890)
+        assert brackets(lower_central_series, result) == (82, 360)
         assert brackets(derived_series, result) == (33, 381)
+
+    def test_lower_series_brackets_each_generator_and_row_once(self, monkeypatch):
+        calls = []
+        bracket_rows = span_module.bracket_rows
+
+        def recorded(a, pa, b, pb):
+            calls.append((frozenset(a.items()), frozenset(b.items())))
+            return bracket_rows(a, pa, b, pb)
+
+        monkeypatch.setattr(span_module, "bracket_rows", recorded)
+        for gens in (generators("un", 3, 3), generators("un", 4, 2)):
+            result = lie_closure(gens)
+            calls.clear()
+            lower_central_series(result)
+            assert calls and len(set(calls)) == len(calls)
+
+    def test_kept_brackets_are_matched_by_row_content(self):
+        # a row of L^k changes in L^(k+1) while its pivot stays, for a k >= 1
+        # whose L^(k+1) is bracketed: the brackets kept for that pivot are
+        # those of the old row, and reusing them gives (17, 14, 11, 8, 4, 2, 2)
+        result = lie_closure([pd(t, 4) for t in STALE_PIVOT_GENERATORS])
+        terms = reference_terms(result.basis)
+        assert any(pivot in term._rows and term._rows[pivot] != row
+                   for term, nxt in zip(terms[1:-2], terms[2:-1])
+                   for pivot, row in nxt._rows.items())
+        assert lower_central_series(result).dims == tuple(t.dim for t in terms) == \
+            (17, 14, 11, 7, 3, 0)
 
     def test_skipped_closure_pairs_bracket_to_zero(self):
         result = lie_closure(generators("un", 3, 3))

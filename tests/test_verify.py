@@ -127,7 +127,8 @@ BRACKET_IDENTITY_FAILURES = [
 ]
 
 
-@pytest.mark.parametrize("check, failures", BRACKET_IDENTITY_FAILURES)
+@pytest.mark.parametrize("check, failures", BRACKET_IDENTITY_FAILURES,
+                         ids=[check.__name__ for check, _ in BRACKET_IDENTITY_FAILURES])
 def test_bracket_identities_count_failing_samples(monkeypatch, forks, check, failures):
     _break_bracket_on_n1(monkeypatch)
     with verify._split():

@@ -20,8 +20,8 @@ __version__ = "0.1.0"
 _PUBLIC = {
     "canonical": ("DerivedChainCertificate", "InconclusiveSearch", "LndVerdict",
                   "MembershipVerdict", "NilpotencyWitness", "derived_chain_witness",
-                  "generators", "lnd_check", "membership", "strip_canonical_part",
-                  "triangular_chain_bound"),
+                  "generators", "linear_part_refutes", "lnd_check", "membership",
+                  "strip_canonical_part", "triangular_chain_bound"),
     "derivation": ("Derivation", "format_derivation", "iterated_bracket"),
     "grammar": ("ParseError", "parse_derivation", "parse_polynomial"),
     "polyring": ("Monomial", "Polynomial", "format_polynomial"),

@@ -10,9 +10,11 @@ names "un" and "sn":
       length exactly 2n.
 
 Membership is decided monomial by monomial, and the same per-monomial rule
-drives the term split in `strip_canonical_part`.  A closed-form chain of
-brackets witnesses the derived-length lower bound with a certificate that
-`DerivedChainCertificate.check` re-verifies from its JSON form alone.
+drives the term split in `strip_canonical_part`.  `lnd_check` refutes local
+nilpotency with D's matrix, which `linear_part_refutes` re-checks.  A
+closed-form chain of brackets witnesses the derived-length lower bound with
+a certificate that `DerivedChainCertificate.check` re-verifies from its JSON
+form alone.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from typing import Iterator, Literal, NamedTuple
 from .derivation import Derivation, Row
 from .grammar import parse_derivation
 from .polyring import Monomial, Polynomial, _check_int, _check_n, codec
-from .reductions import EigenvectorCertificate, eigenvector_certificate
 
 Which = Literal["un", "sn"]
 
@@ -171,10 +172,9 @@ class LndVerdict(NamedTuple):
     locally-annihilated elements form a subalgebra.
 
     status "not_nilpotent": D is homogeneous linear and D^n leaves some x_i
-    nonzero, so that variable's chain never dies; linear_part holds D's
-    matrix rows (see Derivation.as_linear).
-    When a small search finds an exact ad-eigenvector relation [D,E] = cE
-    (or the double-bracket variant) it is attached as `certificate`.
+    nonzero, so that variable's chain never dies.  The proof is linear_part,
+    D's matrix rows (see Derivation.as_linear), whose n-th power
+    `linear_part_refutes` re-checks is nonzero.
 
     status "inconclusive": neither route decided within the bound.
     """
@@ -182,20 +182,7 @@ class LndVerdict(NamedTuple):
     status: str  # "witness" | "not_nilpotent" | "inconclusive"
     bound: int
     witness: NilpotencyWitness | None = None
-    certificate: EigenvectorCertificate | None = None
     linear_part: tuple[tuple[Fraction, ...], ...] | None = None
-
-
-def _eigen_candidates(n: int) -> Iterator[Derivation]:
-    xs = [Polynomial.variable(n, i) for i in range(1, n + 1)]
-    ds = [Derivation.partial(n, j) for j in range(1, n + 1)]
-    for i, x in enumerate(xs):
-        for j, d in enumerate(ds):
-            if i != j:
-                yield x * d
-    for x in xs:
-        for d in ds:
-            yield x * x * d
 
 
 def triangular_chain_bound(n: int, degree_cap: int) -> int:
@@ -240,14 +227,22 @@ def lnd_check(d: Derivation, bound: int) -> LndVerdict:
         else:
             if rows is None:
                 return LndVerdict("inconclusive", bound)
-            certs = (eigenvector_certificate(d, e) for e in _eigen_candidates(d.n))
-            cert = next((c for c in certs if c is not None), None)
-            return LndVerdict("not_nilpotent", bound, certificate=cert, linear_part=rows)
+            return LndVerdict("not_nilpotent", bound, linear_part=rows)
         chains.append(tuple(chain))
     # only a linear D's chains may outrun the bound
     if max(map(len, chains)) > bound + 1:
         return LndVerdict("inconclusive", bound)
     return LndVerdict("witness", bound, witness=NilpotencyWitness(tuple(chains)))
+
+
+def linear_part_refutes(rows: tuple[tuple[Fraction, ...], ...]) -> bool:
+    """Re-check a "not_nilpotent" verdict from its linear_part alone: whether
+    the n-th power of the matrix has a nonzero entry.  Its row i holds
+    D^n(x_i), so that x_i's chain never dies."""
+    power = rows
+    for _ in range(len(rows) - 1):
+        power = [[sum(a * b for a, b in zip(row, col)) for col in zip(*rows)] for row in power]
+    return any(map(any, power))
 
 
 # -- derived-chain witnesses -------------------------------------------------

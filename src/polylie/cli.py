@@ -123,13 +123,10 @@ def cmd_lnd(args) -> int:
         outputs["lengths"] = list(verdict.witness.lengths)
         for i, chain in enumerate(chains, start=1):
             lines.append(f"x{i}: " + " -> ".join(chain))
-    if verdict.certificate is not None:
-        outputs["certificate"] = verdict.certificate.to_dict()
-        cert = verdict.certificate
-        lines.append(f"ad-eigenvector: relation={cert.relation}, "
-                     f"e={cert.e}, scalar={cert.scalar}")
     if verdict.linear_part is not None:
         outputs["linear_matrix"] = [[str(c) for c in row] for row in verdict.linear_part]
+        lines.append("linear matrix: [" + ", ".join(
+            f"[{', '.join(row)}]" for row in outputs["linear_matrix"]) + "]")
     _emit(args, "lnd", {"deriv": str(d), "bound": args.bound}, outputs, lines)
     return EXIT_OK
 
@@ -229,6 +226,9 @@ def cmd_eigencert(args) -> int:
     inputs = {"d": str(d), "e": str(e)}
     if cert is None:
         _emit(args, "eigencert", inputs, {"certificate": None}, ["no certificate"])
+        return EXIT_CHECK_FAILED
+    if not cert.verify():
+        print("error: the eigenvector certificate failed its check", file=sys.stderr)
         return EXIT_CHECK_FAILED
     _emit(args, "eigencert", inputs, {"certificate": cert.to_dict()},
           [f"relation: {cert.relation}", f"scalar: {cert.scalar}"])

@@ -95,9 +95,11 @@ class EigenvectorCertificate(NamedTuple):
     relation "single":  [d, e] = scalar * e
     relation "double":  [[e, d], e] = scalar * e
 
-    Either relation with scalar != 0 shows the relevant adjoint operator is
-    not nilpotent on any span containing e, so no subalgebra containing both
-    derivations is a nilpotent Lie algebra.
+    With scalar != 0, a single relation shows that d is not locally nilpotent:
+    (ad d)^m(e)(x_i) = sum_k (-1)^k C(m, k) d^(m-k)(e(d^k(x_i))) would vanish
+    for large m, yet it is scalar^m e(x_i).  A double one shows only that the
+    Lie algebra of d and e is not nilpotent: [[x1 d2, x2 d1], x1 d2] = 2 x1 d2,
+    and x2 d1 is locally nilpotent.
     """
 
     d: Derivation

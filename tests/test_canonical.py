@@ -15,6 +15,7 @@ from polylie.canonical import (
     LndVerdict,
     derived_chain_witness,
     generators,
+    linear_part_refutes,
     lnd_check,
     membership,
     triangular_chain_bound,
@@ -184,7 +185,7 @@ class TestLndCheck:
             assert verdict.status == "not_nilpotent"
             assert verdict.linear_part == tuple(
                 tuple(int(i == j) for j in range(n)) for i in range(n))
-            assert verdict.certificate is not None and verdict.certificate.verify()
+            assert linear_part_refutes(verdict.linear_part)
 
     def test_linear_refutation_comes_before_the_chains(self):
         # a non-nilpotent matrix keeps some chain alive for ever, so a huge
@@ -295,6 +296,20 @@ class TestLndCheckLinearOracle:
                 seen.add(want)
         assert seen == {"not_nilpotent", "witness", "inconclusive"}
         assert untriangular_nilpotent >= 40
+
+    def test_stored_matrix_rechecks_each_verdict(self):
+        # the re-check reads only the rows: it passes every refutation and
+        # fails every nilpotent matrix, most of them with nonzero entries
+        nilpotent_nonzero = 0
+        for a in self.matrices():
+            d = from_rows(a)
+            rows, verdict = d.as_linear(), lnd_check(d, 32)
+            if verdict.status == "not_nilpotent":
+                assert linear_part_refutes(verdict.linear_part), a
+            else:
+                assert not linear_part_refutes(rows), a
+                nilpotent_nonzero += any(map(any, rows))
+        assert nilpotent_nonzero >= 40
 
     def test_chains_are_rows_of_matrix_powers(self):
         # entry k of the chain of x_i is row i of A^k, and the chains run n

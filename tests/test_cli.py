@@ -9,6 +9,7 @@ import pytest
 from polylie.canonical import DerivedChainCertificate
 from polylie.cli import EXIT_CLOSED_STDOUT, build_parser, main
 from polylie.grammar import parse_derivation
+from polylie.reductions import EigenvectorCertificate
 from polylie.verify import REPORT_SCHEMA
 
 # The golden files and their renderers live in golden.py, which needs no
@@ -123,6 +124,12 @@ class TestCommands:
 
         code, _, _ = run_cli(capsys, "eigencert", "d1", "d2", "--n", "2")
         assert code == 1
+
+    def test_eigencert_prints_nothing_from_a_failed_certificate(self, capsys, monkeypatch):
+        monkeypatch.setattr(EigenvectorCertificate, "verify", lambda self: False)
+        code, out, err = run_cli(capsys, "eigencert", "(x1) d1", "(x1^2) d1", "--n", "1")
+        assert code == 1 and out == ""
+        assert err == "error: the eigenvector certificate failed its check\n"
 
     def test_sl2(self, capsys):
         code, _, _ = run_cli(capsys, "sl2", "d1", "(-1 x1^2) d1", "(-2 x1) d1",

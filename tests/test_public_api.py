@@ -143,7 +143,8 @@ def records() -> list:
     closure = p.lie_closure([d1, x1sq])
     witness = p.lnd_check(p.parse_derivation("(x1) d2 + d1", n), 5)
     refuted = p.lnd_check(p.Derivation.euler(n), 5)
-    out = [p.membership(d), witness, witness.witness, refuted, refuted.certificate,
+    eigen = p.eigenvector_certificate(p.Derivation.euler(n), p.parse_derivation("(x1^2) d2", n))
+    out = [p.membership(d), witness, witness.witness, refuted, eigen,
            p.derived_chain_witness(1), p.derived_chain_witness(2, term=4),
            p.sl2_check(d1, -x1sq, p.parse_derivation("(-2 x1) d1", 1), 1),
            p.sl2_check(d, d, d, 1), closure, p.derived_series(closure)]

@@ -1,8 +1,9 @@
+import itertools
 import random
 
 import pytest
 
-from polylie.canonical import membership, strip_canonical_part
+from polylie.canonical import generators, lnd_check, membership, strip_canonical_part
 from polylie.derivation import Derivation
 from polylie.grammar import parse_derivation, parse_polynomial
 from polylie.polyring import Polynomial
@@ -190,10 +191,27 @@ class TestEigenvectorCertificate:
 
     def test_double_bracket_route(self):
         n = 2
-        cert = eigenvector_certificate(pd("(x2) d1", n), pd("(x1) d2", n))
+        d = pd("(x2) d1", n)
+        cert = eigenvector_certificate(d, pd("(x1) d2", n))
         assert cert is not None
         assert cert.relation == "double" and cert.scalar == 2
         assert cert.verify()
+        # a double relation shows only that <d, e> is not a nilpotent Lie
+        # algebra: this d is locally nilpotent
+        assert lnd_check(d, 32).status == "witness"
+
+    @pytest.mark.parametrize("n, doubles", [(2, 3), (3, 6)])
+    def test_no_single_relation_on_un(self, n, doubles):
+        # every un element is locally nilpotent, which a single relation
+        # [d, e] = c e with c != 0 refutes; e runs over the monomial
+        # derivations of degree <= 2
+        xs = [Polynomial.variable(n, i) for i in range(1, n + 1)]
+        monomials = [Polynomial.one(n), *xs,
+                     *(a * b for a, b in itertools.combinations_with_replacement(xs, 2))]
+        es = [m * Derivation.partial(n, j) for m in monomials for j in range(1, n + 1)]
+        relations = [cert.relation for d in generators("un", n, 2) for e in es
+                     if (cert := eigenvector_certificate(d, e)) is not None]
+        assert relations == ["double"] * doubles
 
     def test_no_certificate(self):
         n = 2

@@ -69,6 +69,19 @@ def test_each_command_module_loads_on_its_command(module_env):
     assert not loaded & {"polylie.verify", "polylie.sampling", "dataclasses"}
 
 
+def test_membership_lnd_and_witness_load_no_reductions(module_env):
+    """`lnd` refutes with D's matrix alone, so these commands never load the
+    eigenvector relations of `reductions`."""
+    code = ("import contextlib, io, polylie.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert polylie.cli.main(['member', '(x1) d2', '--n', '2']) == 0\n"
+            "    assert polylie.cli.main(['lnd', '(x1) d1 - (x2) d2', '--n', '2']) == 0\n"
+            "    assert polylie.cli.main(['witness', '--n', '2']) == 0")
+    loaded = modules_loaded_by(code, module_env)
+    assert "polylie.canonical" in loaded
+    assert "polylie.reductions" not in loaded
+
+
 def dataclass_imports(source: str) -> list[int]:
     """Line numbers of the imports of `dataclasses` in source."""
     return [node.lineno for node in ast.walk(ast.parse(source))

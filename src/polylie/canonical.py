@@ -188,19 +188,18 @@ class LndVerdict(NamedTuple):
 def triangular_chain_bound(n: int, degree_cap: int) -> int:
     """Iteration bound guaranteeing chain termination for un elements.
 
-    Assign x_1 weight 1 and x_{i+1} weight degree_cap * weight(x_i) + 1;
-    any un element with coefficient degree <= degree_cap strictly lowers
-    weight, and polynomials have weight >= 0, so D^(weight(x_i) + 1) kills
-    every x_i, x_n last.  The bound is tight: d_1 + x_1^c d_2 + ... +
+    Assign x_1 weight 1 and x_{i+1} weight degree_cap * weight(x_i) + 1
+    (`KeyCodec.weight`, here of the key of x_n); any un element with
+    coefficient degree <= degree_cap strictly lowers weight, and
+    polynomials have weight >= 0, so D^(weight(x_i) + 1) kills every x_i,
+    x_n last.  The bound is tight: d_1 + x_1^c d_2 + ... +
     x_(n-1)^c d_n lowers weight by exactly 1, and sends x_n to a nonzero
     constant after weight(x_n) steps.
     """
     _check_n(n)
     _check_int(degree_cap, "degree cap", 0)
-    w = 1
-    for _ in range(n - 1):
-        w = degree_cap * w + 1
-    return w + 1
+    c = codec(n)
+    return c.weight(c.var_units[n - 1], degree_cap) + 1
 
 
 def lnd_check(d: Derivation, bound: int) -> LndVerdict:

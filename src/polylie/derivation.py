@@ -24,13 +24,15 @@ a row key straight into the same slot, each term of the row times each
 term of p, reduced once over den_D * den_p.
 
 Brackets of integer rows stay integral.  `bracket_rows` is the one bracket
-kernel: slot i of [D, E] is D(g_i) - E(f_i), and each half is one call of
-`_apply_into`, which multiplies every term c x^m d_j of one operand into the
-x_j-partials of the other's coefficients, given by `row_partials`.  That
-reads each key's partial entries (the key minus key(x_j), in its slot, and
-the exponent e_j) from one bounded per-process table, `_key_partials`, and
-only multiplies them by the row's numerators: the values of one
-computation share few keys.  A product of monomials is a sum of keys, a
+kernel of rows (`span` brackets two `un` monomials on their keys alone,
+since their bracket is one monomial or zero): slot i of [D, E] is
+D(g_i) - E(f_i), and each half is one call of `_apply_into`, which
+multiplies every term c x^m d_j of one operand into the x_j-partials of
+the other's coefficients, given by `row_partials`.  That reads each key's
+partial entries (the key minus key(x_j), in its slot, and the exponent
+e_j) from one bounded per-process table, `_key_partials`, and only
+multiplies them by the row's numerators: the values of one computation
+share few keys.  A product of monomials is a sum of keys, a
 partial a difference.  Callers that bracket a row many times
 (`span.lie_closure` and the series) take its partials once and bracket
 their stored rows directly.  They also compute its support signature once,

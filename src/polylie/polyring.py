@@ -116,6 +116,31 @@ class KeyCodec:
         """The exponent of x_{pos+1} in key."""
         return (key >> self.shifts[pos]) & _FIELD_MASK
 
+    def is_un(self, key: int) -> bool:
+        """Whether the term at key, x^a in the coefficient of d_i for i its
+        slot, is a `un` monomial: a free of x_i ... x_n.  Those exponents are
+        the low fields, so this is one mask.  A slot-0 key is no term of a
+        derivation, so never."""
+        slot = key >> self.slot_shift
+        return slot > 0 and not key & ((1 << (self.shifts[slot - 1] + FIELD_BITS)) - 1)
+
+    def weight(self, key: int, c: int) -> int:
+        """The weight of the term at key for generators of degree at most c.
+
+        w(x_1) = 1 and w(x_(i+1)) = c * w(x_i) + 1; x^a in slot i weighs
+        sum a_l w(x_l) - w(x_i), and a slot-0 x^a weighs sum a_l w(x_l).  A
+        `un` monomial of degree at most c weighs -w(x_n) .. -1, since
+        c * w(x_(i-1)) = w(x_i) - 1, and the term of a bracket of two
+        monomials weighs the sum of their weights.
+        """
+        total, w, ws = 0, 1, []
+        for e in self.unpack(key):
+            total += e * w
+            ws.append(w)
+            w = c * w + 1
+        slot = key >> self.slot_shift
+        return total - ws[slot - 1] if slot else total
+
 
 # the KeyCodec per n, kept for the 64 counts met last: each holds about 8n^2
 # bytes of keys, so a cache without a bound grows with every n a process meets

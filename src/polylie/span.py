@@ -41,6 +41,22 @@ keeps only its own term's brackets, memory holds one term's worth.  Spans
 are canonical, so no basis or dimension depends on the reuse.  A bare span
 knows no generators and a result built by hand keeps no brackets, so the
 series refuse both.
+
+Monomial `un` input takes a key path with no elimination.  When every
+generator is one term c x^a d_i with a free of x_i..x_n (`KeyCodec.is_un`),
+the bracket of two such terms is one such term or zero, and distinct
+monomials are linearly independent: every span met is the set of its
+packed keys, and a row {key: 1} is already reduced.  So `lie_closure`
+brackets each pair on the two keys and stores each new key directly
+(`SpanBasis._add_key`), walking the same pairs in the same order as the row
+path, so that its result, kept brackets and stops are the row path's.  And
+`lower_central_series` computes each key's depth, the largest k with the key
+in L^k, in one pass: a key's depth is one more than the largest depth of a
+key that a generator brackets into it.  Every generator lowers the weight
+(`KeyCodec.weight`, for c the largest generator degree) by at least 1, so
+relaxing keys in decreasing weight order settles each key before any key it
+brackets into; adjoin order does not.  The dims are the counts of keys of
+depth >= k.  The derived series stays on rows.
 """
 
 from __future__ import annotations
@@ -50,7 +66,7 @@ from math import gcd
 from typing import Iterable, NamedTuple
 
 from .derivation import Derivation, Partials, Row, bracket_rows, row_support, signatures_meet
-from .polyring import _check_int, _check_n, _check_same_n, codec
+from .polyring import KeyCodec, _check_int, _check_n, _check_same_n, _limit_error, codec
 
 DEFAULT_DEGREE_CAP = 12
 DEFAULT_DIM_CAP = 512
@@ -156,6 +172,16 @@ class SpanBasis:
         self._basis = None
         return True
 
+    def _add_key(self, key: int) -> bool:
+        """add for a one-term row {key: v}, v != 0, to a span whose stored
+        rows are one term each: there it is reduced already, so it is stored
+        as {key: 1} unless key is a pivot."""
+        if key in self._rows:
+            return False
+        self._rows[key] = {key: 1}
+        self._basis = None
+        return True
+
     def contains(self, d: Derivation) -> bool:
         _check_same_n(d.n, self.n)
         return not self._reduce(d._terms)
@@ -219,6 +245,48 @@ def _generator_pairs(elems: list, g: int):
             yield a, b
 
 
+def _un_monomials(n: int, gens: Iterable[Derivation]) -> list[tuple[int, int]] | None:
+    """The (key, numerator) of each of gens when every one is a single `un`
+    monomial in n variables, else None."""
+    is_un = codec(n).is_un
+    out = []
+    for g in gens:
+        if g.n != n or len(g._terms) != 1:
+            return None
+        (term,) = g._terms.items()
+        if not is_un(term[0]):
+            return None
+        out.append(term)
+    return out
+
+
+def _monomial_bracket(c: KeyCodec, ka: int, kb: int) -> tuple[int, int]:
+    """(key, e) with [x^a d_i, x^b d_j] = e * (the monomial at key) for the
+    keys ka, kb of two `un` monomials; e is 0 when the bracket is 0.
+
+    The bracket is b_i x^(a+b-e_i) d_j - a_j x^(a+b-e_j) d_i, and a `un`
+    monomial x^a d_i is free of x_i ... x_n: so a_j = 0 unless j < i, and
+    b_i = 0 unless i < j.  At most one half is nonzero, none when i = j.
+    """
+    shift = c.slot_shift
+    i, j = ka >> shift, kb >> shift
+    if i < j:
+        e = c.exponent(kb, i - 1)
+        if not e:
+            return 0, 0
+        key = kb - c.var_units[i - 1] + (ka & c.low)
+    elif j < i:
+        e = -c.exponent(ka, j - 1)
+        if not e:
+            return 0, 0
+        key = ka - c.var_units[j - 1] + (kb & c.low)
+    else:
+        return 0, 0
+    if key & c.guard:
+        raise _limit_error()
+    return key, e
+
+
 def lie_closure(gens: Iterable[Derivation], *,
                 degree_cap: int = DEFAULT_DEGREE_CAP,
                 dim_cap: int = DEFAULT_DIM_CAP) -> LieClosureResult:
@@ -235,6 +303,13 @@ def lie_closure(gens: Iterable[Derivation], *,
     with "dim_cap_exceeded" at once.  A generator already above degree_cap
     is a ValueError, so every element of a returned basis has coefficient
     degree at most degree_cap.  An empty gens is a ValueError too.
+
+    When every generator is one `un` monomial c x^a d_i, every bracket is
+    one monomial or zero (`_monomial_bracket`), and distinct monomials are
+    independent: the span is the set of its keys.  So each pair is bracketed
+    on the two keys, and a new key is stored as its reduced row {key: 1}
+    (`SpanBasis._add_key`), with no row kernel.  The pairs, their order, the
+    elements, the kept brackets and every stop are those of the row path.
     """
     _check_int(degree_cap, "degree cap", 1)
     _check_int(dim_cap, "dimension cap", 1)
@@ -247,34 +322,51 @@ def lie_closure(gens: Iterable[Derivation], *,
             raise ValueError(f"generator {g} has coefficient degree {deg}, "
                              f"above degree_cap {degree_cap}")
     n = gens[0].n
-    degree = codec(n).degree
+    c = codec(n)
     basis = SpanBasis(n, [])
-    elems: list[tuple[Derivation, Partials, int]] = []
-    for g in gens:
-        if basis.add(g):
-            elems.append((g, *row_support(n, g._terms)))
+    monomials = _un_monomials(n, gens)
+    if monomials is None:  # elements with their row_support
+        elems = [(g, *row_support(n, g._terms)) for g in gens if basis.add(g)]
+    else:  # elements with their key and numerator
+        elems = [(g, *term) for g, term in zip(gens, monomials) if basis._add_key(term[0])]
     num_gens = len(elems)
     brackets: list[Row] = []  # the nonzero brackets, which span [S, L]
 
     def result(status, offending=None, kept=None):
-        return LieClosureResult(status, basis, tuple(d for d, _, _ in elems),
+        return LieClosureResult(status, basis, tuple(e[0] for e in elems),
                                 num_gens, offending, kept)
 
     if basis.dim > dim_cap:
         return result("dim_cap_exceeded")
-    for (a, pa, sa), (b, pb, sb) in _generator_pairs(elems, num_gens):
-        if not signatures_meet(n, sa, sb):
-            continue
-        br = bracket_rows(a._terms, pa, b._terms, pb)
-        if br:
-            if max(map(degree, br)) > degree_cap:
+    pairs = _generator_pairs(elems, num_gens)
+    if monomials is None:
+        for (a, pa, sa), (b, pb, sb) in pairs:
+            if not signatures_meet(n, sa, sb):
+                continue
+            br = bracket_rows(a._terms, pa, b._terms, pb)
+            if br:
+                if max(map(c.degree, br)) > degree_cap:
+                    return result("degree_cap_exceeded", (a, b))
+                brackets.append(br)
+            if basis._add_row(br):
+                ab = Derivation._from_terms(n, br, a._den * b._den)
+                elems.append((ab, *row_support(n, ab._terms)))
+                if basis.dim > dim_cap:
+                    return result("dim_cap_exceeded")
+    else:
+        for (a, ka, na), (b, kb, nb) in pairs:
+            key, e = _monomial_bracket(c, ka, kb)
+            if not e:
+                continue
+            if c.degree(key) > degree_cap:
                 return result("degree_cap_exceeded", (a, b))
+            br = {key: na * nb * e}
             brackets.append(br)
-        if basis._add_row(br):
-            ab = Derivation._from_terms(n, br, a._den * b._den)
-            elems.append((ab, *row_support(n, ab._terms)))
-            if basis.dim > dim_cap:
-                return result("dim_cap_exceeded")
+            if basis._add_key(key):
+                ab = Derivation._from_terms(n, br, a._den * b._den)
+                elems.append((ab, key, ab._terms[key]))
+                if basis.dim > dim_cap:
+                    return result("dim_cap_exceeded")
     return result("closed", kept=tuple(brackets))
 
 
@@ -342,6 +434,36 @@ def _generator_step(n: int, gens: list[Operand], term: SpanBasis,
     return out, brackets
 
 
+def _monomial_lower_series(n: int, gens: list[int], keys: Iterable[int]) -> SeriesReport:
+    """The lower central series of the span of keys, a set of `un` monomials
+    closed under brackets with the generator keys gens, all in n variables.
+
+    Every [S, L^k] is a span of monomials, so each L^k is the set of keys
+    of depth >= k, where a key's depth is 1, or 1 + the largest depth of a
+    key z with [s, z] a multiple of it for some s in S.  With c the largest
+    generator degree, every generator weighs -1 or less (`KeyCodec.weight`)
+    and [s, z] weighs w(s) + w(z) < w(z).  So relaxing the keys in
+    decreasing weight order finishes every z before the keys it brackets
+    into: one pass gives every depth, and the dims are counts.
+    """
+    c = codec(n)
+    top = max(map(c.degree, gens), default=0)
+    depth = dict.fromkeys(keys, 1)
+    for z in sorted(depth, key=lambda key: c.weight(key, top), reverse=True):
+        above = depth[z] + 1
+        for s in gens:
+            key, e = _monomial_bracket(c, s, z)
+            if e and depth[key] < above:
+                depth[key] = above
+    length = max(depth.values(), default=0)
+    at = [0] * (length + 1)  # at[k - 1]: the keys of depth k
+    for d in depth.values():
+        at[d - 1] += 1
+    # dim L^k counts depth >= k, for k = 1 .. length + 1 (the last is 0)
+    dims = tuple(itertools.accumulate(reversed(at)))[::-1]
+    return SeriesReport(dims, "nilpotent", length=length)
+
+
 def _series(algebra: LieClosureResult, *, lower_central: bool) -> SeriesReport:
     """The series of a closed result of `lie_closure`, bracketing by its
     generators.
@@ -363,8 +485,10 @@ def _series(algebra: LieClosureResult, *, lower_central: bool) -> SeriesReport:
         raise ValueError("a closed result built by hand keeps no brackets; run lie_closure")
     start = algebra.basis
     n = start.n
-    gens = [(e._terms, *row_support(n, e._terms))
-            for e in algebra.elements[:algebra.num_generators]]
+    generators = algebra.elements[:algebra.num_generators]
+    if lower_central and (monomials := _un_monomials(n, generators)) is not None:
+        return _monomial_lower_series(n, [key for key, _ in monomials], start._rows)
+    gens = [(e._terms, *row_support(n, e._terms)) for e in generators]
     derived = SpanBasis(n, [])  # [L, L] = span [S, L], which starts both series
     for br in algebra._brackets:
         derived._add_row(br)
@@ -397,5 +521,11 @@ def derived_series(algebra: LieClosureResult) -> SeriesReport:
 
 def lower_central_series(algebra: LieClosureResult) -> SeriesReport:
     """L, [L,L], [L,[L,L]], ... on a closed result of `lie_closure`, whose
-    every [L, L^k] is span [S, L^k] for its generators S."""
+    every [L, L^k] is span [S, L^k] for its generators S.
+
+    When every generator is one `un` monomial, L and each L^k are sets of
+    monomials, and the series is one pass over L's keys in decreasing weight
+    order (`_monomial_lower_series`), which brackets each key with each
+    generator once; the input checks come first either way.
+    """
     return _series(algebra, lower_central=True)

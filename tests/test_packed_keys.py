@@ -22,6 +22,7 @@ from fractions import Fraction
 import pytest
 
 import kernel_reference as ref
+from polylie.canonical import generators, membership
 from polylie.derivation import Derivation, _key_partials, row_partials
 from polylie.grammar import parse_derivation, parse_polynomial
 from polylie.polyring import EXPONENT_LIMIT, Polynomial, codec
@@ -105,6 +106,72 @@ class TestCodec:
             got = sorted((row_key(n, slot, m) for slot, m in coords), key=codec(n).column_key)
             want = [row_key(n, slot, m) for slot, m in sorted(coords, key=lambda t: old_key(*t))]
             assert got == want
+
+
+def reference_weight(n, c, slot, m):
+    """sum a_l w(x_l) - w(x_slot) with w(x_l) = 1 + c + ... + c^(l-1), and no
+    w(x_slot) for slot 0."""
+    w = [sum(c ** k for k in range(l)) for l in range(1, n + 1)]
+    return sum(e * wl for e, wl in zip(m, w)) - (w[slot - 1] if slot else 0)
+
+
+class TestGrading:
+    def test_weight_against_reference(self):
+        rng = random.Random(4)
+        for n in range(1, 7):
+            c = codec(n)
+            for _ in range(60):
+                m = ref.random_exponents(rng, n, 9)
+                slot, cap = rng.randint(0, n), rng.randint(0, 5)
+                assert c.weight(row_key(n, slot, m), cap) == reference_weight(n, cap, slot, m)
+
+    def test_un_generators_weigh_minus_w_n_to_minus_one(self):
+        # d_1 weighs -1 and x_(n-1)^c d_n weighs -w_n(c): both ends are met,
+        # which a w(x_1) other than 1 would move
+        for n in range(1, 6):
+            for cap in range(1, 5):
+                c = codec(n)
+                weights = {c.weight(key, cap)
+                           for g in generators("un", n, cap) for key in g._terms}
+                w_n = sum(cap ** k for k in range(n))
+                assert min(weights) == -w_n and max(weights) == -1
+                assert c.weight(c.var_units[n - 1], cap) == w_n
+        assert codec(2).weight(row_key(2, 2, (1, 0)), 2) == 1 - 3
+
+    def test_brackets_add_weights(self):
+        # [x^a d_i, x^b d_j] = b_i x^(a+b-e_i) d_j - a_j x^(a+b-e_j) d_i,
+        # monomials of any shape: each term weighs w(a d_i) + w(b d_j)
+        rng = random.Random(5)
+        checked = 0
+        for n in range(1, 5):
+            c = codec(n)
+            for _ in range(80):
+                cap = rng.randint(0, 4)
+                a, b = (parse_derivation(f"({mono(rng, n)}) d{rng.randint(1, n)}", n)
+                        for _ in range(2))
+                (ka,), (kb,) = a._terms, b._terms
+                for key in a.bracket(b)._terms:
+                    assert c.weight(key, cap) == c.weight(ka, cap) + c.weight(kb, cap)
+                    checked += 1
+        assert checked > 100
+
+    def test_is_un_is_membership_of_one_term(self):
+        rng = random.Random(6)
+        for n in range(1, 6):
+            c = codec(n)
+            keys = {key for g in generators("sn", n, 3) for key in g._terms}
+            keys |= {row_key(n, rng.randint(1, n), ref.random_exponents(rng, n, 3))
+                     for _ in range(60)}
+            for key in keys:
+                one = Derivation._from_terms(n, {key: 1}, 1)
+                assert c.is_un(key) is membership(one).in_un
+            # a slot-0 key is a polynomial's, never a un term
+            assert not c.is_un(c.pack((0,) * n))
+
+
+def mono(rng, n):
+    """A monomial text x1^e1 ... xn^en with exponents 0..3."""
+    return " ".join(f"x{i}^{rng.randint(0, 3)}" for i in range(1, n + 1))
 
 
 def kernel_cases(seed, count=80):

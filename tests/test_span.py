@@ -16,6 +16,7 @@ from polylie.span import (
     lie_closure,
     lower_central_series,
 )
+from polylie import polyring
 from polylie.polyring import Polynomial
 from polylie.sampling import random_derivation, random_subalgebra_element
 
@@ -524,19 +525,21 @@ class TestSeriesByGenerators:
         monkeypatch.setattr(span_module, "bracket_rows", counted)
         monkeypatch.setattr(span_module, "signatures_meet", counted_meet)
         monkeypatch.setattr(SpanBasis, "_add_row", counted_add)
-        result = lie_closure(generators("un", 3, 3))
+        # two terms in one generator: the row path (monomial input takes the
+        # key path, see TestMonomialPath)
+        result = lie_closure([pd(t, 3) for t in FIVE_GENERATORS])
         g, dim = result.num_generators, result.basis.dim
-        assert (g, dim) == (15, 27)
-        # every generator pair is walked, and only the 69 whose signatures
+        assert (g, dim) == (5, 13)
+        # every generator pair is walked, and only the 21 whose signatures
         # meet are bracketed: here exactly the nonzero ones
-        assert tests[0] == comb(g, 2) + g * (dim - g) == 285
-        assert count[0] == len(result._brackets) == 69
+        assert tests[0] == comb(g, 2) + g * (dim - g) == 50
+        assert count[0] == len(result._brackets) == 21
         # one per generator and one per bracket: the closure builds no [S, L]
-        assert adds[0] == g + 69 == 84
+        assert adds[0] == g + 21 == 26
         # the first series step takes the closure's brackets, so makes none;
         # (brackets made, pairs walked)
-        assert brackets(lower_central_series, result) == (82, 360)
-        assert brackets(derived_series, result) == (33, 381)
+        assert brackets(lower_central_series, result) == (17, 50)
+        assert brackets(derived_series, result) == (6, 51)
 
     def test_lower_series_brackets_each_generator_and_row_once(self, monkeypatch):
         calls = []
@@ -547,7 +550,9 @@ class TestSeriesByGenerators:
             return bracket_rows(a, pa, b, pb)
 
         monkeypatch.setattr(span_module, "bracket_rows", recorded)
-        for gens in (generators("un", 3, 3), generators("un", 4, 2)):
+        # rational un elements of more than one term: the row path
+        for gens in ([pd(t, 3) for t in FIVE_GENERATORS],
+                     [pd(t, 4) for t in STALE_PIVOT_GENERATORS]):
             result = lie_closure(gens)
             calls.clear()
             lower_central_series(result)
@@ -611,3 +616,165 @@ class TestRandomSpans:
             again = lie_closure(list(result.basis.basis), degree_cap=6, dim_cap=64)
             assert again.status == "closed"
             assert again.basis.basis == result.basis.basis
+
+
+def monomial_inputs():
+    """(gens, caps) for every monomial un input of the tests and of the CLI
+    corpus: the un(n, c) sets, rational multiples with repeats, capped
+    closures, and a set whose adjoined generators alone are monomials."""
+    for n, c, caps in ((1, 2, {}), (2, 2, {}), (3, 2, {}), (3, 3, {}), (4, 2, {}),
+                       (4, 3, {"degree_cap": 40}), (5, 2, {"degree_cap": 16}),
+                       (3, 3, {"dim_cap": 20}), (4, 2, {"dim_cap": 30}),
+                       (3, 3, {"degree_cap": 4}), (4, 2, {"degree_cap": 3})):
+        yield generators("un", n, c), caps
+    yield list(reversed(generators("un", 3, 2))), {}
+    for n, texts, caps in (
+            (2, ("d1", "(1/2 x1) d2", "(2/3 x1^2) d2"), {}),  # the CLI corpus
+            (3, ("d1", "(x1) d2", "(x1^2) d3"), {}),
+            (2, ("(x1) d2",), {}),
+            (2, ("d2",), {"degree_cap": 1}),
+            (3, ("d1", "(2) d1", "(x1) d2", "(-x1) d2", "(x1 x2) d3"), {}),
+            (3, ("(-7/2 x1^2) d2", "(3/5 x1 x2^2) d3", "(2/3) d1", "(4) d2"), {}),
+            (3, ("(1/2 x1^2) d2", "(3 x2^2) d3", "(2/3) d1"), {"degree_cap": 3}),
+            # a closure on rows, since one generator has two terms, but that
+            # generator is not adjoined: the lower series runs on keys
+            (3, ("d1", "(x1) d2", "d1 + (x1) d2", "(x1^2) d3"), {})):
+        yield [pd(t, n) for t in texts], caps
+
+
+class TestMonomialPath:
+    """Monomial un input runs on key sets; every other input on rows."""
+
+    @staticmethod
+    def fields(result):
+        return (result.status, result.basis.basis, result.elements, result.num_generators,
+                result.offending_bracket, result._brackets)
+
+    def test_key_path_equals_row_path_and_reference(self, monkeypatch):
+        # closures, capped ones too, and both series against the row path,
+        # forced by refusing the key path; the series against all pairs too
+        inputs = list(monomial_inputs())
+        results = [lie_closure(gens, **caps) for gens, caps in inputs]
+        series = [(lower_central_series(r), derived_series(r)) if r.closed else None
+                  for r in results]
+        monkeypatch.setattr(span_module, "_un_monomials", lambda n, gens: None)
+        for (gens, caps), result, both in zip(inputs, results, series):
+            row = lie_closure(gens, **caps)
+            assert self.fields(row) == self.fields(result)
+            if both is None:
+                continue
+            assert both == (lower_central_series(row), derived_series(row))
+            if result.basis.dim <= 48:
+                for report, lower in zip(both, (True, False)):
+                    assert report.dims == \
+                        tuple(t.dim for t in reference_terms(result.basis, lower))
+        assert {r.status for r in results} == \
+            {"closed", "degree_cap_exceeded", "dim_cap_exceeded"}
+        assert sum(both is not None for both in series) == 15
+
+    def test_capped_stops_are_pinned(self):
+        # (status, dim, offending pair, last element), as the row path gave
+        cases = [
+            (generators("un", 4, 2), {"degree_cap": 3},
+             ("degree_cap_exceeded", 29, ("(x1 x3) d4", "(x1^3) d3"), "(2 x2^2 x3) d4")),
+            (generators("un", 3, 3), {"degree_cap": 4},
+             ("degree_cap_exceeded", 17, ("(x1^3) d2", "(x1^2 x2) d3"), "(2 x1^3 x2) d3")),
+            (generators("un", 3, 3), {"dim_cap": 20},
+             ("dim_cap_exceeded", 21, None, "(3 x1^3 x2^2) d3")),
+            (generators("un", 4, 2), {"dim_cap": 30},
+             ("dim_cap_exceeded", 31, None, "(-x1^3 x2) d4")),
+            ([pd(t, 3) for t in ("(1/2 x1^2) d2", "(3 x2^2) d3", "(2/3) d1")],
+             {"degree_cap": 3},
+             ("degree_cap_exceeded", 5, ("(1/2 x1^2) d2", "(3 x1^2 x2) d3"), "(-2/3 x1) d2")),
+        ]
+        for gens, caps, want in cases:
+            result = lie_closure(gens, **caps)
+            pair = result.offending_bracket
+            assert (result.status, result.basis.dim, pair and tuple(map(str, pair)),
+                    str(result.elements[-1])) == want
+            assert len(result.elements) == result.basis.dim
+            assert result._brackets is None
+
+    def test_key_path_counts(self, monkeypatch):
+        counts = {"rows": 0, "meet": 0, "add": 0, "keys": 0, "nonzero": 0}
+        bracket_rows, meet = span_module.bracket_rows, span_module.signatures_meet
+        add_row, monomial_bracket = SpanBasis._add_row, span_module._monomial_bracket
+
+        def counted(name, fn):
+            def call(*args):
+                counts[name] += 1
+                return fn(*args)
+            return call
+
+        def counted_keys(*args):
+            counts["keys"] += 1
+            key, e = monomial_bracket(*args)
+            counts["nonzero"] += bool(e)
+            return key, e
+
+        def take():
+            out = dict(counts)
+            counts.update(dict.fromkeys(counts, 0))
+            return out
+
+        monkeypatch.setattr(span_module, "bracket_rows", counted("rows", bracket_rows))
+        monkeypatch.setattr(span_module, "signatures_meet", counted("meet", meet))
+        monkeypatch.setattr(SpanBasis, "_add_row", counted("add", add_row))
+        monkeypatch.setattr(span_module, "_monomial_bracket", counted_keys)
+        result = lie_closure(generators("un", 3, 3))
+        g, dim = result.num_generators, result.basis.dim
+        assert (g, dim) == (15, 27)
+        # the same 285 generator pairs as the row path, each bracketed on
+        # keys; 69 brackets are nonzero; no row is bracketed or reduced
+        assert take() == {"rows": 0, "meet": 0, "add": 0, "keys": 285, "nonzero": 69}
+        assert comb(g, 2) + g * (dim - g) == 285 and len(result._brackets) == 69
+        # the lower series brackets each key with each generator once, in one
+        # pass: dim * g pairs
+        assert lower_central_series(result).length == 13
+        assert take() == {"rows": 0, "meet": 0, "add": 0, "keys": 27 * 15, "nonzero": 102}
+        # the derived series stays on rows: (brackets made, pairs walked) as
+        # before the key path, and its spans reduce rows
+        derived_series(result)
+        counts_now = take()
+        assert (counts_now["rows"], counts_now["meet"]) == (33, 381)
+        assert counts_now["keys"] == 0 and counts_now["add"] > 0
+
+    @pytest.mark.parametrize("texts, n", [
+        (("d1", "(x1) d2 + d3", "(x1^2) d3"), 3),  # two terms in one generator
+        (("d1", "(x1) d1", "(x1) d2"), 2),  # (x1) d1 lies outside un
+        (("0", "d1", "(x1) d2", "(x1^2) d3"), 3),  # a zero generator
+    ])
+    def test_other_input_takes_the_row_path(self, monkeypatch, texts, n):
+        calls = []
+        monkeypatch.setattr(span_module, "_monomial_bracket",
+                            lambda *args: calls.append(args))
+        result = lie_closure([pd(t, n) for t in texts])
+        assert result.closed and result._brackets
+        assert not calls
+
+    def test_series_check_their_input_before_the_path(self, monkeypatch):
+        monkeypatch.setattr(span_module, "_monomial_lower_series",
+                            lambda *args: pytest.fail("the key path ran"))
+        gens = generators("un", 3, 3)
+        with pytest.raises(TypeError, match="lie_closure"):
+            lower_central_series(SpanBasis(3, gens))
+        result = lie_closure(gens, dim_cap=20)
+        with pytest.raises(ValueError, match="dim_cap_exceeded"):
+            lower_central_series(result)
+        by_hand = LieClosureResult("closed", SpanBasis(3, gens), tuple(gens), len(gens))
+        with pytest.raises(ValueError, match="built by hand"):
+            lower_central_series(by_hand)
+
+    @pytest.mark.parametrize("n, c, degree_cap, dim", [
+        (4, 4, 90, 1136), (6, 2, 40, 2076), (5, 3, 120, 6092)])
+    def test_full_set_class_is_w_n(self, n, c, degree_cap, dim):
+        # L(n, c) is nilpotent of class w_n(c) = 1 + c + ... + c^(n-1), and
+        # L^k holds exactly the monomials of L of weight <= -k
+        result = lie_closure(generators("un", n, c), degree_cap=degree_cap, dim_cap=8000)
+        assert result.closed and result.basis.dim == dim
+        report = lower_central_series(result)
+        w_n = sum(c ** k for k in range(n))
+        assert report.verdict == "nilpotent" and report.length == w_n
+        codec = polyring.codec(n)
+        weights = [codec.weight(key, c) for key in result.basis._rows]
+        assert report.dims == tuple(sum(w <= -k for w in weights) for k in range(1, w_n + 2))

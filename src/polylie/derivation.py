@@ -37,9 +37,11 @@ partial a difference.  Callers that bracket a row many times
 (`span.lie_closure` and the series) take its partials once and bracket
 their stored rows directly.  They also compute its support signature once,
 with the partials (`row_support`: the slots that hold terms and the
-variables the coefficients depend on), and skip every pair whose
-signatures do not meet (`signatures_meet`), which `bracket_rows` would
-have bracketed to zero.  `Derivation.bracket`
+variables the coefficients depend on), and bracket no pair whose
+signatures do not meet, which `bracket_rows` would bracket to zero:
+`lie_closure` and the lower central series test each pair with
+`signatures_meet`, and the derived series takes only meeting pairs from
+lists of the rows that hold each signature bit.  `Derivation.bracket`
 brackets the two stored rows and reduces once over den_D * den_E; `apply`
 runs the same `_apply_into` on D's row, with f's numerators as the one
 coefficient of a row, in slot 0, and reduces once over den_D * den_f.

@@ -13,7 +13,9 @@ derivation's stored integer row, which stands for the derivation up to its
 denominator, reduces a copy of it without fractions, one pivot column at
 a time (scaled by that pivot entry, less an integer multiple of the pivot's
 row; each stored row vanishes in the others' pivot columns, so the order is
-free), and inserts the residual only if it is nonzero.
+free), and inserts the residual only if it is nonzero.  A unit row {p: 1},
+most rows on `un` input, needs no arithmetic: its column is cleared by
+deletion, and back-elimination walks only the rows of more than one term.
 Dividing each row by its pivot entry gives the reduced row echelon
 form, which is unique for a given row space and column order; `basis` does
 that division, and only there, so equal spans produce identical bases
@@ -27,7 +29,9 @@ dimension caps.  Both bracket stored rows with
 `derivation.bracket_rows` and build no Derivation per bracket: each
 element's partials and support signature are listed once (`row_support`),
 and a pair whose signatures do not meet is skipped, since its bracket is
-provably zero (`signatures_meet`).  Both
+provably zero (`signatures_meet`).  The derived series tests no pair: it
+takes each row's partners from lists of the rows that hold each signature
+bit (`_meeting_pairs`).  Both
 bracket by the generators where they know them: `lie_closure` brackets each
 element it adjoins with the generators before it only, and keeps the
 nonzero rows of those brackets, which span [S, L].  A closed
@@ -62,8 +66,9 @@ depth >= k.  The derived series stays on rows.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from math import gcd
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .derivation import Derivation, Partials, Row, bracket_rows, row_support, signatures_meet
 from .polyring import KeyCodec, _check_int, _check_n, _check_same_n, _limit_error, codec
@@ -92,12 +97,13 @@ def _eliminate(target: Row, source: Row, col: int) -> None:
 class SpanBasis:
     """Reduced basis of the rational span of a finite set of derivations."""
 
-    __slots__ = ("n", "_rows", "_basis")
+    __slots__ = ("n", "_rows", "_multi", "_basis")
 
     def __init__(self, n: int, gens: Iterable[Derivation]):
         _check_n(n)
         self.n = n
         self._rows: dict[int, Row] = {}  # pivot -> primitive row
+        self._multi: set[int] = set()  # the pivots of the rows of more than one term
         self._basis: tuple[Derivation, ...] | None = ()
         for d in gens:
             self.add(d)
@@ -130,16 +136,21 @@ class SpanBasis:
         part in the span, as a new dict; row itself is never modified.
 
         Each pivot column of row is cleared by `_eliminate` with that
-        pivot's stored row, one pivot at a time.  Every stored row vanishes
-        in the pivot columns of the others, so a step clears its own column
-        and leaves the others as they were, up to a positive factor: the
-        order of the steps is free.
+        pivot's stored row, one pivot at a time, or by deleting the entry
+        when that row is {p: 1}, which is what `_eliminate` computes there.
+        Every stored row vanishes in the pivot columns of the others, so a
+        step clears its own column and leaves the others as they were, up
+        to a positive factor: the order of the steps is free.
         """
         residual = dict(row)
         rows = self._rows
         for p in row:
-            if p in rows:
-                _eliminate(residual, rows[p], p)
+            source = rows.get(p)
+            if source is not None:
+                if len(source) == 1:  # {p: 1}: _eliminate would only delete p
+                    del residual[p]
+                else:
+                    _eliminate(residual, source, p)
         return residual
 
     def add(self, d: Derivation) -> bool:
@@ -149,26 +160,47 @@ class SpanBasis:
 
     def _add_row(self, row: Row) -> bool:
         """add for an integer row, which stands for any nonzero multiple of
-        itself; row itself is never modified."""
-        residual = self._reduce(row)
-        if not residual:
+        itself; row itself is never modified.
+
+        A one-term row takes one lookup: it is inside when its key is the
+        pivot of a unit row, and stored as {key: 1} when its key is no pivot.
+        Back-elimination walks only the rows of more than one term
+        (`_multi`), since a unit row has no entry in the new pivot column; a
+        row it leaves with one term becomes {p: 1} and leaves `_multi`.
+        """
+        rows = self._rows
+        key = next(iter(row)) if len(row) == 1 else None
+        if key is not None and key not in rows:
+            pivot, residual = key, {key: 1}
+        elif key is not None and len(rows[key]) == 1:
             return False
-        pivot = min(residual, key=codec(self.n).column_key)
-        g = gcd(*residual.values())
-        if residual[pivot] < 0:
-            g = -g
-        if g != 1:
-            for col in residual:
-                residual[col] //= g
-        for other in self._rows.values():
+        else:
+            residual = self._reduce(row)
+            if not residual:
+                return False
+            pivot = min(residual, key=codec(self.n).column_key)
+            g = gcd(*residual.values())
+            if residual[pivot] < 0:
+                g = -g
+            if g != 1:
+                for col in residual:
+                    residual[col] //= g
+        for p in tuple(self._multi):
+            other = rows[p]
             if pivot in other:
                 # other's pivot entry stays positive: residual is 0 there
                 _eliminate(other, residual, pivot)
+                if len(other) == 1:
+                    other[p] = 1
+                    self._multi.discard(p)
+                    continue
                 content = gcd(*other.values())
                 if content != 1:
                     for col in other:
                         other[col] //= content
-        self._rows[pivot] = residual
+        if len(residual) > 1:
+            self._multi.add(pivot)
+        rows[pivot] = residual
         self._basis = None
         return True
 
@@ -325,8 +357,9 @@ def lie_closure(gens: Iterable[Derivation], *,
     c = codec(n)
     basis = SpanBasis(n, [])
     monomials = _un_monomials(n, gens)
-    if monomials is None:  # elements with their row_support
-        elems = [(g, *row_support(n, g._terms)) for g in gens if basis.add(g)]
+    if monomials is None:  # elements with their row_support and coefficient degree
+        elems = [(g, *row_support(n, g._terms), g.max_coeff_degree())
+                 for g in gens if basis.add(g)]
     else:  # elements with their key and numerator
         elems = [(g, *term) for g, term in zip(gens, monomials) if basis._add_key(term[0])]
     num_gens = len(elems)
@@ -340,17 +373,18 @@ def lie_closure(gens: Iterable[Derivation], *,
         return result("dim_cap_exceeded")
     pairs = _generator_pairs(elems, num_gens)
     if monomials is None:
-        for (a, pa, sa), (b, pb, sb) in pairs:
+        for (a, pa, sa, da), (b, pb, sb, db) in pairs:
             if not signatures_meet(n, sa, sb):
                 continue
             br = bracket_rows(a._terms, pa, b._terms, pb)
             if br:
-                if max(map(c.degree, br)) > degree_cap:
+                # [a, b] has coefficient degree at most da + db - 1
+                if da + db > degree_cap + 1 and max(map(c.degree, br)) > degree_cap:
                     return result("degree_cap_exceeded", (a, b))
                 brackets.append(br)
             if basis._add_row(br):
                 ab = Derivation._from_terms(n, br, a._den * b._den)
-                elems.append((ab, *row_support(n, ab._terms)))
+                elems.append((ab, *row_support(n, ab._terms), ab.max_coeff_degree()))
                 if basis.dim > dim_cap:
                     return result("dim_cap_exceeded")
     else:
@@ -396,12 +430,35 @@ class SeriesReport(NamedTuple):
         }
 
 
+def _meeting_pairs(n: int, ops: list[Operand]) -> Iterator[tuple[Operand, Operand]]:
+    """The pairs of ops whose signatures meet (`signatures_meet`), each
+    once, in `itertools.combinations` order.
+
+    Rows meet when one has a term in a slot j and the other depends on x_j,
+    so a row's partners are the later rows that hold bit n + j of its slot
+    bits j, or bit j of its variable bits n + j: one small set per row.
+    """
+    bits = range(1, 2 * n + 1)
+    holders: list[list[int]] = [[] for _ in range(2 * n + 1)]  # bit -> rows with it
+    for i, (_, _, sig) in enumerate(ops):
+        for bit in bits:
+            if sig >> bit & 1:
+                holders[bit].append(i)
+    for i, (_, _, sig) in enumerate(ops):
+        partners: set[int] = set()
+        for bit in bits:
+            if sig >> bit & 1:  # slot bit j meets variable bit n + j, and back
+                rows = holders[bit + n if bit <= n else bit - n]
+                partners.update(rows[bisect_right(rows, i):])
+        for k in sorted(partners):
+            yield ops[i], ops[k]
+
+
 def _bracket_span(n: int, pairs: Iterable[tuple[Operand, Operand]]) -> SpanBasis:
     """The span of the brackets of pairs of operands."""
     out = SpanBasis(n, [])
-    for (a, pa, sa), (b, pb, sb) in pairs:
-        if signatures_meet(n, sa, sb):
-            out._add_row(bracket_rows(a, pa, b, pb))
+    for (a, pa, _), (b, pb, _) in pairs:
+        out._add_row(bracket_rows(a, pa, b, pb))
     return out
 
 
@@ -504,7 +561,7 @@ def _series(algebra: LieClosureResult, *, lower_central: bool) -> SeriesReport:
         elif lower_central:
             nxt, kept = _generator_step(n, gens, current, kept)
         else:
-            nxt = _bracket_span(n, itertools.combinations(current._operands(), 2))
+            nxt = _bracket_span(n, _meeting_pairs(n, current._operands()))
         dims.append(nxt.dim)
         # nxt lies inside current, so equal dimensions mean equal spans
         if nxt.dim == current.dim:

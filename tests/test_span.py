@@ -1,7 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 
@@ -179,7 +179,9 @@ class TestIntegerKernel:
 
     def test_basis_is_fraction_rref(self):
         for _, n, gens in self.cases(61):
-            assert SpanBasis(n, gens).basis == tuple(reference_rref(n, gens))
+            span = SpanBasis(n, gens)
+            check_span_invariants(span)
+            assert span.basis == tuple(reference_rref(n, gens))
 
     def test_contains_and_add_agree_with_rank(self):
         for rng, n, gens in self.cases(62):
@@ -201,6 +203,88 @@ class TestIntegerKernel:
             scaled = [big_rational(rng) * g for g in gens]
             a, b = SpanBasis(n, gens), SpanBasis(n, scaled)
             assert a.basis == b.basis
+
+
+def check_span_invariants(span):
+    """The kernel's stored form: `_multi` holds exactly the pivots of the
+    rows of more than one term, and each row is primitive, with a positive
+    pivot entry, its first column, and a zero in every other pivot column."""
+    rows = span._rows
+    assert span._multi == {p for p, row in rows.items() if len(row) > 1}
+    column_key = polyring.codec(span.n).column_key
+    for p, row in rows.items():
+        assert min(row, key=column_key) == p and row[p] > 0
+        assert gcd(*row.values()) == 1
+        assert all(q == p or q not in row for q in rows)
+
+
+class TestUnitRows:
+    """A one-term row {p: 1} is cleared by deletion and decided by one
+    lookup, and back-elimination walks only the rows of more than one term."""
+
+    @staticmethod
+    def added(n, gens):
+        """The span of gens, its invariants checked after each add; and the
+        number of adds that left a multi-term row with one term."""
+        span, shrunk = SpanBasis(n, []), 0
+        for g in gens:
+            before = set(span._multi)
+            span.add(g)
+            check_span_invariants(span)
+            shrunk += len(before & set(span._rows) - span._multi)
+        return span, shrunk
+
+    @staticmethod
+    def mixed_sets(seed, count=30):
+        """Sets of one-term and multi-term derivations in n = 2 on the six
+        columns of degree <= 1, so that terms collide often."""
+        rng = random.Random(seed)
+        monomials = [(slot, m) for slot in (1, 2) for m in ("", "x1", "x2")]
+        for _ in range(count):
+            gens = []
+            for _ in range(rng.randint(3, 5)):
+                terms = rng.sample(monomials, rng.choice((1, 1, 2, 3)))
+                text = " + ".join(f"({rng.choice((-3, -2, -1, 1, 2, 3))} {m}) d{slot}"
+                                  for slot, m in terms)
+                gens.append(pd(text, 2))
+            yield gens
+
+    def test_mixed_rows_are_rref_under_every_shuffle(self):
+        shrunk = 0
+        for gens in self.mixed_sets(71):
+            reference = tuple(reference_rref(2, gens))
+            for perm in itertools.permutations(gens):
+                span, k = self.added(2, perm)
+                assert span.basis == reference
+                shrunk += k
+        # back-elimination left a multi-term row with one term in many adds
+        assert shrunk > 100
+
+    def test_back_elimination_leaves_a_unit_row(self):
+        n = 2
+        for first, entry in (("(x1) d1 + (x2) d2", 1), ("(2 x1) d1 + (3 x2) d2", 2)):
+            span, _ = self.added(n, [pd(first, n)])
+            (pivot,) = span._multi
+            assert span._rows[pivot][pivot] == entry
+            span, shrunk = self.added(n, [pd(first, n), pd("(x2) d2", n)])
+            # the row of first is left with one term, stored as {pivot: 1}
+            assert shrunk == 1 and not span._multi
+            assert span._rows[pivot] == {pivot: 1}
+            assert span.basis == (pd("(x1) d1", n), pd("(x2) d2", n))
+
+    def test_one_term_rows_decided_by_lookup(self):
+        n = 2
+        span, _ = self.added(n, [pd("(x1) d1 + (x2) d2", n), pd("(x1) d2", n)])
+        # inside: a unit pivot; new: a column that is no pivot; new or inside
+        # by reduction: the pivot of a multi-term row
+        assert not span.add(pd("(-5 x1) d2", n))
+        (key,) = pd("(7) d2", n)._terms
+        assert span.add(pd("(7) d2", n)) and span._rows[key] == {key: 1}
+        check_span_invariants(span)
+        assert span.add(pd("(4 x1) d1", n))
+        check_span_invariants(span)
+        assert not span._multi and span.dim == 4
+        assert not span.add(pd("(x2) d2", n))
 
 
 class TestLieClosure:
@@ -289,6 +373,14 @@ class TestLieClosure:
         rest = iter(fresh)  # the elements after the generators, in order
         assert all(any(e == f for f in rest) for e in result.elements[g:])
         assert len(result.elements) == result.basis.dim > g
+
+    def test_degree_bound_above_cap_still_closes(self):
+        # a pair of degree 2 elements may bracket to degree 3, above the cap,
+        # so its bracket's keys are scanned; [(x1^2) d1, d1] has degree 1
+        n = 1
+        result = lie_closure([pd("(x1^2) d1", n), pd("d1 + (x1^2) d1", n)], degree_cap=2)
+        assert result.closed and result.basis.dim == 3
+        assert result.elements[2] == pd("(-2 x1) d1", n)
 
     def test_generator_above_degree_cap_rejected(self):
         n = 1
@@ -537,9 +629,39 @@ class TestSeriesByGenerators:
         # one per generator and one per bracket: the closure builds no [S, L]
         assert adds[0] == g + 21 == 26
         # the first series step takes the closure's brackets, so makes none;
-        # (brackets made, pairs walked)
+        # (brackets made, signatures_meet tests).  The derived series finds
+        # its meeting pairs by slot and variable lists, so tests none
         assert brackets(lower_central_series, result) == (17, 50)
-        assert brackets(derived_series, result) == (6, 51)
+        assert brackets(derived_series, result) == (6, 0)
+
+    def test_derived_series_brackets_exactly_the_meeting_pairs(self, monkeypatch):
+        # each step after the first brackets the pairs of its term's rows
+        # whose signatures meet, each once, in itertools.combinations order
+        steps = []  # per step: (pairs expected, pairs bracketed)
+        bracket_rows, meeting_pairs = span_module.bracket_rows, span_module._meeting_pairs
+
+        def recorded(a, pa, b, pb):
+            steps[-1][1].append((frozenset(a.items()), frozenset(b.items())))
+            return bracket_rows(a, pa, b, pb)
+
+        def listed(n, ops):
+            steps.append(([(frozenset(a.items()), frozenset(b.items()))
+                           for (a, _, sa), (b, _, sb) in itertools.combinations(ops, 2)
+                           if span_module.signatures_meet(n, sa, sb)], []))
+            return meeting_pairs(n, ops)
+
+        results = [*closed_results(), lie_closure(generators("un", 4, 2))]
+        monkeypatch.setattr(span_module, "bracket_rows", recorded)
+        monkeypatch.setattr(span_module, "_meeting_pairs", listed)
+        skipped = 0
+        for result in results:
+            steps.clear()
+            report = derived_series(result)
+            assert len(steps) == max(len(report.dims) - 2, 0)
+            for (expected, made), dim in zip(steps, report.dims[1:]):
+                assert made == expected
+                skipped += comb(dim, 2) - len(made)
+        assert skipped > 1000
 
     def test_lower_series_brackets_each_generator_and_row_once(self, monkeypatch):
         calls = []
@@ -696,8 +818,9 @@ class TestMonomialPath:
             assert result._brackets is None
 
     def test_key_path_counts(self, monkeypatch):
-        counts = {"rows": 0, "meet": 0, "add": 0, "keys": 0, "nonzero": 0}
+        counts = {"rows": 0, "meet": 0, "add": 0, "elim": 0, "keys": 0, "nonzero": 0}
         bracket_rows, meet = span_module.bracket_rows, span_module.signatures_meet
+        eliminate = span_module._eliminate
         add_row, monomial_bracket = SpanBasis._add_row, span_module._monomial_bracket
 
         def counted(name, fn):
@@ -720,24 +843,29 @@ class TestMonomialPath:
         monkeypatch.setattr(span_module, "bracket_rows", counted("rows", bracket_rows))
         monkeypatch.setattr(span_module, "signatures_meet", counted("meet", meet))
         monkeypatch.setattr(SpanBasis, "_add_row", counted("add", add_row))
+        monkeypatch.setattr(span_module, "_eliminate", counted("elim", eliminate))
         monkeypatch.setattr(span_module, "_monomial_bracket", counted_keys)
         result = lie_closure(generators("un", 3, 3))
         g, dim = result.num_generators, result.basis.dim
         assert (g, dim) == (15, 27)
         # the same 285 generator pairs as the row path, each bracketed on
         # keys; 69 brackets are nonzero; no row is bracketed or reduced
-        assert take() == {"rows": 0, "meet": 0, "add": 0, "keys": 285, "nonzero": 69}
+        assert take() == {"rows": 0, "meet": 0, "add": 0, "elim": 0, "keys": 285,
+                          "nonzero": 69}
         assert comb(g, 2) + g * (dim - g) == 285 and len(result._brackets) == 69
         # the lower series brackets each key with each generator once, in one
         # pass: dim * g pairs
         assert lower_central_series(result).length == 13
-        assert take() == {"rows": 0, "meet": 0, "add": 0, "keys": 27 * 15, "nonzero": 102}
-        # the derived series stays on rows: (brackets made, pairs walked) as
-        # before the key path, and its spans reduce rows
+        assert take() == {"rows": 0, "meet": 0, "add": 0, "elim": 0, "keys": 27 * 15,
+                          "nonzero": 102}
+        # the derived series stays on rows: it brackets its 33 meeting pairs,
+        # found with no signatures_meet test, and its spans reduce rows
         derived_series(result)
         counts_now = take()
-        assert (counts_now["rows"], counts_now["meet"]) == (33, 381)
+        assert (counts_now["rows"], counts_now["meet"]) == (33, 0)
         assert counts_now["keys"] == 0 and counts_now["add"] > 0
+        # every row is one monomial, a unit row once stored: no elimination
+        assert counts_now["elim"] == 0
 
     @pytest.mark.parametrize("texts, n", [
         (("d1", "(x1) d2 + d3", "(x1^2) d3"), 3),  # two terms in one generator

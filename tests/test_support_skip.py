@@ -1,6 +1,7 @@
 """The support-signature skip: a pair whose signatures do not meet brackets
 to zero, and forcing every pair to be bracketed changes no result."""
 
+import itertools
 import random
 
 import polylie.span as span_module
@@ -119,6 +120,9 @@ def test_forcing_every_pair_changes_no_result(monkeypatch):
     assert statuses == {"closed", "degree_cap_exceeded", "dim_cap_exceeded"}
 
     monkeypatch.setattr(span_module, "signatures_meet", lambda n, sa, sb: True)
+    # the derived series: every row takes all later rows as partners
+    monkeypatch.setattr(span_module, "_meeting_pairs",
+                        lambda n, ops: itertools.combinations(ops, 2))
     forced = all_results()
     assert forced[0] == closures
     assert forced[1] == series

@@ -9,12 +9,12 @@ names "un" and "sn":
       p, q depending only on x_1 ... x_{i-1}.  Solvable, with derived
       length exactly 2n.
 
-Membership is decided monomial by monomial, and the same per-monomial rule
-drives the term split in `strip_canonical_part`.  `lnd_check` refutes local
-nilpotency with D's matrix, which `linear_part_refutes` re-checks.  A
-closed-form chain of brackets witnesses the derived-length lower bound with
-a certificate that `DerivedChainCertificate.check` re-verifies from its JSON
-form alone.
+Membership, the term split in `strip_canonical_part` and `generators` read
+each term's level (`KeyCodec.level`): x^a d_i lies in un when its level is
+2i - 1 and in sn when it is >= 0.  `lnd_check` refutes local nilpotency
+with D's matrix, which `linear_part_refutes` re-checks.  A closed-form chain
+of brackets witnesses the derived-length lower bound with a certificate
+that `DerivedChainCertificate.check` re-verifies from its JSON form alone.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Iterator, Literal, NamedTuple
 
 from .derivation import Derivation, Row
 from .grammar import parse_derivation
-from .polyring import Monomial, Polynomial, _check_int, _check_n, codec
+from .polyring import KeyCodec, Polynomial, _check_int, _check_n, codec
 
 Which = Literal["un", "sn"]
 
@@ -34,32 +34,16 @@ UN_REASON_DEPENDS_HIGHER = "depends_on_xj_with_j_gt_i"
 SN_REASON_DEGREE = "xi_degree_exceeds_1"
 UN_REASON_DEGREE = "xi_degree_exceeds_0_for_un"
 
-# the slot violations (see _slot_violation) each subalgebra admits
-_ADMITTED = {"un": (None,), "sn": (None, UN_REASON_DEGREE)}
-
 
 def _check_which(which: str) -> None:
-    if which not in _ADMITTED:
+    if which not in ("un", "sn"):
         raise ValueError(f"subalgebra name must be 'un' or 'sn', got {which!r}")
 
 
-def _slot_violation(i: int, mono: Monomial) -> str | None:
-    """Why monomial * d_i lies outside un, or None if it lies inside."""
-    if any(mono[pos] > 0 for pos in range(i, len(mono))):
-        return UN_REASON_DEPENDS_HIGHER
-    if mono[i - 1] >= 2:
-        return SN_REASON_DEGREE
-    if mono[i - 1] == 1:
-        return UN_REASON_DEGREE
-    return None
-
-
-def _row_violations(d: Derivation) -> Iterator[tuple[int, int, str | None]]:
-    """(key, slot, _slot_violation) for each term of d's row, in row order."""
-    c = codec(d.n)
-    for key in d._terms:
-        slot = key >> c.slot_shift
-        yield key, slot, _slot_violation(slot, c.unpack(key))
+def _admits(which: Which, c: KeyCodec, key: int) -> bool:
+    """Whether the chosen subalgebra holds the term at key, by its level."""
+    level = c.level(key)
+    return level >= 0 if which == "sn" else level == 2 * (key >> c.slot_shift) - 1
 
 
 class MembershipVerdict(NamedTuple):
@@ -76,29 +60,35 @@ class MembershipVerdict(NamedTuple):
 
 
 def membership(d: Derivation) -> MembershipVerdict:
-    """Decide membership in un and sn, with per-slot violation reasons."""
-    seen = dict.fromkeys((slot, why) for _, slot, why in _row_violations(d))
-    # slots ascending; the stable sort keeps first-seen order within a slot
-    violations = sorted((v for v in seen if v[1]), key=lambda v: v[0])
-    in_un = not violations
-    in_sn = all(r in _ADMITTED["sn"] for _, r in violations)
-    return MembershipVerdict(in_un, in_sn, tuple(violations))
+    """Decide membership in un and sn, with per-slot violation reasons in
+    the order the terms print, so that equal derivations get equal verdicts."""
+    c = codec(d.n)
+    seen: dict[tuple[int, str], None] = {}
+    for key in sorted(d._terms, key=c.column_key):
+        slot, level = key >> c.slot_shift, c.level(key)
+        if level == 2 * slot - 2:
+            seen[slot, UN_REASON_DEGREE] = None
+        elif level < 0:  # a mask on x_(slot+1) ... x_n tells the two reasons apart
+            higher = key & c.tails[slot + 1]
+            seen[slot, UN_REASON_DEPENDS_HIGHER if higher else SN_REASON_DEGREE] = None
+    in_sn = all(r == UN_REASON_DEGREE for _, r in seen)
+    return MembershipVerdict(not seen, in_sn, tuple(seen))
 
 
 def strip_canonical_part(d: Derivation, which: Which) -> tuple[Derivation, Derivation]:
     """Split d = remainder + stripped with stripped in the chosen subalgebra.
 
     The split is term-by-term: a monomial of the i-th coefficient goes to
-    the stripped part exactly when it satisfies the slot-i condition, so the
-    remainder keeps only irreducibly violating terms and re-stripping it
-    removes nothing.
+    the stripped part exactly when its level admits it, so the remainder
+    keeps only irreducibly violating terms and re-stripping it removes
+    nothing.
     """
     _check_which(which)
-    admitted = _ADMITTED[which]
+    c = codec(d.n)
     allowed: Row = {}
     violating: Row = {}
-    for key, _, why in _row_violations(d):
-        (allowed if why in admitted else violating)[key] = d._terms[key]
+    for key, num in d._terms.items():
+        (allowed if _admits(which, c, key) else violating)[key] = num
     # both halves keep d's denominator; _from_terms reduces each
     remainder = Derivation._from_terms(d.n, violating, d._den)
     stripped = Derivation._from_terms(d.n, allowed, d._den)
@@ -121,8 +111,8 @@ def generators(which: Which, n: int, degree_cap: int) -> list[Derivation]:
     that the chosen subalgebra admits.
 
     For each slot i and each monomial m in x_1 ... x_{i-1}, the terms
-    m * x_i^e * d_i for e = 0, 1, ... are kept while `_slot_violation`
-    admits them.  Order is deterministic: slot-major, then by the degree of
+    m * x_i^e * d_i for e = 0, 1, ... are kept while their level admits
+    them.  Order is deterministic: slot-major, then by the degree of
     m and the enumeration order of its exponent tuple, then by e.
     """
     _check_which(which)
@@ -136,17 +126,16 @@ def generators(which: Which, n: int, degree_cap: int) -> list[Derivation]:
 @functools.cache
 def _generator_pool(which: Which, n: int, degree_cap: int) -> tuple[Derivation, ...]:
     """The pool `generators` lists, built once per argument triple."""
-    admitted = _ADMITTED[which]
     c = codec(n)
     out: list[Derivation] = []
     for i in range(1, n + 1):
         slot = i << c.slot_shift
         for m in _monomials_in_prefix(n, i - 1, degree_cap):
             for e in range(degree_cap - c.degree(m) + 1):
-                key = m + e * c.var_units[i - 1]
-                if _slot_violation(i, c.unpack(key)) not in admitted:
+                key = slot + m + e * c.var_units[i - 1]
+                if not _admits(which, c, key):
                     break
-                out.append(Derivation._from_terms(n, {slot + key: 1}, 1))
+                out.append(Derivation._from_terms(n, {key: 1}, 1))
     return tuple(out)
 
 
@@ -294,7 +283,7 @@ class DerivedChainCertificate(NamedTuple):
                         or type(c) is not int or type(depth) is not int or depth < 0):
                     return False  # a key is one term with coefficient 1
                 if left is None and right is None:
-                    ok = c == 1 and depth == 0 and membership(key).in_sn
+                    ok = c == 1 and depth == 0 and codec(key.n).level(*key._terms) >= 0
                 else:
                     ok = (all(type(j) is int and 0 <= j < i for j in (left, right))
                           and c != 0 and depth <= 1 + min(depths[left], depths[right])

@@ -55,9 +55,9 @@ POWER_BITS_LIMIT = 1 << 22
 
 
 # The largest variable count.  A KeyCodec holds n keys of FIELD_BITS * (n + 2)
-# bits each, so its memory grows with n^2: 8 MB of keys at n = 1000, 0.8 GB at
-# n = 10000.  No command or check here uses n above 100.  This bounds memory,
-# not run time.
+# bits each and n masks of half that on average, so its memory grows with n^2:
+# 13 MB at n = 1000, 1.3 GB at n = 10000.  No command or check here uses n
+# above 100.  This bounds memory, not run time.
 MAX_VARIABLES = 1000
 
 
@@ -76,10 +76,11 @@ class KeyCodec:
     in both the e_j and the degree field.  Slots only ever sit in the top
     field, which `low` masks off.  `column_key`, the xor with `low`, sorts
     keys by slot, then graded-lex descending within a slot: the column order.
+    `level` reads the `un`/`sn` rule off a key with the `tails` masks alone.
     """
 
     __slots__ = ("n", "shifts", "deg_shift", "slot_shift", "var_units", "low", "guard",
-                 "column_key", "_nbytes", "_fields", "_exponents")
+                 "tails", "column_key", "_nbytes", "_fields", "_exponents")
 
     def __init__(self, n: int):
         _check_n(n)
@@ -91,6 +92,8 @@ class KeyCodec:
         self.low = (1 << self.slot_shift) - 1
         self.column_key = functools.partial(xor, self.low)
         self.guard = EXPONENT_LIMIT << self.deg_shift
+        # tails[k] masks the fields of x_k ... x_n, the low ones (0 for k = 0, n + 1)
+        self.tails = (0, *((1 << FIELD_BITS * (n - pos)) - 1 for pos in range(n + 1)))
         # a key's big-endian bytes, a "Q" per field: pack writes the degree
         # and exponent fields below an empty slot, unpack reads the exponents
         self._nbytes = FIELD_BITS // 8 * (n + 2)
@@ -116,13 +119,16 @@ class KeyCodec:
         """The exponent of x_{pos+1} in key."""
         return (key >> self.shifts[pos]) & _FIELD_MASK
 
-    def is_un(self, key: int) -> bool:
-        """Whether the term at key, x^a in the coefficient of d_i for i its
-        slot, is a `un` monomial: a free of x_i ... x_n.  Those exponents are
-        the low fields, so this is one mask.  A slot-0 key is no term of a
-        derivation, so never."""
+    def level(self, key: int) -> int:
+        """The one statement of the `un`/`sn` rule.  The term x^a d_s at key
+        has level 2s - 1 if a is free of x_s ... x_n (`un`), 2s - 2 if a_s = 1
+        and a is free of x_(s+1) ... x_n (`sn`), else -1, as has a slot-0 key.
+        A term is in `un` iff its level is 2s - 1: -1 is odd too."""
         slot = key >> self.slot_shift
-        return slot > 0 and not key & ((1 << (self.shifts[slot - 1] + FIELD_BITS)) - 1)
+        tail = key & self.tails[slot]  # 0 for slot 0, so level -1
+        if not tail:
+            return 2 * slot - 1
+        return 2 * slot - 2 if tail == 1 << self.shifts[slot - 1] else -1
 
     def weight(self, key: int, c: int) -> int:
         """The weight of the term at key for generators of degree at most c.
@@ -142,8 +148,8 @@ class KeyCodec:
         return total - ws[slot - 1] if slot else total
 
 
-# the KeyCodec per n, kept for the 64 counts met last: each holds about 8n^2
-# bytes of keys, so a cache without a bound grows with every n a process meets
+# the KeyCodec per n, kept for the 64 counts met last: each holds about 12n^2
+# bytes of keys and masks, so a cache without a bound grows with every n met
 codec = functools.lru_cache(maxsize=64)(KeyCodec)
 
 

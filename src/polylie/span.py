@@ -47,9 +47,9 @@ knows no generators and a result built by hand keeps no brackets, so the
 series refuse both.
 
 Monomial `un` input takes a key path with no elimination.  When every
-generator is one term c x^a d_i with a free of x_i..x_n (`KeyCodec.is_un`),
-the bracket of two such terms is one such term or zero, and distinct
-monomials are linearly independent: every span met is the set of its
+generator is one term c x^a d_i with a free of x_i..x_n (of level 2i - 1,
+`KeyCodec.level`), the bracket of two such terms is one such term or zero,
+and distinct monomials are linearly independent: every span met is the set of its
 packed keys, and a row {key: 1} is already reduced.  So `lie_closure`
 brackets each pair on the two keys and stores each new key directly
 (`SpanBasis._add_key`), walking the same pairs in the same order as the row
@@ -280,13 +280,13 @@ def _generator_pairs(elems: list, g: int):
 def _un_monomials(n: int, gens: Iterable[Derivation]) -> list[tuple[int, int]] | None:
     """The (key, numerator) of each of gens when every one is a single `un`
     monomial in n variables, else None."""
-    is_un = codec(n).is_un
+    c = codec(n)
     out = []
     for g in gens:
         if g.n != n or len(g._terms) != 1:
             return None
         (term,) = g._terms.items()
-        if not is_un(term[0]):
+        if c.level(term[0]) != 2 * (term[0] >> c.slot_shift) - 1:
             return None
         out.append(term)
     return out

@@ -6,12 +6,18 @@ formulas on exponent tuples, with no packed keys, no common denominator and
 nothing shared with `polylie`, so the library's kernels can be checked
 against it.
 
+The triangular subalgebras `un` and `sn` are decided here by scanning
+exponent tuples, the rule `canonical` stated before it read levels off
+packed keys, so that `membership`, `strip_canonical_part` and `generators`
+can be checked against it.
+
 The printers at the end format polylie's own `Polynomial` and `Derivation`
 values, reading them through the public API alone (`coeffs`, iteration and
 `Fraction` coefficients), so the library's printers can be checked against
 them byte for byte.
 """
 
+import itertools
 from fractions import Fraction
 
 
@@ -70,6 +76,71 @@ def apply(d, f):
 def bracket(d, e):
     """[D, E](x_i) = D(E(x_i)) - E(D(x_i)): slot i is D(g_i) - E(f_i)."""
     return [add(apply(d, g), apply(e, f), -1) for f, g in zip(d, e)]
+
+
+UN_REASON_DEPENDS_HIGHER = "depends_on_xj_with_j_gt_i"
+SN_REASON_DEGREE = "xi_degree_exceeds_1"
+UN_REASON_DEGREE = "xi_degree_exceeds_0_for_un"
+
+# the slot violations (see slot_violation) each subalgebra admits
+ADMITTED = {"un": (None,), "sn": (None, UN_REASON_DEGREE)}
+
+
+def slot_violation(i, mono):
+    """Why monomial * d_i lies outside un, or None if it lies inside."""
+    if any(mono[pos] > 0 for pos in range(i, len(mono))):
+        return UN_REASON_DEPENDS_HIGHER
+    if mono[i - 1] >= 2:
+        return SN_REASON_DEGREE
+    if mono[i - 1] == 1:
+        return UN_REASON_DEGREE
+    return None
+
+
+def membership(d):
+    """(in_un, in_sn, violations) of a derivation, its terms read slot by
+    slot and each slot's monomials in descending graded-lex order: the
+    distinct (slot, reason) pairs in the order first met."""
+    seen = {}
+    for i, f in enumerate(d, start=1):
+        for m in sorted(f, key=graded_lex_key, reverse=True):
+            why = slot_violation(i, m)
+            if why:
+                seen[i, why] = None
+    violations = tuple(seen)
+    return not violations, all(r in ADMITTED["sn"] for _, r in violations), violations
+
+
+def strip(d, which):
+    """(remainder, stripped): the terms of d that the subalgebra does not
+    admit, and those it does."""
+    halves = ([], [])
+    for i, f in enumerate(d, start=1):
+        for half in halves:
+            half.append({})
+        for m, c in f.items():
+            halves[slot_violation(i, m) in ADMITTED[which]][-1][m] = c
+    return halves
+
+
+def generators(which, n, degree_cap):
+    """(slot, exponent tuple) of each monomial generator m * x_i^e * d_i of
+    degree at most degree_cap, m in x_1 ... x_(i-1): slot-major, then by the
+    degree of m and the order its variables are drawn in, then by e, while
+    the subalgebra admits the term."""
+    out = []
+    for i in range(1, n + 1):
+        for total in range(degree_cap + 1):
+            for combo in itertools.combinations_with_replacement(range(i - 1), total):
+                mono = [0] * n
+                for pos in combo:
+                    mono[pos] += 1
+                for e in range(degree_cap - total + 1):
+                    mono[i - 1] = e
+                    if slot_violation(i, mono) not in ADMITTED[which]:
+                        break
+                    out.append((i, tuple(mono)))
+    return out
 
 
 def format_monomial(m):

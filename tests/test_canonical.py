@@ -18,6 +18,7 @@ from polylie.canonical import (
     linear_part_refutes,
     lnd_check,
     membership,
+    strip_canonical_part,
     triangular_chain_bound,
 )
 from polylie.cli import main
@@ -25,8 +26,9 @@ from polylie.derivation import Derivation
 from polylie.grammar import parse_derivation
 from polylie.polyring import Polynomial
 from polylie.span import derived_series, lie_closure
-from polylie.sampling import random_subalgebra_element
+from polylie.sampling import random_derivation, random_subalgebra_element
 
+import kernel_reference as ref
 from golden import CERTIFICATE_NS, GOLDEN_CERTIFICATES, render_certificates
 from matrices import from_rows, is_zero, power
 
@@ -66,6 +68,89 @@ class TestMembership:
     def test_strict_inclusion_witness(self):
         verdict = membership(pd("(x1) d1", 2))
         assert verdict.in_sn and not verdict.in_un
+
+    def test_equal_derivations_get_equal_verdicts(self):
+        # the same value with its terms stored in another order: the reasons
+        # come in column order, the order the terms print in
+        a, b = pd("(x1^2) d1", 3), pd("(x3) d1", 3)
+        builds = [pd("(x1^2 + x3) d1", 3), pd("(x3 + x1^2) d1", 3), a + b, b + a]
+        assert len({tuple(d._terms) for d in builds}) == 2
+        for d in builds:
+            assert d == builds[0]
+            assert membership(d) == (False, False, ((1, "xi_degree_exceeds_1"),
+                                                    (1, "depends_on_xj_with_j_gt_i")))
+        rng = random.Random(43)
+        for _ in range(200):
+            n = rng.randint(1, 4)
+            d = random_derivation(rng, n, 3)
+            terms = list(d._terms.items())
+            rng.shuffle(terms)
+            shuffled = Derivation._from_terms(n, dict(terms), d._den)
+            assert shuffled == d and membership(shuffled) == membership(d)
+
+
+def as_reference(d):
+    """A derivation as `kernel_reference` takes it: per slot, a map from
+    exponent tuples to Fractions."""
+    return [dict(f) for f in d.coeffs]
+
+
+def slot_monomials(gens):
+    """(slot, exponent tuple) of each of gens, each one term with
+    coefficient 1."""
+    out = []
+    for g in gens:
+        ((slot, (mono, c)),) = [(i, term) for i, f in enumerate(g.coeffs, 1) for term in f]
+        assert c == 1
+        out.append((slot, mono))
+    return out
+
+
+class TestTupleRule:
+    """`membership`, `strip_canonical_part` and `generators` read term levels
+    off packed keys; `kernel_reference` scans exponent tuples for the same
+    rule, so each is checked against it."""
+
+    @staticmethod
+    def draws():
+        rng = random.Random(42)
+        for _ in range(3000):
+            yield random_derivation(rng, rng.randint(1, 5), 3)
+
+    @staticmethod
+    def subalgebra_elements():
+        # random draws rarely land in sn: sums of generators and their
+        # brackets carry the inside cases
+        rng = random.Random(44)
+        for n in range(1, 6):
+            for which in ("un", "sn"):
+                gens = generators(which, n, 3)
+                for _ in range(40):
+                    a, b, c = (rng.choice(gens) for _ in range(3))
+                    yield a + 2 * b - c
+                    yield a.bracket(b)
+
+    def test_membership_and_its_order(self):
+        inside = 0
+        for d in itertools.chain(self.draws(), self.subalgebra_elements()):
+            got = membership(d)
+            assert tuple(got) == ref.membership(as_reference(d)), str(d)
+            inside += got.in_sn
+        assert inside > 400
+
+    def test_both_halves_of_strip(self):
+        for d in itertools.chain(self.draws(), self.subalgebra_elements()):
+            for which in ("un", "sn"):
+                remainder, stripped = strip_canonical_part(d, which)
+                want = ref.strip(as_reference(d), which)
+                assert (as_reference(remainder), as_reference(stripped)) == want
+
+    def test_generator_lists(self):
+        for which in ("un", "sn"):
+            for n in range(1, 6):
+                for cap in range(4):
+                    got = slot_monomials(generators(which, n, cap))
+                    assert got == ref.generators(which, n, cap), (which, n, cap)
 
 
 class TestGenerators:
@@ -118,13 +203,7 @@ class TestGenerators:
         for which in ("un", "sn"):
             for n in range(1, 5):
                 for cap in range(5):
-                    gens = generators(which, n, cap)
-                    got = []
-                    for g in gens:
-                        (slot,) = [i for i in range(1, n + 1) if not g.coeff(i).is_zero()]
-                        ((mono, c),) = g.coeff(slot)
-                        assert c == 1
-                        got.append((slot, mono))
+                    got = slot_monomials(generators(which, n, cap))
                     assert len(got) == len(set(got)), (which, n, cap)
                     assert set(got) == self._paper_oracle(which, n, cap), (which, n, cap)
 

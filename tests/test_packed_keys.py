@@ -4,7 +4,10 @@ knows nothing of them, and the exponent limit.
 A monomial is stored as one int, 64-bit fields slot | degree | e_1 | ... |
 e_n (see `polyring.KeyCodec`).  The codec tests pin the round trip and the
 two orders the library reads off the ints: graded-lex within a slot and the
-column order across slots (`KeyCodec.column_key`).  The kernel tests check
+column order across slots (`KeyCodec.column_key`).  The grading tests pin
+`KeyCodec.weight` against a reference and `KeyCodec.level` on edge keys
+(`test_canonical.TestTupleRule` checks the level's users against the
+tuple-scanning rule).  The kernel tests check
 products, partials, `apply` and brackets of `Polynomial` and `Derivation`
 against `kernel_reference`, on exponent tuples, including exponents near
 the limit 2^63; `row_partials` is checked the same way, and from a cleared,
@@ -22,7 +25,7 @@ from fractions import Fraction
 import pytest
 
 import kernel_reference as ref
-from polylie.canonical import generators, membership
+from polylie.canonical import generators
 from polylie.derivation import Derivation, _key_partials, row_partials
 from polylie.grammar import parse_derivation, parse_polynomial
 from polylie.polyring import EXPONENT_LIMIT, Polynomial, codec
@@ -155,18 +158,17 @@ class TestGrading:
                     checked += 1
         assert checked > 100
 
-    def test_is_un_is_membership_of_one_term(self):
-        rng = random.Random(6)
-        for n in range(1, 6):
-            c = codec(n)
-            keys = {key for g in generators("sn", n, 3) for key in g._terms}
-            keys |= {row_key(n, rng.randint(1, n), ref.random_exponents(rng, n, 3))
-                     for _ in range(60)}
-            for key in keys:
-                one = Derivation._from_terms(n, {key: 1}, 1)
-                assert c.is_un(key) is membership(one).in_un
-            # a slot-0 key is a polynomial's, never a un term
-            assert not c.is_un(c.pack((0,) * n))
+    def test_level_on_edge_keys(self):
+        # each slot's un term, its sn term, and both ways out of sn
+        c = codec(3)
+        want = {"d1": 1, "(x1) d1": 0, "(x1^2) d1": -1, "(x2) d1": -1,
+                "(x1) d2": 3, "(x1 x2) d2": 2, "(x2^2) d2": -1, "(x3) d2": -1,
+                "(x1^3 x2^3) d3": 5, "(x2 x3) d3": 4}
+        for text, level in want.items():
+            (key,) = parse_derivation(text, 3)._terms
+            assert c.level(key) == level, text
+        # a slot-0 key is a polynomial's, no term of a derivation
+        assert c.level(c.pack((0, 0, 0))) == c.level(c.pack((0, 2, 1))) == -1
 
 
 def mono(rng, n):

@@ -61,7 +61,8 @@ CASES = [(seed, n) for seed in range(40) for n in range(1, 5)]
 
 def assert_same_value(got, want):
     assert got == want
-    # term order too: membership reports violations in first-seen order
+    # term order too: the fast path stores the terms in the order the
+    # reference draws them, not only the same value
     assert list(got._terms) == list(want._terms)
 
 

@@ -36,31 +36,47 @@ bracket by the generators where they know them: `lie_closure` brackets each
 element it adjoins with the generators before it only, and keeps the
 nonzero rows of those brackets, which span [S, L].  A closed
 `LieClosureResult` hands them to the series as its first step, so nothing
-is bracketed twice, and each lower central step brackets the generators
-with the rows of the current term.  Most rows of a lower central term are
-rows of the term before, unchanged; such a row, matched by its entries and
-not by its pivot alone, reuses the brackets the step before kept for it.  So
-a row kept from one term to the next is bracketed once, and since a step
-keeps only its own term's brackets, memory holds one term's worth.  Spans
+is bracketed twice, and each lower central step brackets a generating set
+(the generators, or fewer rows: see below) with the rows of the current
+term.  Most rows of a lower central term are rows of the term before,
+unchanged; such a row, matched by its entries and not by its pivot alone,
+reuses the brackets the step before kept for it.  So a row kept from one
+term to the next is bracketed once, and since a step keeps only its own
+term's brackets, memory holds one term's worth.  Spans
 are canonical, so no basis or dimension depends on the reuse.  A bare span
 knows no generators and a result built by hand keeps no brackets, so the
 series refuse both.
 
-Monomial `un` input takes a key path with no elimination.  When every
-generator is one term c x^a d_i with a free of x_i..x_n (of level 2i - 1,
-`KeyCodec.level`), the bracket of two such terms is one such term or zero,
-and distinct monomials are linearly independent: every span met is the set of its
-packed keys, and a row {key: 1} is already reduced.  So `lie_closure`
-brackets each pair on the two keys and stores each new key directly
-(`SpanBasis._add_key`), walking the same pairs in the same order as the row
-path, so that its result, kept brackets and stops are the row path's.  And
-`lower_central_series` computes each key's depth, the largest k with the key
-in L^k, in one pass: a key's depth is one more than the largest depth of a
-key that a generator brackets into it.  Every generator lowers the weight
-(`KeyCodec.weight`, for c the largest generator degree) by at least 1, so
-relaxing keys in decreasing weight order settles each key before any key it
-brackets into; adjoin order does not.  The dims are the counts of keys of
-depth >= k.  The derived series stays on rows.
+The series pick their path from the closed result, by two rules.  First,
+when every term of every generator weighs -1 or less (`KeyCodec.weight`,
+for c the largest generator degree; these are the `un` terms), so does
+every term of L, since a bracket's terms weigh the sum of its operands'
+weights.  L^k then lies in the span of the terms of weight <= -k, so L is
+nilpotent, and a subset of a nilpotent L generates it exactly when it
+spans L / [L, L] (Jacobson, Lie Algebras, 1962, ch. I).  So the rows of L
+whose pivots are no pivots of [L, L] generate L, and the lower central
+series brackets by those dim L - dim [L, L] rows in place of the
+generators: 5 rows, not 70, on the full un(5, 3) set.  Second, when L is
+moreover a span of monomials (every stored row {key: 1}), both series run
+on key sets with no elimination: the bracket of two `un` monomials is one
+monomial or zero, so every term is the set of its keys, and [L, L]'s keys
+are the union of the supports of the kept bracket rows.  Each derived step
+brackets only the pairs of keys that meet, found from one list per slot
+and one per variable.  The lower central series computes each key's depth,
+the largest k with the key in L^k, in one pass: a key's depth is one more
+than the largest depth of a key that a generating key brackets into it.
+Every generating key lowers the weight by at least 1, so relaxing keys in
+decreasing weight order settles each key before any key it brackets into.
+The dims are the counts of keys of depth >= k.
+
+Monomial `un` input closes on keys too.  When every generator is one term
+c x^a d_i with a free of x_i..x_n (of level 2i - 1, `KeyCodec.level`), the
+bracket of two such terms is one such term or zero, and distinct monomials
+are linearly independent: every span met is the set of its packed keys, and
+a row {key: 1} is already reduced.  So `lie_closure` brackets each pair on
+the two keys and stores each new key directly (`SpanBasis._add_key`),
+walking the same pairs in the same order as the row path, so that its
+result, kept brackets and stops are the row path's.
 """
 
 from __future__ import annotations
@@ -68,7 +84,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_right
 from math import gcd
-from typing import Iterable, Iterator, NamedTuple
+from typing import Collection, Iterable, Iterator, NamedTuple
 
 from .derivation import Derivation, Partials, Row, bracket_rows, row_support, signatures_meet
 from .polyring import KeyCodec, _check_int, _check_n, _check_same_n, _limit_error, codec
@@ -491,9 +507,54 @@ def _generator_step(n: int, gens: list[Operand], term: SpanBasis,
     return out, brackets
 
 
+def _monomial_derived_term(c: KeyCodec, keys: Iterable[int]) -> set[int]:
+    """The keys of [M, M] for a set M of `un` monomial keys.
+
+    For i < j, [x^a d_i, x^b d_j] is a multiple of one monomial when b_i > 0
+    and zero otherwise (`_monomial_bracket`), so the pairs that meet are
+    each key of a slot i with each key holding x_i, found from one list per
+    slot and one per variable, each pair once.
+    """
+    n, shift = c.n, c.slot_shift
+    in_slot: list[list[int]] = [[] for _ in range(n)]  # i -> the keys of slot i < n
+    holding: list[list[int]] = [[] for _ in range(n)]  # i -> the keys holding x_i, i < n
+    for key in keys:
+        slot = key >> shift
+        if slot < n:
+            in_slot[slot].append(key)
+        for i in range(1, slot):  # a `un` monomial of slot s is free of x_s .. x_n
+            if c.exponent(key, i - 1):
+                holding[i].append(key)
+    return {_monomial_bracket(c, ka, kb)[0]
+            for i in range(1, n) for ka in in_slot[i] for kb in holding[i]}
+
+
+def _monomial_series(n: int, keys: Collection[int], brackets: Iterable[Row], *,
+                     lower_central: bool) -> SeriesReport:
+    """The series of a nilpotent span L of `un` monomials, from its keys and
+    rows that span [L, L].
+
+    [L, L] is a span of monomials, so a row inside it has its support among
+    its keys, and rows that span it hold every one: its keys are the union
+    of the supports.  The keys of L outside it generate L (see `_series`).
+    Each term of a nilpotent L is smaller than the one before until zero,
+    so neither series stabilizes.
+    """
+    derived = set().union(*brackets)
+    if lower_central:
+        return _monomial_lower_series(n, [key for key in keys if key not in derived], keys)
+    c = codec(n)
+    dims = [len(keys)]
+    current = keys
+    while current:
+        current = derived if len(dims) == 1 else _monomial_derived_term(c, current)
+        dims.append(len(current))
+    return SeriesReport(tuple(dims), "solvable", length=len(dims) - 1)
+
+
 def _monomial_lower_series(n: int, gens: list[int], keys: Iterable[int]) -> SeriesReport:
     """The lower central series of the span of keys, a set of `un` monomials
-    closed under brackets with the generator keys gens, all in n variables.
+    closed under brackets and generated by the keys gens, all in n variables.
 
     Every [S, L^k] is a span of monomials, so each L^k is the set of keys
     of depth >= k, where a key's depth is 1, or 1 + the largest depth of a
@@ -521,18 +582,37 @@ def _monomial_lower_series(n: int, gens: list[int], keys: Iterable[int]) -> Seri
     return SeriesReport(dims, "nilpotent", length=length)
 
 
+def _weighs_below_zero(n: int, gens: Iterable[Derivation]) -> bool:
+    """Whether every term of gens weighs -1 or less (`KeyCodec.weight`), for
+    c the largest degree of a term of gens."""
+    c = codec(n)
+    terms = [key for g in gens for key in g._terms]
+    top = max(map(c.degree, terms), default=0)
+    return all(c.weight(key, top) <= -1 for key in terms)
+
+
 def _series(algebra: LieClosureResult, *, lower_central: bool) -> SeriesReport:
-    """The series of a closed result of `lie_closure`, bracketing by its
-    generators.
+    """The series of a closed result of `lie_closure`, bracketing by a
+    generating set.
 
     If S generates L, then [L, M] = span [S, M] for every ideal M of L, the
     terms L^k among them: L is spanned by right-normed brackets z of elements
     of S, and [[s, z], x] = [s, [z, x]] - [z, [s, x]] (Jacobi) gives
     induction on the length of z.  The first step, [L, L] = span [S, L],
     takes the bracket rows that lie_closure kept.  Each later lower central
-    step (`_generator_step`) brackets S only with the rows of L^k that
-    L^(k-1) did not hold unchanged, and keeps the brackets of L^k alone, so
-    memory holds one term's brackets.
+    step (`_generator_step`) brackets the generating set only with the rows
+    of L^k that L^(k-1) did not hold unchanged, and keeps the brackets of
+    L^k alone, so memory holds one term's brackets.
+
+    The closed result picks the path.  When every term of every generator
+    weighs -1 or less (`_weighs_below_zero`), so does every term of L, since
+    a bracket's terms weigh the sum of its operands' weights: L^k lies in
+    the span of the terms of weight <= -k, and L, of finite dimension, is
+    nilpotent.  A subset of a nilpotent L generates it exactly when it
+    spans L / [L, L] (Jacobson, Lie Algebras, 1962, ch. I), so the rows of
+    L whose pivots are no pivots of [L, L], dim L - dim [L, L] of them, take
+    the place of S.  If L's rows are moreover one monomial each, both series
+    run on the key sets of their terms (`_monomial_series`).
     """
     if not isinstance(algebra, LieClosureResult):
         raise TypeError(f"the series take a lie_closure result, not {type(algebra).__name__}")
@@ -543,12 +623,17 @@ def _series(algebra: LieClosureResult, *, lower_central: bool) -> SeriesReport:
     start = algebra.basis
     n = start.n
     generators = algebra.elements[:algebra.num_generators]
-    if lower_central and (monomials := _un_monomials(n, generators)) is not None:
-        return _monomial_lower_series(n, [key for key, _ in monomials], start._rows)
-    gens = [(e._terms, *row_support(n, e._terms)) for e in generators]
+    nilpotent = _weighs_below_zero(n, generators)
+    if nilpotent and not start._multi:
+        return _monomial_series(n, start._rows, algebra._brackets, lower_central=lower_central)
     derived = SpanBasis(n, [])  # [L, L] = span [S, L], which starts both series
     for br in algebra._brackets:
         derived._add_row(br)
+    if nilpotent:  # the rows of L that span L / [L, L]
+        rows = [row for pivot, row in start._rows.items() if pivot not in derived._rows]
+    else:
+        rows = [e._terms for e in generators]
+    gens = [(row, *row_support(n, row)) for row in rows]
     zero_verdict = "nilpotent" if lower_central else "solvable"
     current = start
     dims = [current.dim]
@@ -578,11 +663,13 @@ def derived_series(algebra: LieClosureResult) -> SeriesReport:
 
 def lower_central_series(algebra: LieClosureResult) -> SeriesReport:
     """L, [L,L], [L,[L,L]], ... on a closed result of `lie_closure`, whose
-    every [L, L^k] is span [S, L^k] for its generators S.
+    every [L, L^k] is span [S, L^k] for any set S that generates L.
 
-    When every generator is one `un` monomial, L and each L^k are sets of
-    monomials, and the series is one pass over L's keys in decreasing weight
-    order (`_monomial_lower_series`), which brackets each key with each
-    generator once; the input checks come first either way.
+    When the generators' terms are all `un` terms, L is nilpotent and the
+    rows of L outside [L, L] generate it, so they take the place of the
+    generators.  When L is moreover a span of monomials, the series is one
+    pass over L's keys in decreasing weight order (`_monomial_lower_series`),
+    which brackets each key with each of those rows once; the input checks
+    come first either way.
     """
     return _series(algebra, lower_central=True)

@@ -144,6 +144,9 @@ class TestTupleRule:
                 remainder, stripped = strip_canonical_part(d, which)
                 want = ref.strip(as_reference(d), which)
                 assert (as_reference(remainder), as_reference(stripped)) == want
+                # the stripped half lies in the chosen subalgebra
+                verdict = membership(stripped)
+                assert verdict.in_un if which == "un" else verdict.in_sn
 
     def test_generator_lists(self):
         for which in ("un", "sn"):

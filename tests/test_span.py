@@ -427,6 +427,18 @@ class TestDerivedSeries:
         assert report.dims == (3, 3)
         assert report.verdict == "stabilized_nonzero"
 
+    def test_monomial_sl2_is_not_nilpotent(self):
+        # sl2 from d1 and (x1^2) d1 is a span of monomials with [L, L] = L:
+        # (x1^2) d1 weighs above -1, so no weight proof of nilpotency holds,
+        # and the series run on rows by the generators
+        n = 1
+        result = lie_closure([pd("d1", n), pd("(x1^2) d1", n)])
+        assert result.basis.dim == 3 and not result.basis._multi
+        for series in (derived_series, lower_central_series):
+            report = series(result)
+            assert report.dims == (3, 3)
+            assert report.verdict == "stabilized_nonzero" and report.stabilized_at == 1
+
     def test_zero_span(self):
         report = derived_series(lie_closure([Derivation.zero(2)]))
         assert report.dims == (0,)
@@ -518,13 +530,48 @@ STALE_PIVOT_GENERATORS = ("(-9/4 x1^2 + 1) d2 + (x1 x2) d3", "(2 x3^2 + 7/3 x2) 
                           "(9/8 x1 + 7/2 x2) d3")
 
 
+# the three seeded un(4, 2) sets of the closure-un4 benchmark at seed 42, as
+# its commands spell them: rational elements whose closures are a 20-dim span
+# of monomials, and 44- and 38-dim spans keeping 8 and 4 rows of more than one
+# term, so that their series run on keys, and on rows, by generating sets
+# smaller than the generators (4 rows, 4 rows, and 6)
+MONOMIAL_CLOSURE_GENERATORS = (
+    "(2/5 x3^2) d4 + (4/3 x1 x3) d4 + (2/7 x2^2) d4",
+    "(1/2 x2) d4 + (4/9) d3 + (1/9) d1 + (7/8 x1 x3) d4", "(5/3) d4",
+    "(-7/5 x2) d4 + (3/6) d4",
+    "(2/7 x1 x2) d4 + (-2/6) d2 + (5/8 x2^2) d4 + (9/7 x1 x2) d3",
+    "(-2/6) d2 + (4 x2 x3) d4 + (-4/2 x3) d4")
+MULTI_ROW_GENERATORS = (
+    "(4/7) d2 + (-5/6 x1) d2 + (-3/6 x1^2) d4",
+    "(-4/2 x1) d3 + (3/3 x1 x2) d4 + (-8/5 x2^2) d3 + (9/6 x1) d2",
+    "(1 x3^2) d4 + (-6/5 x3) d4 + (2/6 x1) d3",
+    "(-4/7) d4 + (8/5 x3^2) d4 + (3/9 x1 x3) d4 + (-9/7 x3) d4",
+    "(-7/4 x1^2) d2 + (-3/2 x2^2) d4 + (1/3) d2 + (-3/2 x3^2) d4",
+    "(-7/8 x1) d4 + (-9/9 x1^2) d4 + (1/9 x1 x2) d4 + (-5/2 x1) d3")
+FEW_MULTI_ROW_GENERATORS = (
+    "(-5/3 x1^2) d3 + (8/5 x1^2) d2", "(9/9) d4",
+    "(-2/9 x1^2) d2 + (4/6 x1 x2) d4 + (3/6 x2) d4",
+    "(8/2 x2) d3 + (-6/4 x1 x2) d3 + (1/2 x1^2) d2", "(-2/2 x3^2) d4 + (9/3 x2) d3",
+    "(8/5 x2^2) d3 + (-9/4 x1 x2) d4 + (9/5 x3) d4")
+
+
+def seeded_un4_closures():
+    """The closures of the three seeded un(4, 2) sets, in order."""
+    return [lie_closure([pd(t, 4) for t in texts]) for texts in (
+        MONOMIAL_CLOSURE_GENERATORS, MULTI_ROW_GENERATORS, FEW_MULTI_ROW_GENERATORS)]
+
+
 def closed_results():
     """Closed closures: un(3, 3); five generators; sl2, which stabilizes; a
-    set that is not nilpotent; seeded sets with redundant generators."""
+    set that is not nilpotent; un closures whose rows keep several terms;
+    a rational set whose closure is monomial; seeded sets with redundant
+    generators."""
     yield lie_closure(generators("un", 3, 3))
     yield lie_closure([pd(t, 3) for t in FIVE_GENERATORS])
     yield lie_closure([pd("d1", 1), pd("(x1^2) d1", 1)])
     yield lie_closure([pd("d1", 2), pd("(x1) d1", 2), pd("(x1) d2", 2)])
+    yield lie_closure([pd(t, 4) for t in STALE_PIVOT_GENERATORS])
+    yield from seeded_un4_closures()
     rng = random.Random(14)
     for _ in range(12):
         n = rng.randint(1, 3)
@@ -537,6 +584,13 @@ def closed_results():
         result = lie_closure(gens, degree_cap=6, dim_cap=64)
         assert result.closed
         yield result
+
+
+def on_keys(result):
+    """Whether the series of a closed result run on key sets: its
+    generators' terms all weigh -1 or less and its rows are monomials."""
+    gens = result.elements[:result.num_generators]
+    return span_module._weighs_below_zero(result.basis.n, gens) and not result.basis._multi
 
 
 def reference_terms(basis, lower_central=True):
@@ -617,22 +671,35 @@ class TestSeriesByGenerators:
         monkeypatch.setattr(span_module, "bracket_rows", counted)
         monkeypatch.setattr(span_module, "signatures_meet", counted_meet)
         monkeypatch.setattr(SpanBasis, "_add_row", counted_add)
-        # two terms in one generator: the row path (monomial input takes the
-        # key path, see TestMonomialPath)
-        result = lie_closure([pd(t, 3) for t in FIVE_GENERATORS])
+        # a un closure keeping 8 rows of several terms: the row path (a
+        # closure of monomials takes the key path, see TestMonomialPath)
+        result = lie_closure([pd(t, 4) for t in MULTI_ROW_GENERATORS])
         g, dim = result.num_generators, result.basis.dim
-        assert (g, dim) == (5, 13)
-        # every generator pair is walked, and only the 21 whose signatures
+        assert (g, dim, len(result.basis._multi)) == (6, 44, 8)
+        # every generator pair is walked, and only the 144 whose signatures
         # meet are bracketed: here exactly the nonzero ones
-        assert tests[0] == comb(g, 2) + g * (dim - g) == 50
-        assert count[0] == len(result._brackets) == 21
+        assert tests[0] == comb(g, 2) + g * (dim - g) == 243
+        assert count[0] == len(result._brackets) == 144
         # one per generator and one per bracket: the closure builds no [S, L]
-        assert adds[0] == g + 21 == 26
+        assert adds[0] == g + 144 == 150
         # the first series step takes the closure's brackets, so makes none;
-        # (brackets made, signatures_meet tests).  The derived series finds
-        # its meeting pairs by slot and variable lists, so tests none
-        assert brackets(lower_central_series, result) == (17, 50)
-        assert brackets(derived_series, result) == (6, 0)
+        # (brackets made, signatures_meet tests).  [L, L] has dim 40, so the
+        # lower series brackets by the 44 - 40 = 4 rows of L outside it, not
+        # by the 6 generators: 4 * 40 tests, since every row of a later term
+        # is one of [L, L] unchanged, and reuses its brackets.  The derived
+        # series finds its meeting pairs by slot and variable lists, so tests
+        # none
+        assert brackets(lower_central_series, result) == (85, 4 * 40)
+        assert brackets(derived_series, result) == (63, 0)
+        # sn input has no weight proof of nilpotency: its 9 generators
+        # bracket with the 6 rows of [L, L]
+        sn = lie_closure(generators("sn", 3, 1))
+        assert (sn.num_generators, sn.basis.dim) == (9, 9)
+        assert brackets(lower_central_series, sn) == (17, 9 * 6)
+        assert lower_central_series(sn).dims == (9, 6, 6)
+        # nor, forced, has the un closure: then its 6 generators bracket
+        monkeypatch.setattr(span_module, "_weighs_below_zero", lambda n, gens: False)
+        assert brackets(lower_central_series, result) == (105, 6 * 40)
 
     def test_derived_series_brackets_exactly_the_meeting_pairs(self, monkeypatch):
         # each step after the first brackets the pairs of its term's rows
@@ -650,18 +717,24 @@ class TestSeriesByGenerators:
                            if span_module.signatures_meet(n, sa, sb)], []))
             return meeting_pairs(n, ops)
 
-        results = [*closed_results(), lie_closure(generators("un", 4, 2))]
+        # closures of monomials take the key path and make no steps here
+        results = list(closed_results())
         monkeypatch.setattr(span_module, "bracket_rows", recorded)
         monkeypatch.setattr(span_module, "_meeting_pairs", listed)
         skipped = 0
+        on_rows = 0
         for result in results:
             steps.clear()
             report = derived_series(result)
+            if on_keys(result):
+                assert not steps
+                continue
+            on_rows += 1
             assert len(steps) == max(len(report.dims) - 2, 0)
             for (expected, made), dim in zip(steps, report.dims[1:]):
                 assert made == expected
                 skipped += comb(dim, 2) - len(made)
-        assert skipped > 1000
+        assert on_rows > 10 and skipped > 1000
 
     def test_lower_series_brackets_each_generator_and_row_once(self, monkeypatch):
         calls = []
@@ -672,13 +745,55 @@ class TestSeriesByGenerators:
             return bracket_rows(a, pa, b, pb)
 
         monkeypatch.setattr(span_module, "bracket_rows", recorded)
-        # rational un elements of more than one term: the row path
-        for gens in ([pd(t, 3) for t in FIVE_GENERATORS],
-                     [pd(t, 4) for t in STALE_PIVOT_GENERATORS]):
-            result = lie_closure(gens)
+        # un closures that keep rows of several terms, which bracket the rows
+        # of L outside [L, L], and sn input, which brackets its generators
+        for result in (*seeded_un4_closures()[1:],
+                       lie_closure([pd(t, 4) for t in STALE_PIVOT_GENERATORS]),
+                       lie_closure(generators("sn", 3, 1))):
+            assert not on_keys(result)
             calls.clear()
             lower_central_series(result)
             assert calls and len(set(calls)) == len(calls)
+
+    def test_rows_outside_the_derived_algebra_generate(self, monkeypatch):
+        # a un closure on rows brackets by the rows of L whose pivots [L, L]
+        # lacks: dim L - dim [L, L] of them, and the closure of those alone
+        # is L again
+        generating = []
+        step = span_module._generator_step
+
+        def recorded(n, gens, term, kept):
+            generating.append([row for row, _, _ in gens])
+            return step(n, gens, term, kept)
+
+        monkeypatch.setattr(span_module, "_generator_step", recorded)
+        for result, want in zip(
+                (*seeded_un4_closures()[1:],
+                 lie_closure([pd(t, 4) for t in STALE_PIVOT_GENERATORS])), (4, 6, 3)):
+            generating.clear()
+            dims = lower_central_series(result).dims
+            n, rows = result.basis.n, generating[0]
+            assert len(rows) == dims[0] - dims[1] == want
+            assert all(row in result.basis._rows.values() for row in rows)
+            again = lie_closure([Derivation._from_terms(n, row, 1) for row in rows])
+            assert again.basis.basis == result.basis.basis
+
+    def test_rational_set_with_monomial_closure_runs_on_keys(self, monkeypatch):
+        # rational elements of several terms whose closure is 20 monomials:
+        # [L, L] is the union of the supports of the kept brackets, several
+        # of which hold more than one term, and no row is bracketed
+        result = seeded_un4_closures()[0]
+        assert (result.num_generators, result.basis.dim) == (6, 20)
+        assert on_keys(result)
+        assert sum(len(row) > 1 for row in result._brackets) == 26
+        monkeypatch.setattr(span_module, "bracket_rows",
+                            lambda *args: pytest.fail("a row was bracketed"))
+        lower, derived = lower_central_series(result), derived_series(result)
+        assert lower.dims == (20, 16, 13, 9, 6, 3, 1, 0) and lower.length == 7
+        assert derived.dims == (20, 16, 8, 0) and derived.length == 3
+        for report, lower_central in ((lower, True), (derived, False)):
+            assert report.dims == \
+                tuple(t.dim for t in reference_terms(result.basis, lower_central))
 
     def test_kept_brackets_are_matched_by_row_content(self):
         # a row of L^k changes in L^(k+1) while its pivot stays, for a k >= 1
@@ -764,6 +879,12 @@ def monomial_inputs():
         yield [pd(t, n) for t in texts], caps
 
 
+# the derived series of L(n, c), the closure of generators("un", n, c)
+FULL_SET_DERIVED_DIMS = {(4, 4): (1136, 1132, 1112, 958, 0),
+                         (6, 2): (2076, 2070, 2052, 1928, 1311, 132, 0),
+                         (5, 3): (6092, 6087, 6066, 5854, 4562, 0)}
+
+
 class TestMonomialPath:
     """Monomial un input runs on key sets; every other input on rows."""
 
@@ -774,12 +895,14 @@ class TestMonomialPath:
 
     def test_key_path_equals_row_path_and_reference(self, monkeypatch):
         # closures, capped ones too, and both series against the row path,
-        # forced by refusing the key path; the series against all pairs too
+        # forced by refusing the key path and the weight proof that prunes
+        # the generators; the series against all pairs too
         inputs = list(monomial_inputs())
         results = [lie_closure(gens, **caps) for gens, caps in inputs]
         series = [(lower_central_series(r), derived_series(r)) if r.closed else None
                   for r in results]
         monkeypatch.setattr(span_module, "_un_monomials", lambda n, gens: None)
+        monkeypatch.setattr(span_module, "_weighs_below_zero", lambda n, gens: False)
         for (gens, caps), result, both in zip(inputs, results, series):
             row = lie_closure(gens, **caps)
             assert self.fields(row) == self.fields(result)
@@ -853,19 +976,17 @@ class TestMonomialPath:
         assert take() == {"rows": 0, "meet": 0, "add": 0, "elim": 0, "keys": 285,
                           "nonzero": 69}
         assert comb(g, 2) + g * (dim - g) == 285 and len(result._brackets) == 69
-        # the lower series brackets each key with each generator once, in one
-        # pass: dim * g pairs
-        assert lower_central_series(result).length == 13
-        assert take() == {"rows": 0, "meet": 0, "add": 0, "elim": 0, "keys": 27 * 15,
-                          "nonzero": 102}
-        # the derived series stays on rows: it brackets its 33 meeting pairs,
-        # found with no signatures_meet test, and its spans reduce rows
-        derived_series(result)
-        counts_now = take()
-        assert (counts_now["rows"], counts_now["meet"]) == (33, 0)
-        assert counts_now["keys"] == 0 and counts_now["add"] > 0
-        # every row is one monomial, a unit row once stored: no elimination
-        assert counts_now["elim"] == 0
+        # [L, L] is the 24 keys of the kept brackets, so the 3 keys outside
+        # it generate L; the lower series brackets each key with each of them
+        # once, in one pass: dim * 3 pairs, not dim * g
+        assert lower_central_series(result).dims[:2] == (27, 24)
+        assert take() == {"rows": 0, "meet": 0, "add": 0, "elim": 0, "keys": 27 * 3,
+                          "nonzero": 38}
+        # the derived series brackets on keys too: the 33 pairs of [L, L]
+        # that meet, found from slot and variable lists, all nonzero
+        assert derived_series(result).dims == (27, 24, 15, 0)
+        assert take() == {"rows": 0, "meet": 0, "add": 0, "elim": 0, "keys": 33,
+                          "nonzero": 33}
 
     @pytest.mark.parametrize("texts, n", [
         (("d1", "(x1) d2 + d3", "(x1^2) d3"), 3),  # two terms in one generator
@@ -895,12 +1016,24 @@ class TestMonomialPath:
 
     @pytest.mark.parametrize("n, c, degree_cap, dim", [
         (4, 4, 90, 1136), (6, 2, 40, 2076), (5, 3, 120, 6092)])
-    def test_full_set_class_is_w_n(self, n, c, degree_cap, dim):
+    def test_full_set_class_is_w_n(self, monkeypatch, n, c, degree_cap, dim):
         # L(n, c) is nilpotent of class w_n(c) = 1 + c + ... + c^(n-1), and
         # L^k holds exactly the monomials of L of weight <= -k
         result = lie_closure(generators("un", n, c), degree_cap=degree_cap, dim_cap=8000)
         assert result.closed and result.basis.dim == dim
+        assert derived_series(result).dims == FULL_SET_DERIVED_DIMS[n, c]
+        lower_series = span_module._monomial_lower_series
+        pruned = []
+
+        def recorded(n, gens, keys):
+            pruned.extend(gens)
+            return lower_series(n, gens, keys)
+
+        monkeypatch.setattr(span_module, "_monomial_lower_series", recorded)
         report = lower_central_series(result)
+        # the n monomials outside [L, L], d1 and x_(i-1)^c d_i, generate L
+        tops = [pd("d1", n), *(pd(f"(x{i - 1}^{c}) d{i}", n) for i in range(2, n + 1))]
+        assert sorted(pruned) == sorted(next(iter(d._terms)) for d in tops)
         w_n = sum(c ** k for k in range(n))
         assert report.verdict == "nilpotent" and report.length == w_n
         codec = polyring.codec(n)

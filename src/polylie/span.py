@@ -25,27 +25,27 @@ as the denominator of each basis derivation.
 
 Series computations (derived, lower central) take a closed result of
 `lie_closure` only, which produces closures under explicit degree and
-dimension caps.  Both bracket stored rows with
-`derivation.bracket_rows` and build no Derivation per bracket: each
-element's partials and support signature are listed once (`row_support`),
-and a pair whose signatures do not meet is skipped, since its bracket is
-provably zero (`signatures_meet`).  The derived series tests no pair: it
-takes each row's partners from lists of the rows that hold each signature
-bit (`_meeting_pairs`).  Both
-bracket by the generators where they know them: `lie_closure` brackets each
-element it adjoins with the generators before it only, and keeps the
-nonzero rows of those brackets, which span [S, L].  A closed
-`LieClosureResult` hands them to the series as its first step, so nothing
-is bracketed twice, and each lower central step brackets a generating set
-(the generators, or fewer rows: see below) with the rows of the current
+dimension caps.  Both bracket stored rows with `derivation.bracket_rows`
+and build no Derivation per bracket: each element's partials and support
+signature are listed once (`row_support`), and a pair whose signatures do
+not meet is skipped, since its bracket is provably zero
+(`signatures_meet`).  The derived series tests no pair: it takes each row's
+partners from lists of the rows that hold each signature bit
+(`_meeting_pairs`).  Both bracket by the generators where they know them:
+`lie_closure` brackets each element it adjoins with the generators before
+it only, and reduces each bracket once, into the span of the brackets,
+[S, L].  It keeps L as that span plus at most g rows for the generators
+modulo it, which decide every adjoin, so a closed `LieClosureResult`
+carries [S, L] = [L, L] to the series as their first term: nothing is
+bracketed or reduced twice.  Each lower central step brackets a generating
+set (the generators, or fewer rows: see below) with the rows of the current
 term.  Most rows of a lower central term are rows of the term before,
 unchanged; such a row, matched by its entries and not by its pivot alone,
 reuses the brackets the step before kept for it.  So a row kept from one
 term to the next is bracketed once, and since a step keeps only its own
-term's brackets, memory holds one term's worth.  Spans
-are canonical, so no basis or dimension depends on the reuse.  A bare span
-knows no generators and a result built by hand keeps no brackets, so the
-series refuse both.
+term's brackets, memory holds one term's worth.  Spans are canonical, so no
+basis or dimension depends on the reuse.  A bare span knows no generators
+and a result built by hand carries no [L, L], so the series refuse both.
 
 The series pick their path from the closed result, by two rules.  First,
 when every term of every generator weighs -1 or less (`KeyCodec.weight`,
@@ -60,7 +60,7 @@ generators: 5 rows, not 70, on the full un(5, 3) set.  Second, when L is
 moreover a span of monomials (every stored row {key: 1}), both series run
 on key sets with no elimination: the bracket of two `un` monomials is one
 monomial or zero, so every term is the set of its keys, and [L, L]'s keys
-are the union of the supports of the kept bracket rows.  Each derived step
+are the pivots of the span the closure carries.  Each derived step
 brackets only the pairs of keys that meet, found from one list per slot
 and one per variable.  The lower central series computes each key's depth,
 the largest k with the key in L^k, in one pass: a key's depth is one more
@@ -76,7 +76,7 @@ are linearly independent: every span met is the set of its packed keys, and
 a row {key: 1} is already reduced.  So `lie_closure` brackets each pair on
 the two keys and stores each new key directly (`SpanBasis._add_key`),
 walking the same pairs in the same order as the row path, so that its
-result, kept brackets and stops are the row path's.
+result, [L, L] and stops are the row path's.
 """
 
 from __future__ import annotations
@@ -172,11 +172,12 @@ class SpanBasis:
     def add(self, d: Derivation) -> bool:
         """Adjoin d to the span; False, with nothing changed, if d is inside."""
         _check_same_n(d.n, self.n)
-        return self._add_row(d._terms)
+        return self._add_row(d._terms) is not None
 
-    def _add_row(self, row: Row) -> bool:
+    def _add_row(self, row: Row) -> int | None:
         """add for an integer row, which stands for any nonzero multiple of
-        itself; row itself is never modified.
+        itself: the pivot of the new stored row, or None if row is inside.
+        row itself is never modified.
 
         A one-term row takes one lookup: it is inside when its key is the
         pivot of a unit row, and stored as {key: 1} when its key is no pivot.
@@ -189,11 +190,11 @@ class SpanBasis:
         if key is not None and key not in rows:
             pivot, residual = key, {key: 1}
         elif key is not None and len(rows[key]) == 1:
-            return False
+            return None
         else:
             residual = self._reduce(row)
             if not residual:
-                return False
+                return None
             pivot = min(residual, key=codec(self.n).column_key)
             g = gcd(*residual.values())
             if residual[pivot] < 0:
@@ -218,7 +219,7 @@ class SpanBasis:
             self._multi.add(pivot)
         rows[pivot] = residual
         self._basis = None
-        return True
+        return pivot
 
     def _add_key(self, key: int) -> bool:
         """add for a one-term row {key: v}, v != 0, to a span whose stored
@@ -247,28 +248,28 @@ class LieClosureResult:
     num_generators generators that extended it, then the brackets that did.
     On "degree_cap_exceeded", offending_bracket is the pair (a, b) of
     elements whose bracket [a, b] has a coefficient of total degree above
-    the cap.  A closed result from `lie_closure` also keeps in _brackets
-    the rows of its nonzero brackets, in order: they lie in basis and span
-    [S, L] for the generators S.  A result built by hand has _brackets
-    None, and the series refuse it.
+    the cap.  A closed result from `lie_closure` also carries in _derived
+    the span of its nonzero brackets, [S, L] for the generators S, which is
+    [L, L] (see `_series`).  A capped result, or one built by hand, has
+    _derived None, and the series refuse both.
 
     The fields are read-only.  A result equals only itself, and the repr
-    shows the public fields only, not _brackets.
+    shows the public fields only, not _derived.
     """
 
     __slots__ = ("status", "basis", "elements", "num_generators", "offending_bracket",
-                 "_brackets")
+                 "_derived")
 
     def __init__(self, status: str, basis: SpanBasis, elements: tuple[Derivation, ...],
                  num_generators: int,
                  offending_bracket: tuple[Derivation, Derivation] | None = None,
-                 _brackets: tuple[Row, ...] | None = None) -> None:
+                 _derived: SpanBasis | None = None) -> None:
         object.__setattr__(self, "status", status)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "num_generators", num_generators)
         object.__setattr__(self, "offending_bracket", offending_bracket)
-        object.__setattr__(self, "_brackets", _brackets)
+        object.__setattr__(self, "_derived", _derived)
 
     def __setattr__(self, name: str, *_) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -335,6 +336,46 @@ def _monomial_bracket(c: KeyCodec, ka: int, kb: int) -> tuple[int, int]:
     return key, e
 
 
+def _clear_column(quot: SpanBasis, row: Row, pivot: int) -> bool:
+    """Clear column pivot from the rows of quot with row, a primitive row
+    with a positive entry there; True when that lowers quot's rank.
+
+    The rows of quot that hold pivot are taken out, which leaves the rest
+    reduced, cleared by `_eliminate` and put back through `_add_row`, which
+    reduces them again.  One row spans the cleared column, so the rank drops
+    by one at most.
+    """
+    held = [p for p, other in quot._rows.items() if pivot in other]
+    if not held:
+        return False
+    dim = quot.dim
+    cleared = [quot._rows.pop(p) for p in held]
+    quot._multi.difference_update(held)
+    for other in cleared:
+        _eliminate(other, row, pivot)
+        quot._add_row(other)
+    return quot.dim < dim
+
+
+def _direct_sum(derived: SpanBasis, quot: SpanBasis) -> SpanBasis:
+    """The span of the rows of derived and quot, for a quot whose rows
+    vanish in every pivot column of derived; derived is left as it was.
+
+    Each row of quot is reduced already, so `_add_row` stores it as it is
+    and clears its pivot from the rows of more than one term, which are
+    therefore copies.  The unit rows, which nothing modifies, are shared.
+    """
+    out = SpanBasis(derived.n, [])
+    rows = out._rows = dict(derived._rows)
+    for p in derived._multi:
+        rows[p] = dict(rows[p])
+    out._multi = set(derived._multi)
+    out._basis = None
+    for row in quot._rows.values():
+        out._add_row(row)
+    return out
+
+
 def lie_closure(gens: Iterable[Derivation], *,
                 degree_cap: int = DEFAULT_DEGREE_CAP,
                 dim_cap: int = DEFAULT_DIM_CAP) -> LieClosureResult:
@@ -352,12 +393,27 @@ def lie_closure(gens: Iterable[Derivation], *,
     is a ValueError, so every element of a returned basis has coefficient
     degree at most degree_cap.  An empty gens is a ValueError too.
 
+    L is kept as two spans, L = derived + span(quot): derived, the span of
+    every nonzero bracket, and quot, at most g rows that span the generators
+    modulo derived, kept zero in every pivot column of derived and reduced
+    among themselves.  Each bracket is reduced once, into derived.  Inside
+    derived, it is inside L.  New there, with pivot p, it clears column p
+    from the rows of quot (`_clear_column`): if quot's rank stays, the
+    bracket is new in L and adjoined; if it drops, the bracket lay in
+    span(S) + the brackets before it.  Either way dim L = dim derived +
+    dim quot, and every adjoin decision is that of one span of L.  On the
+    stop, L's reduced basis is the rows of both (`_direct_sum`), and a
+    closed result carries derived, which is then [S, L] = [L, L], to start
+    the series.
+
     When every generator is one `un` monomial c x^a d_i, every bracket is
     one monomial or zero (`_monomial_bracket`), and distinct monomials are
     independent: the span is the set of its keys.  So each pair is bracketed
     on the two keys, and a new key is stored as its reduced row {key: 1}
-    (`SpanBasis._add_key`), with no row kernel.  The pairs, their order, the
-    elements, the kept brackets and every stop are those of the row path.
+    (`SpanBasis._add_key`), with no row kernel: a new key of derived is new
+    in L unless it is a generator's key, whose row then leaves quot.  The
+    pairs, their order, the elements, [L, L] and every stop are those of the
+    row path.
     """
     _check_int(degree_cap, "degree cap", 1)
     _check_int(dim_cap, "dimension cap", 1)
@@ -371,21 +427,21 @@ def lie_closure(gens: Iterable[Derivation], *,
                              f"above degree_cap {degree_cap}")
     n = gens[0].n
     c = codec(n)
-    basis = SpanBasis(n, [])
+    derived = SpanBasis(n, [])  # the span of the nonzero brackets
+    quot = SpanBasis(n, [])  # the generators modulo derived
     monomials = _un_monomials(n, gens)
     if monomials is None:  # elements with their row_support and coefficient degree
         elems = [(g, *row_support(n, g._terms), g.max_coeff_degree())
-                 for g in gens if basis.add(g)]
+                 for g in gens if quot.add(g)]
     else:  # elements with their key and numerator
-        elems = [(g, *term) for g, term in zip(gens, monomials) if basis._add_key(term[0])]
+        elems = [(g, *term) for g, term in zip(gens, monomials) if quot._add_key(term[0])]
     num_gens = len(elems)
-    brackets: list[Row] = []  # the nonzero brackets, which span [S, L]
 
-    def result(status, offending=None, kept=None):
-        return LieClosureResult(status, basis, tuple(e[0] for e in elems),
-                                num_gens, offending, kept)
+    def result(status, offending=None):
+        return LieClosureResult(status, _direct_sum(derived, quot), tuple(e[0] for e in elems),
+                                num_gens, offending, derived if status == "closed" else None)
 
-    if basis.dim > dim_cap:
+    if quot.dim > dim_cap:
         return result("dim_cap_exceeded")
     pairs = _generator_pairs(elems, num_gens)
     if monomials is None:
@@ -393,15 +449,16 @@ def lie_closure(gens: Iterable[Derivation], *,
             if not signatures_meet(n, sa, sb):
                 continue
             br = bracket_rows(a._terms, pa, b._terms, pb)
-            if br:
-                # [a, b] has coefficient degree at most da + db - 1
-                if da + db > degree_cap + 1 and max(map(c.degree, br)) > degree_cap:
-                    return result("degree_cap_exceeded", (a, b))
-                brackets.append(br)
-            if basis._add_row(br):
+            if not br:
+                continue
+            # [a, b] has coefficient degree at most da + db - 1
+            if da + db > degree_cap + 1 and max(map(c.degree, br)) > degree_cap:
+                return result("degree_cap_exceeded", (a, b))
+            pivot = derived._add_row(br)
+            if pivot is not None and not _clear_column(quot, derived._rows[pivot], pivot):
                 ab = Derivation._from_terms(n, br, a._den * b._den)
                 elems.append((ab, *row_support(n, ab._terms), ab.max_coeff_degree()))
-                if basis.dim > dim_cap:
+                if derived.dim + quot.dim > dim_cap:
                     return result("dim_cap_exceeded")
     else:
         for (a, ka, na), (b, kb, nb) in pairs:
@@ -410,14 +467,13 @@ def lie_closure(gens: Iterable[Derivation], *,
                 continue
             if c.degree(key) > degree_cap:
                 return result("degree_cap_exceeded", (a, b))
-            br = {key: na * nb * e}
-            brackets.append(br)
-            if basis._add_key(key):
-                ab = Derivation._from_terms(n, br, a._den * b._den)
+            # a generator's key leaves quot: its row {key: 1} is cleared
+            if derived._add_key(key) and quot._rows.pop(key, None) is None:
+                ab = Derivation._from_terms(n, {key: na * nb * e}, a._den * b._den)
                 elems.append((ab, key, ab._terms[key]))
-                if basis.dim > dim_cap:
+                if derived.dim + quot.dim > dim_cap:
                     return result("dim_cap_exceeded")
-    return result("closed", kept=tuple(brackets))
+    return result("closed")
 
 
 class SeriesReport(NamedTuple):
@@ -529,18 +585,15 @@ def _monomial_derived_term(c: KeyCodec, keys: Iterable[int]) -> set[int]:
             for i in range(1, n) for ka in in_slot[i] for kb in holding[i]}
 
 
-def _monomial_series(n: int, keys: Collection[int], brackets: Iterable[Row], *,
+def _monomial_series(n: int, keys: Collection[int], derived: Collection[int], *,
                      lower_central: bool) -> SeriesReport:
     """The series of a nilpotent span L of `un` monomials, from its keys and
-    rows that span [L, L].
+    those of [L, L].
 
-    [L, L] is a span of monomials, so a row inside it has its support among
-    its keys, and rows that span it hold every one: its keys are the union
-    of the supports.  The keys of L outside it generate L (see `_series`).
-    Each term of a nilpotent L is smaller than the one before until zero,
-    so neither series stabilizes.
+    The keys of L outside [L, L] generate L (see `_series`).  Each term of
+    a nilpotent L is smaller than the one before until zero, so neither
+    series stabilizes.
     """
-    derived = set().union(*brackets)
     if lower_central:
         return _monomial_lower_series(n, [key for key in keys if key not in derived], keys)
     c = codec(n)
@@ -598,11 +651,12 @@ def _series(algebra: LieClosureResult, *, lower_central: bool) -> SeriesReport:
     If S generates L, then [L, M] = span [S, M] for every ideal M of L, the
     terms L^k among them: L is spanned by right-normed brackets z of elements
     of S, and [[s, z], x] = [s, [z, x]] - [z, [s, x]] (Jacobi) gives
-    induction on the length of z.  The first step, [L, L] = span [S, L],
-    takes the bracket rows that lie_closure kept.  Each later lower central
-    step (`_generator_step`) brackets the generating set only with the rows
-    of L^k that L^(k-1) did not hold unchanged, and keeps the brackets of
-    L^k alone, so memory holds one term's brackets.
+    induction on the length of z.  The first step, [L, L] = span [S, L], is
+    the span of the brackets that lie_closure carries, with nothing
+    bracketed or reduced again.  Each later lower central step
+    (`_generator_step`) brackets the generating set only with the rows of
+    L^k that L^(k-1) did not hold unchanged, and keeps the brackets of L^k
+    alone, so memory holds one term's brackets.
 
     The closed result picks the path.  When every term of every generator
     weighs -1 or less (`_weighs_below_zero`), so does every term of L, since
@@ -611,24 +665,22 @@ def _series(algebra: LieClosureResult, *, lower_central: bool) -> SeriesReport:
     nilpotent.  A subset of a nilpotent L generates it exactly when it
     spans L / [L, L] (Jacobson, Lie Algebras, 1962, ch. I), so the rows of
     L whose pivots are no pivots of [L, L], dim L - dim [L, L] of them, take
-    the place of S.  If L's rows are moreover one monomial each, both series
-    run on the key sets of their terms (`_monomial_series`).
+    the place of S.  If L's rows are moreover one monomial each, so are
+    those of [L, L], the reduced basis of a span of monomials, and both
+    series run on the key sets of their terms (`_monomial_series`).
     """
     if not isinstance(algebra, LieClosureResult):
         raise TypeError(f"the series take a lie_closure result, not {type(algebra).__name__}")
     if not algebra.closed:
         raise ValueError(f"closure status is {algebra.status}, not closed")
-    if algebra._brackets is None:
-        raise ValueError("a closed result built by hand keeps no brackets; run lie_closure")
-    start = algebra.basis
+    if algebra._derived is None:
+        raise ValueError("a closed result built by hand carries no [L, L]; run lie_closure")
+    start, derived = algebra.basis, algebra._derived  # L and [L, L]
     n = start.n
     generators = algebra.elements[:algebra.num_generators]
     nilpotent = _weighs_below_zero(n, generators)
     if nilpotent and not start._multi:
-        return _monomial_series(n, start._rows, algebra._brackets, lower_central=lower_central)
-    derived = SpanBasis(n, [])  # [L, L] = span [S, L], which starts both series
-    for br in algebra._brackets:
-        derived._add_row(br)
+        return _monomial_series(n, start._rows, derived._rows, lower_central=lower_central)
     if nilpotent:  # the rows of L that span L / [L, L]
         rows = [row for pivot, row in start._rows.items() if pivot not in derived._rows]
     else:

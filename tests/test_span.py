@@ -37,6 +37,19 @@ def is_bracket_closed(span):
     return all(span.contains(b) for b in pairwise_brackets(span))
 
 
+def generator_brackets(result):
+    """The nonzero brackets [a, b] of the elements of result with each
+    generator a before b, in the closure's order, made afresh."""
+    elems, g = list(result.elements), result.num_generators
+    fresh = (a.bracket(b) for a, b in span_module._generator_pairs(elems, g))
+    return [f for f in fresh if not f.is_zero()]
+
+
+def carried(result):
+    """The [L, L] a result carries, as its reduced basis, or None."""
+    return None if result._derived is None else result._derived.basis
+
+
 class TestCoordinatize:
     def test_scalar_dependence(self):
         n = 1
@@ -359,20 +372,31 @@ class TestLieClosure:
         assert SpanBasis(n, result.elements).basis == result.basis.basis
 
     def test_elements_and_kept_brackets_are_fresh_brackets(self):
-        # the span reduces copies: no element or kept bracket row that the
-        # closure hands out is divided or back-eliminated in place later
-        gens = generators("un", 3, 2)
-        result = lie_closure(gens)
-        g = result.num_generators
-        assert result.closed and result.elements[:g] == tuple(gens)
-        fresh = [a.bracket(b) for a, b in
-                 span_module._generator_pairs(list(result.elements), g)]
-        fresh = [f for f in fresh if not f.is_zero()]
-        assert all(f._den == 1 for f in fresh)
-        assert [dict(row) for row in result._brackets] == [f._terms for f in fresh]
-        rest = iter(fresh)  # the elements after the generators, in order
-        assert all(any(e == f for f in rest) for e in result.elements[g:])
-        assert len(result.elements) == result.basis.dim > g
+        # the spans reduce copies: no element that the closure hands out is
+        # divided or back-eliminated in place later, and the rows of the
+        # carried [L, L] are those of a span of fresh brackets, left as they
+        # were by the join with the generators into L and by both series
+        for gens in (generators("un", 3, 2), [pd(t, 4) for t in MULTI_ROW_GENERATORS]):
+            result = lie_closure(gens)
+            g = result.num_generators
+            assert result.closed and result.elements[:g] == tuple(gens)
+            fresh = generator_brackets(result)
+            derived_series(result), lower_central_series(result)
+            want = SpanBasis(result.basis.n, fresh)
+            assert result._derived._rows == want._rows
+            assert carried(result) == want.basis
+            rest = iter(fresh)  # the elements after the generators, in order
+            assert all(any(e == f for f in rest) for e in result.elements[g:])
+            assert len(result.elements) == result.basis.dim > g
+
+    def test_mixed_dimensions_rejected(self):
+        # generators in two different n fail in SpanBasis.add, on the row
+        # path and for un monomials (which then take the row path) alike
+        rational = [pd("d1 + (1/2 x1) d2", 2), pd("(x1) d2", 2), pd("(x1 x2) d3", 3)]
+        monomials = [*generators("un", 2, 1), *generators("un", 3, 1)]
+        for gens in (rational, monomials):
+            with pytest.raises(ValueError, match="ambient dimension mismatch: 3 vs 2"):
+                lie_closure(gens)
 
     def test_degree_bound_above_cap_still_closes(self):
         # a pair of degree 2 elements may bracket to degree 3, above the cap,
@@ -623,17 +647,59 @@ class TestSeriesByGenerators:
                 assert by_gens.basis == nxt.basis
 
     def test_kept_brackets_are_the_nonzero_generator_brackets(self):
+        # the carried [L, L] is the span of the nonzero generator brackets,
+        # and equals the span of all brackets of L
         for result in closed_results():
-            elems, g = result.elements, result.num_generators
-            pairs = [(a, b) for j, b in enumerate(elems) for a in elems[:min(j, g)]
-                     if a.bracket(b)]
-            assert len(result._brackets) == len(pairs)
-            for row, (a, b) in zip(result._brackets, pairs):
-                assert Derivation._from_terms(a.n, row, a._den * b._den) == a.bracket(b)
+            n = result.basis.n
+            assert carried(result) == SpanBasis(n, generator_brackets(result)).basis
+            assert carried(result) == SpanBasis(n, pairwise_brackets(result.basis)).basis
+
+    def test_capped_results_carry_no_derived_algebra(self):
+        seen = set()
+        for gens, caps in monomial_inputs():
+            result = lie_closure(gens, **caps)
+            seen.add(result.status)
+            assert (result._derived is None) == (not result.closed)
+        assert seen == {"closed", "degree_cap_exceeded", "dim_cap_exceeded"}
+        gens = [pd("(x1^2) d2", 2), pd("(x2^2) d1", 2)]  # on rows
+        for caps, status in (({"degree_cap": 3}, "degree_cap_exceeded"),
+                             ({"dim_cap": 4}, "dim_cap_exceeded")):
+            result = lie_closure(gens, **caps)
+            assert result.status == status and result._derived is None
+
+    def test_first_series_term_reduces_no_row(self, monkeypatch):
+        # [L, L] is the span lie_closure carries: no row is added to a span
+        # before the series makes its second term, and a series that stops
+        # at its first term adds none at all
+        events = []
+        add_row = SpanBasis._add_row
+        step, bracket_span = span_module._generator_step, span_module._bracket_span
+
+        def recorded(name, fn):
+            def call(*args):
+                events.append(name)
+                return fn(*args)
+            return call
+
+        results = list(closed_results())
+        monkeypatch.setattr(SpanBasis, "_add_row", recorded("add", add_row))
+        monkeypatch.setattr(span_module, "_generator_step", recorded("step", step))
+        monkeypatch.setattr(span_module, "_bracket_span", recorded("step", bracket_span))
+        later = 0
+        for result in results:
+            for series in (derived_series, lower_central_series):
+                events.clear()
+                report = series(result)
+                first = events.index("step") if "step" in events else len(events)
+                assert "add" not in events[:first]
+                later += "step" in events
+                if len(report.dims) == 2:  # [L, L] is zero or L
+                    assert not events
+        assert later >= 20
 
     def test_kept_brackets_stay_out_of_repr(self):
         result = lie_closure([pd("d1", 1), pd("(x1) d1", 1)])
-        assert result._brackets
+        assert result._derived.dim == 1
         by_hand = LieClosureResult(result.status, result.basis, result.elements,
                                    result.num_generators)
         assert repr(result) == repr(by_hand) == (
@@ -657,9 +723,9 @@ class TestSeriesByGenerators:
             return meet(*args)
 
         def brackets(call, *args):
-            count[0] = tests[0] = 0
+            count[0] = tests[0] = adds[0] = 0
             call(*args)
-            return count[0], tests[0]
+            return count[0], tests[0], adds[0]
 
         add_row = SpanBasis._add_row
         adds = [0]
@@ -679,27 +745,30 @@ class TestSeriesByGenerators:
         # every generator pair is walked, and only the 144 whose signatures
         # meet are bracketed: here exactly the nonzero ones
         assert tests[0] == comb(g, 2) + g * (dim - g) == 243
-        assert count[0] == len(result._brackets) == 144
-        # one per generator and one per bracket: the closure builds no [S, L]
-        assert adds[0] == g + 144 == 150
-        # the first series step takes the closure's brackets, so makes none;
-        # (brackets made, signatures_meet tests).  [L, L] has dim 40, so the
-        # lower series brackets by the 44 - 40 = 4 rows of L outside it, not
-        # by the 6 generators: 4 * 40 tests, since every row of a later term
-        # is one of [L, L] unchanged, and reuses its brackets.  The derived
-        # series finds its meeting pairs by slot and variable lists, so tests
-        # none
-        assert brackets(lower_central_series, result) == (85, 4 * 40)
-        assert brackets(derived_series, result) == (63, 0)
+        assert count[0] == len(generator_brackets(result)) == 144
+        # _add_row calls: one per generator into quot, one per bracket into
+        # [L, L], 12 that put back the rows of quot a new pivot of [L, L]
+        # cleared, and the 4 rows of quot joined into L
+        assert result._derived.dim == dim - 4 == 40
+        assert adds[0] == g + 144 + 12 + 4 == 166
+        # (brackets made, signatures_meet tests, _add_row calls).  The first
+        # series step is the carried [L, L], so it brackets and adds nothing.
+        # [L, L] has dim 40, so the lower series brackets by the 44 - 40 = 4
+        # rows of L outside it, not by the 6 generators: 4 * 40 tests, since
+        # every row of a later term is one of [L, L] unchanged, and reuses its
+        # brackets.  The derived series finds its meeting pairs by slot and
+        # variable lists, so tests none, and adds each bracket it makes
+        assert brackets(lower_central_series, result) == (85, 4 * 40, 276)
+        assert brackets(derived_series, result) == (63, 0, 63)
         # sn input has no weight proof of nilpotency: its 9 generators
         # bracket with the 6 rows of [L, L]
         sn = lie_closure(generators("sn", 3, 1))
         assert (sn.num_generators, sn.basis.dim) == (9, 9)
-        assert brackets(lower_central_series, sn) == (17, 9 * 6)
+        assert brackets(lower_central_series, sn) == (17, 9 * 6, 17)
         assert lower_central_series(sn).dims == (9, 6, 6)
         # nor, forced, has the un closure: then its 6 generators bracket
         monkeypatch.setattr(span_module, "_weighs_below_zero", lambda n, gens: False)
-        assert brackets(lower_central_series, result) == (105, 6 * 40)
+        assert brackets(lower_central_series, result) == (105, 6 * 40, 312)
 
     def test_derived_series_brackets_exactly_the_meeting_pairs(self, monkeypatch):
         # each step after the first brackets the pairs of its term's rows
@@ -785,7 +854,8 @@ class TestSeriesByGenerators:
         result = seeded_un4_closures()[0]
         assert (result.num_generators, result.basis.dim) == (6, 20)
         assert on_keys(result)
-        assert sum(len(row) > 1 for row in result._brackets) == 26
+        assert sum(len(f._terms) > 1 for f in generator_brackets(result)) == 26
+        assert not result._derived._multi
         monkeypatch.setattr(span_module, "bracket_rows",
                             lambda *args: pytest.fail("a row was bracketed"))
         lower, derived = lower_central_series(result), derived_series(result)
@@ -833,7 +903,7 @@ class TestSeriesByGenerators:
         n = 1
         gens = (pd("d1", n), pd("(x1^2) d1", n))
         result = LieClosureResult("closed", SpanBasis(n, gens), gens, 2)
-        assert result._brackets is None
+        assert result._derived is None
         for series in (derived_series, lower_central_series):
             with pytest.raises(ValueError, match="built by hand"):
                 series(result)
@@ -891,7 +961,7 @@ class TestMonomialPath:
     @staticmethod
     def fields(result):
         return (result.status, result.basis.basis, result.elements, result.num_generators,
-                result.offending_bracket, result._brackets)
+                result.offending_bracket, carried(result))
 
     def test_key_path_equals_row_path_and_reference(self, monkeypatch):
         # closures, capped ones too, and both series against the row path,
@@ -938,7 +1008,7 @@ class TestMonomialPath:
             assert (result.status, result.basis.dim, pair and tuple(map(str, pair)),
                     str(result.elements[-1])) == want
             assert len(result.elements) == result.basis.dim
-            assert result._brackets is None
+            assert result._derived is None
 
     def test_key_path_counts(self, monkeypatch):
         counts = {"rows": 0, "meet": 0, "add": 0, "elim": 0, "keys": 0, "nonzero": 0}
@@ -972,11 +1042,14 @@ class TestMonomialPath:
         g, dim = result.num_generators, result.basis.dim
         assert (g, dim) == (15, 27)
         # the same 285 generator pairs as the row path, each bracketed on
-        # keys; 69 brackets are nonzero; no row is bracketed or reduced
-        assert take() == {"rows": 0, "meet": 0, "add": 0, "elim": 0, "keys": 285,
+        # keys; 69 brackets are nonzero; no row is bracketed or reduced: the
+        # 3 generator keys outside [L, L] join its 24 in L through _add_row,
+        # which stores each as it is
+        assert take() == {"rows": 0, "meet": 0, "add": 3, "elim": 0, "keys": 285,
                           "nonzero": 69}
-        assert comb(g, 2) + g * (dim - g) == 285 and len(result._brackets) == 69
-        # [L, L] is the 24 keys of the kept brackets, so the 3 keys outside
+        assert result._derived.dim == 24
+        assert comb(g, 2) + g * (dim - g) == 285 and len(generator_brackets(result)) == 69
+        # [L, L] is the 24 keys of the brackets, so the 3 keys outside
         # it generate L; the lower series brackets each key with each of them
         # once, in one pass: dim * 3 pairs, not dim * g
         assert lower_central_series(result).dims[:2] == (27, 24)
@@ -998,7 +1071,7 @@ class TestMonomialPath:
         monkeypatch.setattr(span_module, "_monomial_bracket",
                             lambda *args: calls.append(args))
         result = lie_closure([pd(t, n) for t in texts])
-        assert result.closed and result._brackets
+        assert result.closed and result._derived.dim
         assert not calls
 
     def test_series_check_their_input_before_the_path(self, monkeypatch):

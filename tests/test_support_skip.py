@@ -83,7 +83,8 @@ def test_known_signatures():
 
 def closure_fields(result):
     return (result.status, result.basis.basis, result.elements, result.num_generators,
-            result.offending_bracket, result._brackets)
+            result.offending_bracket,
+            None if result._derived is None else result._derived.basis)
 
 
 def closure_inputs():

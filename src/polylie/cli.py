@@ -373,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "chain needs 1 from term 1 and 2 from term 3 (default: 2)")
 
     p = sub.add_parser("verify-paper",
-                       help="run the full deterministic verification suite")
+                       help="check the paper's claims deterministically from a seed")
     p.add_argument("--n", type=int, default=2, dest="n",
                    help="largest ambient dimension to sample (default: 2)")
     p.add_argument("--seed", type=int, default=0)

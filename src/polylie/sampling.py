@@ -17,7 +17,6 @@ CPython 3.10 to 3.13: k = n.bit_length() bits, again while the draw is
 n or more.  `randint(a, b)` is a + `randrange(b - a + 1)` and `choice(seq)`
 is seq[`randrange(len(seq))`], so a seed gives the same samples as it
 did through those methods, and leaves the generator in the same state.
-In `verify-paper` that generator is a sample's own, re-seeded per sample.
 """
 
 from __future__ import annotations

@@ -141,6 +141,10 @@ class TestFormatting:
             assert parse_derivation(format_derivation(d), n) == d
             f = random_polynomial(rng, n, 5)
             assert parse_polynomial(format_polynomial(f), n) == f
+        for text, n in [("(x1^2) d2 + (x1+1) d1", 2), ("(1/2 x1 - x2^3) d1", 2),
+                        ("d1", 3), ("0", 2), ("(-2 x1 x2) d2 + (x1^2) d1", 2)]:
+            d = parse_derivation(text, n)
+            assert parse_derivation(format_derivation(d), n) == d
 
 
 # coefficients of every sign and shape: +-1, integers and rationals

@@ -31,6 +31,10 @@ ALLOWED = {
                                     "which the tests read values",
     "span.SpanBasis.contains": "the span's public membership query; the "
                                "benchmark's tracer wraps it",
+    "sampling.random_derivation": "the seeded sampler of the kernel's identity "
+                                  "suites, which are tests, not paper checks",
+    "sampling.random_nonconstant_polynomial": "the seeded sampler of the "
+                                              "extraction suite, a test",
 }
 
 

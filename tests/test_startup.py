@@ -70,15 +70,17 @@ def test_each_command_module_loads_on_its_command(module_env):
 
 
 def test_membership_lnd_and_witness_load_no_reductions(module_env):
-    """`lnd` refutes with D's matrix alone, so these commands never load the
-    eigenvector relations of `reductions`."""
+    """`lnd` refutes with D's matrix alone, so these commands, and the
+    `verify-paper` checks built on them, never load the eigenvector relations
+    of `reductions`."""
     code = ("import contextlib, io, polylie.cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    assert polylie.cli.main(['member', '(x1) d2', '--n', '2']) == 0\n"
             "    assert polylie.cli.main(['lnd', '(x1) d1 - (x2) d2', '--n', '2']) == 0\n"
-            "    assert polylie.cli.main(['witness', '--n', '2']) == 0")
+            "    assert polylie.cli.main(['witness', '--n', '2']) == 0\n"
+            "    assert polylie.cli.main(['verify-paper', '--n', '1']) == 0")
     loaded = modules_loaded_by(code, module_env)
-    assert "polylie.canonical" in loaded
+    assert {"polylie.canonical", "polylie.verify"} <= loaded
     assert "polylie.reductions" not in loaded
 
 

@@ -11,12 +11,10 @@ degree in 0..max_degree, then a variable per degree unit.  The draws go in
 one loop straight into a map {key: (num, den)}, which `polyring._over_lcm`
 puts over one denominator, so no Fraction is made on the way.
 
-Every draw is one call of `_below(bits, n)`, with bits the generator's
-`getrandbits`.  It reads words exactly as `Random.randrange(n)` does on
-CPython 3.10 to 3.13: k = n.bit_length() bits, again while the draw is
-n or more.  `randint(a, b)` is a + `randrange(b - a + 1)` and `choice(seq)`
-is seq[`randrange(len(seq))`], so a seed gives the same samples as it
-did through those methods, and leaves the generator in the same state.
+Every draw is one call of `rng.randrange(n)`.  `randint(a, b)` is
+a + `randrange(b - a + 1)` and `choice(seq)` is seq[`randrange(len(seq))`],
+so a seed gives the same samples as it did through those methods, and
+leaves the generator in the same state.
 """
 
 from __future__ import annotations
@@ -33,35 +31,27 @@ POLYNOMIAL_TERMS = 4
 DERIVATION_TERMS = 3
 
 
-def _below(bits, n: int) -> int:
-    """A random int in 0..n-1 for n >= 1, from bits = rng.getrandbits."""
-    k = n.bit_length()
-    r = bits(k)
-    while r >= n:
-        r = bits(k)
-    return r
-
-
-def _draw_terms(pairs: dict, bits, base: int, units: tuple, max_degree: int,
+def _draw_terms(pairs: dict, rng: random.Random, base: int, units: tuple, max_degree: int,
                 max_terms: int) -> None:
     """Draw one random polynomial's terms into pairs {key: (num, den)},
     each key offset by base; a monomial drawn twice keeps its last pair."""
     n = len(units)
-    for _ in range(_below(bits, max_terms + 1)):
-        num = _below(bits, 9) + 1
-        if _below(bits, 2):
+    randrange = rng.randrange
+    for _ in range(randrange(max_terms + 1)):
+        num = randrange(9) + 1
+        if randrange(2):
             num = -num
-        den = _below(bits, 9) + 1
+        den = randrange(9) + 1
         key = base
-        for _ in range(_below(bits, max_degree + 1)):
-            key += units[_below(bits, n)]
+        for _ in range(randrange(max_degree + 1)):
+            key += units[randrange(n)]
         pairs[key] = num, den
 
 
 def random_polynomial(rng: random.Random, n: int, max_degree: int) -> Polynomial:
     _check_int(max_degree, "max degree", 0)
     pairs: dict[int, tuple[int, int]] = {}
-    _draw_terms(pairs, rng.getrandbits, 0, codec(n).var_units, max_degree, POLYNOMIAL_TERMS)
+    _draw_terms(pairs, rng, 0, codec(n).var_units, max_degree, POLYNOMIAL_TERMS)
     return Polynomial._from_terms(n, *_over_lcm(pairs.items()))
 
 
@@ -76,10 +66,9 @@ def random_derivation(rng: random.Random, n: int, max_degree: int) -> Derivation
     """One random polynomial's draws per slot 1..n, filled into one row."""
     _check_int(max_degree, "max degree", 0)
     c = codec(n)
-    bits = rng.getrandbits
     pairs: dict[int, tuple[int, int]] = {}
     for slot in range(1, n + 1):
-        _draw_terms(pairs, bits, slot << c.slot_shift, c.var_units, max_degree,
+        _draw_terms(pairs, rng, slot << c.slot_shift, c.var_units, max_degree,
                     DERIVATION_TERMS)
     return Derivation._from_terms(n, *_over_lcm(pairs.items()))
 
@@ -90,12 +79,12 @@ def random_subalgebra_element(rng: random.Random, which: Which, n: int,
     or sn: per term a coefficient pair, as for a polynomial, then a
     generator."""
     gens = generators(which, n, degree_cap)
-    bits = rng.getrandbits
+    randrange = rng.randrange
     out = Derivation.zero(n)
-    for _ in range(_below(bits, 4) + 1):
-        num = _below(bits, 9) + 1
-        if _below(bits, 2):
+    for _ in range(randrange(4) + 1):
+        num = randrange(9) + 1
+        if randrange(2):
             num = -num
-        coeff = Fraction(num, _below(bits, 9) + 1)
-        out = out + coeff * gens[_below(bits, len(gens))]
+        coeff = Fraction(num, randrange(9) + 1)
+        out = out + coeff * gens[randrange(len(gens))]
     return out

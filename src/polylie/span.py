@@ -23,60 +23,16 @@ whatever order the generators come in: two spans are equal exactly when
 their `basis` tuples are.  The one rational number is that division, kept
 as the denominator of each basis derivation.
 
-Series computations (derived, lower central) take a closed result of
-`lie_closure` only, which produces closures under explicit degree and
-dimension caps.  Both bracket stored rows with `derivation.bracket_rows`
-and build no Derivation per bracket: each element's partials and support
-signature are listed once (`row_support`), and a pair whose signatures do
+`lie_closure` closes a set of generators S under brackets, within a degree
+and a dimension cap; its docstring gives the walk, the two spans it keeps L
+in, and the key path for monomial `un` input.  A closed `LieClosureResult`
+carries S, L and [L, L], and the derived and lower central series take
+that result and nothing else; `_series` gives why bracketing by a
+generating set is enough, when the rows of L outside [L, L] (Jacobson)
+replace S, and when both series run on key sets.  Brackets run on stored
+rows (`derivation.bracket_rows`), and a pair whose support signatures do
 not meet is skipped, since its bracket is provably zero
-(`signatures_meet`).  The derived series tests no pair: it takes each row's
-partners from lists of the rows that hold each signature bit
-(`_meeting_pairs`).  Both bracket by the generators where they know them:
-`lie_closure` brackets each element it adjoins with the generators before
-it only, and reduces each bracket once, into the span of the brackets,
-[S, L].  It keeps L as that span plus at most g rows for the generators
-modulo it, which decide every adjoin, so a closed `LieClosureResult`
-carries [S, L] = [L, L] to the series as their first term: nothing is
-bracketed or reduced twice.  Each lower central step brackets a generating
-set (the generators, or fewer rows: see below) with the rows of the current
-term.  Most rows of a lower central term are rows of the term before,
-unchanged; such a row, matched by its entries and not by its pivot alone,
-reuses the brackets the step before kept for it.  So a row kept from one
-term to the next is bracketed once, and since a step keeps only its own
-term's brackets, memory holds one term's worth.  Spans are canonical, so no
-basis or dimension depends on the reuse.  A bare span knows no generators
-and a result built by hand carries no [L, L], so the series refuse both.
-
-The series pick their path from the closed result, by two rules.  First,
-when every term of every generator weighs -1 or less (`KeyCodec.weight`,
-for c the largest generator degree; these are the `un` terms), so does
-every term of L, since a bracket's terms weigh the sum of its operands'
-weights.  L^k then lies in the span of the terms of weight <= -k, so L is
-nilpotent, and a subset of a nilpotent L generates it exactly when it
-spans L / [L, L] (Jacobson, Lie Algebras, 1962, ch. I).  So the rows of L
-whose pivots are no pivots of [L, L] generate L, and the lower central
-series brackets by those dim L - dim [L, L] rows in place of the
-generators: 5 rows, not 70, on the full un(5, 3) set.  Second, when L is
-moreover a span of monomials (every stored row {key: 1}), both series run
-on key sets with no elimination: the bracket of two `un` monomials is one
-monomial or zero, so every term is the set of its keys, and [L, L]'s keys
-are the pivots of the span the closure carries.  Each derived step
-brackets only the pairs of keys that meet, found from one list per slot
-and one per variable.  The lower central series computes each key's depth,
-the largest k with the key in L^k, in one pass: a key's depth is one more
-than the largest depth of a key that a generating key brackets into it.
-Every generating key lowers the weight by at least 1, so relaxing keys in
-decreasing weight order settles each key before any key it brackets into.
-The dims are the counts of keys of depth >= k.
-
-Monomial `un` input closes on keys too.  When every generator is one term
-c x^a d_i with a free of x_i..x_n (of level 2i - 1, `KeyCodec.level`), the
-bracket of two such terms is one such term or zero, and distinct monomials
-are linearly independent: every span met is the set of its packed keys, and
-a row {key: 1} is already reduced.  So `lie_closure` brackets each pair on
-the two keys and stores each new key directly (`SpanBasis._add_key`),
-walking the same pairs in the same order as the row path, so that its
-result, [L, L] and stops are the row path's.
+(`signatures_meet`).
 """
 
 from __future__ import annotations
@@ -93,6 +49,11 @@ DEFAULT_DEGREE_CAP = 12
 DEFAULT_DIM_CAP = 512
 
 Operand = tuple[Row, Partials, int]  # a row, its partials and its signature
+
+
+def _check_derivation(d: object) -> None:
+    if not isinstance(d, Derivation):
+        raise TypeError(f"not a Derivation: {d!r}")
 
 
 def _eliminate(target: Row, source: Row, col: int) -> None:
@@ -171,6 +132,7 @@ class SpanBasis:
 
     def add(self, d: Derivation) -> bool:
         """Adjoin d to the span; False, with nothing changed, if d is inside."""
+        _check_derivation(d)
         _check_same_n(d.n, self.n)
         return self._add_row(d._terms) is not None
 
@@ -232,6 +194,7 @@ class SpanBasis:
         return True
 
     def contains(self, d: Derivation) -> bool:
+        _check_derivation(d)
         _check_same_n(d.n, self.n)
         return not self._reduce(d._terms)
 
@@ -243,31 +206,28 @@ class LieClosureResult:
     """Outcome of saturating a span under brackets, subject to caps.
 
     status is "closed", "degree_cap_exceeded" or "dim_cap_exceeded".
-    basis spans everything adjoined before the stop.  elements are the
-    adjoined derivations in order, a basis of that span: first the
-    num_generators generators that extended it, then the brackets that did.
-    On "degree_cap_exceeded", offending_bracket is the pair (a, b) of
-    elements whose bracket [a, b] has a coefficient of total degree above
-    the cap.  A closed result from `lie_closure` also carries in _derived
-    the span of its nonzero brackets, [S, L] for the generators S, which is
-    [L, L] (see `_series`).  A capped result, or one built by hand, has
-    _derived None, and the series refuse both.
+    basis spans everything adjoined before the stop.  generators are the
+    generators S that extended the span, in input order: a generator inside
+    the span of those before it is left out.  On "degree_cap_exceeded",
+    offending_bracket is the pair (a, b) of adjoined derivations whose
+    bracket [a, b] has a coefficient of total degree above the cap.  A
+    closed result from `lie_closure` is the Lie algebra L that S generates,
+    and also carries in _derived the span of its nonzero brackets, [S, L],
+    which is [L, L] (see `_series`).  A capped result, or one built by
+    hand, has _derived None, and the series refuse both.
 
     The fields are read-only.  A result equals only itself, and the repr
     shows the public fields only, not _derived.
     """
 
-    __slots__ = ("status", "basis", "elements", "num_generators", "offending_bracket",
-                 "_derived")
+    __slots__ = ("status", "basis", "generators", "offending_bracket", "_derived")
 
-    def __init__(self, status: str, basis: SpanBasis, elements: tuple[Derivation, ...],
-                 num_generators: int,
+    def __init__(self, status: str, basis: SpanBasis, generators: tuple[Derivation, ...],
                  offending_bracket: tuple[Derivation, Derivation] | None = None,
                  _derived: SpanBasis | None = None) -> None:
         object.__setattr__(self, "status", status)
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "num_generators", num_generators)
+        object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "offending_bracket", offending_bracket)
         object.__setattr__(self, "_derived", _derived)
 
@@ -285,13 +245,10 @@ class LieClosureResult:
         return self.status == "closed"
 
 
-def _generator_pairs(elems: list, g: int):
-    """Each of elems with each of the first g elems (the generators) that
-    comes before it: C(g, 2) + g * (len(elems) - g) pairs.  elems may grow
-    while the pairs are walked."""
-    for j, b in enumerate(elems):
-        for a in elems[:min(j, g)]:
-            yield a, b
+def _un_term(c: KeyCodec, key: int) -> bool:
+    """Whether the term at key is a `un` term c x^a d_i, a free of
+    x_i .. x_n: of level 2i - 1 (`KeyCodec.level`)."""
+    return c.level(key) == 2 * (key >> c.slot_shift) - 1
 
 
 def _un_monomials(n: int, gens: Iterable[Derivation]) -> list[tuple[int, int]] | None:
@@ -303,7 +260,7 @@ def _un_monomials(n: int, gens: Iterable[Derivation]) -> list[tuple[int, int]] |
         if g.n != n or len(g._terms) != 1:
             return None
         (term,) = g._terms.items()
-        if c.level(term[0]) != 2 * (term[0] >> c.slot_shift) - 1:
+        if not _un_term(c, term[0]):
             return None
         out.append(term)
     return out
@@ -389,9 +346,13 @@ def lie_closure(gens: Iterable[Derivation], *,
     list is exhausted the span is bracket-closed ("closed").  A bracket with
     a coefficient of total degree above degree_cap stops with
     "degree_cap_exceeded" and that pair; the span growing past dim_cap stops
-    with "dim_cap_exceeded" at once.  A generator already above degree_cap
+    with "dim_cap_exceeded" at once.  The result records S, the generators
+    that extended the span, in input order, and no other element: the order
+    of the walk shows only on a stop, in the offending pair and in the
+    capped basis.  A generator already above degree_cap
     is a ValueError, so every element of a returned basis has coefficient
-    degree at most degree_cap.  An empty gens is a ValueError too.
+    degree at most degree_cap.  An empty gens is a ValueError too, and a
+    generator that is not a Derivation a TypeError.
 
     L is kept as two spans, L = derived + span(quot): derived, the span of
     every nonzero bracket, and quot, at most g rows that span the generators
@@ -412,8 +373,7 @@ def lie_closure(gens: Iterable[Derivation], *,
     on the two keys, and a new key is stored as its reduced row {key: 1}
     (`SpanBasis._add_key`), with no row kernel: a new key of derived is new
     in L unless it is a generator's key, whose row then leaves quot.  The
-    pairs, their order, the elements, [L, L] and every stop are those of the
-    row path.
+    pairs, their order, [L, L] and every stop are those of the row path.
     """
     _check_int(degree_cap, "degree cap", 1)
     _check_int(dim_cap, "dimension cap", 1)
@@ -421,6 +381,7 @@ def lie_closure(gens: Iterable[Derivation], *,
     if not gens:
         raise ValueError("need at least one generator")
     for g in gens:
+        _check_derivation(g)
         deg = g.max_coeff_degree()
         if deg is not None and deg > degree_cap:
             raise ValueError(f"generator {g} has coefficient degree {deg}, "
@@ -435,15 +396,18 @@ def lie_closure(gens: Iterable[Derivation], *,
                  for g in gens if quot.add(g)]
     else:  # elements with their key and numerator
         elems = [(g, *term) for g, term in zip(gens, monomials) if quot._add_key(term[0])]
-    num_gens = len(elems)
+    kept = tuple(e[0] for e in elems)
+    num_gens = len(kept)
 
     def result(status, offending=None):
-        return LieClosureResult(status, _direct_sum(derived, quot), tuple(e[0] for e in elems),
-                                num_gens, offending, derived if status == "closed" else None)
+        return LieClosureResult(status, _direct_sum(derived, quot), kept, offending,
+                                derived if status == "closed" else None)
 
     if quot.dim > dim_cap:
         return result("dim_cap_exceeded")
-    pairs = _generator_pairs(elems, num_gens)
+    # each element with each generator before it, C(g, 2) + g (dim - g)
+    # pairs, read while elems grows
+    pairs = ((a, b) for j, b in enumerate(elems) for a in elems[:min(j, num_gens)])
     if monomials is None:
         for (a, pa, sa, da), (b, pb, sb, db) in pairs:
             if not signatures_meet(n, sa, sb):
@@ -635,15 +599,6 @@ def _monomial_lower_series(n: int, gens: list[int], keys: Iterable[int]) -> Seri
     return SeriesReport(dims, "nilpotent", length=length)
 
 
-def _weighs_below_zero(n: int, gens: Iterable[Derivation]) -> bool:
-    """Whether every term of gens weighs -1 or less (`KeyCodec.weight`), for
-    c the largest degree of a term of gens."""
-    c = codec(n)
-    terms = [key for g in gens for key in g._terms]
-    top = max(map(c.degree, terms), default=0)
-    return all(c.weight(key, top) <= -1 for key in terms)
-
-
 def _series(algebra: LieClosureResult, *, lower_central: bool) -> SeriesReport:
     """The series of a closed result of `lie_closure`, bracketing by a
     generating set.
@@ -656,18 +611,25 @@ def _series(algebra: LieClosureResult, *, lower_central: bool) -> SeriesReport:
     bracketed or reduced again.  Each later lower central step
     (`_generator_step`) brackets the generating set only with the rows of
     L^k that L^(k-1) did not hold unchanged, and keeps the brackets of L^k
-    alone, so memory holds one term's brackets.
+    alone, so memory holds one term's brackets; spans are canonical, so no
+    basis or dimension depends on the reuse.  Each later derived step
+    brackets only the pairs of rows whose signatures meet (`_meeting_pairs`).
 
-    The closed result picks the path.  When every term of every generator
-    weighs -1 or less (`_weighs_below_zero`), so does every term of L, since
-    a bracket's terms weigh the sum of its operands' weights: L^k lies in
-    the span of the terms of weight <= -k, and L, of finite dimension, is
-    nilpotent.  A subset of a nilpotent L generates it exactly when it
-    spans L / [L, L] (Jacobson, Lie Algebras, 1962, ch. I), so the rows of
-    L whose pivots are no pivots of [L, L], dim L - dim [L, L] of them, take
-    the place of S.  If L's rows are moreover one monomial each, so are
-    those of [L, L], the reduced basis of a span of monomials, and both
-    series run on the key sets of their terms (`_monomial_series`).
+    The closed result picks the path, by the level of each generator term
+    (`_un_term`).  For c the largest generator degree, a term weighs -1 or
+    less (`KeyCodec.weight`) exactly when it is a `un` term: a `un` term of
+    slot i weighs at most c w(x_(i-1)) - w(x_i) = -1, and a term holding
+    some x_j, j >= i, at least w(x_j) - w(x_i) >= 0.  So when every
+    generator term is a `un` term, every term of L weighs -1 or less too,
+    since a bracket's terms weigh the sum of its operands' weights: L^k
+    lies in the span of the terms of weight <= -k, and L, of finite
+    dimension, is nilpotent.  A subset of a nilpotent L generates it
+    exactly when it spans L / [L, L] (Jacobson, Lie Algebras, 1962, ch. I),
+    so the rows of L whose pivots are no pivots of [L, L], dim L - dim
+    [L, L] of them, take the place of S.  If L's rows are moreover one
+    monomial each, so are those of [L, L], the reduced basis of a span of
+    monomials, and both series run on the key sets of their terms
+    (`_monomial_series`).
     """
     if not isinstance(algebra, LieClosureResult):
         raise TypeError(f"the series take a lie_closure result, not {type(algebra).__name__}")
@@ -677,14 +639,14 @@ def _series(algebra: LieClosureResult, *, lower_central: bool) -> SeriesReport:
         raise ValueError("a closed result built by hand carries no [L, L]; run lie_closure")
     start, derived = algebra.basis, algebra._derived  # L and [L, L]
     n = start.n
-    generators = algebra.elements[:algebra.num_generators]
-    nilpotent = _weighs_below_zero(n, generators)
+    c = codec(n)
+    nilpotent = all(_un_term(c, key) for g in algebra.generators for key in g._terms)
     if nilpotent and not start._multi:
         return _monomial_series(n, start._rows, derived._rows, lower_central=lower_central)
     if nilpotent:  # the rows of L that span L / [L, L]
         rows = [row for pivot, row in start._rows.items() if pivot not in derived._rows]
     else:
-        rows = [e._terms for e in generators]
+        rows = [g._terms for g in algebra.generators]
     gens = [(row, *row_support(n, row)) for row in rows]
     zero_verdict = "nilpotent" if lower_central else "solvable"
     current = start

@@ -4,8 +4,7 @@ The reference below draws through `randint`, `randrange` and `choice`,
 each monomial as an exponent tuple, builds each coefficient as a Fraction
 and each value through the public constructors, as the samplers once did.
 A twin random.Random drives it, so equal values and equal generator states
-after the call pin both the samples and the sequence of draws.  `_below`,
-the samplers' one draw, is checked against those methods the same way.
+after the call pin both the samples and the sequence of draws.
 """
 
 import random
@@ -16,7 +15,7 @@ import pytest
 from polylie.canonical import generators
 from polylie.derivation import Derivation
 from polylie.polyring import Polynomial
-from polylie.sampling import (DERIVATION_TERMS, POLYNOMIAL_TERMS, _below, random_derivation,
+from polylie.sampling import (DERIVATION_TERMS, POLYNOMIAL_TERMS, random_derivation,
                               random_nonconstant_polynomial, random_polynomial,
                               random_subalgebra_element)
 
@@ -95,26 +94,6 @@ def test_repeated_monomial_keeps_last_draw():
         got = random_polynomial(rng, 2, 0)
         assert_same_value(got, ref_polynomial(twin, 2, 0, POLYNOMIAL_TERMS))
         assert len(dict(got)) <= 1
-
-
-
-# 2^32 + 1 takes 33 bits, more than one 32-bit word per draw
-BOUNDS = [1, 2, 3, 9, 16, 17, 2**31, 2**32 + 1]
-
-
-@pytest.mark.parametrize("n", BOUNDS)
-def test_below_draws_as_randrange_randint_and_choice(n):
-    seq = range(10, 10 + n)
-    for seed in range(20):
-        rng, twin = random.Random(seed), random.Random(seed)
-        bits = rng.getrandbits
-        for _ in range(50):
-            assert _below(bits, n) == twin.randrange(n)
-            assert rng.getstate() == twin.getstate()
-            assert 5 + _below(bits, n) == twin.randint(5, 4 + n)
-            assert rng.getstate() == twin.getstate()
-            assert seq[_below(bits, n)] == twin.choice(seq)
-            assert rng.getstate() == twin.getstate()
 
 
 def test_random_nonconstant_polynomial_matches_fraction_path():

@@ -27,8 +27,8 @@ def reference_signature(d):
 
 
 def sample_derivations(rng):
-    """Random fields (n 1-4), un/sn generators, and the elements of their
-    closures, as lists of derivations in one n."""
+    """Random fields (n 1-4), un/sn generators, and the generators and
+    basis of their closures, as lists of derivations in one n."""
     for _ in range(30):
         n = rng.randint(1, 4)
         yield [term_counts.random_derivation(rng, n, rng.randint(0, 3), rng.randint(1, 3))
@@ -41,7 +41,7 @@ def sample_derivations(rng):
         which = rng.choice(("un", "sn"))
         gens = [random_subalgebra_element(rng, which, n, 2) for _ in range(3)]
         result = lie_closure(gens, degree_cap=6, dim_cap=64)
-        yield list(result.elements)
+        yield [*result.generators, *result.basis]
 
 
 def test_signature_reads_slots_and_variables():
@@ -82,8 +82,7 @@ def test_known_signatures():
 
 
 def closure_fields(result):
-    return (result.status, result.basis.basis, result.elements, result.num_generators,
-            result.offending_bracket,
+    return (result.status, result.basis.basis, result.generators, result.offending_bracket,
             None if result._derived is None else result._derived.basis)
 
 

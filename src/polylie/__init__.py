@@ -9,7 +9,8 @@ shared with the CLI.
 Importing the package imports none of its modules.  A public name, such as
 `polylie.lie_closure`, or a submodule name, such as `polylie.span`, imports
 its module on first use, so a program (the CLI among them) loads only the
-modules it runs.
+modules it runs.  The submodules are those that define the public names,
+and `cli`: the package holds what its commands and checks run.
 """
 
 import importlib
@@ -33,7 +34,7 @@ _PUBLIC = {
     "verify": ("Report", "verify_paper"),
 }
 _MODULE_OF = {name: module for module, names in _PUBLIC.items() for name in names}
-_SUBMODULES = (*_PUBLIC, "cli", "sampling")
+_SUBMODULES = (*_PUBLIC, "cli")
 
 __all__ = list(_MODULE_OF)
 

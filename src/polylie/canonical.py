@@ -11,10 +11,12 @@ names "un" and "sn":
 
 Membership, the term split in `strip_canonical_part` and `generators` read
 each term's level (`KeyCodec.level`): x^a d_i lies in un when its level is
-2i - 1 and in sn when it is >= 0.  `lnd_check` refutes local nilpotency
-with D's matrix, which `linear_part_refutes` re-checks.  A closed-form chain
-of brackets witnesses the derived-length lower bound with a certificate
-that `DerivedChainCertificate.check` re-verifies from its JSON form alone.
+2i - 1 (`polyring._un_term`) and in sn when it is >= 0.
+`random_subalgebra_element` draws seeded combinations of the generators.
+`lnd_check` refutes local nilpotency with D's matrix, which
+`linear_part_refutes` re-checks.  A closed-form chain of brackets witnesses
+the derived-length lower bound with a certificate that
+`DerivedChainCertificate.check` re-verifies from its JSON form alone.
 """
 
 from __future__ import annotations
@@ -22,11 +24,14 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
-from typing import Iterator, Literal, NamedTuple
+from typing import TYPE_CHECKING, Iterator, Literal, NamedTuple
 
 from .derivation import Derivation, Row
 from .grammar import parse_derivation
-from .polyring import KeyCodec, Polynomial, _check_int, _check_n, codec
+from .polyring import KeyCodec, Polynomial, _check_int, _check_n, _un_term, codec
+
+if TYPE_CHECKING:
+    from random import Random
 
 Which = Literal["un", "sn"]
 
@@ -42,8 +47,7 @@ def _check_which(which: str) -> None:
 
 def _admits(which: Which, c: KeyCodec, key: int) -> bool:
     """Whether the chosen subalgebra holds the term at key, by its level."""
-    level = c.level(key)
-    return level >= 0 if which == "sn" else level == 2 * (key >> c.slot_shift) - 1
+    return c.level(key) >= 0 if which == "sn" else _un_term(c, key)
 
 
 class MembershipVerdict(NamedTuple):
@@ -135,6 +139,30 @@ def _generator_pool(which: Which, n: int, degree_cap: int) -> tuple[Derivation, 
                     break
                 out.append(Derivation._from_terms(n, {key: 1}, 1))
     return tuple(out)
+
+
+def random_subalgebra_element(rng: Random, which: Which, n: int,
+                              degree_cap: int) -> Derivation:
+    """Random rational combination of one to four monomial generators of un
+    or sn: per term a coefficient, its numerator in 1..9, its sign, then its
+    denominator in 1..9, and then a generator.
+
+    Every draw is one call of `rng.randrange(n)`.  `randint(a, b)` is
+    a + `randrange(b - a + 1)` and `choice(seq)` is seq[`randrange(len(seq))`],
+    so a seed gives the same samples as it did through those methods, and
+    leaves the generator in the same state.  `randrange` draws the same on
+    Python 3.10 to 3.13, which keeps the pinned `verify-paper` reports stable.
+    """
+    gens = generators(which, n, degree_cap)
+    randrange = rng.randrange
+    out = Derivation.zero(n)
+    for _ in range(randrange(4) + 1):
+        num = randrange(9) + 1
+        if randrange(2):
+            num = -num
+        coeff = Fraction(num, randrange(9) + 1)
+        out = out + coeff * gens[randrange(len(gens))]
+    return out
 
 
 class NilpotencyWitness(NamedTuple):

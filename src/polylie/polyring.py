@@ -148,6 +148,12 @@ class KeyCodec:
         return total - ws[slot - 1] if slot else total
 
 
+def _un_term(c: KeyCodec, key: int) -> bool:
+    """Whether the term at key is a `un` term c x^a d_i, a free of
+    x_i .. x_n: of level 2i - 1 (`KeyCodec.level`)."""
+    return c.level(key) == 2 * (key >> c.slot_shift) - 1
+
+
 # the KeyCodec per n, kept for the 64 counts met last: each holds about 12n^2
 # bytes of keys and masks, so a cache without a bound grows with every n met
 codec = functools.lru_cache(maxsize=64)(KeyCodec)

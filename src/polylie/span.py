@@ -6,22 +6,23 @@ the given monomial inside the coefficient of d_slot.  Columns are ordered
 by slot ascending, then graded-lex descending within a slot.
 
 `SpanBasis` is the one span kernel, and `SpanBasis(n, gens)` the only way
-to build a span.  It keeps sparse integer rows (see `derivation.Row`) keyed
-by their pivot coordinate: each row is primitive (content 1) with a positive
-pivot entry and a zero in every other row's pivot column.  `add` takes a
-derivation's stored integer row, which stands for the derivation up to its
-denominator, reduces a copy of it without fractions, one pivot column at
-a time (scaled by that pivot entry, less an integer multiple of the pivot's
-row; each stored row vanishes in the others' pivot columns, so the order is
-free), and inserts the residual only if it is nonzero.  A unit row {p: 1},
-most rows on `un` input, needs no arithmetic: its column is cleared by
-deletion, and back-elimination walks only the rows of more than one term.
-Dividing each row by its pivot entry gives the reduced row echelon
-form, which is unique for a given row space and column order; `basis` does
-that division, and only there, so equal spans produce identical bases
-whatever order the generators come in: two spans are equal exactly when
-their `basis` tuples are.  The one rational number is that division, kept
-as the denominator of each basis derivation.
+to build a span: no public call changes it once built.  It keeps sparse
+integer rows (see `derivation.Row`) keyed by their pivot coordinate: each
+row is primitive (content 1) with a positive pivot entry and a zero in every
+other row's pivot column.  `_add_row` takes a generator's stored integer
+row, which stands for the derivation up to its denominator, reduces a copy
+of it without fractions, one pivot column at a time (scaled by that pivot
+entry, less an integer multiple of the pivot's row; each stored row
+vanishes in the others' pivot columns, so the order is free), and inserts
+the residual only if it is nonzero.  A unit row {p: 1}, most rows on `un`
+input, needs no arithmetic: its column is cleared by deletion, and
+back-elimination walks only the rows of more than one term.  Dividing each
+row by its pivot entry gives the reduced row echelon form, which is unique
+for a given row space and column order; `basis` does that division, and
+only there, so equal spans produce identical bases whatever order the
+generators come in: two spans are equal exactly when their `basis` tuples
+are.  The one rational number is that division, kept as the denominator of
+each basis derivation.
 
 `lie_closure` closes a set of generators S under brackets, within a degree
 and a dimension cap; its docstring gives the walk, the two spans it keeps L
@@ -43,7 +44,8 @@ from math import gcd
 from typing import Collection, Iterable, Iterator, NamedTuple
 
 from .derivation import Derivation, Partials, Row, bracket_rows, row_support, signatures_meet
-from .polyring import KeyCodec, _check_int, _check_n, _check_same_n, _limit_error, codec
+from .polyring import (KeyCodec, _check_int, _check_n, _check_same_n, _limit_error, _un_term,
+                       codec)
 
 DEFAULT_DEGREE_CAP = 12
 DEFAULT_DIM_CAP = 512
@@ -83,7 +85,9 @@ class SpanBasis:
         self._multi: set[int] = set()  # the pivots of the rows of more than one term
         self._basis: tuple[Derivation, ...] | None = ()
         for d in gens:
-            self.add(d)
+            _check_derivation(d)
+            _check_same_n(d.n, n)
+            self._add_row(d._terms)
 
     @property
     def basis(self) -> tuple[Derivation, ...]:
@@ -130,16 +134,10 @@ class SpanBasis:
                     _eliminate(residual, source, p)
         return residual
 
-    def add(self, d: Derivation) -> bool:
-        """Adjoin d to the span; False, with nothing changed, if d is inside."""
-        _check_derivation(d)
-        _check_same_n(d.n, self.n)
-        return self._add_row(d._terms) is not None
-
     def _add_row(self, row: Row) -> int | None:
-        """add for an integer row, which stands for any nonzero multiple of
-        itself: the pivot of the new stored row, or None if row is inside.
-        row itself is never modified.
+        """Adjoin an integer row, which stands for any nonzero multiple of
+        itself: the pivot of the new stored row, or None, with nothing
+        changed, if row is inside.  row itself is never modified.
 
         A one-term row takes one lookup: it is inside when its key is the
         pivot of a unit row, and stored as {key: 1} when its key is no pivot.
@@ -184,9 +182,9 @@ class SpanBasis:
         return pivot
 
     def _add_key(self, key: int) -> bool:
-        """add for a one-term row {key: v}, v != 0, to a span whose stored
+        """Adjoin a one-term row {key: v}, v != 0, to a span whose stored
         rows are one term each: there it is reduced already, so it is stored
-        as {key: 1} unless key is a pivot."""
+        as {key: 1} unless key is a pivot.  False if it is inside."""
         if key in self._rows:
             return False
         self._rows[key] = {key: 1}
@@ -245,19 +243,13 @@ class LieClosureResult:
         return self.status == "closed"
 
 
-def _un_term(c: KeyCodec, key: int) -> bool:
-    """Whether the term at key is a `un` term c x^a d_i, a free of
-    x_i .. x_n: of level 2i - 1 (`KeyCodec.level`)."""
-    return c.level(key) == 2 * (key >> c.slot_shift) - 1
-
-
 def _un_monomials(n: int, gens: Iterable[Derivation]) -> list[tuple[int, int]] | None:
     """The (key, numerator) of each of gens when every one is a single `un`
-    monomial in n variables, else None."""
+    monomial, else None; gens are derivations in n variables."""
     c = codec(n)
     out = []
     for g in gens:
-        if g.n != n or len(g._terms) != 1:
+        if len(g._terms) != 1:
             return None
         (term,) = g._terms.items()
         if not _un_term(c, term[0]):
@@ -351,8 +343,9 @@ def lie_closure(gens: Iterable[Derivation], *,
     of the walk shows only on a stop, in the offending pair and in the
     capped basis.  A generator already above degree_cap
     is a ValueError, so every element of a returned basis has coefficient
-    degree at most degree_cap.  An empty gens is a ValueError too, and a
-    generator that is not a Derivation a TypeError.
+    degree at most degree_cap.  An empty gens is a ValueError too, and so is
+    a generator in another number of variables than the first; a generator
+    that is not a Derivation is a TypeError.
 
     L is kept as two spans, L = derived + span(quot): derived, the span of
     every nonzero bracket, and quot, at most g rows that span the generators
@@ -382,6 +375,7 @@ def lie_closure(gens: Iterable[Derivation], *,
         raise ValueError("need at least one generator")
     for g in gens:
         _check_derivation(g)
+        _check_same_n(g.n, gens[0].n)  # gens[0] is checked first
         deg = g.max_coeff_degree()
         if deg is not None and deg > degree_cap:
             raise ValueError(f"generator {g} has coefficient degree {deg}, "
@@ -393,7 +387,7 @@ def lie_closure(gens: Iterable[Derivation], *,
     monomials = _un_monomials(n, gens)
     if monomials is None:  # elements with their row_support and coefficient degree
         elems = [(g, *row_support(n, g._terms), g.max_coeff_degree())
-                 for g in gens if quot.add(g)]
+                 for g in gens if quot._add_row(g._terms) is not None]
     else:  # elements with their key and numerator
         elems = [(g, *term) for g, term in zip(gens, monomials) if quot._add_key(term[0])]
     kept = tuple(e[0] for e in elems)

@@ -27,7 +27,6 @@ from . import canonical, span
 from .derivation import Derivation
 from .grammar import parse_derivation
 from .polyring import _check_n
-from .sampling import random_subalgebra_element
 
 SCHEMA_VERSION = 3
 
@@ -135,7 +134,7 @@ def check_lnd(rng: random.Random, n_max: int, samples: int) -> CheckResult:
     degree_cap = 3
 
     def trial(rng, n):
-        d = random_subalgebra_element(rng, "un", n, degree_cap)
+        d = canonical.random_subalgebra_element(rng, "un", n, degree_cap)
         bound = canonical.triangular_chain_bound(n, degree_cap)
         return canonical.lnd_check(d, bound).status == "witness"
 

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 
 def random_exponents(rng, n, max_degree):
-    """An exponent tuple drawn as `sampling` draws a monomial's key: a
+    """An exponent tuple drawn as `samplers` draws a monomial's key: a
     degree in 0..max_degree, then a variable per degree unit."""
     exps = [0] * n
     for _ in range(rng.randint(0, max_degree)):

@@ -1,4 +1,4 @@
-"""Seeded random polynomials and derivations for identity checking.
+"""Seeded random polynomials and derivations for the identity suites.
 
 Everything takes an explicit random.Random so that identical seeds rebuild
 identical samples; coefficients are small rationals to keep the exact
@@ -9,30 +9,20 @@ and then the term's monomial.  The coefficient is an integer pair: a
 numerator in 1..9, its sign, then a denominator in 1..9.  The monomial is a
 degree in 0..max_degree, then a variable per degree unit.  The draws go in
 one loop straight into a map {key: (num, den)}, which `polyring._over_lcm`
-puts over one denominator, so no Fraction is made on the way.
-
-Every draw is one call of `rng.randrange(n)`.  `randint(a, b)` is
-a + `randrange(b - a + 1)` and `choice(seq)` is seq[`randrange(len(seq))`],
-so a seed gives the same samples as it did through those methods, and
-leaves the generator in the same state.
+puts over one denominator, so no Fraction is made on the way.  Every draw
+is one call of `rng.randrange`, as in `canonical.random_subalgebra_element`,
+whose docstring says why.
 """
 
-from __future__ import annotations
-
-import random
-from fractions import Fraction
-
-from .canonical import Which, generators
-from .derivation import Derivation
-from .polyring import Polynomial, _check_int, _over_lcm, codec
+from polylie.derivation import Derivation
+from polylie.polyring import Polynomial, _check_int, _over_lcm, codec
 
 # the most terms a random polynomial draws, and a random derivation per slot
 POLYNOMIAL_TERMS = 4
 DERIVATION_TERMS = 3
 
 
-def _draw_terms(pairs: dict, rng: random.Random, base: int, units: tuple, max_degree: int,
-                max_terms: int) -> None:
+def _draw_terms(pairs, rng, base, units, max_degree, max_terms):
     """Draw one random polynomial's terms into pairs {key: (num, den)},
     each key offset by base; a monomial drawn twice keeps its last pair."""
     n = len(units)
@@ -48,43 +38,26 @@ def _draw_terms(pairs: dict, rng: random.Random, base: int, units: tuple, max_de
         pairs[key] = num, den
 
 
-def random_polynomial(rng: random.Random, n: int, max_degree: int) -> Polynomial:
+def random_polynomial(rng, n, max_degree):
     _check_int(max_degree, "max degree", 0)
-    pairs: dict[int, tuple[int, int]] = {}
+    pairs = {}
     _draw_terms(pairs, rng, 0, codec(n).var_units, max_degree, POLYNOMIAL_TERMS)
     return Polynomial._from_terms(n, *_over_lcm(pairs.items()))
 
 
-def random_nonconstant_polynomial(rng: random.Random, n: int, max_degree: int) -> Polynomial:
+def random_nonconstant_polynomial(rng, n, max_degree):
     while True:
         f = random_polynomial(rng, n, max_degree)
         if not f.is_constant():
             return f
 
 
-def random_derivation(rng: random.Random, n: int, max_degree: int) -> Derivation:
+def random_derivation(rng, n, max_degree):
     """One random polynomial's draws per slot 1..n, filled into one row."""
     _check_int(max_degree, "max degree", 0)
     c = codec(n)
-    pairs: dict[int, tuple[int, int]] = {}
+    pairs = {}
     for slot in range(1, n + 1):
         _draw_terms(pairs, rng, slot << c.slot_shift, c.var_units, max_degree,
                     DERIVATION_TERMS)
     return Derivation._from_terms(n, *_over_lcm(pairs.items()))
-
-
-def random_subalgebra_element(rng: random.Random, which: Which, n: int,
-                              degree_cap: int) -> Derivation:
-    """Random rational combination of one to four monomial generators of un
-    or sn: per term a coefficient pair, as for a polynomial, then a
-    generator."""
-    gens = generators(which, n, degree_cap)
-    randrange = rng.randrange
-    out = Derivation.zero(n)
-    for _ in range(randrange(4) + 1):
-        num = randrange(9) + 1
-        if randrange(2):
-            num = -num
-        coeff = Fraction(num, randrange(9) + 1)
-        out = out + coeff * gens[randrange(len(gens))]
-    return out

@@ -20,6 +20,7 @@ from polylie.canonical import (
     linear_part_refutes,
     lnd_check,
     membership,
+    random_subalgebra_element,
     triangular_chain_bound,
 )
 from polylie.derivation import Derivation
@@ -31,14 +32,10 @@ from polylie.reductions import (
     linear_extraction,
     sl2_check,
 )
-from polylie.sampling import (
-    random_derivation,
-    random_nonconstant_polynomial,
-    random_polynomial,
-    random_subalgebra_element,
-)
 from polylie.span import derived_series, lie_closure
 from polylie.verify import REPORT_SCHEMA
+
+from samplers import random_derivation, random_nonconstant_polynomial, random_polynomial
 
 
 def _report(criterion, message):

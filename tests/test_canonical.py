@@ -18,6 +18,7 @@ from polylie.canonical import (
     linear_part_refutes,
     lnd_check,
     membership,
+    random_subalgebra_element,
     strip_canonical_part,
     triangular_chain_bound,
 )
@@ -26,11 +27,11 @@ from polylie.derivation import Derivation
 from polylie.grammar import parse_derivation
 from polylie.polyring import Polynomial
 from polylie.span import derived_series, lie_closure
-from polylie.sampling import random_derivation, random_subalgebra_element
 
 import kernel_reference as ref
 from golden import CERTIFICATE_NS, GOLDEN_CERTIFICATES, render_certificates
 from matrices import from_rows, is_zero, power
+from samplers import random_derivation
 
 
 def pd(text, n):

@@ -8,14 +8,14 @@ import re
 import pytest
 
 from polylie.canonical import (derived_chain_witness, generators, lnd_check, lower_bound_term,
-                               triangular_chain_bound)
+                               random_subalgebra_element, triangular_chain_bound)
 from polylie.derivation import Derivation, iterated_bracket
 from polylie.grammar import parse_derivation, parse_polynomial
 from polylie.polyring import KeyCodec, Polynomial
 from polylie.reductions import flatten_in_variable, linear_extraction, sl2_check
-from polylie.sampling import (random_derivation, random_nonconstant_polynomial,
-                              random_polynomial, random_subalgebra_element)
 from polylie.span import SpanBasis, lie_closure
+
+from samplers import random_derivation, random_nonconstant_polynomial, random_polynomial
 
 F = Polynomial.variable(2, 1)
 D = Derivation.partial(2, 1)

@@ -7,10 +7,10 @@ from polylie.canonical import lnd_check
 from polylie.derivation import Derivation, iterated_bracket
 from polylie.grammar import parse_derivation
 from polylie.polyring import Polynomial
-from polylie.sampling import random_derivation, random_polynomial
 
 from large_coefficients import big_derivation, big_polynomial
 from matrices import from_rows, is_zero, matmul, power
+from samplers import random_derivation, random_polynomial
 
 
 def pd(text, n):

@@ -13,7 +13,8 @@ from polylie.grammar import (
     parse_polynomial,
 )
 from polylie.polyring import Polynomial
-from polylie.sampling import random_derivation, random_polynomial
+
+from samplers import random_derivation, random_polynomial
 
 
 class TestPolynomialParsing:

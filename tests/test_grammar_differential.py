@@ -22,7 +22,8 @@ from polylie.derivation import Derivation
 from polylie.grammar import (_MAX_NESTING, ParseError, format_derivation, format_polynomial,
                              parse_derivation, parse_polynomial)
 from polylie.polyring import Polynomial, _check_n, codec
-from polylie.sampling import random_derivation, random_polynomial
+
+from samplers import random_derivation, random_polynomial
 
 # -- the reference: the token-list parser, as it was ---------------------------
 

@@ -7,8 +7,8 @@ from polylie.canonical import derived_chain_witness, generators
 from polylie.derivation import Derivation
 from polylie.grammar import parse_derivation
 from polylie.polyring import MAX_VARIABLES, POWER_BITS_LIMIT, KeyCodec, Polynomial, codec
-from polylie.sampling import random_derivation, random_polynomial
 
+from samplers import random_derivation, random_polynomial
 import term_counts
 
 

@@ -6,7 +6,10 @@ referenced by name, as a bare name or an attribute, somewhere in the
 package besides its own def.  A public method must be referenced as an
 attribute: a bare name that a method shares is another binding, such as a
 parameter.  API that no command, check or other library code uses is either
-wired in or deleted.
+wired in or deleted: the seeded samplers of the identity suites live with
+the tests (`tests/samplers.py`), and the package keeps only the one a paper
+check draws from, `canonical.random_subalgebra_element`.  Two exceptions
+remain, in `ALLOWED`.
 
 The package resolves its exported names and its submodules on first use:
 each name is its defining module's object, and the records those names
@@ -31,10 +34,6 @@ ALLOWED = {
                                     "which the tests read values",
     "span.SpanBasis.contains": "the span's public membership query; the "
                                "benchmark's tracer wraps it",
-    "sampling.random_derivation": "the seeded sampler of the kernel's identity "
-                                  "suites, which are tests, not paper checks",
-    "sampling.random_nonconstant_polynomial": "the seeded sampler of the "
-                                              "extraction suite, a test",
 }
 
 
@@ -97,7 +96,7 @@ def test_every_public_def_is_used():
 
 
 SUBMODULES = ("canonical", "cli", "derivation", "grammar", "polyring", "reductions",
-              "sampling", "span", "verify")
+              "span", "verify")
 
 
 def test_names_resolve_to_their_modules_objects(module_env):
@@ -129,12 +128,14 @@ def test_dir_and_star_import_cover_all():
 
 
 def test_unknown_name_is_an_attribute_error():
-    message = "module 'polylie' has no attribute 'no_such_name'"
-    with pytest.raises(AttributeError, match=f"^{re.escape(message)}$"):
-        polylie.no_such_name
-    assert not hasattr(polylie, "no_such_name")
-    with pytest.raises(ImportError, match="cannot import name 'no_such_name'"):
-        exec("from polylie import no_such_name", {})
+    # sampling too: the identity suites' samplers are test helpers, not a module
+    for name in ("no_such_name", "sampling"):
+        message = f"module 'polylie' has no attribute '{name}'"
+        with pytest.raises(AttributeError, match=f"^{re.escape(message)}$"):
+            getattr(polylie, name)
+        assert not hasattr(polylie, name)
+        with pytest.raises(ImportError, match=f"cannot import name '{name}'"):
+            exec(f"from polylie import {name}", {})
 
 
 def records() -> list:

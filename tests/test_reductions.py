@@ -16,9 +16,9 @@ from polylie.reductions import (
     linear_extraction,
     sl2_check,
 )
-from polylie.sampling import random_nonconstant_polynomial, random_derivation
 from polylie.span import derived_series, lie_closure
 
+from samplers import random_nonconstant_polynomial, random_derivation
 import term_counts
 
 

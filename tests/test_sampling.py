@@ -12,14 +12,13 @@ from fractions import Fraction
 
 import pytest
 
-from polylie.canonical import generators
+from polylie.canonical import generators, random_subalgebra_element
 from polylie.derivation import Derivation
 from polylie.polyring import Polynomial
-from polylie.sampling import (DERIVATION_TERMS, POLYNOMIAL_TERMS, random_derivation,
-                              random_nonconstant_polynomial, random_polynomial,
-                              random_subalgebra_element)
 
 from kernel_reference import random_exponents
+from samplers import (DERIVATION_TERMS, POLYNOMIAL_TERMS, random_derivation,
+                      random_nonconstant_polynomial, random_polynomial)
 
 
 def ref_coefficient(rng, bound=9):

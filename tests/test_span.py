@@ -5,7 +5,7 @@ from math import comb, gcd
 
 import pytest
 
-from polylie.canonical import generators
+from polylie.canonical import generators, random_subalgebra_element
 from polylie.derivation import Derivation, row_support
 from polylie.grammar import parse_derivation, parse_polynomial
 import polylie.span as span_module
@@ -18,10 +18,10 @@ from polylie.span import (
 )
 from polylie import polyring
 from polylie.polyring import Polynomial
-from polylie.sampling import random_derivation, random_subalgebra_element
 
 from kernel_reference import graded_lex_key
 from large_coefficients import big_derivation, big_rational
+from samplers import random_derivation
 import term_counts
 
 
@@ -47,6 +47,12 @@ def generator_brackets(result):
 def carried(result):
     """The [L, L] a result carries, as its reduced basis, or None."""
     return None if result._derived is None else result._derived.basis
+
+
+def adjoin(span, d):
+    """Adjoin d's row to span through the kernel, as the constructor does:
+    True when it was new.  A span has no public call that changes it."""
+    return span._add_row(d._terms) is not None
 
 
 class TestCoordinatize:
@@ -77,13 +83,17 @@ class TestCoordinatize:
 
     def test_non_derivation_rejected(self):
         # a span holds derivations: text or a polynomial is a TypeError that
-        # names the value, not an AttributeError from inside the kernel
+        # names the value, not an AttributeError from inside the kernel, and
+        # a derivation in another ring a ValueError, in the constructor and
+        # in contains alike
         with pytest.raises(TypeError, match="not a Derivation: 'd1'"):
             SpanBasis(1, ["d1"])
         span = SpanBasis(1, [pd("d1", 1)])
-        for call in (span.add, span.contains):
+        for call in (lambda d: SpanBasis(1, [pd("d1", 1), d]), span.contains):
             with pytest.raises(TypeError, match=r"not a Derivation: Polynomial\(1, 'x1'\)"):
                 call(parse_polynomial("x1", 1))
+            with pytest.raises(ValueError, match="ambient dimension mismatch: 2 vs 1"):
+                call(pd("d1", 2))
 
     def test_deterministic_reduced_basis(self):
         n = 2
@@ -124,10 +134,12 @@ class TestEchelonKernel:
     def test_add_reports_new_elements_only(self):
         n = 2
         basis = SpanBasis(n, [])
-        assert basis.add(pd("(x1) d1 + (x2) d2", n))
-        assert basis.add(pd("(x2) d2", n))
-        assert not basis.add(pd("(3 x1) d1 - (x2) d2", n))
-        assert not basis.add(Derivation.zero(n))
+        assert adjoin(basis, pd("(x1) d1 + (x2) d2", n))
+        assert adjoin(basis, pd("(x2) d2", n))
+        rows = {p: dict(row) for p, row in basis._rows.items()}
+        assert not adjoin(basis, pd("(3 x1) d1 - (x2) d2", n))
+        assert not adjoin(basis, Derivation.zero(n))
+        assert basis._rows == rows  # a row inside changes nothing
         assert basis.dim == 2
         assert basis.basis == SpanBasis(n, [pd("(x1) d1", n), pd("(x2) d2", n)]).basis
 
@@ -136,8 +148,8 @@ class TestEchelonKernel:
         basis = SpanBasis(n, [pd("(x1) d1 + (x2) d2", n)])
         first = basis.basis
         # adding (x2) d2 back-eliminates the stored row behind first[0] in place
-        assert basis.add(pd("(x2) d2", n))
-        assert basis.add(pd("(x1) d2", n))
+        assert adjoin(basis, pd("(x2) d2", n))
+        assert adjoin(basis, pd("(x1) d2", n))
         assert first == (pd("(x1) d1 + (x2) d2", n),)
         assert str(first[0]) == "(x1) d1 + (x2) d2"
 
@@ -148,10 +160,10 @@ class TestEchelonKernel:
         d = pd("2 d1 + (4 x1) d2", n)
         terms = dict(d._terms)
         span = SpanBasis(n, [])
-        assert span.add(d)
+        assert adjoin(span, d)
         assert d._terms == terms
         # (x1) d2 back-eliminates the stored row in its pivot column
-        assert span.add(pd("(x1) d2", n))
+        assert adjoin(span, pd("(x1) d2", n))
         assert d._terms == terms and d == pd("2 d1 + (4 x1) d2", n)
         assert span.basis == (pd("d1", n), pd("(x1) d2", n))
 
@@ -217,7 +229,7 @@ class TestIntegerKernel:
                 new = len(reference_rref(n, gens + [probe])) > rank
                 assert span.contains(probe) is not new
                 copy = SpanBasis(n, gens)
-                assert copy.add(probe) is new
+                assert adjoin(copy, probe) is new
                 assert copy.basis == tuple(reference_rref(n, gens + [probe]))
 
     def test_scaling_generators_leaves_basis(self):
@@ -251,7 +263,7 @@ class TestUnitRows:
         span, shrunk = SpanBasis(n, []), 0
         for g in gens:
             before = set(span._multi)
-            span.add(g)
+            adjoin(span, g)
             check_span_invariants(span)
             shrunk += len(before & set(span._rows) - span._multi)
         return span, shrunk
@@ -299,14 +311,14 @@ class TestUnitRows:
         span, _ = self.added(n, [pd("(x1) d1 + (x2) d2", n), pd("(x1) d2", n)])
         # inside: a unit pivot; new: a column that is no pivot; new or inside
         # by reduction: the pivot of a multi-term row
-        assert not span.add(pd("(-5 x1) d2", n))
+        assert not adjoin(span, pd("(-5 x1) d2", n))
         (key,) = pd("(7) d2", n)._terms
-        assert span.add(pd("(7) d2", n)) and span._rows[key] == {key: 1}
+        assert adjoin(span, pd("(7) d2", n)) and span._rows[key] == {key: 1}
         check_span_invariants(span)
-        assert span.add(pd("(4 x1) d1", n))
+        assert adjoin(span, pd("(4 x1) d1", n))
         check_span_invariants(span)
         assert not span._multi and span.dim == 4
-        assert not span.add(pd("(x2) d2", n))
+        assert not adjoin(span, pd("(x2) d2", n))
 
 
 class TestLieClosure:
@@ -405,8 +417,8 @@ class TestLieClosure:
             assert result.basis.dim > len(result.generators)
 
     def test_mixed_dimensions_rejected(self):
-        # generators in two different n fail in SpanBasis.add, on the row
-        # path and for un monomials (which then take the row path) alike
+        # generators in two different n fail at the intake, before either
+        # path runs: rational generators and un monomials alike
         rational = [pd("d1 + (1/2 x1) d2", 2), pd("(x1) d2", 2), pd("(x1 x2) d3", 3)]
         monomials = [*generators("un", 2, 1), *generators("un", 3, 1)]
         for gens in (rational, monomials):
@@ -436,6 +448,22 @@ class TestLieClosure:
             lie_closure([parse_polynomial("x1", 1)])
         with pytest.raises(TypeError, match="not a Derivation: 'd1'"):
             lie_closure([pd("d1", 1), "d1"])
+
+    def test_a_closed_result_cannot_grow(self):
+        # a span has no public call that changes it, so the series report on
+        # the span that lie_closure closed: one that grew [d1, (x1) d2] by
+        # (x2) d2 read [4, 1, 0] nilpotent, for an algebra whose lower
+        # central series is [4, 2, 2]
+        n = 2
+        gens = [pd("d1", n), pd("(x1) d2", n)]
+        result = lie_closure(gens)
+        assert not hasattr(result.basis, "add")
+        assert [name for name in dir(SpanBasis) if not name.startswith("_")] == [
+            "basis", "contains", "dim", "n"]
+        for series in (derived_series, lower_central_series):
+            assert series(result).dims == (3, 1, 0)
+        report = lower_central_series(lie_closure([*gens, pd("(x2) d2", n)]))
+        assert report.dims == (4, 2, 2) and report.verdict == "stabilized_nonzero"
 
     def test_empty_generators_rejected(self):
         # with no generator there is no ring to close in

@@ -18,7 +18,7 @@ PACKAGE = Path(polylie.__file__).resolve().parent
 # the modules a parser-only process must not load: the code-generating record
 # decorator, and the package modules that only other commands run
 NOT_AT_START = {"dataclasses", "polylie.verify", "polylie.canonical",
-                "polylie.reductions", "polylie.sampling"}
+                "polylie.reductions"}
 
 
 def modules_loaded_by(code: str, env: dict) -> set[str]:
@@ -66,7 +66,7 @@ def test_each_command_module_loads_on_its_command(module_env):
             "    assert polylie.cli.main(['flatten', '(x2^3) d1', '2', '1', '--n', '2']) == 0")
     loaded = modules_loaded_by(code, module_env)
     assert {"polylie.canonical", "polylie.reductions"} <= loaded
-    assert not loaded & {"polylie.verify", "polylie.sampling", "dataclasses"}
+    assert not loaded & {"polylie.verify", "dataclasses"}
 
 
 def test_membership_lnd_and_witness_load_no_reductions(module_env):

@@ -5,10 +5,9 @@ import itertools
 import random
 
 import polylie.span as span_module
-from polylie.canonical import generators
+from polylie.canonical import generators, random_subalgebra_element
 from polylie.derivation import bracket_rows, row_support, signatures_meet
 from polylie.grammar import parse_derivation
-from polylie.sampling import random_subalgebra_element
 from polylie.span import derived_series, lie_closure, lower_central_series
 
 import term_counts

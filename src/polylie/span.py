@@ -26,14 +26,14 @@ each basis derivation.
 
 `lie_closure` closes a set of generators S under brackets, within a degree
 and a dimension cap; its docstring gives the walk, the two spans it keeps L
-in, and the key path for monomial `un` input.  A closed `LieClosureResult`
-carries S, L and [L, L], and the derived and lower central series take
-that result and nothing else; `_series` gives why bracketing by a
-generating set is enough, when the rows of L outside [L, L] (Jacobson)
-replace S, and when both series run on key sets.  Brackets run on stored
-rows (`derivation.bracket_rows`), and a pair whose support signatures do
-not meet is skipped, since its bracket is provably zero
-(`signatures_meet`).
+in, the key path for monomial `un` input, and the rerun on a cap stop.  A
+closed `LieClosureResult` carries S, L and [L, L], and the derived and
+lower central series take that result and nothing else; `_series` gives
+why bracketing by a generating set is enough, when the rows of L outside
+[L, L] (Jacobson) replace S, and when both series run on key sets.
+Brackets run on stored rows (`derivation.bracket_rows`), and a pair whose
+support signatures do not meet is skipped, since its bracket is provably
+zero (`signatures_meet`).
 """
 
 from __future__ import annotations
@@ -243,18 +243,18 @@ class LieClosureResult:
         return self.status == "closed"
 
 
-def _un_monomials(n: int, gens: Iterable[Derivation]) -> list[tuple[int, int]] | None:
-    """The (key, numerator) of each of gens when every one is a single `un`
-    monomial, else None; gens are derivations in n variables."""
+def _un_monomials(n: int, gens: Iterable[Derivation]) -> list[int] | None:
+    """The key of each of gens when every one is a single `un` monomial,
+    else None; gens are derivations in n variables."""
     c = codec(n)
     out = []
     for g in gens:
         if len(g._terms) != 1:
             return None
-        (term,) = g._terms.items()
-        if not _un_term(c, term[0]):
+        (key,) = g._terms
+        if not _un_term(c, key):
             return None
-        out.append(term)
+        out.append(key)
     return out
 
 
@@ -331,20 +331,19 @@ def lie_closure(gens: Iterable[Derivation], *,
     """Saturate the span of gens under brackets.
 
     A worklist holds spanning elements: first the generators that extend the
-    span, then every bracket that does.  Each element is bracketed once with
-    each generator before it.  A span V that contains the generators S and
-    has [s, V] inside V for every s in S is the Lie algebra S generates,
-    since it holds every right-normed bracket of elements of S.  So when the
-    list is exhausted the span is bracket-closed ("closed").  A bracket with
-    a coefficient of total degree above degree_cap stops with
-    "degree_cap_exceeded" and that pair; the span growing past dim_cap stops
-    with "dim_cap_exceeded" at once.  The result records S, the generators
-    that extended the span, in input order, and no other element: the order
-    of the walk shows only on a stop, in the offending pair and in the
-    capped basis.  A generator already above degree_cap
-    is a ValueError, so every element of a returned basis has coefficient
-    degree at most degree_cap.  An empty gens is a ValueError too, and so is
-    a generator in another number of variables than the first; a generator
+    span, then one for every bracket that does.  Each element is bracketed
+    once with each generator before it that still brackets (see below).  A
+    span V that contains the generators S and has [s, V] inside V for every
+    s in S is the Lie algebra S generates, since it holds every right-normed
+    bracket of elements of S.  So when the list is exhausted the span is
+    bracket-closed ("closed").  A bracket with a coefficient of total degree
+    above degree_cap stops with "degree_cap_exceeded" and that pair; the
+    span growing past dim_cap stops with "dim_cap_exceeded" at once.  The
+    result records S, the generators that extended the span, in input
+    order, and no other element.  A generator already above degree_cap is a
+    ValueError, so every element of a returned basis has coefficient degree
+    at most degree_cap.  An empty gens is a ValueError too, and so is a
+    generator in another number of variables than the first; a generator
     that is not a Derivation is a TypeError.
 
     L is kept as two spans, L = derived + span(quot): derived, the span of
@@ -360,13 +359,32 @@ def lie_closure(gens: Iterable[Derivation], *,
     closed result carries derived, which is then [S, L] = [L, L], to start
     the series.
 
+    The element adjoined for a bracket is the primitive row that derived
+    just stored for it (a copy: later pivots edit stored rows in place), a
+    positive multiple of the bracket less a part of derived, which lies in
+    the span of the elements before it.  So the elements span L as the
+    brackets would, with fewer terms to bracket.
+
     When every generator is one `un` monomial c x^a d_i, every bracket is
     one monomial or zero (`_monomial_bracket`), and distinct monomials are
     independent: the span is the set of its keys.  So each pair is bracketed
     on the two keys, and a new key is stored as its reduced row {key: 1}
     (`SpanBasis._add_key`), with no row kernel: a new key of derived is new
-    in L unless it is a generator's key, whose row then leaves quot.  The
-    pairs, their order, [L, L] and every stop are those of the row path.
+    in L unless it is a generator's key, whose row then leaves quot.
+    Such an L is nilpotent (see `_series`), and a subset of it generates it
+    exactly when it spans L / [L, L] (Jacobson, Lie Algebras, 1962, ch. I).
+    A generator whose key has left quot lies in derived, inside [L, L], so
+    the generators S' still in quot span L / [L, L] and generate L: the
+    walk brackets each element only with them, and two generators when
+    either one is in S'.  The elements then span a V in L that holds S' and
+    [S', V], so V = L, and derived holds [S', L] = [L, L].
+
+    Whichever the walk, it closes exactly when L fits both caps: its
+    brackets lie in L, and on closing its elements span L.  But which cap
+    stops it, the offending pair and the capped basis depend on the walk,
+    so a stop walks again, pinned (`_walk`): each element is its bracket as
+    computed and every generator brackets to the end, the walk whose stops
+    are the same on rows and on keys.
     """
     _check_int(degree_cap, "degree cap", 1)
     _check_int(dim_cap, "dimension cap", 1)
@@ -381,57 +399,99 @@ def lie_closure(gens: Iterable[Derivation], *,
             raise ValueError(f"generator {g} has coefficient degree {deg}, "
                              f"above degree_cap {degree_cap}")
     n = gens[0].n
+    keys = _un_monomials(n, gens)
+    result = _walk(n, gens, keys, degree_cap, dim_cap, pinned=False)
+    if result is None:  # a cap stop
+        result = _walk(n, gens, keys, degree_cap, dim_cap, pinned=True)
+    return result
+
+
+def _walk(n: int, gens: list[Derivation], keys: list[int] | None, degree_cap: int,
+          dim_cap: int, pinned: bool) -> LieClosureResult | None:
+    """One walk of `lie_closure` over its checked gens, on their keys when
+    keys is not None.  Unpinned, it adjoins the rows derived stored, stops
+    bracketing by a generator whose key leaves quot, and returns None on a
+    cap stop; pinned, it adjoins each bracket as computed, a Derivation,
+    brackets by every generator, and returns the capped result."""
     c = codec(n)
     derived = SpanBasis(n, [])  # the span of the nonzero brackets
     quot = SpanBasis(n, [])  # the generators modulo derived
-    monomials = _un_monomials(n, gens)
-    if monomials is None:  # elements with their row_support and coefficient degree
-        elems = [(g, *row_support(n, g._terms), g.max_coeff_degree())
+    # each element ends with its value, a Derivation, or None unpinned
+    if keys is None:  # (row, its row_support, its coefficient degree, value)
+        elems = [(g._terms, *row_support(n, g._terms), g.max_coeff_degree(), g)
                  for g in gens if quot._add_row(g._terms) is not None]
-    else:  # elements with their key and numerator
-        elems = [(g, *term) for g, term in zip(gens, monomials) if quot._add_key(term[0])]
-    kept = tuple(e[0] for e in elems)
-    num_gens = len(kept)
+    else:  # (key, value)
+        elems = [(key, g) for g, key in zip(gens, keys) if quot._add_key(key)]
+    num_gens = len(elems)
+    kept = tuple(e[-1] for e in elems)
+    live = elems[:num_gens]  # the generators that still bracket
+    dead: set[int] = set()  # the positions of the others
 
-    def result(status, offending=None):
-        return LieClosureResult(status, _direct_sum(derived, quot), kept, offending,
-                                derived if status == "closed" else None)
+    def stop(status, *offending):
+        if not pinned:
+            return None
+        return LieClosureResult(status, _direct_sum(derived, quot), kept, offending or None)
+
+    def pairs():
+        # each element with each live generator before it, and two
+        # generators when either one is live; read while elems grows
+        for j, b in enumerate(elems):
+            if j >= num_gens:
+                partners = live
+            elif j in dead:
+                partners = [a for i, a in enumerate(elems[:j]) if i not in dead]
+            else:
+                partners = elems[:j]
+            for a in partners:
+                yield a, b
 
     if quot.dim > dim_cap:
-        return result("dim_cap_exceeded")
-    # each element with each generator before it, C(g, 2) + g (dim - g)
-    # pairs, read while elems grows
-    pairs = ((a, b) for j, b in enumerate(elems) for a in elems[:min(j, num_gens)])
-    if monomials is None:
-        for (a, pa, sa, da), (b, pb, sb, db) in pairs:
+        return stop("dim_cap_exceeded")
+    if keys is None:
+        for (ra, pa, sa, da, va), (rb, pb, sb, db, vb) in pairs():
             if not signatures_meet(n, sa, sb):
                 continue
-            br = bracket_rows(a._terms, pa, b._terms, pb)
+            br = bracket_rows(ra, pa, rb, pb)
             if not br:
                 continue
             # [a, b] has coefficient degree at most da + db - 1
             if da + db > degree_cap + 1 and max(map(c.degree, br)) > degree_cap:
-                return result("degree_cap_exceeded", (a, b))
+                return stop("degree_cap_exceeded", va, vb)
             pivot = derived._add_row(br)
-            if pivot is not None and not _clear_column(quot, derived._rows[pivot], pivot):
-                ab = Derivation._from_terms(n, br, a._den * b._den)
-                elems.append((ab, *row_support(n, ab._terms), ab.max_coeff_degree()))
-                if derived.dim + quot.dim > dim_cap:
-                    return result("dim_cap_exceeded")
+            if pivot is None or _clear_column(quot, derived._rows[pivot], pivot):
+                continue
+            if pinned:
+                value = Derivation._from_terms(n, br, va._den * vb._den)
+                row = value._terms
+            else:
+                value, row = None, dict(derived._rows[pivot])
+            elems.append((row, *row_support(n, row), max(map(c.degree, row)), value))
+            if derived.dim + quot.dim > dim_cap:
+                return stop("dim_cap_exceeded")
     else:
-        for (a, ka, na), (b, kb, nb) in pairs:
+        position = {key: i for i, (key, _) in enumerate(live)}
+        for (ka, va), (kb, vb) in pairs():
             key, e = _monomial_bracket(c, ka, kb)
             if not e:
                 continue
             if c.degree(key) > degree_cap:
-                return result("degree_cap_exceeded", (a, b))
-            # a generator's key leaves quot: its row {key: 1} is cleared
-            if derived._add_key(key) and quot._rows.pop(key, None) is None:
-                ab = Derivation._from_terms(n, {key: na * nb * e}, a._den * b._den)
-                elems.append((ab, key, ab._terms[key]))
-                if derived.dim + quot.dim > dim_cap:
-                    return result("dim_cap_exceeded")
-    return result("closed")
+                return stop("degree_cap_exceeded", va, vb)
+            if not derived._add_key(key):
+                continue
+            if key in quot._rows:  # a generator's key: its row {key: 1} is cleared
+                del quot._rows[key]
+                if not pinned:  # the generator lies in [L, L]: it stops bracketing
+                    dead.add(position[key])
+                    live = [a for i, a in enumerate(elems[:num_gens]) if i not in dead]
+                continue
+            value = None
+            if pinned:
+                value = Derivation._from_terms(n, {key: e * va._terms[ka] * vb._terms[kb]},
+                                               va._den * vb._den)
+            elems.append((key, value))
+            if derived.dim + quot.dim > dim_cap:
+                return stop("dim_cap_exceeded")
+    return LieClosureResult("closed", _direct_sum(derived, quot), kept, None, derived)
 
 
 class SeriesReport(NamedTuple):

@@ -370,6 +370,26 @@ class TestLieClosure:
                 seen += 1
         assert seen >= 5
 
+    def test_row_path_degree_stops_are_pinned(self):
+        # (offending pair, the capped basis as printed): the pair is a
+        # bracket of brackets as computed, not of the reduced rows that a
+        # closing walk adjoins, so a stop reruns the walk pinned
+        n = 2
+        cases = [
+            (("(-2/7) d2", "(-2/3) d2", "(2 x1 x2) d2"),
+             ("(2 x1 x2) d2", "(32/7 x1^4) d2"),
+             "(x1^4) d2, (x1^3) d2, (x1^2) d2, (x1 x2) d2, (x1) d2, d2"),
+            (("(7/4 x1 + 6/5) d2", "(-2 x1 x2) d2"),
+             ("(-2 x1 x2) d2", "(-14 x1^4 - 48/5 x1^3) d2"),
+             "(x1^4 - 331776/1500625) d2, (x1^3 + 13824/42875) d2, (x1^2 - 576/1225) d2, "
+             "(x1 x2) d2, (x1 + 24/35) d2"),
+        ]
+        for texts, pair, basis in cases:
+            result = lie_closure([pd(t, n) for t in texts], degree_cap=4)
+            assert result.status == "degree_cap_exceeded"
+            assert tuple(map(str, result.offending_bracket)) == pair
+            assert ", ".join(map(str, result.basis)) == basis
+
     def test_dim_cap(self):
         n = 2
         result = lie_closure([pd("(x1^2) d2", n), pd("(x2^2) d1", n)], dim_cap=4)
@@ -818,15 +838,18 @@ class TestSeriesByGenerators:
         result = lie_closure([pd(t, 4) for t in MULTI_ROW_GENERATORS])
         g, dim = len(result.generators), result.basis.dim
         assert (g, dim, len(result.basis._multi)) == (6, 44, 8)
-        # every generator pair is walked, and only the 144 whose signatures
-        # meet are bracketed: here exactly the nonzero ones
+        # every generator pair is walked, and only the 114 whose signatures
+        # meet are bracketed: here exactly the nonzero ones.  An adjoined
+        # element is the reduced row that [L, L] stored for its bracket, and
+        # its signature meets fewer generators than the bracket's: adjoining
+        # the brackets themselves made 144
         assert tests[0] == comb(g, 2) + g * (dim - g) == 243
-        assert count[0] == nonzero[0] == 144
+        assert count[0] == nonzero[0] == 114
         # _add_row calls: one per generator into quot, one per bracket into
         # [L, L], 12 that put back the rows of quot a new pivot of [L, L]
         # cleared, and the 4 rows of quot joined into L
         assert result._derived.dim == dim - 4 == 40
-        assert adds[0] == g + 144 + 12 + 4 == 166
+        assert adds[0] == g + 114 + 12 + 4 == 136
         # (brackets made, signatures_meet tests, _add_row calls).  The first
         # series step is the carried [L, L], so it brackets and adds nothing.
         # [L, L] has dim 40, so the lower series brackets by the 44 - 40 = 4
@@ -988,7 +1011,70 @@ class TestSeriesByGenerators:
                 series(result)
 
 
+def fixpoint_closure(gens, degree_cap, dim_cap):
+    """(L, [L, L]) for the algebra L that gens generate, by brackets of all
+    pairs of a basis until the span stops growing, or None when L leaves a
+    cap: a bracket of coefficient degree above degree_cap, or a span
+    of dimension above dim_cap."""
+    n = gens[0].n
+    span = SpanBasis(n, gens)
+    while span.dim <= dim_cap:
+        brackets = [a.bracket(b) for a, b in itertools.combinations(span.basis, 2)]
+        if any(d.max_coeff_degree() > degree_cap for d in brackets if d):
+            return None
+        grown = SpanBasis(n, [*span.basis, *brackets])
+        if grown.dim == span.dim:
+            return span, SpanBasis(n, brackets)
+        span = grown
+    return None
+
+
+def random_closure_inputs(rng):
+    """Small rational generating sets in n <= 3 variables: W_n elements,
+    un and sn combinations (the row path), and rational multiples of `un`
+    monomials, repeats among them (the key path), each with caps."""
+    kind = rng.choice(("W", "un", "sn", "monomials"))
+    n = rng.randint(1 if kind == "W" else 2, 3)  # un(1) is d1 alone
+    size = rng.randint(1, 4)
+    if kind == "W":
+        gens = [term_counts.random_derivation(rng, n, 2, 2) for _ in range(size)]
+    elif kind == "monomials":
+        pool = generators("un", n, 2)
+        gens = [Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9)) * rng.choice(pool)
+                for _ in range(2 * size)]
+    else:
+        gens = [random_subalgebra_element(rng, kind, n, 2) for _ in range(size)]
+    return gens, {"degree_cap": rng.randint(2, 5), "dim_cap": rng.randint(4, 40)}
+
+
 class TestRandomSpans:
+    def test_closure_equals_fixpoint_closure(self):
+        # whichever walk closes, L, [L, L] and the generators kept are those
+        # of the algebra itself; a cap stop is exactly an L that leaves a cap
+        rng = random.Random(4407)
+        statuses, closed = set(), {True: 0, False: 0}
+        pruned = 0  # key path closures with a generator inside [L, L]
+        for _ in range(200):
+            gens, caps = random_closure_inputs(rng)
+            result = lie_closure(gens, **caps)
+            statuses.add(result.status)
+            want = fixpoint_closure(gens, **caps)
+            if want is None:
+                assert not result.closed and result._derived is None
+                continue
+            span, derived = want
+            kept = tuple(g for i, g in enumerate(gens)
+                         if SpanBasis(g.n, gens[:i + 1]).dim > SpanBasis(g.n, gens[:i]).dim)
+            assert result.status == "closed"
+            assert result.basis.basis == span.basis
+            assert result._derived._rows == derived._rows
+            assert result.generators == kept
+            on_keys = span_module._un_monomials(span.n, gens) is not None
+            closed[on_keys] += 1
+            pruned += on_keys and len(kept) > span.dim - derived.dim
+        assert statuses == {"closed", "degree_cap_exceeded", "dim_cap_exceeded"}
+        assert closed[False] >= 50 and closed[True] >= 50 and pruned >= 20
+
     def test_closure_idempotent_on_random_gens(self):
         rng = random.Random(32)
         for _ in range(10):
@@ -1137,12 +1223,15 @@ class TestMonomialPath:
         result = lie_closure(generators("un", 3, 3))
         g, dim = len(result.generators), result.basis.dim
         assert (g, dim) == (15, 27)
-        # the same 285 generator pairs as the row path, each bracketed on
-        # keys; 69 brackets are nonzero; no row is bracketed or reduced: the
+        # a generator whose key a bracket reaches lies in [L, L] and stops
+        # bracketing: 83 of the C(15, 2) = 105 generator pairs hold one
+        # still in quot, and each of the 12 brackets adjoined meets only the
+        # 3 generators left, 119 pairs on keys where the row path walks all
+        # 285; 48 brackets are nonzero; no row is bracketed or reduced: the
         # 3 generator keys outside [L, L] join its 24 in L through _add_row,
         # which stores each as it is
-        assert take() == {"rows": 0, "meet": 0, "add": 3, "elim": 0, "keys": 285,
-                          "nonzero": 69}
+        assert take() == {"rows": 0, "meet": 0, "add": 3, "elim": 0, "keys": 83 + 12 * 3,
+                          "nonzero": 48}
         assert result._derived.dim == 24
         assert comb(g, 2) + g * (dim - g) == 285
         # [L, L] is the 24 keys of the brackets, so the 3 keys outside

@@ -336,14 +336,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = _command(sub, "lnd", cmd_lnd, "local-nilpotency semi-decision", "deriv")
     p.add_argument("--bound", type=int, default=32,
                    help="max chain iterations per variable (default: 32)")
-    for name, func, help_text in (
-            ("closure", cmd_closure, "Lie closure of a generating set under caps"),
+    for name, func, help_text, degree_stop, dim_stop in (
+            ("closure", cmd_closure, "Lie closure of a generating set under caps",
+             "the basis reached and the offending bracket", "the basis reached"),
             ("derived-series", cmd_derived_series,
-             "derived series of the closure of a generating set")):
+             "derived series of the closure of a generating set",
+             "'closure failed: degree_cap_exceeded', exit 1",
+             "'closure failed: dim_cap_exceeded', exit 1")):
         p = _command(sub, name, func, help_text)
         p.add_argument("gens", nargs="+")
-        p.add_argument("--degree-cap", type=int, default=span.DEFAULT_DEGREE_CAP)
-        p.add_argument("--dim-cap", type=int, default=span.DEFAULT_DIM_CAP)
+        p.add_argument("--degree-cap", type=int, default=span.DEFAULT_DEGREE_CAP,
+                       help="largest coefficient degree in the closure; a bracket above "
+                            f"it stops and prints {degree_stop} (default: %(default)s)")
+        p.add_argument("--dim-cap", type=int, default=span.DEFAULT_DIM_CAP,
+                       help="largest dimension of the closure; passing it stops and "
+                            f"prints {dim_stop} (default: %(default)s)")
     p.add_argument("--lower", action="store_true",  # derived-series, the last
                    help="compute the lower central series instead")
     _command(sub, "extract-const", cmd_extract_const,

@@ -26,7 +26,7 @@ each basis derivation.
 
 `lie_closure` closes a set of generators S under brackets, within a degree
 and a dimension cap; its docstring gives the walk, the two spans it keeps L
-in, the key path for monomial `un` input, and the rerun on a cap stop.  A
+in, the key path for monomial `un` input, and what a cap stop returns.  A
 closed `LieClosureResult` carries S, L and [L, L], and the derived and
 lower central series take that result and nothing else; `_series` gives
 why bracketing by a generating set is enough, when the rows of L outside
@@ -204,11 +204,14 @@ class LieClosureResult:
     """Outcome of saturating a span under brackets, subject to caps.
 
     status is "closed", "degree_cap_exceeded" or "dim_cap_exceeded".
-    basis spans everything adjoined before the stop.  generators are the
-    generators S that extended the span, in input order: a generator inside
-    the span of those before it is left out.  On "degree_cap_exceeded",
-    offending_bracket is the pair (a, b) of adjoined derivations whose
-    bracket [a, b] has a coefficient of total degree above the cap.  A
+    basis spans everything adjoined before the stop, more than dim_cap
+    derivations on "dim_cap_exceeded".  generators are the generators S that
+    extended the span, in input order: a generator inside the span of those
+    before it is left out.  On "degree_cap_exceeded", offending_bracket is
+    the pair (a, b) that the walk was bracketing, both in basis, whose
+    bracket [a, b] has a coefficient of total degree above the cap: a
+    generator as given, or an adjoined element as the primitive row that
+    the walk stored for it (a unit monomial on `un` monomial input).  A
     closed result from `lie_closure` is the Lie algebra L that S generates,
     and also carries in _derived the span of its nonzero brackets, [S, L],
     which is [L, L] (see `_series`).  A capped result, or one built by
@@ -379,12 +382,12 @@ def lie_closure(gens: Iterable[Derivation], *,
     either one is in S'.  The elements then span a V in L that holds S' and
     [S', V], so V = L, and derived holds [S', L] = [L, L].
 
-    Whichever the walk, it closes exactly when L fits both caps: its
-    brackets lie in L, and on closing its elements span L.  But which cap
-    stops it, the offending pair and the capped basis depend on the walk,
-    so a stop walks again, pinned (`_walk`): each element is its bracket as
-    computed and every generator brackets to the end, the walk whose stops
-    are the same on rows and on keys.
+    The walk closes exactly when L fits both caps: its brackets lie in L,
+    and on closing its elements span L.  A stop returns what the walk
+    reached: the capped basis derived + span(quot), and on a degree stop the
+    pair it was bracketing.  A generator in that pair is as given; an
+    adjoined element is the row derived stored for it, a unit monomial on
+    keys.
     """
     _check_int(degree_cap, "degree cap", 1)
     _check_int(dim_cap, "dimension cap", 1)
@@ -399,37 +402,25 @@ def lie_closure(gens: Iterable[Derivation], *,
             raise ValueError(f"generator {g} has coefficient degree {deg}, "
                              f"above degree_cap {degree_cap}")
     n = gens[0].n
-    keys = _un_monomials(n, gens)
-    result = _walk(n, gens, keys, degree_cap, dim_cap, pinned=False)
-    if result is None:  # a cap stop
-        result = _walk(n, gens, keys, degree_cap, dim_cap, pinned=True)
-    return result
-
-
-def _walk(n: int, gens: list[Derivation], keys: list[int] | None, degree_cap: int,
-          dim_cap: int, pinned: bool) -> LieClosureResult | None:
-    """One walk of `lie_closure` over its checked gens, on their keys when
-    keys is not None.  Unpinned, it adjoins the rows derived stored, stops
-    bracketing by a generator whose key leaves quot, and returns None on a
-    cap stop; pinned, it adjoins each bracket as computed, a Derivation,
-    brackets by every generator, and returns the capped result."""
     c = codec(n)
+    keys = _un_monomials(n, gens)
     derived = SpanBasis(n, [])  # the span of the nonzero brackets
     quot = SpanBasis(n, [])  # the generators modulo derived
-    # each element ends with its value, a Derivation, or None unpinned
-    if keys is None:  # (row, its row_support, its coefficient degree, value)
+    # each element ends with the generator it is, or None when adjoined
+    if keys is None:  # (row, its row_support, its coefficient degree, generator)
         elems = [(g._terms, *row_support(n, g._terms), g.max_coeff_degree(), g)
                  for g in gens if quot._add_row(g._terms) is not None]
-    else:  # (key, value)
+    else:  # (key, generator)
         elems = [(key, g) for g, key in zip(gens, keys) if quot._add_key(key)]
     num_gens = len(elems)
     kept = tuple(e[-1] for e in elems)
     live = elems[:num_gens]  # the generators that still bracket
     dead: set[int] = set()  # the positions of the others
 
-    def stop(status, *offending):
-        if not pinned:
-            return None
+    def stop(status, *pair):
+        offending = tuple(
+            g if g is not None else Derivation._from_terms(n, x if keys is None else {x: 1}, 1)
+            for x, g in pair)
         return LieClosureResult(status, _direct_sum(derived, quot), kept, offending or None)
 
     def pairs():
@@ -448,7 +439,7 @@ def _walk(n: int, gens: list[Derivation], keys: list[int] | None, degree_cap: in
     if quot.dim > dim_cap:
         return stop("dim_cap_exceeded")
     if keys is None:
-        for (ra, pa, sa, da, va), (rb, pb, sb, db, vb) in pairs():
+        for (ra, pa, sa, da, ga), (rb, pb, sb, db, gb) in pairs():
             if not signatures_meet(n, sa, sb):
                 continue
             br = bracket_rows(ra, pa, rb, pb)
@@ -456,39 +447,30 @@ def _walk(n: int, gens: list[Derivation], keys: list[int] | None, degree_cap: in
                 continue
             # [a, b] has coefficient degree at most da + db - 1
             if da + db > degree_cap + 1 and max(map(c.degree, br)) > degree_cap:
-                return stop("degree_cap_exceeded", va, vb)
+                return stop("degree_cap_exceeded", (ra, ga), (rb, gb))
             pivot = derived._add_row(br)
             if pivot is None or _clear_column(quot, derived._rows[pivot], pivot):
                 continue
-            if pinned:
-                value = Derivation._from_terms(n, br, va._den * vb._den)
-                row = value._terms
-            else:
-                value, row = None, dict(derived._rows[pivot])
-            elems.append((row, *row_support(n, row), max(map(c.degree, row)), value))
+            row = dict(derived._rows[pivot])
+            elems.append((row, *row_support(n, row), max(map(c.degree, row)), None))
             if derived.dim + quot.dim > dim_cap:
                 return stop("dim_cap_exceeded")
     else:
         position = {key: i for i, (key, _) in enumerate(live)}
-        for (ka, va), (kb, vb) in pairs():
+        for (ka, ga), (kb, gb) in pairs():
             key, e = _monomial_bracket(c, ka, kb)
             if not e:
                 continue
             if c.degree(key) > degree_cap:
-                return stop("degree_cap_exceeded", va, vb)
+                return stop("degree_cap_exceeded", (ka, ga), (kb, gb))
             if not derived._add_key(key):
                 continue
-            if key in quot._rows:  # a generator's key: its row {key: 1} is cleared
+            if key in quot._rows:  # a generator's key, in [L, L]: it stops bracketing
                 del quot._rows[key]
-                if not pinned:  # the generator lies in [L, L]: it stops bracketing
-                    dead.add(position[key])
-                    live = [a for i, a in enumerate(elems[:num_gens]) if i not in dead]
+                dead.add(position[key])
+                live = [a for i, a in enumerate(elems[:num_gens]) if i not in dead]
                 continue
-            value = None
-            if pinned:
-                value = Derivation._from_terms(n, {key: e * va._terms[ka] * vb._terms[kb]},
-                                               va._den * vb._den)
-            elems.append((key, value))
+            elems.append((key, None))
             if derived.dim + quot.dim > dim_cap:
                 return stop("dim_cap_exceeded")
     return LieClosureResult("closed", _direct_sum(derived, quot), kept, None, derived)

@@ -235,8 +235,9 @@ class TestCommands:
         assert a.bracket(b).max_coeff_degree() > 3
 
     def test_closure_rational_generators_exact_output(self, capsys):
-        # the offending pair is the two worklist elements exactly, rational
-        # scales included, not the integer rows the closure brackets
+        # the offending pair is a generator as given, rational scale
+        # included, and an adjoined element as the primitive row that [L, L]
+        # stored for it, not the bracket [(1/2 x2) d1, (3/4 x1^2) d2] as computed
         code, out, _ = run_cli(capsys, "closure", "(1/2 x2) d1", "(3/4 x1^2) d2",
                                "--n", "2", "--degree-cap", "2")
         assert code == 0
@@ -247,7 +248,7 @@ class TestCommands:
                        "  (x2) d1\n"
                        "  (x1^2) d2\n"
                        "offending bracket: [(3/4 x1^2) d2, "
-                       "(-3/8 x1^2) d1 + (3/4 x1 x2) d2]\n")
+                       "(x1^2) d1 + (-2 x1 x2) d2]\n")
 
     def test_witness_prints_nothing_from_a_failed_certificate(self, capsys, monkeypatch):
         monkeypatch.setattr(DerivedChainCertificate, "check", staticmethod(lambda doc: False))

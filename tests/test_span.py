@@ -10,6 +10,8 @@ from polylie.derivation import Derivation, row_support
 from polylie.grammar import parse_derivation, parse_polynomial
 import polylie.span as span_module
 from polylie.span import (
+    DEFAULT_DEGREE_CAP,
+    DEFAULT_DIM_CAP,
     LieClosureResult,
     SpanBasis,
     derived_series,
@@ -369,26 +371,6 @@ class TestLieClosure:
                 self.check_degree_capped(result, caps["degree_cap"])
                 seen += 1
         assert seen >= 5
-
-    def test_row_path_degree_stops_are_pinned(self):
-        # (offending pair, the capped basis as printed): the pair is a
-        # bracket of brackets as computed, not of the reduced rows that a
-        # closing walk adjoins, so a stop reruns the walk pinned
-        n = 2
-        cases = [
-            (("(-2/7) d2", "(-2/3) d2", "(2 x1 x2) d2"),
-             ("(2 x1 x2) d2", "(32/7 x1^4) d2"),
-             "(x1^4) d2, (x1^3) d2, (x1^2) d2, (x1 x2) d2, (x1) d2, d2"),
-            (("(7/4 x1 + 6/5) d2", "(-2 x1 x2) d2"),
-             ("(-2 x1 x2) d2", "(-14 x1^4 - 48/5 x1^3) d2"),
-             "(x1^4 - 331776/1500625) d2, (x1^3 + 13824/42875) d2, (x1^2 - 576/1225) d2, "
-             "(x1 x2) d2, (x1 + 24/35) d2"),
-        ]
-        for texts, pair, basis in cases:
-            result = lie_closure([pd(t, n) for t in texts], degree_cap=4)
-            assert result.status == "degree_cap_exceeded"
-            assert tuple(map(str, result.offending_bracket)) == pair
-            assert ", ".join(map(str, result.basis)) == basis
 
     def test_dim_cap(self):
         n = 2
@@ -1129,10 +1111,11 @@ class TestMonomialPath:
                 carried(result))
 
     def test_key_path_equals_row_path_and_reference(self, monkeypatch):
-        # closures, capped ones too, and both series against the row path,
-        # forced by refusing the `un` rule, which gates both the key path and
-        # the weight proof that prunes the generators; the series against
-        # all pairs too
+        # closures and both series against the row path, forced by refusing
+        # the `un` rule, which gates both the key path and the weight proof
+        # that prunes the generators; the series against all pairs too.  A
+        # capped closure stops where its own walk does, so the two paths
+        # agree on the status, and each stop is checked on its own
         inputs = list(monomial_inputs())
         results = [lie_closure(gens, **caps) for gens, caps in inputs]
         series = [(lower_central_series(r), derived_series(r)) if r.closed else None
@@ -1140,9 +1123,17 @@ class TestMonomialPath:
         monkeypatch.setattr(span_module, "_un_term", lambda c, key: False)
         for (gens, caps), result, both in zip(inputs, results, series):
             row = lie_closure(gens, **caps)
-            assert self.fields(row) == self.fields(result)
             if both is None:
+                assert row.status == result.status
+                for capped in (row, result):
+                    if capped.status == "degree_cap_exceeded":
+                        TestLieClosure.check_degree_capped(
+                            capped, caps.get("degree_cap", DEFAULT_DEGREE_CAP))
+                    else:
+                        TestLieClosure.check_dim_capped(
+                            capped, caps.get("dim_cap", DEFAULT_DIM_CAP))
                 continue
+            assert self.fields(row) == self.fields(result)
             assert both == (lower_central_series(row), derived_series(row))
             if result.basis.dim <= 48:
                 for report, lower in zip(both, (True, False)):
@@ -1153,11 +1144,13 @@ class TestMonomialPath:
         assert sum(both is not None for both in series) == 15
 
     def test_capped_stops_are_pinned(self):
-        # (status, offending pair, the capped basis as printed), as the row
-        # path gave: the walk's pair order shows in both
+        # (status, offending pair, the capped basis as printed), as the one
+        # walk reaches them: its pair order shows in both, and an adjoined
+        # element of a pair is the row [L, L] stored for it (on keys, the
+        # unit monomial), not its bracket as computed; the last two on rows
         cases = [
             (generators("un", 4, 2), {"degree_cap": 3},
-             ("degree_cap_exceeded", ("(x1 x3) d4", "(x1^3) d3"),
+             ("degree_cap_exceeded", ("(x3^2) d4", "(x1^3) d3"),
               "d1, (x1^2) d2, (x1) d2, d2, (x1^3) d3, (x1^2 x2) d3, (x1^2) d3, (x1 x2) d3, "
               "(x2^2) d3, (x1) d3, (x2) d3, d3, (x1^3) d4, (x1^2 x2) d4, (x1^2 x3) d4, "
               "(x1 x2^2) d4, (x1 x2 x3) d4, (x2^3) d4, (x2^2 x3) d4, (x1^2) d4, (x1 x2) d4, "
@@ -1175,15 +1168,24 @@ class TestMonomialPath:
               "(x1) d3, (x2) d3, d3")),
             (generators("un", 4, 2), {"dim_cap": 30},
              ("dim_cap_exceeded", None,
-              "d1, (x1^2) d2, (x1) d2, d2, (x1^3) d3, (x1^2 x2) d3, (x1^2) d3, (x1 x2) d3, "
-              "(x2^2) d3, (x1) d3, (x2) d3, d3, (x1^4) d4, (x1^3 x2) d4, (x1^3) d4, "
+              "d1, (x1^2) d2, (x1) d2, d2, (x1^4) d3, (x1^3) d3, (x1^2 x2) d3, (x1^2) d3, "
+              "(x1 x2) d3, (x2^2) d3, (x1) d3, (x2) d3, d3, (x1^3 x3) d4, (x1^3) d4, "
               "(x1^2 x2) d4, (x1^2 x3) d4, (x1 x2^2) d4, (x1 x2 x3) d4, (x2^3) d4, "
               "(x2^2 x3) d4, (x1^2) d4, (x1 x2) d4, (x1 x3) d4, (x2^2) d4, (x2 x3) d4, "
               "(x3^2) d4, (x1) d4, (x2) d4, (x3) d4, d4")),
             ([pd(t, 3) for t in ("(1/2 x1^2) d2", "(3 x2^2) d3", "(2/3) d1")],
              {"degree_cap": 3},
-             ("degree_cap_exceeded", ("(1/2 x1^2) d2", "(3 x1^2 x2) d3"),
+             ("degree_cap_exceeded", ("(1/2 x1^2) d2", "(x1^2 x2) d3"),
               "d1, (x1^2) d2, (x1) d2, (x1^2 x2) d3, (x2^2) d3")),
+            ([pd(t, 2) for t in ("(-2/7) d2", "(-2/3) d2", "(2 x1 x2) d2")],
+             {"degree_cap": 4},
+             ("degree_cap_exceeded", ("(2 x1 x2) d2", "(x1^4) d2"),
+              "(x1^4) d2, (x1^3) d2, (x1^2) d2, (x1 x2) d2, (x1) d2, d2")),
+            ([pd(t, 2) for t in ("(7/4 x1 + 6/5) d2", "(-2 x1 x2) d2")],
+             {"degree_cap": 4},
+             ("degree_cap_exceeded", ("(-2 x1 x2) d2", "(42875 x1^4 + 13824 x1) d2"),
+              "(x1^4 - 331776/1500625) d2, (x1^3 + 13824/42875) d2, (x1^2 - 576/1225) d2, "
+              "(x1 x2) d2, (x1 + 24/35) d2")),
         ]
         for gens, caps, want in cases:
             result = lie_closure(gens, **caps)
@@ -1191,6 +1193,30 @@ class TestMonomialPath:
             assert (result.status, pair and tuple(map(str, pair)),
                     ", ".join(map(str, result.basis))) == want
             assert result._derived is None
+
+    def test_capped_closure_walks_once(self, monkeypatch):
+        # a stop returns what the walk reached, and no second walk starts
+        # from the generators: one that brackets by every generator, to pin
+        # the pair order, would add 209 pairs of keys here and 4 rows
+        counts = {"keys": 0, "rows": 0}
+        monomial_bracket, bracket_rows = span_module._monomial_bracket, span_module.bracket_rows
+
+        def counted(name, fn):
+            def call(*args):
+                counts[name] += 1
+                return fn(*args)
+            return call
+
+        monkeypatch.setattr(span_module, "_monomial_bracket", counted("keys", monomial_bracket))
+        monkeypatch.setattr(span_module, "bracket_rows", counted("rows", bracket_rows))
+        result = lie_closure(generators("un", 4, 2), dim_cap=30)
+        assert (result.status, result.basis.dim) == ("dim_cap_exceeded", 31)
+        assert counts == {"keys": 158, "rows": 0}
+        counts.update(keys=0)
+        result = lie_closure([pd(t, 2) for t in ("(7/4 x1 + 6/5) d2", "(-2 x1 x2) d2")],
+                             degree_cap=4)
+        assert (result.status, result.basis.dim) == ("degree_cap_exceeded", 5)
+        assert counts == {"keys": 0, "rows": 4}
 
     def test_key_path_counts(self, monkeypatch):
         counts = {"rows": 0, "meet": 0, "add": 0, "elim": 0, "keys": 0, "nonzero": 0}

@@ -372,6 +372,27 @@ class TestLieClosure:
                 seen += 1
         assert seen >= 5
 
+    def test_row_path_degree_stops_are_pinned(self):
+        # (offending pair, the capped basis as printed), as the one walk
+        # reaches them: an adjoined element of the pair is the primitive row
+        # [L, L] stored for it, not its bracket as computed
+        n = 2
+        cases = [
+            (("(-2/7) d2", "(-2/3) d2", "(2 x1 x2) d2"),
+             ("(2 x1 x2) d2", "(x1^4) d2"),
+             "(x1^4) d2, (x1^3) d2, (x1^2) d2, (x1 x2) d2, (x1) d2, d2"),
+            (("(7/4 x1 + 6/5) d2", "(-2 x1 x2) d2"),
+             ("(-2 x1 x2) d2", "(42875 x1^4 + 13824 x1) d2"),
+             "(x1^4 - 331776/1500625) d2, (x1^3 + 13824/42875) d2, (x1^2 - 576/1225) d2, "
+             "(x1 x2) d2, (x1 + 24/35) d2"),
+        ]
+        for texts, pair, basis in cases:
+            result = lie_closure([pd(t, n) for t in texts], degree_cap=4)
+            assert result.status == "degree_cap_exceeded"
+            assert tuple(map(str, result.offending_bracket)) == pair
+            assert ", ".join(map(str, result.basis)) == basis
+            assert result._derived is None
+
     def test_dim_cap(self):
         n = 2
         result = lie_closure([pd("(x1^2) d2", n), pd("(x2^2) d1", n)], dim_cap=4)
@@ -1147,7 +1168,8 @@ class TestMonomialPath:
         # (status, offending pair, the capped basis as printed), as the one
         # walk reaches them: its pair order shows in both, and an adjoined
         # element of a pair is the row [L, L] stored for it (on keys, the
-        # unit monomial), not its bracket as computed; the last two on rows
+        # unit monomial), not its bracket as computed.  All on the key path;
+        # the row path's stops are in TestLieClosure
         cases = [
             (generators("un", 4, 2), {"degree_cap": 3},
              ("degree_cap_exceeded", ("(x3^2) d4", "(x1^3) d3"),
@@ -1177,15 +1199,6 @@ class TestMonomialPath:
              {"degree_cap": 3},
              ("degree_cap_exceeded", ("(1/2 x1^2) d2", "(x1^2 x2) d3"),
               "d1, (x1^2) d2, (x1) d2, (x1^2 x2) d3, (x2^2) d3")),
-            ([pd(t, 2) for t in ("(-2/7) d2", "(-2/3) d2", "(2 x1 x2) d2")],
-             {"degree_cap": 4},
-             ("degree_cap_exceeded", ("(2 x1 x2) d2", "(x1^4) d2"),
-              "(x1^4) d2, (x1^3) d2, (x1^2) d2, (x1 x2) d2, (x1) d2, d2")),
-            ([pd(t, 2) for t in ("(7/4 x1 + 6/5) d2", "(-2 x1 x2) d2")],
-             {"degree_cap": 4},
-             ("degree_cap_exceeded", ("(-2 x1 x2) d2", "(42875 x1^4 + 13824 x1) d2"),
-              "(x1^4 - 331776/1500625) d2, (x1^3 + 13824/42875) d2, (x1^2 - 576/1225) d2, "
-              "(x1 x2) d2, (x1 + 24/35) d2")),
         ]
         for gens, caps, want in cases:
             result = lie_closure(gens, **caps)

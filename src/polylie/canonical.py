@@ -24,6 +24,7 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
+from math import lcm
 from typing import TYPE_CHECKING, Iterator, Literal, NamedTuple
 
 from .derivation import Derivation, Row
@@ -252,10 +253,18 @@ def lnd_check(d: Derivation, bound: int) -> LndVerdict:
 def linear_part_refutes(rows: tuple[tuple[Fraction, ...], ...]) -> bool:
     """Re-check a "not_nilpotent" verdict from its linear_part alone: whether
     the n-th power of the matrix has a nonzero entry.  Its row i holds
-    D^n(x_i), so that x_i's chain never dies."""
-    power = rows
-    for _ in range(len(rows) - 1):
-        power = [[sum(a * b for a, b in zip(row, col)) for col in zip(*rows)] for row in power]
+    D^n(x_i), so that x_i's chain never dies.
+
+    An n x n matrix A is nilpotent exactly when A^n = 0, that is when
+    A^(2^k) = 0 for any 2^k >= n.  So the check clears one common
+    denominator, which keeps every power zero or nonzero as it was, and
+    squares the integer matrix ceil(log2 n) times.
+    """
+    den = lcm(*(x.denominator for row in rows for x in row))
+    power = [[x.numerator * (den // x.denominator) for x in row] for row in rows]
+    for _ in range((len(rows) - 1).bit_length()):
+        cols = list(zip(*power))
+        power = [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in power]
     return any(map(any, power))
 
 

@@ -143,14 +143,15 @@ def _closure(args) -> tuple[span.LieClosureResult, dict]:
 def cmd_closure(args) -> int:
     result, inputs = _closure(args)
     offending = result.offending_bracket
+    texts = result.basis.texts()
     outputs = {
         "status": result.status,
         "dim": result.basis.dim,
-        "basis": [str(b) for b in result.basis],
+        "basis": texts,
         "offending_bracket": [str(d) for d in offending] if offending else None,
     }
     lines = [f"status: {result.status}", f"dim: {result.basis.dim}"]
-    lines += [f"  {b}" for b in result.basis]
+    lines += [f"  {text}" for text in texts]
     if offending:
         lines.append(f"offending bracket: [{offending[0]}, {offending[1]}]")
     _emit(args, "closure", inputs, outputs, lines)
@@ -168,7 +169,7 @@ def cmd_derived_series(args) -> int:
     series = span.lower_central_series if args.lower else span.derived_series
     report = series(closure)
     outputs = {"closure_status": "closed", "dim": closure.basis.dim,
-               "basis": [str(b) for b in closure.basis],
+               "basis": closure.basis.texts(),
                "series": report.to_dict()}
     lines = [f"dims: {list(report.dims)}", f"verdict: {report.verdict}"]
     if report.length is not None:

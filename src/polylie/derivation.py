@@ -55,7 +55,8 @@ from itertools import groupby
 from typing import Iterable, Sequence
 
 from .polyring import (Polynomial, _LowestTerms, _check_index, _check_int, _check_n,
-                       _check_same_n, _format_sum, _limit_error, _over_lcm, codec)
+                       _check_same_n, _format_sum, _limit_error, _over_lcm, codec,
+                       format_monomial)
 
 Row = dict[int, int]
 Partials = list[list[tuple[int, int]]]
@@ -266,14 +267,28 @@ def format_derivation(d: Derivation) -> str:
 
     A unit coefficient prints as a bare d<i>; anything else is parenthesized,
     e.g. "(x1^2) d1 + (-2 x1 x2) d2".  The zero derivation prints as "0".
+    """
+    return format_row(d.n, d._terms, d._den)
+
+
+def format_row(n: int, terms: Row, den: int) -> str:
+    """The text of the derivation terms / den, den > 0, as `format_derivation`
+    prints it; terms and den need not be in lowest terms.
 
     Printed straight from the row, in the column order of its keys: by
-    slot, then by descending graded-lex order within a slot.
+    slot, then by descending graded-lex order within a slot.  One term
+    equal to den, as a unit row of a span, prints as d<i> or (x^a) d<i>
+    at once.
     """
-    if not d._terms:
+    if not terms:
         return "0"
-    c = codec(d.n)
-    terms, den, low, shift = d._terms, d._den, c.low, c.slot_shift
+    c = codec(n)
+    low, shift = c.low, c.slot_shift
+    if len(terms) == 1:
+        ((key, value),) = terms.items()
+        if value == den:
+            mono = format_monomial(c.unpack(key))
+            return f"({mono}) d{key >> shift}" if mono else f"d{key >> shift}"
     parts = []
     for slot, group in groupby(sorted(terms, key=c.column_key), lambda k: k >> shift):
         keys = list(group)

@@ -18,11 +18,13 @@ the residual only if it is nonzero.  A unit row {p: 1}, most rows on `un`
 input, needs no arithmetic: its column is cleared by deletion, and
 back-elimination walks only the rows of more than one term.  Dividing each
 row by its pivot entry gives the reduced row echelon form, which is unique
-for a given row space and column order; `basis` does that division, and
-only there, so equal spans produce identical bases whatever order the
-generators come in: two spans are equal exactly when their `basis` tuples
-are.  The one rational number is that division, kept as the denominator of
-each basis derivation.
+for a given row space and column order, so equal spans produce identical
+bases whatever order the generators come in: two spans are equal exactly
+when their `basis` tuples are.  That division is the one rational number,
+and nothing divides a stored row: `basis` keeps it as the denominator of
+each basis derivation, and `texts` prints each row over its pivot entry
+(`derivation.format_row`), the text of the matching element of `basis`
+with no derivation built.
 
 `lie_closure` closes a set of generators S under brackets, within a degree
 and a dimension cap; its docstring gives the walk, the two spans it keeps L
@@ -43,7 +45,8 @@ from bisect import bisect_right
 from math import gcd
 from typing import Collection, Iterable, Iterator, NamedTuple
 
-from .derivation import Derivation, Partials, Row, bracket_rows, row_support, signatures_meet
+from .derivation import (Derivation, Partials, Row, bracket_rows, format_row, row_support,
+                         signatures_meet)
 from .polyring import (KeyCodec, _check_int, _check_n, _check_same_n, _limit_error, _un_term,
                        codec)
 
@@ -97,8 +100,14 @@ class SpanBasis:
             # copies: `_add_row` goes on reducing the stored rows in place
             self._basis = tuple(
                 Derivation._from_terms(self.n, dict(self._rows[p]), self._rows[p][p])
-                for p in sorted(self._rows, key=codec(self.n).column_key))
+                for p in self._pivots())
         return self._basis
+
+    def texts(self) -> list[str]:
+        """The text of each element of `basis`, in its order, read straight
+        from the stored rows: the row at pivot p over its pivot entry."""
+        rows = self._rows
+        return [format_row(self.n, rows[p], rows[p][p]) for p in self._pivots()]
 
     @property
     def dim(self) -> int:
@@ -107,10 +116,13 @@ class SpanBasis:
     def __iter__(self):
         return iter(self.basis)
 
+    def _pivots(self) -> list[int]:
+        """The pivots in column order."""
+        return sorted(self._rows, key=codec(self.n).column_key)
+
     def _operands(self) -> list[Operand]:
         """The stored rows in pivot order, each with its row_support."""
-        return [(self._rows[p], *row_support(self.n, self._rows[p]))
-                for p in sorted(self._rows, key=codec(self.n).column_key)]
+        return [(self._rows[p], *row_support(self.n, self._rows[p])) for p in self._pivots()]
 
     def _reduce(self, row: Row) -> Row:
         """A positive multiple of the residual of row after subtracting its

@@ -4,6 +4,7 @@ import json
 import random
 import re
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -393,6 +394,34 @@ class TestLndCheckLinearOracle:
                 assert not linear_part_refutes(rows), a
                 nilpotent_nonzero += any(map(any, rows))
         assert nilpotent_nonzero >= 40
+
+    def test_integer_recheck_equals_fraction_power(self):
+        # the re-check squares an integer matrix; the answer is that of the
+        # n-th power over Fraction, n - 1 products, on rational matrices
+        # with n <= 6, every other one strictly upper triangular
+        rng = random.Random(2046)
+        answers = {True: 0, False: 0}
+        for k in range(400):
+            n = rng.randint(1, 6)
+            a = tuple(tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                            if (j > i if k % 2 else rng.random() < 0.5) else Fraction(0)
+                            for j in range(n)) for i in range(n))
+            want = not is_zero(power(a, n))
+            assert linear_part_refutes(a) == want, a
+            answers[want] += 1
+        assert answers[True] >= 100 and answers[False] >= 200
+
+    def test_recheck_takes_the_full_power_of_a_shift(self):
+        # the n x n shift is nilpotent, and its powers below the n-th are
+        # not zero: a re-check that squares once too few refutes it
+        for n in range(1, 13):
+            for c in (1, Fraction(-2, 3)):
+                shift = tuple(tuple(c if j == i + 1 else Fraction(0) for j in range(n))
+                              for i in range(n))
+                assert not linear_part_refutes(shift), n
+                cycle = tuple(tuple(c if j == (i + 1) % n else Fraction(0) for j in range(n))
+                              for i in range(n))
+                assert linear_part_refutes(cycle), n
 
     def test_chains_are_rows_of_matrix_powers(self):
         # entry k of the chain of x_i is row i of A^k, and the chains run n

@@ -6,8 +6,10 @@ import time
 
 import pytest
 
+from polylie import span
 from polylie.canonical import DerivedChainCertificate
 from polylie.cli import EXIT_CLOSED_STDOUT, build_parser, main
+from polylie.derivation import format_row
 from polylie.grammar import parse_derivation
 from polylie.reductions import EigenvectorCertificate
 from polylie.verify import REPORT_SCHEMA
@@ -249,6 +251,36 @@ class TestCommands:
                        "  (x1^2) d2\n"
                        "offending bracket: [(3/4 x1^2) d2, "
                        "(x1^2) d1 + (-2 x1 x2) d2]\n")
+
+    @pytest.mark.parametrize("argv, status", [
+        (("d1", "(x1) d2", "(x1^2) d3", "--n", "3"), "closed"),  # on keys
+        (("d1", "(x1) d2", "(x1^2) d3", "--n", "3", "--dim-cap", "4"), "dim_cap_exceeded"),
+        (("d1 + (2/3 x1) d2", "(x1^2) d3", "(x2) d3", "--n", "3"), "closed"),  # on rows
+        (("(1/2 x2) d1", "(3/4 x1^2) d2", "--n", "2", "--degree-cap", "2"),
+         "degree_cap_exceeded"),
+    ])
+    def test_closure_formats_its_basis_once(self, capsys, monkeypatch, argv, status):
+        # text and JSON print one list of texts, each formatted once from
+        # a stored row: the text lines are the JSON basis, indented
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return format_row(*args)
+
+        monkeypatch.setattr(span, "format_row", counted)
+        code, text, _ = run_cli(capsys, "closure", *argv)
+        assert code == 0
+        code, out, _ = run_cli(capsys, "closure", *argv, "--format", "json")
+        assert code == 0
+        outputs = json.loads(out)["outputs"]
+        assert outputs["status"] == status
+        dim = outputs["dim"]
+        lines = text.splitlines()
+        assert lines[:2] == [f"status: {status}", f"dim: {dim}"]
+        assert lines[2:2 + dim] == [f"  {t}" for t in outputs["basis"]]
+        assert len(lines) == 2 + dim + (status == "degree_cap_exceeded")
+        assert len(calls) == 2 * dim
 
     def test_witness_prints_nothing_from_a_failed_certificate(self, capsys, monkeypatch):
         monkeypatch.setattr(DerivedChainCertificate, "check", staticmethod(lambda doc: False))

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 import kernel_reference as ref
-from polylie.derivation import Derivation
+from polylie.derivation import Derivation, format_row
 from polylie.grammar import (
     ParseError,
     format_derivation,
@@ -125,6 +125,18 @@ class TestFormatting:
         d = parse_derivation("(x1^2) d1 + (-2 x1 x2) d2", n)
         assert format_derivation(d) == "(x1^2) d1 + (-2 x1 x2) d2"
         assert format_derivation(Derivation.zero(n)) == "0"
+
+    def test_one_term_rows(self):
+        # one term equal to the denominator prints at once; any other one
+        # term keeps its coefficient, through the sum printer; a row and
+        # its denominator scaled alike print the same
+        for text, n in (("d1", 1), ("(x1 x3^2) d3", 3), ("(2 x1) d2", 2), ("(-x1) d2", 2),
+                        ("(1/2) d3", 3), ("(2) d1", 1)):
+            d = parse_derivation(text, n)
+            assert format_derivation(d) == text
+            for scale in (1, 3):
+                row = {key: scale * c for key, c in d._terms.items()}
+                assert format_row(n, row, scale * d._den) == text
 
     def test_polynomial_term_order(self):
         n = 2

@@ -6,7 +6,7 @@ from math import comb, gcd
 import pytest
 
 from polylie.canonical import generators, random_subalgebra_element
-from polylie.derivation import Derivation, row_support
+from polylie.derivation import Derivation, format_derivation, row_support
 from polylie.grammar import parse_derivation, parse_polynomial
 import polylie.span as span_module
 from polylie.span import (
@@ -473,7 +473,8 @@ class TestLieClosure:
             lie_closure([pd("d1", 1), "d1"])
 
     def test_a_closed_result_cannot_grow(self):
-        # a span has no public call that changes it, so the series report on
+        # a span has no public call that changes it (`texts` only prints
+        # its rows), so the series report on
         # the span that lie_closure closed: one that grew [d1, (x1) d2] by
         # (x2) d2 read [4, 1, 0] nilpotent, for an algebra whose lower
         # central series is [4, 2, 2]
@@ -482,7 +483,7 @@ class TestLieClosure:
         result = lie_closure(gens)
         assert not hasattr(result.basis, "add")
         assert [name for name in dir(SpanBasis) if not name.startswith("_")] == [
-            "basis", "contains", "dim", "n"]
+            "basis", "contains", "dim", "n", "texts"]
         for series in (derived_series, lower_central_series):
             assert series(result).dims == (3, 1, 0)
         report = lower_central_series(lie_closure([*gens, pd("(x2) d2", n)]))
@@ -1115,6 +1116,28 @@ def monomial_inputs():
             # generator is not adjoined: the lower series runs on keys
             (3, ("d1", "(x1) d2", "d1 + (x1) d2", "(x1^2) d3"), {})):
         yield [pd(t, n) for t in texts], caps
+
+
+class TestTexts:
+    def test_texts_print_the_basis(self):
+        # each text, read from a stored row over its pivot entry, is the text
+        # of the matching basis element: on keys and on rows, closed and capped,
+        # for L and for the [L, L] a closed result carries
+        rng = random.Random(4646)
+        inputs = [*monomial_inputs(), *(random_closure_inputs(rng) for _ in range(60))]
+        spans = multi = 0
+        statuses = set()
+        for gens, caps in inputs:
+            result = lie_closure(gens, **caps)
+            statuses.add(result.status)
+            for span in (result.basis, result._derived):
+                if span is None:
+                    continue
+                assert span.texts() == [format_derivation(b) for b in span.basis]
+                spans += 1
+                multi += len(span._multi)
+        assert statuses == {"closed", "degree_cap_exceeded", "dim_cap_exceeded"}
+        assert spans >= 100 and multi >= 50  # rows of several terms
 
 
 # the derived series of L(n, c), the closure of generators("un", n, c)
